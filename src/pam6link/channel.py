@@ -6,7 +6,7 @@ across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,10 +31,11 @@ class ChannelSpec:
             if self.taps[0] == 0:
                 raise ValueError("leading FIR tap must be nonzero")
 
-    def rng(self, stream: int = 0) -> np.random.Generator:
-        """Philox substream for this spec; same (seed, stream) -> same bits."""
-        key = np.array([np.uint64(self.seed), np.uint64(stream)], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+
+def philox(seed: int, stream: int) -> np.random.Generator:
+    """Philox generator keyed by (seed, stream); same key -> same bits."""
+    key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def transmit(amplitudes, spec: ChannelSpec, stream: int = 0) -> np.ndarray:
@@ -47,7 +48,7 @@ def transmit(amplitudes, spec: ChannelSpec, stream: int = 0) -> np.ndarray:
     x = np.asarray(amplitudes, dtype=np.float64).ravel()
     if spec.kind == "fir_isi":
         x = np.convolve(x, np.asarray(spec.taps, dtype=np.float64))[: len(x)]
-    noise = spec.rng(stream).normal(0.0, np.sqrt(spec.noise_var), size=len(x))
+    noise = philox(spec.seed, stream).normal(0.0, np.sqrt(spec.noise_var), size=len(x))
     return x + noise
 
 

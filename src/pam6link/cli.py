@@ -22,7 +22,7 @@ import time
 
 from . import __version__
 from .constellation import CONSTELLATION_NAMES, build_constellation
-from .experiment import (CSV_HEADER, ConfigError, load_config, parse_config,
+from .experiment import (CSV_HEADER, ConfigError, _row, parse_config,
                          run_experiment)
 from .rates import METRICS, SCHEMES, estimate_gmi, estimate_mi
 
@@ -116,8 +116,8 @@ def _cmd_rates(args) -> int:
     est = est_fn(args.scheme, args.snr, num_symbols=args.num_symbols,
                  seed=args.seed, taps=tuple(args.taps) if args.taps else None)
     print(CSV_HEADER)
-    print(f"{est.scheme},{est.metric},{est.snr_db!r},{est.rate!r},"
-          f"{est.half_width!r},{est.num_symbols},{est.seed}")
+    print(_row(est.scheme, est.metric, est.snr_db, est.rate, est.half_width,
+               est.num_symbols, est.seed))
     return EXIT_OK
 
 

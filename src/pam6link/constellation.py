@@ -14,8 +14,7 @@ peak amplitude 1), so peak SNR is 1/sigma^2 for every scheme.
 """
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,8 +75,6 @@ class Constellation:
     dimension: int
     points: np.ndarray
     labels: np.ndarray
-    _label_index: dict = field(repr=False, default_factory=dict)
-    _point_index: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
         pts, labs = self.points, self.labels
@@ -87,9 +84,6 @@ class Constellation:
             raise ValueError("labels must be distinct")
         if pts.min() < 0 or pts.max() > PEAK_LEVEL:
             raise ValueError("coordinate levels must lie in {0..5}")
-        for lab, point in zip(labs, pts):
-            self._label_index[tuple(lab)] = tuple(point)
-            self._point_index[tuple(point)] = tuple(lab)
 
     @property
     def num_points(self) -> int:
@@ -99,20 +93,14 @@ class Constellation:
     def bits_per_point(self) -> int:
         return self.labels.shape[1]
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Point coordinates normalized to [0, 1]."""
-        return self.points / PEAK_LEVEL
 
-    def to_csv(self) -> str:
-        """Dump the point/label table as CSV for cross-implementation checks."""
-        buf = io.StringIO()
-        axes = ",".join(f"level_{i}" for i in range(self.dimension))
-        buf.write(f"{axes},label\n")
-        for point, lab in zip(self.points, self.labels):
-            coords = ",".join(str(int(v)) for v in point)
-            buf.write(coords + "," + "".join(str(int(b)) for b in lab) + "\n")
-        return buf.getvalue()
+def _row_index(rows, table, radix):
+    """Index in `table` of each row of base-`radix` digits, -1 where absent."""
+    shape = (radix,) * table.shape[1]
+    lut = np.full(radix ** table.shape[1], -1)
+    lut[np.ravel_multi_index(table.T, shape)] = np.arange(len(table))
+    inside = ((rows >= 0) & (rows < radix)).all(axis=1)
+    return np.where(inside, lut[np.ravel_multi_index(np.clip(rows, 0, radix - 1).T, shape)], -1)
 
 
 def _from_table(name, table, dimension):
@@ -143,16 +131,13 @@ def map_bits(bits, c: Constellation) -> np.ndarray:
     L = c.bits_per_point
     if len(bits) % L:
         raise ValueError(f"bit count {len(bits)} not divisible by {L}")
-    if len(bits) == 0:
-        return np.empty(0, dtype=np.int64)
     groups = bits.reshape(-1, L)
-    out = np.empty((len(groups), c.dimension), dtype=np.int64)
-    for i, g in enumerate(groups):
-        try:
-            out[i] = c._label_index[tuple(g)]
-        except KeyError:
-            raise ValueError(f"bit pattern {''.join(map(str, g))} is not a label of {c.name}") from None
-    return out.ravel()
+    idx = _row_index(groups, c.labels, 2)
+    bad = np.flatnonzero(idx < 0)
+    if bad.size:
+        g = groups[bad[0]]
+        raise ValueError(f"bit pattern {''.join(map(str, g))} is not a label of {c.name}")
+    return c.points[idx].ravel()
 
 
 def demap_hard(levels, c: Constellation) -> np.ndarray:
@@ -161,13 +146,11 @@ def demap_hard(levels, c: Constellation) -> np.ndarray:
     if len(levels) % c.dimension:
         raise ValueError(f"level count {len(levels)} not divisible by dimension {c.dimension}")
     pts = levels.reshape(-1, c.dimension)
-    out = np.empty((len(pts), c.bits_per_point), dtype=np.uint8)
-    for i, p in enumerate(pts):
-        try:
-            out[i] = c._point_index[tuple(p)]
-        except KeyError:
-            raise ValueError(f"{tuple(int(v) for v in p)} is not a point of {c.name}") from None
-    return out.ravel()
+    idx = _row_index(pts, c.points, PEAK_LEVEL + 1)
+    bad = np.flatnonzero(idx < 0)
+    if bad.size:
+        raise ValueError(f"{tuple(int(v) for v in pts[bad[0]])} is not a point of {c.name}")
+    return c.labels[idx].ravel()
 
 
 def normalize(levels) -> np.ndarray:
@@ -222,6 +205,16 @@ def check_unit_distance_gray(c: Constellation) -> list[tuple]:
     return violations
 
 
+def _sum_over_axes(axis_terms, c):
+    """Per-use terms over the six levels, shape (num_uses, 6), summed along
+    each point's coordinates: shape (num_groups, num_points)."""
+    d = c.dimension
+    out = np.take(axis_terms[0::d], c.points[:, 0], axis=1)
+    for k in range(1, d):
+        out += np.take(axis_terms[k::d], c.points[:, k], axis=1)
+    return out
+
+
 def _log_point_metrics(received, c, noise_var, point_priors):
     """log [P(point) * p(y|point)] per received group, shape (num_groups, num_points)."""
     if noise_var <= 0:
@@ -229,17 +222,38 @@ def _log_point_metrics(received, c, noise_var, point_priors):
     y = np.asarray(received, dtype=np.float64).ravel()
     if len(y) % c.dimension:
         raise ValueError(f"received length {len(y)} not divisible by dimension {c.dimension}")
-    y = y.reshape(-1, c.dimension)
-    x = c.amplitudes
-    d2 = ((y[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
-    logm = -d2 / (2.0 * noise_var)
+    # squared distance to each level per use, summed over a point's axes and
+    # only then divided: dividing per axis first rounds differently
+    d2 = y[:, None] - normalize(LEVELS)
+    d2 *= d2
+    logm = _sum_over_axes(d2, c)
+    logm /= -2.0 * noise_var
     if point_priors is not None:
         point_priors = np.asarray(point_priors, dtype=np.float64)
         if point_priors.shape != (c.num_points,):
             raise ValueError("point priors must have one entry per constellation point")
         with np.errstate(divide="ignore"):
-            logm = logm + np.log(point_priors)[None, :]
+            logm += np.log(point_priors)
     return logm
+
+
+def _marginalize_bits(logm, c):
+    """Bitwise LLRs, shape (num_groups, bits_per_point), from per-point log
+    metrics; overwrites logm.
+
+    Both label halves are summed explicitly: taking s1 as total - s0
+    cancels catastrophically once one half dominates.
+    """
+    logm -= logm.max(axis=1, keepdims=True)
+    w = np.exp(logm, out=logm)
+    out = np.empty((w.shape[0], c.bits_per_point), dtype=np.float64)
+    tiny = np.finfo(np.float64).tiny
+    for j in range(c.bits_per_point):
+        mask0 = c.labels[:, j] == 0
+        s0 = w[:, mask0].sum(axis=1)
+        s1 = w[:, ~mask0].sum(axis=1)
+        out[:, j] = np.log(np.maximum(s0, tiny)) - np.log(np.maximum(s1, tiny))
+    return out
 
 
 def bit_llrs(received, c: Constellation, noise_var: float, point_priors=None) -> np.ndarray:
@@ -249,17 +263,17 @@ def bit_llrs(received, c: Constellation, noise_var: float, point_priors=None) ->
     max-subtraction stabilization; output shape is
     (num_groups, bits_per_point) flattened to 1D in label-bit order.
     """
-    logm = _log_point_metrics(received, c, noise_var, point_priors)
-    m = logm.max(axis=1, keepdims=True)
-    w = np.exp(logm - m)
-    out = np.empty((logm.shape[0], c.bits_per_point), dtype=np.float64)
-    for j in range(c.bits_per_point):
-        mask0 = c.labels[:, j] == 0
-        s0 = w[:, mask0].sum(axis=1)
-        s1 = w[:, ~mask0].sum(axis=1)
-        tiny = np.finfo(np.float64).tiny
-        out[:, j] = np.log(np.maximum(s0, tiny)) - np.log(np.maximum(s1, tiny))
-    return out.ravel()
+    return _marginalize_bits(_log_point_metrics(received, c, noise_var, point_priors), c).ravel()
+
+
+def bit_llrs_from_levels(level_logposts, c: Constellation) -> np.ndarray:
+    """Bitwise LLRs, shape (num_groups, bits_per_point), from per-use level
+    log posteriors of shape (num_uses, 6), such as a trellis detector's.
+
+    Each point is scored by the sum of its coordinates' log posteriors (a
+    product metric for 2D formats).
+    """
+    return _marginalize_bits(_sum_over_axes(np.asarray(level_logposts, dtype=np.float64), c), c)
 
 
 def symbol_posteriors(received, c: Constellation, noise_var: float, point_priors=None) -> np.ndarray:
@@ -269,6 +283,6 @@ def symbol_posteriors(received, c: Constellation, noise_var: float, point_priors
     """
     logm = _log_point_metrics(received, c, noise_var, point_priors)
     logm -= logm.max(axis=1, keepdims=True)
-    post = np.exp(logm)
+    post = np.exp(logm, out=logm)
     post /= post.sum(axis=1, keepdims=True)
     return post

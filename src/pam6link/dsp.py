@@ -1,121 +1,14 @@
-"""Receiver DSP: Volterra equalization, noise whitening, trellis detection.
+"""Receiver DSP: symbol-wise BCJR detection over a known ISI trellis.
 
-The intended receive chain for dispersive intensity links: a least-squares
-Volterra equalizer flattens the channel (leaving the residual noise
-colored), a short monic prediction-error filter whitens that residual, and
-because the same filter re-introduces known ISI, the detector runs a
-symbol-wise BCJR over exactly those whitener taps.
+Links with residual inter-symbol interference (the ``fir_isi`` channel)
+are detected by an exact log-domain BCJR over the channel taps; its
+per-symbol level posteriors feed the rate estimators.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-
-VOLTERRA_TAPS = (41, 7, 5)
-
-
-def _window_view(x: np.ndarray, sps: int, span: int) -> np.ndarray:
-    """Centered length-`span` sample windows at each symbol instant."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    nsym = x.size // sps
-    half = span // 2
-    padded = np.concatenate([np.zeros(half), x, np.zeros(span)])
-    view = np.lib.stride_tricks.sliding_window_view(padded, span)
-    return view[np.arange(nsym) * sps]
-
-
-def volterra_features(x: np.ndarray, sps: int = 1, taps=VOLTERRA_TAPS) -> np.ndarray:
-    """Feature matrix of a memory-polynomial (Volterra) equalizer.
-
-    Per output symbol: the linear window of taps[0] samples, all unordered
-    pair products from the centered taps[1] sub-window, and all unordered
-    triple products from the centered taps[2] sub-window. Kernel symmetry is
-    enforced by construction (only i <= j <= k index combinations appear).
-    """
-    l1, l2, l3 = taps
-    if l2 > l1 or l3 > l1 or not all(t % 2 == 1 for t in (l1, l2, l3)):
-        raise ValueError(f"tap lengths must be odd and nested, got {taps}")
-    if sps not in (1, 2):
-        raise ValueError(f"sps must be 1 or 2, got {sps}")
-    w1 = _window_view(x, sps, l1)
-    c = l1 // 2
-    w2 = w1[:, c - l2 // 2 : c + l2 // 2 + 1]
-    w3 = w1[:, c - l3 // 2 : c + l3 // 2 + 1]
-    iu, ju = np.triu_indices(l2)
-    f2 = w2[:, iu] * w2[:, ju]
-    trip = np.array(
-        list(itertools.combinations_with_replacement(range(l3), 3)), dtype=np.int64
-    )
-    f3 = w3[:, trip[:, 0]] * w3[:, trip[:, 1]] * w3[:, trip[:, 2]]
-    return np.hstack([w1, f2, f3])
-
-
-@dataclass(frozen=True)
-class VolterraEqualizer:
-    sps: int
-    taps: tuple
-    theta: np.ndarray  # (n_features,) LS weights, bias last
-
-    @property
-    def n_features(self) -> int:
-        return self.theta.size - 1
-
-
-def volterra_train(
-    x: np.ndarray,
-    reference: np.ndarray,
-    sps: int = 1,
-    taps=VOLTERRA_TAPS,
-    ridge: float = 1e-6,
-) -> VolterraEqualizer:
-    """Fit equalizer weights by ridge-regularized least squares.
-
-    x holds sps * len(reference) received samples aligned so that symbol m
-    is centered on sample m*sps; reference is the known transmitted
-    amplitude sequence.
-    """
-    feats = volterra_features(x, sps, taps)
-    ref = np.asarray(reference, dtype=np.float64).ravel()
-    if feats.shape[0] != ref.size:
-        raise ValueError(
-            f"{feats.shape[0]} feature rows vs {ref.size} reference symbols"
-        )
-    f = np.hstack([feats, np.ones((feats.shape[0], 1))])
-    gram = f.T @ f + ridge * np.eye(f.shape[1])
-    theta = np.linalg.solve(gram, f.T @ ref)
-    return VolterraEqualizer(sps=sps, taps=tuple(taps), theta=theta)
-
-
-def volterra_apply(x: np.ndarray, eq: VolterraEqualizer) -> np.ndarray:
-    feats = volterra_features(x, eq.sps, eq.taps)
-    return feats @ eq.theta[:-1] + eq.theta[-1]
-
-
-def design_whitener(residual: np.ndarray, order: int = 3):
-    """Monic prediction-error filter for the equalizer residual.
-
-    Solves the Yule-Walker equations for an AR(order - 1) model; the
-    returned filter has `order` taps [1, -a_1, ..., -a_p] with p =
-    order - 1. Returns (taps, prediction_error_variance). Convolving the
-    equalized signal with taps whitens the noise while re-coloring the
-    symbols, which is what the trellis detector is then matched to.
-    """
-    e = np.asarray(residual, dtype=np.float64).ravel()
-    p = order - 1
-    if p < 0 or e.size <= order:
-        raise ValueError("residual too short for the requested order")
-    if p == 0:
-        return np.array([1.0]), float(np.mean(e * e))
-    r = np.array([np.dot(e[: e.size - lag], e[lag:]) / e.size for lag in range(p + 1)])
-    toe = np.empty((p, p))
-    for i in range(p):
-        for j in range(p):
-            toe[i, j] = r[abs(i - j)]
-    a = np.linalg.solve(toe, r[1:])
-    var = float(r[0] - a @ r[1:])
-    return np.concatenate([[1.0], -a]), var
 
 
 @dataclass(frozen=True)
@@ -168,9 +61,9 @@ def bcjr_app(
 ):
     """Exact symbol-wise log-APPs over an ISI trellis (log-domain BCJR).
 
-    y are the observations after any whitening, noise_var the white-noise
-    variance, log_priors an optional (T, Q) or (Q,) array of symbol log
-    priors. Returns a (T, Q) array of log posteriors normalized per symbol.
+    y are the observations, noise_var the white-noise variance, log_priors
+    an optional (T, Q) or (Q,) array of symbol log priors. Returns a (T, Q)
+    array of log posteriors normalized per symbol.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     q = trellis.levels.size

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import yaml
 
 from .channel import ChannelSpec, sigma_for_peak_snr
-from .rates import SCHEMES, METRICS, estimate_gmi, estimate_mi, rate_at_fer
+from .link import coded_fer, rate_at_fer
+from .rates import SCHEMES, METRICS, estimate_gmi, estimate_mi
 
 RUN_METRICS = METRICS + ("fer", "rate_at_fer")
 CSV_HEADER = "scheme,metric,snr_db,rate,half_width,N,seed"
@@ -42,7 +43,6 @@ class CodecSpec:
     family: str = "ldpc"  # ldpc | bch | none
     rate_bpcu: float = 2.0
     rate_grid: tuple = (1.80, 1.90, 2.00, 2.10)
-    puncture_systematic: bool = False
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,13 @@ class ExperimentConfig:
         needs_codec = set(self.metrics) & {"fer", "rate_at_fer"}
         if needs_codec and self.codec is None:
             raise ConfigError(f"codec: required for metric(s) {sorted(needs_codec)}")
+        if needs_codec and self.channel_kind == "fir_isi":
+            # the coded receiver demaps memorylessly and never sees the taps
+            raise ConfigError(
+                f"channel.kind: fir_isi not supported with metric(s) {sorted(needs_codec)}")
+        if needs_codec and self.codec.family == "bch" and "dm_pam6" in self.schemes:
+            raise ConfigError(
+                "codec.family: 'bch' not supported by scheme dm_pam6; use 'ldpc' or 'none'")
         if self.num_symbols < 10**4:
             raise ConfigError("num_symbols: need at least 1e4")
 
@@ -89,7 +96,7 @@ _TOP_KEYS = {"scheme", "schemes", "metric", "snr_db", "seeds", "channel",
              "num_symbols", "frame_symbols", "codec", "fer_target",
              "max_frames", "min_errors", "output"}
 _CHANNEL_KEYS = {"kind", "taps"}
-_CODEC_KEYS = {"family", "rate", "rate_grid", "puncture_systematic"}
+_CODEC_KEYS = {"family", "rate", "rate_grid"}
 
 
 def _as_list(v, key):
@@ -98,6 +105,13 @@ def _as_list(v, key):
     if isinstance(v, (int, float, str)):
         return [v]
     raise ConfigError(f"{key}: expected a scalar or list, got {type(v).__name__}")
+
+
+def _float(v, key):
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key}: expected a number, got {v!r}") from None
 
 
 def _floats(v, key):
@@ -170,10 +184,9 @@ def parse_config(text: str) -> ExperimentConfig:
         grid = cd.get("rate_grid")
         codec = CodecSpec(
             family=str(cd.get("family", "ldpc")),
-            rate_bpcu=float(cd.get("rate", 2.0)),
+            rate_bpcu=_float(cd.get("rate", 2.0), "codec.rate"),
             rate_grid=(_floats(grid, "codec.rate_grid") if grid is not None
                        else CodecSpec.rate_grid),
-            puncture_systematic=bool(cd.get("puncture_systematic", False)),
         )
         if codec.family not in ("ldpc", "bch", "none"):
             raise ConfigError(
@@ -192,7 +205,7 @@ def parse_config(text: str) -> ExperimentConfig:
         num_symbols=_int("num_symbols", 10**5),
         frame_symbols=_int("frame_symbols", 1000),
         codec=codec,
-        fer_target=float(raw.get("fer_target", 1e-2)),
+        fer_target=_float(raw.get("fer_target", 1e-2), "fer_target"),
         max_frames=_int("max_frames", 1000),
         min_errors=_int("min_errors", 100),
         output=str(out) if out is not None else None,
@@ -229,11 +242,9 @@ def _eval_item(cfg: ExperimentConfig, scheme: str, metric: str, snr: float,
         return [_row(scheme, metric, snr, est.rate, est.half_width,
                      est.num_symbols, seed)]
 
-    nv = sigma_for_peak_snr(snr)
-    taps = cfg.taps if cfg.taps is not None else (1.0,)
-    chan = ChannelSpec(kind=cfg.channel_kind, noise_var=nv, taps=taps, seed=seed)
+    # coded metrics run on AWGN only: parse_config rejects fir_isi for them
+    chan = ChannelSpec(noise_var=sigma_for_peak_snr(snr), seed=seed)
     if metric == "fer":
-        from .link import coded_fer
         fer, hw, frames, _ = coded_fer(
             scheme, cfg.codec.rate_bpcu, chan, codec=cfg.codec.family,
             frame_symbols=cfg.frame_symbols, max_frames=cfg.max_frames,

@@ -47,10 +47,3 @@ class GF2m:
     def pow_alpha(self, e: int) -> int:
         """alpha^e for any integer exponent."""
         return int(self.exp[e % self.order])
-
-    def poly_eval(self, coeffs, x: int) -> int:
-        """Evaluate sum coeffs[i] * x^i (coeffs[0] is the constant term)."""
-        acc = 0
-        for c in reversed(coeffs):
-            acc = self.mul(acc, x) ^ int(c)
-        return acc

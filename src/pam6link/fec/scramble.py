@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..channel import philox
+
 
 def _prbs(n: int, seed: int) -> np.ndarray:
-    gen = np.random.Generator(np.random.Philox(key=[seed, 0x5C12A]))
-    return gen.integers(0, 2, size=n, dtype=np.uint8)
+    return philox(seed, 0x5C12A).integers(0, 2, size=n, dtype=np.uint8)
 
 
 def scramble(bits: np.ndarray, seed: int) -> np.ndarray:

@@ -26,12 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import shaping
-from .channel import ChannelSpec, transmit
+from .channel import ChannelSpec, philox, transmit
 from .constellation import (
     Constellation,
     bit_llrs,
     build_constellation,
-    demap_hard,
     map_bits,
     normalize,
     symbol_posteriors,
@@ -45,6 +44,7 @@ from .fec import (
     ldpc_encode,
 )
 from .fec.scramble import adapt_llrs, scramble
+from .rates import bisect
 
 SCRAMBLE_SEED = 0xC0DEC
 CODECS = ("ldpc", "bch", "none")
@@ -215,10 +215,8 @@ def coded_fer(
     cs = build_coded(scheme, rate_bpcu, frame_symbols, codec)
     errors = 0
     frames = 0
-    data_rng = ChannelSpec(kind="awgn", noise_var=channel.noise_var, seed=seed)
     for i in range(max_frames):
-        rng = data_rng.rng(stream=2 * i + 1)
-        data = rng.integers(0, 2, cs.data_bits, dtype=np.uint8)
+        data = philox(seed, 2 * i + 1).integers(0, 2, cs.data_bits, dtype=np.uint8)
         levels = encode_frame(cs, data)
         y = transmit(normalize(levels), channel, stream=2 * i)
         got, ok = decode_frame(cs, y, channel.noise_var)
@@ -265,13 +263,49 @@ def snr_at_fer(
         raise ValueError(f"FER already below target at {lo_db} dB")
     if f_hi > fer_target:
         raise ValueError(f"FER above target even at {hi_db} dB")
-    lo, hi = lo_db, hi_db
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 0.02:
-            break
-        if fer_at(mid) > fer_target:
-            lo = mid
-        else:
-            hi = mid
+    _, lo, hi = bisect(lambda snr: fer_at(snr) > fer_target, lo_db, hi_db, 0.02)
     return 0.5 * (lo + hi)
+
+
+@dataclass(frozen=True)
+class FerPoint:
+    rate: float
+    snr_db: float
+    fer: float
+    half_width: float
+    frames: int
+    errors: int
+
+
+def rate_at_fer(
+    scheme: str,
+    channel: ChannelSpec,
+    fer_target: float = 1e-2,
+    codec: str = "ldpc",
+    rate_grid=(1.80, 1.90, 2.00, 2.10),
+    frame_symbols: int = 1000,
+    max_frames: int = 1000,
+    min_errors: int = 100,
+    seed: int = 0,
+):
+    """Largest grid rate whose coded FER meets fer_target on the channel.
+
+    Scans the grid from the top; each point runs until min_errors frame
+    errors or max_frames frames (whichever first), so clearly failing
+    rates abort early. Returns (achieved_rate, [FerPoint...]); raises if
+    no grid rate meets the target.
+    """
+    points = []
+    for rate in sorted(rate_grid, reverse=True):
+        fer, hw, frames, errors = coded_fer(
+            scheme, rate, channel, codec=codec, frame_symbols=frame_symbols,
+            max_frames=max_frames, min_errors=min_errors, seed=seed,
+        )
+        snr = -10.0 * math.log10(channel.noise_var)
+        points.append(FerPoint(rate=rate, snr_db=snr, fer=fer,
+                               half_width=hw, frames=frames, errors=errors))
+        if fer <= fer_target:
+            return rate, points
+    raise ValueError(
+        f"no rate in {sorted(rate_grid)} meets FER {fer_target} for {scheme}"
+    )

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shaping
-from .channel import ChannelSpec, sigma_for_peak_snr, transmit
-from .constellation import bit_llrs, build_constellation, symbol_posteriors
+from .channel import ChannelSpec, philox, sigma_for_peak_snr, transmit
+from .constellation import (LEVELS, bit_llrs, bit_llrs_from_levels,
+                            build_constellation, normalize, symbol_posteriors)
 from .dsp import bcjr_app, make_trellis
 
 SCHEMES = ("cross_qam32", "framed_cross_qam32", "dm_pam6")
@@ -72,9 +73,27 @@ def _simulate(scheme: str, snr_db: float, num_symbols: int, seed: int, taps=None
     else:
         spec = ChannelSpec(kind="fir_isi", noise_var=nv, taps=tuple(taps), seed=seed)
     groups = num_symbols // c.dimension
-    idx = spec.rng(_SYMBOL_STREAM).integers(0, c.num_points, size=groups)
-    amps = c.amplitudes[idx].ravel()
-    return c, idx, nv, spec, amps
+    idx = philox(seed, _SYMBOL_STREAM).integers(0, c.num_points, size=groups)
+    y = transmit(normalize(c.points[idx].ravel()), spec)
+    return c, idx, y, nv
+
+
+def _trellis_logposts(y, taps, noise_var):
+    """Per-use log posteriors over the six levels from the exact ISI trellis."""
+    trellis = make_trellis(np.asarray(taps, dtype=np.float64), normalize(LEVELS))
+    return bcjr_app(y, trellis, noise_var)
+
+
+def _estimate(scheme, metric, snr_db, c, info_point, samples, num_symbols, seed):
+    """RateEstimate from per-point information and its per-point samples."""
+    rate = max(0.0, info_point / c.dimension)
+    hw = max(1.96 * samples.std(ddof=1) / math.sqrt(samples.size) / c.dimension,
+             _HW_FLOOR)
+    return RateEstimate(
+        scheme=scheme, metric=metric, snr_db=float(snr_db),
+        rate=float(min(rate, MAX_RATE_1D)), half_width=float(hw),
+        num_symbols=num_symbols, seed=seed,
+    )
 
 
 def estimate_mi(
@@ -90,29 +109,19 @@ def estimate_mi(
     per level; 2D formats then score each point by the product of its two
     level posteriors (a mismatched but achievable metric).
     """
-    c, idx, nv, spec, amps = _simulate(scheme, snr_db, num_symbols, seed, taps)
-    y = transmit(amps, spec)
-    h_x = math.log2(c.num_points)
+    c, idx, y, nv = _simulate(scheme, snr_db, num_symbols, seed, taps)
     if taps is None:
         post = symbol_posteriors(y, c, nv)
         p_true = post[np.arange(len(idx)), idx]
         samples = np.log2(np.maximum(p_true, np.finfo(np.float64).tiny))
     else:
-        levels = np.arange(6) / 5.0
-        trellis = make_trellis(np.asarray(taps, dtype=np.float64), levels)
-        app = bcjr_app(y, trellis, nv)
-        lev_idx = np.rint(c.points[idx].ravel()).astype(np.int64)
+        app = _trellis_logposts(y, taps, nv)
+        lev_idx = c.points[idx].ravel()
         lp = app[np.arange(lev_idx.size), lev_idx] / math.log(2.0)
         samples = lp.reshape(-1, c.dimension).sum(axis=1)
-    mi_point = h_x + samples.mean()
-    rate = max(0.0, mi_point / c.dimension)
-    hw = max(1.96 * samples.std(ddof=1) / math.sqrt(samples.size) / c.dimension,
-             _HW_FLOOR)
-    return RateEstimate(
-        scheme=scheme, metric="symbol_metric", snr_db=float(snr_db),
-        rate=float(min(rate, MAX_RATE_1D)), half_width=float(hw),
-        num_symbols=num_symbols, seed=seed,
-    )
+    return _estimate(scheme, "symbol_metric", snr_db, c,
+                     math.log2(c.num_points) + samples.mean(), samples,
+                     num_symbols, seed)
 
 
 def estimate_gmi(
@@ -123,58 +132,19 @@ def estimate_gmi(
     taps=None,
 ) -> RateEstimate:
     """Bit-metric Monte Carlo rate per 1D use (bitwise-LLR decoding bound)."""
-    c, idx, nv, spec, amps = _simulate(scheme, snr_db, num_symbols, seed, taps)
-    y = transmit(amps, spec)
-    nbits = c.bits_per_point
+    c, idx, y, nv = _simulate(scheme, snr_db, num_symbols, seed, taps)
     if taps is None:
-        llr = bit_llrs(y, c, nv).reshape(-1, nbits)
+        llr = bit_llrs(y, c, nv).reshape(-1, c.bits_per_point)
     else:
-        levels = np.arange(6) / 5.0
-        trellis = make_trellis(np.asarray(taps, dtype=np.float64), levels)
-        app = bcjr_app(y, trellis, nv)
-        llr = _llrs_from_level_logposts(app, c).reshape(-1, nbits)
+        llr = bit_llrs_from_levels(_trellis_logposts(y, taps, nv), c)
     b = c.labels[idx].astype(np.float64)
     # penalty log2(1 + exp(-(1-2b) * llr)) per bit, summed per point
     signed = (1.0 - 2.0 * b) * llr
     penalties = np.logaddexp(0.0, -signed) / math.log(2.0)
     per_point = penalties.sum(axis=1)
-    gmi_point = math.log2(c.num_points) - per_point.mean()
-    rate = max(0.0, gmi_point / c.dimension)
-    hw = max(1.96 * per_point.std(ddof=1) / math.sqrt(per_point.size) / c.dimension,
-             _HW_FLOOR)
-    return RateEstimate(
-        scheme=scheme, metric="bit_metric", snr_db=float(snr_db),
-        rate=float(min(rate, MAX_RATE_1D)), half_width=float(hw),
-        num_symbols=num_symbols, seed=seed,
-    )
-
-
-def _llrs_from_level_logposts(app: np.ndarray, c) -> np.ndarray:
-    """Bitwise LLRs for label bits given per-level log posteriors.
-
-    app has shape (num_levels_rx, 6). For 1D labelings this marginalizes
-    directly; for 2D formats consecutive level pairs are combined with a
-    product metric before marginalizing over the 32 points.
-    """
-    if c.dimension == 1:
-        lev_order = np.rint(c.points.ravel()).astype(np.int64)
-        logm = app[:, lev_order]
-    else:
-        a = app[0::2]
-        bpost = app[1::2]
-        l0 = np.rint(c.points[:, 0]).astype(np.int64)
-        l1 = np.rint(c.points[:, 1]).astype(np.int64)
-        logm = a[:, l0] + bpost[:, l1]
-    m = logm.max(axis=1, keepdims=True)
-    w = np.exp(logm - m)
-    out = np.empty((logm.shape[0], c.bits_per_point))
-    tiny = np.finfo(np.float64).tiny
-    for j in range(c.bits_per_point):
-        mask0 = c.labels[:, j] == 0
-        s0 = w[:, mask0].sum(axis=1)
-        s1 = w[:, ~mask0].sum(axis=1)
-        out[:, j] = np.log(np.maximum(s0, tiny)) - np.log(np.maximum(s1, tiny))
-    return out
+    return _estimate(scheme, "bit_metric", snr_db, c,
+                     math.log2(c.num_points) - per_point.mean(), per_point,
+                     num_symbols, seed)
 
 
 def matcher_rate_loss(n: int = shaping.DEFAULT_MATCHER_N) -> float:
@@ -218,79 +188,41 @@ def snr_at_rate(
         return est(scheme, snr, num_symbols, seed, taps=taps).rate
 
     lo, hi = -5.0, 25.0
-    r_lo = rate_at(lo)
-    if r_lo >= want:
+    if rate_at(lo) >= want:
         raise ValueError(f"target {target_rate} bpcu already met at {lo} dB")
-    r_hi = rate_at(hi)
-    while r_hi < want:
+    while rate_at(hi) < want:
         hi += 10.0
         if hi > SNR_CAP_DB:
             raise ValueError(
                 f"target {target_rate} bpcu unreachable for {scheme}/{metric} "
                 f"below {SNR_CAP_DB} dB"
             )
-        r_hi = rate_at(hi)
-    if not r_lo < r_hi:
-        raise AssertionError("rate not increasing over the bracket")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        r = rate_at(mid)
-        if abs(r - want) < tol_bpcu:
-            return mid
-        if r < want:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-4:
-            return mid
-    raise AssertionError("bisection failed to converge")
+
+    def below(snr):
+        r = rate_at(snr)
+        return None if abs(r - want) < tol_bpcu else r < want
+
+    snr, _, _ = bisect(below, lo, hi, 1e-4)
+    return snr
 
 
-@dataclass(frozen=True)
-class FerPoint:
-    rate: float
-    snr_db: float
-    fer: float
-    half_width: float
-    frames: int
-    errors: int
+def bisect(below, lo: float, hi: float, width: float):
+    """Bisect [lo, hi] for the crossing of a monotone test.
 
-
-def rate_at_fer(
-    scheme: str,
-    channel: ChannelSpec,
-    fer_target: float = 1e-2,
-    codec: str = "ldpc",
-    rate_grid=(1.80, 1.90, 2.00, 2.10),
-    frame_symbols: int = 1000,
-    max_frames: int = 1000,
-    min_errors: int = 100,
-    seed: int = 0,
-):
-    """Largest grid rate whose coded FER meets fer_target on the channel.
-
-    Scans the grid from the top; each point runs until min_errors frame
-    errors or max_frames frames (whichever first), so clearly failing
-    rates abort early. Returns (achieved_rate, [FerPoint...]); raises if
-    no grid rate meets the target.
+    ``below(x)`` is True when the crossing lies above x (lo moves up to x),
+    False when it lies below (hi moves down to x), and None when x is
+    close enough to stop. Probes midpoints until ``below`` says stop or the
+    bracket is narrower than ``width``. Returns ``(x, lo, hi)``: the last
+    probe and the final bracket.
     """
-    from .link import coded_fer
-
-    points = []
-    achieved = None
-    for rate in sorted(rate_grid, reverse=True):
-        fer, hw, frames, errors = coded_fer(
-            scheme, rate, channel, codec=codec, frame_symbols=frame_symbols,
-            max_frames=max_frames, min_errors=min_errors, seed=seed,
-        )
-        snr = -10.0 * math.log10(channel.noise_var)
-        points.append(FerPoint(rate=rate, snr_db=snr, fer=fer,
-                               half_width=hw, frames=frames, errors=errors))
-        if fer <= fer_target:
-            achieved = rate
+    x = 0.5 * (lo + hi)
+    while hi - lo >= width:
+        x = 0.5 * (lo + hi)
+        side = below(x)
+        if side is None:
             break
-    if achieved is None:
-        raise ValueError(
-            f"no rate in {sorted(rate_grid)} meets FER {fer_target} for {scheme}"
-        )
-    return achieved, points
+        if side:
+            lo = x
+        else:
+            hi = x
+    return x, lo, hi

@@ -21,8 +21,8 @@ from pam6link.constellation import build_constellation, check_unit_distance_gray
 from pam6link.dsp import bcjr_app, make_trellis
 from pam6link.fec import (bch_build, bch_decode, bch_encode, ldpc_build,
                           ldpc_decode, ldpc_encode)
-from pam6link.link import snr_at_fer
-from pam6link.rates import estimate_mi, rate_at_fer, snr_at_rate
+from pam6link.link import rate_at_fer, snr_at_fer
+from pam6link.rates import estimate_mi, snr_at_rate
 
 GAP_SEED = 11  # crossings at N=1e6: C 22.6562/23.1250, FC 22.1875/22.3633,
                # DM 22.1875/22.1875 (symbol/bit metric)

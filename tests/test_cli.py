@@ -56,6 +56,17 @@ def test_config_errors_exit_1(tmp_path, capsys):
     bad.write_text("scheme: dm_pam6\nmetric: nope\nsnr_db: [20]\n")
     assert main(["run", "--config", str(bad)]) == 1
     assert "config error" in capsys.readouterr().err
+    coded = "metric: fer\nsnr_db: [20]\n"
+    for text, field in [
+        ("scheme: dm_pam6\n" + coded + "codec: {family: ldpc}\nfer_target: abc\n",
+         "fer_target"),
+        ("scheme: cross_qam32\n" + coded + "codec: {family: ldpc, rate: fast}\n",
+         "codec.rate"),
+        ("scheme: dm_pam6\n" + coded + "codec: {family: bch}\n", "codec.family"),
+    ]:
+        bad.write_text(text)
+        assert main(["run", "--config", str(bad)]) == 1
+        assert field in capsys.readouterr().err
     # argparse failures map to the same code
     assert main(["run"]) == 1
     assert main(["bogus-command"]) == 1

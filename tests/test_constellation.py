@@ -81,9 +81,23 @@ def test_map_bits_rejects_ragged():
 
 
 def test_map_bits_rejects_non_label_pattern():
+    # pam6_label uses 6 of the 8 3-bit patterns; the bad group follows a
+    # valid one so the error must name the right group
     c = build_constellation("pam6_label")
-    with pytest.raises(ValueError, match="not a label"):
-        map_bits(np.array([0, 0, 0], dtype=np.uint8), c)
+    for pattern in ("000", "100"):
+        bits = np.array([0, 1, 0] + [int(b) for b in pattern], dtype=np.uint8)
+        with pytest.raises(ValueError, match=f"bit pattern {pattern} is not a label"):
+            map_bits(bits, c)
+
+
+@pytest.mark.parametrize("name,levels", [
+    ("cross_qam32", [2, 2, 0, 0]),        # corner left dark by the cross
+    ("framed_cross_qam32", [1, 1]),       # interior hole of the frame
+    ("pam6_label", [3, 6]),               # off the six-level grid
+])
+def test_demap_hard_rejects_non_point(name, levels):
+    with pytest.raises(ValueError, match="is not a point"):
+        demap_hard(levels, build_constellation(name))
 
 
 def test_normalize_peak():
@@ -124,3 +138,28 @@ def test_posteriors_favor_transmitted_at_high_snr(const):
     y = normalize(const.points[idx].ravel())
     post = symbol_posteriors(y, const, 1e-4)
     assert np.array_equal(post.argmax(axis=1), idx)
+
+
+def test_llrs_match_logsumexp_at_high_snr(const):
+    # at noise_var 1e-4 one label half holds almost all the mass, so the
+    # other half's sum must be formed on its own: s1 = total - s0 rounds
+    # to zero and saturates the LLR hundreds of nats away from the truth
+    nv = 1e-4
+    rng = np.random.default_rng(11)
+    idx = rng.integers(0, const.num_points, size=400)
+    y = normalize(const.points[idx].ravel()) + 0.01 * rng.standard_normal(
+        idx.size * const.dimension)
+    llr = bit_llrs(y, const, nv).reshape(-1, const.bits_per_point)
+    pts = const.points / PEAK_LEVEL
+    d2 = ((y.reshape(-1, 1, const.dimension) - pts[None]) ** 2).sum(axis=-1)
+    logm = -d2 / (2.0 * nv)
+    for b in range(const.bits_per_point):
+        mask0 = const.labels[:, b] == 0
+        ref = (np.logaddexp.reduce(logm[:, mask0], axis=1)
+               - np.logaddexp.reduce(logm[:, ~mask0], axis=1))
+        # beyond ~708 nats the smaller half underflows and the LLR saturates
+        exact = np.abs(ref) < 700.0
+        assert np.count_nonzero(exact & (ref > 50.0)) > 20
+        assert np.allclose(llr[exact, b], ref[exact], rtol=1e-9, atol=1e-9)
+        assert np.all(np.sign(llr[~exact, b]) == np.sign(ref[~exact]))
+        assert np.all(np.abs(llr[~exact, b]) >= 700.0)

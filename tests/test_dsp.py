@@ -1,4 +1,4 @@
-"""Volterra equalizer, whitener, and BCJR detector tests."""
+"""BCJR detector tests."""
 import itertools
 
 import numpy as np
@@ -6,98 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pam6link.dsp import (VolterraEqualizer, bcjr_app, design_whitener,
-                          make_trellis, volterra_apply, volterra_features,
-                          volterra_train)
+from pam6link.dsp import bcjr_app, make_trellis
 
 LEVELS = np.arange(6) / 5.0
-
-
-def test_feature_count_matches_kernel_sizes():
-    l1, l2, l3 = 9, 5, 3
-    x = np.random.default_rng(0).normal(size=50)
-    f = volterra_features(x, sps=1, taps=(l1, l2, l3))
-    n2 = l2 * (l2 + 1) // 2
-    n3 = l3 * (l3 + 1) * (l3 + 2) // 6
-    assert f.shape == (50, l1 + n2 + n3)
-
-
-def test_feature_validation():
-    x = np.zeros(10)
-    with pytest.raises(ValueError, match="odd and nested"):
-        volterra_features(x, taps=(8, 5, 3))
-    with pytest.raises(ValueError, match="odd and nested"):
-        volterra_features(x, taps=(5, 7, 3))
-    with pytest.raises(ValueError, match="sps"):
-        volterra_features(x, sps=3, taps=(5, 3, 3))
-
-
-def test_train_fits_in_class_map_exactly():
-    # when the reference is itself a cubic polynomial of the received
-    # samples the LS fit must drive the residual to numerical zero
-    rng = np.random.default_rng(2)
-    y = rng.uniform(0.0, 1.0, size=4000)
-    target = 0.3 + y - 0.2 * y**2 + 0.1 * y**3
-    eq = volterra_train(y, target, taps=(5, 3, 3), ridge=1e-12)
-    out = volterra_apply(y, eq)
-    assert float(np.max(np.abs(out - target))) < 1e-6
-
-
-def test_train_reduces_cubic_distortion():
-    # inverting a cubic is outside the model class, but the fit must still
-    # shrink the distortion by orders of magnitude
-    rng = np.random.default_rng(2)
-    x = rng.uniform(0.0, 1.0, size=4000)
-    y = x + 0.2 * x**2 - 0.1 * x**3
-    eq = volterra_train(y, x, taps=(5, 3, 3), ridge=1e-9)
-    out = volterra_apply(y, eq)
-    before = float(np.mean((y - x) ** 2))
-    after = float(np.mean((out - x) ** 2))
-    assert after < 1e-4 * before
-
-
-def test_train_handles_linear_isi_at_two_sps():
-    rng = np.random.default_rng(3)
-    sym = rng.integers(0, 6, size=3000)
-    x = LEVELS[sym]
-    up = np.zeros(2 * x.size)
-    up[::2] = x
-    h = np.array([0.2, 1.0, 0.4, -0.1])
-    y = np.convolve(up, h)[1 : 1 + up.size]
-    eq = volterra_train(y, x, sps=2, taps=(11, 3, 3))
-    out = volterra_apply(y, eq)
-    assert float(np.mean((out - x) ** 2)) < 1e-3
-
-
-def test_train_length_mismatch():
-    with pytest.raises(ValueError, match="feature rows"):
-        volterra_train(np.zeros(64), np.zeros(20), sps=2, taps=(5, 3, 3))
-
-
-def test_whitener_flattens_ar_noise():
-    rng = np.random.default_rng(4)
-    w = rng.normal(size=100000)
-    a = 0.7
-    e = np.empty_like(w)
-    e[0] = w[0]
-    for i in range(1, w.size):
-        e[i] = a * e[i - 1] + w[i]
-    taps, var = design_whitener(e, order=2)
-    assert taps[0] == 1.0
-    assert taps[1] == pytest.approx(-a, abs=0.02)
-    assert var == pytest.approx(1.0, rel=0.05)
-    out = np.convolve(e, taps)[: e.size]
-    r1 = float(np.dot(out[:-1], out[1:]) / out.size)
-    assert abs(r1) < 0.02
-
-
-def test_whitener_trivial_order_one():
-    e = np.random.default_rng(5).normal(size=1000)
-    taps, var = design_whitener(e, order=1)
-    assert np.array_equal(taps, [1.0])
-    assert var == pytest.approx(float(np.mean(e * e)))
-    with pytest.raises(ValueError, match="too short"):
-        design_whitener(np.zeros(3), order=4)
 
 
 def test_trellis_structure():

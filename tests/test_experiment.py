@@ -67,6 +67,15 @@ def test_syntax_error_reports_line():
      "seeds: expected integers"),
     ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: hello",
      "snr_db: expected numbers"),
+    ("scheme: cross_qam32\nmetric: fer\nsnr_db: [20]\n"
+     "codec: {family: ldpc, puncture_systematic: true}",
+     r"codec: unknown field\(s\) \['puncture_systematic'\]"),
+    ("scheme: framed_cross_qam32\nmetric: fer\nsnr_db: [27]\n"
+     "channel: {kind: fir_isi, taps: [1.0, 0.35]}\ncodec: {family: ldpc}",
+     "channel.kind: fir_isi"),
+    ("scheme: cross_qam32\nmetric: rate_at_fer\nsnr_db: [27]\n"
+     "channel: {kind: fir_isi, taps: [1.0, 0.35]}\ncodec: {family: ldpc}",
+     "channel.kind: fir_isi"),
 ])
 def test_schema_errors_name_the_field(text, field):
     with pytest.raises(ConfigError, match=field):
@@ -145,7 +154,7 @@ min_errors: 11
 
 def test_rate_at_fer_raises_when_grid_exhausted():
     from pam6link.channel import ChannelSpec, sigma_for_peak_snr
-    from pam6link.rates import rate_at_fer
+    from pam6link.link import rate_at_fer
 
     chan = ChannelSpec(noise_var=sigma_for_peak_snr(15.0), seed=0)
     with pytest.raises(ValueError, match="no rate"):
