@@ -78,6 +78,10 @@ class ExperimentConfig:
                 f"channel.kind: {self.channel_kind!r} not one of ['awgn', 'fir_isi']")
         if self.channel_kind == "fir_isi" and not self.taps:
             raise ConfigError("channel.taps: required when kind is fir_isi")
+        if self.channel_kind != "fir_isi" and self.taps is not None:
+            # the rate estimators run the ISI trellis whenever taps are set
+            raise ConfigError(
+                f"channel.taps: only allowed when kind is fir_isi, not {self.channel_kind!r}")
         needs_codec = set(self.metrics) & {"fer", "rate_at_fer"}
         if needs_codec and self.codec is None:
             raise ConfigError(f"codec: required for metric(s) {sorted(needs_codec)}")
@@ -88,6 +92,10 @@ class ExperimentConfig:
         if needs_codec and self.codec.family == "bch" and "dm_pam6" in self.schemes:
             raise ConfigError(
                 "codec.family: 'bch' not supported by scheme dm_pam6; use 'ldpc' or 'none'")
+        if "rate_at_fer" in self.metrics and self.codec.family == "none":
+            # an uncoded frame carries one fixed rate, whatever the grid says
+            raise ConfigError(
+                "codec.family: 'none' not supported with metric rate_at_fer; use 'ldpc' or 'bch'")
         if self.num_symbols < 10**4:
             raise ConfigError("num_symbols: need at least 1e4")
 

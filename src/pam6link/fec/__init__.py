@@ -2,7 +2,6 @@ from .bch import BchCode, bch_build, bch_decode, bch_encode
 from .ldpc import (
     BaseGraph,
     LdpcCode,
-    expand_llrs,
     ldpc_build,
     ldpc_decode,
     ldpc_encode,
@@ -15,7 +14,7 @@ from .scramble import adapt_llrs, scramble
 
 __all__ = [
     "BchCode", "bch_build", "bch_decode", "bch_encode",
-    "BaseGraph", "LdpcCode", "expand_llrs", "ldpc_build", "ldpc_decode",
+    "BaseGraph", "LdpcCode", "ldpc_build", "ldpc_decode",
     "ldpc_encode", "ldpc_syndrome", "load_basegraph", "read_alist",
     "write_alist", "adapt_llrs", "scramble",
 ]

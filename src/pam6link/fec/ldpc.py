@@ -6,19 +6,17 @@ matching for a requested (codelength n, rate k/n):
 
     Z       = ceil(K / kb)          lift size
     shorten = kb*Z - K              trailing systematic bits fixed to zero
-    m_use   = ceil(parity_tx / Z)   base rows actually used
-    punct_parity = m_use*Z - parity_tx   parity-chain tail positions removed
+    m_use   = ceil((n - K) / Z)     base rows actually used
+    punct_parity = m_use*Z - (n - K)    parity-chain tail positions removed
 
 The parity tail is removed rather than punctured: a tail bit of the
 accumulator chain appears in exactly one check, so deleting the (variable,
 check) pair leaves the code projected on transmitted bits unchanged while
 sparing the decoder erasures whose single check could never contribute.
 
-With ``puncture_systematic`` the first two systematic block-columns stay in
-the graph but are dropped from transmission (parity_tx grows by 2Z to keep
-the transmitted length at n); decoders see them as erasures. The default
-transmits every systematic bit, which keeps the codeword layout (data,
-parity) and is what the sign-bit amplitude-shaping chain requires.
+Every systematic bit is transmitted, so a codeword goes out as (data,
+parity) in order: the layout the sign-bit amplitude-shaping chain needs,
+where parity bits pick symbol signs.
 
 Decoding is normalized min-sum (factor 0.75) with early stop on a zero
 syndrome, vectorized over the edge list.
@@ -83,12 +81,11 @@ def load_basegraph(path=None) -> BaseGraph:
 
 @dataclass(frozen=True)
 class LdpcCode:
-    n: int                 # transmitted bits
+    n: int                 # codeword bits: data, then parity
     k: int                 # systematic (data) bits
     z: int
     m_use: int
     shorten: int
-    punct_sys: int         # leading systematic bits kept out of transmission
     punct_parity: int
     graph: BaseGraph = field(repr=False)
     check_idx: np.ndarray = field(repr=False)   # edge -> check, check-sorted
@@ -96,11 +93,6 @@ class LdpcCode:
     check_ptr: np.ndarray = field(repr=False)   # segment starts per check
     var_perm: np.ndarray = field(repr=False)    # check-order -> var-order
     var_ptr: np.ndarray = field(repr=False)
-    tx_index: np.ndarray = field(repr=False)    # active position of each tx bit
-
-    @property
-    def n_active(self) -> int:
-        return self.k + self.m_use * self.z - self.punct_parity
 
     @property
     def n_checks(self) -> int:
@@ -110,26 +102,8 @@ class LdpcCode:
     def rate(self) -> float:
         return self.k / self.n
 
-    # handle interface used by the shaping encoder
-    @property
-    def systematic_length(self) -> int:
-        return self.k
 
-    @property
-    def parity_length(self) -> int:
-        return self.n - (self.k - self.punct_sys)
-
-    def encode_parity(self, data: np.ndarray) -> np.ndarray:
-        cw = ldpc_encode(data, self)
-        return cw[self.tx_index][self.k - self.punct_sys :]
-
-
-def ldpc_build(
-    codelength: int,
-    rate: float,
-    basegraph: BaseGraph = None,
-    puncture_systematic: bool = False,
-) -> LdpcCode:
+def ldpc_build(codelength: int, rate: float, basegraph: BaseGraph = None) -> LdpcCode:
     """Rate-match the base graph to (codelength, rate) and lift it."""
     bg = basegraph if basegraph is not None else load_basegraph()
     k_exact = codelength * rate
@@ -142,20 +116,11 @@ def ldpc_build(
     if z < 2:
         raise ValueError(f"lift size {z} too small")
     shorten = bg.kb * z - k
-    punct_sys = 2 * z if puncture_systematic else 0
-    if punct_sys >= k:
-        raise ValueError("puncturing would remove every systematic bit")
-    parity_tx = codelength - (k - punct_sys)
+    parity_tx = codelength - k
     m_use = -(-parity_tx // z)
     if m_use > bg.mb:
         raise ValueError(
             f"rate {rate} needs {m_use} base rows, graph has {bg.mb}"
-        )
-    if punct_sys and m_use < 5:
-        # rows 3 and 4 are the single-erasure checks that bootstrap the two
-        # punctured block-columns; without both, min-sum never resolves them
-        raise ValueError(
-            f"systematic puncturing needs >= 5 base rows, rate {rate} uses {m_use}"
         )
     punct_parity = m_use * z - parity_tx
 
@@ -197,22 +162,19 @@ def ldpc_build(
     if vcounts.min() < 1:
         raise ValueError("rate matching left an unconnected variable")
     var_ptr = np.concatenate([[0], np.cumsum(vcounts)]).astype(np.int64)
-    tx_index = np.concatenate(
-        [np.arange(punct_sys, k), k + np.arange(parity_tx)]
-    )
     return LdpcCode(
         n=codelength, k=k, z=z, m_use=m_use, shorten=shorten,
-        punct_sys=punct_sys, punct_parity=punct_parity, graph=bg,
+        punct_parity=punct_parity, graph=bg,
         check_idx=check_idx, var_idx=var_idx, check_ptr=check_ptr,
-        var_perm=var_perm, var_ptr=var_ptr, tx_index=tx_index,
+        var_perm=var_perm, var_ptr=var_ptr,
     )
 
 
 def ldpc_encode(data: np.ndarray, code: LdpcCode) -> np.ndarray:
-    """Systematic encode; returns the active codeword (data, parity chain).
+    """Systematic encode; returns the transmitted word (data, parity chain).
 
-    Transmitted bits are codeword[code.tx_index]. The parity chain solves
-    each block row by forward substitution (all parity shifts are zero).
+    The parity chain solves each block row by forward substitution (all
+    parity shifts are zero).
     """
     data = np.asarray(data, dtype=np.uint8).ravel()
     if data.size != code.k:
@@ -237,21 +199,11 @@ def ldpc_encode(data: np.ndarray, code: LdpcCode) -> np.ndarray:
 
 
 def ldpc_syndrome(codeword: np.ndarray, code: LdpcCode) -> np.ndarray:
-    """Per-check parity of an active-length codeword."""
+    """Per-check parity of a codeword."""
     cw = np.asarray(codeword, dtype=np.uint8).ravel()
-    if cw.size != code.n_active:
-        raise ValueError(f"expected {code.n_active} bits, got {cw.size}")
+    if cw.size != code.n:
+        raise ValueError(f"expected {code.n} bits, got {cw.size}")
     return np.bitwise_xor.reduceat(cw[code.var_idx], code.check_ptr[:-1])
-
-
-def expand_llrs(llrs: np.ndarray, code: LdpcCode) -> np.ndarray:
-    """Insert zero LLRs at punctured positions to recover active length."""
-    llrs = np.asarray(llrs, dtype=np.float64).ravel()
-    if llrs.size != code.n:
-        raise ValueError(f"expected {code.n} channel LLRs, got {llrs.size}")
-    full = np.zeros(code.n_active, dtype=np.float64)
-    full[code.tx_index] = llrs
-    return full
 
 
 def ldpc_decode(
@@ -260,13 +212,15 @@ def ldpc_decode(
     max_iter: int = DEFAULT_MAX_ITER,
     norm: float = NORM_FACTOR,
 ):
-    """Normalized min-sum decode of transmitted-position LLRs.
+    """Normalized min-sum decode of per-codeword-bit channel LLRs.
 
     LLRs follow log(P(bit=0)/P(bit=1)). Returns (data_bits, converged,
     iterations); iterations counts message-passing rounds actually run.
     """
-    total = expand_llrs(llrs, code)
-    channel = total.copy()
+    channel = np.asarray(llrs, dtype=np.float64).ravel()
+    if channel.size != code.n:
+        raise ValueError(f"expected {code.n} channel LLRs, got {channel.size}")
+    total = channel
     starts = code.check_ptr[:-1]
     vstarts = code.var_ptr[:-1]
     vidx = code.var_idx
@@ -305,8 +259,8 @@ def ldpc_decode(
 
 
 def write_alist(code: LdpcCode) -> str:
-    """Serialize the active parity-check matrix in alist text format."""
-    nvar = code.n_active
+    """Serialize the rate-matched parity-check matrix in alist text format."""
+    nvar = code.n
     ncheck = code.n_checks
     vdeg = np.diff(code.var_ptr)
     cdeg = np.diff(code.check_ptr)

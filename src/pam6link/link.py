@@ -11,8 +11,9 @@ Three formats share the PAM-6 wire alphabet:
   input of the FEC, whose parity (plus those extra bits) selects the upper
   or lower half of the alphabet per symbol. Transmitted levels therefore
   carry the code's systematic AND parity bits positionally, so nothing is
-  scrambled (bit flips would break the amplitude composition) and the LDPC
-  rate matching must transmit every systematic bit.
+  scrambled (bit flips would break the amplitude composition). With no
+  parity (gamma = 1, or codec none) the code is None and every sign bit
+  carries data.
 
 The transmission rate grid is realizable exactly: for 2D formats
 rate * frame_symbols is the LDPC dimension; for dm_pam6 the sign-bit
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import shaping
-from .channel import ChannelSpec, philox, transmit
+from .channel import ChannelSpec, peak_snr_db, philox, sigma_for_peak_snr, transmit
 from .constellation import (
     Constellation,
     bit_llrs,
@@ -70,7 +71,6 @@ def build_coded(
     rate_bpcu: float,
     frame_symbols: int = 1000,
     codec: str = "ldpc",
-    max_iter: int = 50,
 ) -> CodedScheme:
     """Resolve a (scheme, rate) request into concrete codes and tables."""
     if codec not in CODECS:
@@ -156,11 +156,9 @@ def encode_frame(cs: CodedScheme, data: np.ndarray) -> np.ndarray:
     if data.size != cs.data_bits:
         raise ValueError(f"expected {cs.data_bits} data bits, got {data.size}")
     if cs.scheme == "dm_pam6":
-        fec = cs.ldpc if cs.gamma < 1.0 else None
-        frame = shaping.pas_encode(data, cs.gamma, cs.comp, fec=fec)
-        return frame.symbols
+        return shaping.pas_encode(data, cs.comp, cs.ldpc)
     if cs.codec == "ldpc":
-        coded = ldpc_encode(data, cs.ldpc)[cs.ldpc.tx_index]
+        coded = ldpc_encode(data, cs.ldpc)
     elif cs.codec == "bch":
         coded = bch_encode(data, cs.bch)
     else:
@@ -173,13 +171,7 @@ def decode_frame(cs: CodedScheme, received: np.ndarray, noise_var: float):
     y = np.asarray(received, dtype=np.float64).ravel()
     if cs.scheme == "dm_pam6":
         llrs = bit_llrs(y, cs.constellation, noise_var).reshape(-1, 3)
-        if cs.gamma == 1.0:
-            # no parity: hard-threshold the systematic bits directly
-            decode_fn = lambda v: ((v < 0).astype(np.uint8), True)  # noqa: E731
-        else:
-            code = cs.ldpc
-            decode_fn = lambda v: ldpc_decode(v, code)[:2]  # noqa: E731
-        return shaping.pas_decode(llrs, decode_fn, cs.comp, cs.gamma)
+        return shaping.pas_decode(llrs, cs.comp, cs.ldpc)
     if cs.codec == "ldpc":
         llr = adapt_llrs(bit_llrs(y, cs.constellation, noise_var), SCRAMBLE_SEED)
         bits, converged, _ = ldpc_decode(llr, cs.ldpc)
@@ -228,7 +220,9 @@ def coded_fer(
         if errors >= min_errors:
             break
     fer = errors / frames
-    hw = 1.96 * math.sqrt(max(fer * (1 - fer), 1e-12) / frames)
+    # Wilson score interval: stays honest at 0 or all errors
+    zn = 1.96**2 / frames
+    hw = 1.96 * math.sqrt(fer * (1 - fer) / frames + zn / (4 * frames)) / (1 + zn)
     return fer, hw, frames, errors
 
 
@@ -251,7 +245,7 @@ def snr_at_fer(
     """
 
     def fer_at(snr_db):
-        chan = ChannelSpec(kind="awgn", noise_var=10 ** (-snr_db / 10), seed=seed)
+        chan = ChannelSpec(kind="awgn", noise_var=sigma_for_peak_snr(snr_db), seed=seed)
         fer, _, _, _ = coded_fer(
             scheme, rate_bpcu, chan, codec=codec, frame_symbols=frame_symbols,
             max_frames=frames, min_errors=frames + 1, seed=seed,
@@ -301,8 +295,7 @@ def rate_at_fer(
             scheme, rate, channel, codec=codec, frame_symbols=frame_symbols,
             max_frames=max_frames, min_errors=min_errors, seed=seed,
         )
-        snr = -10.0 * math.log10(channel.noise_var)
-        points.append(FerPoint(rate=rate, snr_db=snr, fer=fer,
+        points.append(FerPoint(rate=rate, snr_db=peak_snr_db(channel), fer=fer,
                                half_width=hw, frames=frames, errors=errors))
         if fer <= fer_target:
             return rate, points

@@ -2,7 +2,8 @@
 
 Each check is small, seeded, and independent; together they catch the
 failure modes that silently corrupt results: a damaged base-graph file, a
-tampered label table, a broken matcher round trip, or a detector that no
+tampered label table, a broken matcher round trip, a shaped frame whose
+signs no longer carry (parity, extra data bits), or a detector that no
 longer agrees with exhaustive enumeration. Check names are stable so
 failures can be grepped and individual suites rerun.
 """
@@ -100,10 +101,30 @@ def _check_ldpc(basegraph_path=None):
     code = ldpc_build(2500, 0.8, basegraph=bg)
     u = rng.integers(0, 2, size=code.k).astype(np.uint8)
     cw = ldpc_encode(u, code)
-    llrs = (1.0 - 2.0 * cw[code.tx_index].astype(np.float64)) * 8.0
+    llrs = (1.0 - 2.0 * cw.astype(np.float64)) * 8.0
     got, conv, _ = ldpc_decode(llrs, code)
     ok = conv and np.array_equal(got, u)
     return ok, "noiseless encode/decode identity" if ok else "decode mismatch"
+
+
+def _check_pas(basegraph_path=None):
+    """Noiseless gamma = 0.426 shaped frame: sign layout and round trip."""
+    bg = load_basegraph(basegraph_path) if basegraph_path else None
+    n, g = 1000, 426
+    comp = shaping.Composition.near_uniform(n)
+    k = shaping.ccdm_input_length(comp)
+    code = ldpc_build(3 * n, (2 * n + g) / (3 * n), basegraph=bg)
+    d = np.random.default_rng(6).integers(0, 2, size=k + g).astype(np.uint8)
+    x = shaping.pas_encode(d, comp, code)
+    s, a = shaping.sign_amp_from_symbols(x)
+    u = np.concatenate([shaping.amplitudes_to_pairs(a), d[k:]])
+    if not (np.array_equal(s[: n - g], ldpc_encode(u, code)[code.k:])
+            and np.array_equal(s[n - g:], d[k:])):
+        return False, "signs are not (parity, extra data bits)"
+    labels = cst.build_constellation("pam6_label").labels[x]
+    got, ok = shaping.pas_decode((1.0 - 2.0 * labels) * 8.0, comp, code)
+    ok = ok and np.array_equal(got, d)
+    return ok, f"k={k} + g={g} bits, noiseless round trip" if ok else "decode mismatch"
 
 
 def _check_bch():
@@ -126,6 +147,7 @@ CHECKS = (
     ("ccdm_round_trip", _check_ccdm, False),
     ("bcjr_brute_force", _check_bcjr, False),
     ("ldpc_round_trip", _check_ldpc, True),
+    ("pas_round_trip", _check_pas, True),
     ("bch_round_trip", _check_bch, False),
 )
 

@@ -5,21 +5,22 @@ composition by exact integer interval subdivision (enumerative arithmetic
 coding), so encode/decode round-trip exactly with no floating point.
 
 The frame construction carries the remaining information on the sign bits:
-amplitudes are labeled with bit pairs, fed through a systematic FEC encoder,
-and the parity plus extra data bits select the upper or lower half of the
-PAM-6 alphabet per symbol.
+amplitudes are labeled with bit pairs, fed through a systematic LDPC
+encoder, and the parity plus extra data bits select the upper or lower half
+of the PAM-6 alphabet per symbol. The code's dimension fixes how many sign
+bits carry data.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
+from .fec.ldpc import ldpc_decode, ldpc_encode
+
 # ternary amplitude class -> bit pair; the pattern 00 is never emitted
 AMP_TO_PAIR = {0: (0, 1), 1: (1, 1), 2: (1, 0)}
-PAIR_TO_AMP = {(0, 1): 0, (1, 1): 1, (1, 0): 2}
 
 DEFAULT_MATCHER_N = 1000  # amplitudes per shaped block
 
@@ -125,36 +126,6 @@ def ccdm_decode(a, comp: Composition) -> np.ndarray:
     return bits
 
 
-def fec_rate(gamma) -> Fraction | float:
-    """Systematic code rate (2+gamma)/3 implied by the sign-bit split."""
-    _check_gamma(gamma)
-    if isinstance(gamma, (int, Fraction)):
-        return (2 + Fraction(gamma)) / 3
-    return (2.0 + gamma) / 3.0
-
-
-def pas_rate(k: int, n: int, gamma) -> float:
-    """Transmission rate k/n + gamma in bits per (1D) channel use."""
-    _check_gamma(gamma)
-    if isinstance(gamma, (int, Fraction)):
-        return Fraction(k, n) + Fraction(gamma)
-    return k / n + gamma
-
-
-def _check_gamma(gamma):
-    if not 0 <= gamma <= 1:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-
-
-def _gamma_n(gamma, n: int) -> int:
-    _check_gamma(gamma)
-    gn_f = float(gamma) * n
-    gn_int = round(gn_f)
-    if abs(gn_f - gn_int) > 1e-6:
-        raise ValueError(f"gamma*n = {gn_f} is not an integer (n={n}, gamma={gamma})")
-    return gn_int
-
-
 def amplitudes_to_pairs(a) -> np.ndarray:
     """Ternary amplitudes -> flat label-bit sequence (2 bits per symbol)."""
     a = np.asarray(a, dtype=np.int64).ravel()
@@ -188,98 +159,68 @@ def sign_amp_from_symbols(x) -> tuple[np.ndarray, np.ndarray]:
     return s, a
 
 
-@dataclass(frozen=True)
-class PasFrame:
-    """One shaped FEC frame with every intermediate sequence kept.
+def _extra_bits(comp: Composition, code) -> int:
+    """Data bits g carried on signs: code.k - 2n, or every sign (n) uncoded.
 
-    Layout invariants (n symbols, gamma*n =: g):
-    |d| = k + g, |a| = n, |b| = 2n, |u| = 2n + g, |p| = n - g, |s| = n.
-    """
-
-    d: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    u: np.ndarray
-    p: np.ndarray
-    s: np.ndarray
-    symbols: np.ndarray
-    gamma: float
-    k: int
-
-    @property
-    def n(self) -> int:
-        return len(self.symbols)
-
-    @property
-    def rate(self) -> float:
-        return self.k / self.n + float(self.gamma)
-
-    def __post_init__(self):
-        n, g = self.n, _gamma_n(self.gamma, len(self.symbols))
-        checks = {
-            "d": self.k + g, "a": n, "b": 2 * n,
-            "u": 2 * n + g, "p": n - g, "s": n,
-        }
-        for name, want in checks.items():
-            got = len(getattr(self, name))
-            if got != want:
-                raise ValueError(f"frame field {name} has length {got}, expected {want}")
-
-
-def pas_encode(d, gamma, comp: Composition, fec=None) -> PasFrame:
-    """Run the full shaped-frame chain from source bits to PAM-6 levels.
-
-    ``fec`` is a systematic encoder handle exposing ``systematic_length``,
-    ``parity_length`` and ``encode_parity(u) -> p``; it may be None only for
-    gamma = 1 (no parity).  The handle's dimensions must match the
-    (2+gamma)/3 rate split.
+    The LDPC input is the 2n amplitude label bits plus g data bits, and its
+    n - g parity bits fill the remaining signs, so the code must have length
+    3n and a dimension in [2n, 3n).
     """
     n = comp.n
-    g = _gamma_n(gamma, n)
+    if code is None:
+        return n
+    if code.n != 3 * n or not 2 * n <= code.k < 3 * n:
+        raise ValueError(
+            f"LDPC code (n={code.n}, k={code.k}) does not fit a {n}-symbol "
+            f"frame: need length {3 * n} and dimension in [{2 * n}, {3 * n})"
+        )
+    return code.k - 2 * n
+
+
+def pas_encode(d, comp: Composition, code=None) -> np.ndarray:
+    """Source bits -> PAM-6 levels of one sign-bit shaped frame.
+
+    The first ccdm_input_length(comp) bits pick the amplitudes. Their label
+    pairs and the g remaining bits form the systematic input u of ``code``
+    (an LdpcCode); the signs carry (parity of u, the g extra bits). With
+    ``code`` None every sign carries a data bit and nothing is protected.
+    """
+    g = _extra_bits(comp, code)
     k = ccdm_input_length(comp)
     d = np.asarray(d, dtype=np.uint8).ravel()
     if len(d) != k + g:
-        raise ValueError(f"source must provide {k + g} bits (k={k}, gamma*n={g}), got {len(d)}")
+        raise ValueError(f"source must provide {k + g} bits (k={k}, g={g}), got {len(d)}")
     a = ccdm_encode(d[:k], comp)
-    b = amplitudes_to_pairs(a)
-    u = np.concatenate([b, d[k:]])
-    if g == n:
-        p = np.zeros(0, dtype=np.uint8)
-        if fec is not None and getattr(fec, "parity_length", 0) not in (0, None):
-            raise ValueError("gamma = 1 leaves no parity positions")
+    if code is None:
+        s = d[k:]
     else:
-        if fec is None:
-            raise ValueError("gamma < 1 requires a systematic FEC handle")
-        if fec.systematic_length != len(u) or fec.parity_length != n - g:
-            raise ValueError(
-                f"FEC dimensions ({fec.systematic_length}, {fec.parity_length}) do not "
-                f"match frame split ({len(u)}, {n - g}); code rate must be (2+gamma)/3"
-            )
-        p = np.asarray(fec.encode_parity(u), dtype=np.uint8)
-    s = np.concatenate([p, d[k:]])
-    symbols = symbols_from_sign_amp(s, a)
-    return PasFrame(d=d, a=a, b=b, u=u, p=p, s=s, symbols=symbols, gamma=float(gamma), k=k)
+        u = np.concatenate([amplitudes_to_pairs(a), d[k:]])
+        s = np.concatenate([ldpc_encode(u, code)[code.k:], d[k:]])
+    return symbols_from_sign_amp(s, a)
 
 
-def pas_decode(label_llrs, decode_fn, comp: Composition, gamma):
+def pas_decode(label_llrs, comp: Composition, code=None):
     """Recover source bits from per-symbol label LLRs via the frame inverse.
 
     ``label_llrs`` is (n, 3): LLR of (sign bit, pair bit 1, pair bit 2) per
-    symbol, positive favoring 0.  ``decode_fn`` maps codeword-ordered LLRs to
-    ``(bits, converged)``.  Returns ``(d_hat, ok)``; ``ok`` is False when the
-    FEC did not converge or the decoded frame violates the shaping structure
-    (a 00 pair or a composition mismatch), and then d_hat may be None.
+    symbol, positive favoring 0. The codeword is min-sum decoded with
+    ``code``, or hard-thresholded when ``code`` is None. Returns
+    ``(d_hat, ok)``; ``ok`` is False when the decoder did not converge or
+    the decoded frame violates the shaping structure (a 00 pair or a
+    composition mismatch), and then d_hat may be None.
     """
     n = comp.n
-    g = _gamma_n(gamma, n)
+    g = _extra_bits(comp, code)
     llrs = np.asarray(label_llrs, dtype=np.float64)
     if llrs.shape != (n, 3):
         raise ValueError(f"expected ({n}, 3) label LLRs, got {llrs.shape}")
     # codeword = (b, d_extra, p); signs carry (p, d_extra)
     sign_llrs = llrs[:, 0]
     cw_llrs = np.concatenate([llrs[:, 1:].reshape(-1), sign_llrs[n - g:], sign_llrs[:n - g]])
-    bits, converged = decode_fn(cw_llrs)
-    bits = np.asarray(bits, dtype=np.uint8).ravel()
+    if code is None:
+        bits, converged = (cw_llrs < 0).astype(np.uint8), True
+    else:
+        bits, converged, _ = ldpc_decode(cw_llrs, code)
     b_hat = bits[: 2 * n]
     d_extra = bits[2 * n : 2 * n + g]
     try:

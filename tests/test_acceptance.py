@@ -188,7 +188,7 @@ def test_codec_sanity():
     for n, k in ((2500, 2000), (3000, 2426)):
         code = ldpc_build(n, k / n)
         u = np.random.default_rng(0).integers(0, 2, size=k).astype(np.uint8)
-        llr = (1.0 - 2.0 * ldpc_encode(u, code)[code.tx_index]) * 6.0
+        llr = (1.0 - 2.0 * ldpc_encode(u, code)) * 6.0
         got, conv, _ = ldpc_decode(llr, code)
         ldpc_ok &= bool(conv) and np.array_equal(got, u)
 

@@ -132,9 +132,10 @@ def test_selfcheck_passes(capsys):
     out = capsys.readouterr().out
     for name in ("basegraph_file", "gray_framed_cross_qam32", "gray_pam6",
                  "gray_cross_qam32_violations", "ccdm_round_trip",
-                 "bcjr_brute_force", "ldpc_round_trip", "bch_round_trip"):
+                 "bcjr_brute_force", "ldpc_round_trip", "pas_round_trip",
+                 "bch_round_trip"):
         assert f"{name}" in out
-    assert "8/8 checks passed" in out
+    assert "9/9 checks passed" in out
     assert "FAIL" not in out
 
 

@@ -76,6 +76,12 @@ def test_syntax_error_reports_line():
     ("scheme: cross_qam32\nmetric: rate_at_fer\nsnr_db: [27]\n"
      "channel: {kind: fir_isi, taps: [1.0, 0.35]}\ncodec: {family: ldpc}",
      "channel.kind: fir_isi"),
+    ("scheme: cross_qam32\nmetric: bit_metric\nsnr_db: [22.5]\n"
+     "channel: {kind: awgn, taps: [1.0, 0.35]}", "channel.taps: only allowed"),
+    ("scheme: cross_qam32\nmetric: bit_metric\nsnr_db: [22.5]\n"
+     "channel: {taps: [1.0, 0.35]}", "channel.taps: only allowed"),
+    ("scheme: framed_cross_qam32\nmetric: rate_at_fer\nsnr_db: [60]\n"
+     "codec: {family: none, rate_grid: [1.8]}", "codec.family: 'none'"),
 ])
 def test_schema_errors_name_the_field(text, field):
     with pytest.raises(ConfigError, match=field):

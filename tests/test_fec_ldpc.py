@@ -32,22 +32,16 @@ def test_rate_matching_dimensions():
     code = ldpc_build(2500, 0.8)
     assert code.n == 2500 and code.k == 2000 and code.z == 200
     assert code.m_use == 3 and code.shorten == 0
-    assert code.parity_length == 500
-    assert code.tx_index.size == 2500
+    assert code.n - code.k == 500
     code = ldpc_build(3000, 2426 / 3000)
     assert code.k == 2426 and code.z == 243
     assert code.shorten == 10 * 243 - 2426
-    assert code.parity_length == 3000 - 2426
+    assert code.n - code.k == 3000 - 2426
 
 
 def test_build_rejects_non_integer_k():
     with pytest.raises(ValueError):
         ldpc_build(2500, 0.8001)
-
-
-def test_puncture_needs_enough_rows():
-    with pytest.raises(ValueError, match="puncturing needs"):
-        ldpc_build(2500, 0.84, puncture_systematic=True)
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -67,7 +61,7 @@ def test_noiseless_decode_identity():
         rng = np.random.default_rng(10)
         u = rng.integers(0, 2, size=k).astype(np.uint8)
         cw = ldpc_encode(u, code)
-        llrs = (1.0 - 2.0 * cw[code.tx_index].astype(np.float64)) * 8.0
+        llrs = (1.0 - 2.0 * cw.astype(np.float64)) * 8.0
         got, conv, iters = ldpc_decode(llrs, code)
         assert conv and iters == 0 and np.array_equal(got, u)
 
@@ -77,7 +71,7 @@ def test_decode_recovers_small_noise():
     rng = np.random.default_rng(11)
     u = rng.integers(0, 2, size=code.k).astype(np.uint8)
     cw = ldpc_encode(u, code)
-    x = 1.0 - 2.0 * cw[code.tx_index].astype(np.float64)
+    x = 1.0 - 2.0 * cw.astype(np.float64)
     sigma = 0.42
     y = x + sigma * rng.standard_normal(x.size)
     got, conv, _ = ldpc_decode(2.0 * y / sigma**2, code)
@@ -90,7 +84,7 @@ def test_ber_improves_as_noise_drops():
     rng = np.random.default_rng(12)
     u = rng.integers(0, 2, size=code.k).astype(np.uint8)
     cw = ldpc_encode(u, code)
-    x = 1.0 - 2.0 * cw[code.tx_index].astype(np.float64)
+    x = 1.0 - 2.0 * cw.astype(np.float64)
     noise = rng.standard_normal(x.size)
     errs = []
     for sigma in [0.80, 0.55, 0.30]:
@@ -101,25 +95,13 @@ def test_ber_improves_as_noise_drops():
     assert errs[2] == 0
 
 
-def test_punctured_systematic_erasure_recovery():
-    code = ldpc_build(2500, 0.8, puncture_systematic=True)
-    assert code.punct_sys == 2 * code.z
-    assert code.tx_index.size == 2500
-    rng = np.random.default_rng(13)
-    u = rng.integers(0, 2, size=code.k).astype(np.uint8)
-    cw = ldpc_encode(u, code)
-    llrs = (1.0 - 2.0 * cw[code.tx_index].astype(np.float64)) * 8.0
-    got, conv, _ = ldpc_decode(llrs, code)
-    assert conv and np.array_equal(got, u)
-
-
 def test_parity_tail_removal_keeps_projected_code():
     # the transmitted-bit projection must be unchanged: every transmitted
     # codeword still satisfies every kept check, and kept checks never
     # reference a variable beyond the active range
     code = ldpc_build(3000, 2426 / 3000)
     assert code.n_checks == code.m_use * code.z - code.punct_parity
-    assert code.var_idx.max() < code.n_active
+    assert code.var_idx.max() < code.n
     assert code.check_idx.max() == code.n_checks - 1
 
 
@@ -127,7 +109,7 @@ def test_alist_round_trip():
     code = ldpc_build(1250, 0.8)
     text = write_alist(code)
     nvar, ncheck, ci, vi = read_alist(text)
-    assert nvar == code.n_active and ncheck == code.n_checks
+    assert nvar == code.n and ncheck == code.n_checks
     assert set(zip(ci.tolist(), vi.tolist())) == set(
         zip(code.check_idx.tolist(), code.var_idx.tolist()))
 

@@ -106,6 +106,20 @@ def test_fer_extremes():
     assert fer == 1.0 and errors == 20
 
 
+@pytest.mark.parametrize("snr_db,errors", [(60.0, 0), (10.0, 5)])
+def test_fer_half_width_is_wilson_at_the_edges(snr_db, errors):
+    # 0 or 5 errors in 5 frames: the Wilson score half width is
+    # 1.96 * sqrt(z^2 / 4n^2) / (1 + z^2 / n) ~ 0.217 at both edges
+    ch = ChannelSpec(noise_var=sigma_for_peak_snr(snr_db), seed=0)
+    fer, hw, frames, errs = coded_fer("framed_cross_qam32", 2.0, ch,
+                                      codec="none", frame_symbols=200,
+                                      max_frames=5, min_errors=6)
+    assert frames == 5 and errs == errors and fer == errors / 5
+    zn = 1.96**2 / 5
+    assert hw == pytest.approx(1.96 * np.sqrt(zn / 20) / (1 + zn), rel=1e-12)
+    assert 0.21 < hw < 0.22
+
+
 def test_fer_stops_at_min_errors():
     loud = ChannelSpec(noise_var=sigma_for_peak_snr(10.0), seed=0)
     _, _, frames, errors = coded_fer("cross_qam32", 2.0, loud,

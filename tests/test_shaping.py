@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pam6link.constellation import build_constellation
-from pam6link.fec.ldpc import ldpc_build, ldpc_decode
+from pam6link.fec.ldpc import ldpc_build, ldpc_encode
 from pam6link.shaping import (Composition, amplitudes_to_pairs, ccdm_decode,
-                              ccdm_encode, ccdm_input_length, fec_rate,
+                              ccdm_encode, ccdm_input_length,
                               pairs_to_amplitudes, pas_decode, pas_encode,
-                              pas_rate, sign_amp_from_symbols,
-                              symbols_from_sign_amp)
+                              sign_amp_from_symbols, symbols_from_sign_amp)
 
 PAM6 = build_constellation("pam6_label")
 
@@ -91,18 +90,6 @@ def test_sign_amp_symbol_mapping():
     assert np.array_equal(s2, s) and np.array_equal(a2, a)
 
 
-def test_fec_rate_values():
-    assert fec_rate(0) == pytest.approx(2 / 3)
-    assert fec_rate(1) == pytest.approx(1.0)
-    assert fec_rate(0.426) == pytest.approx((2 + 0.426) / 3)
-
-
-def test_pas_rate_bookkeeping():
-    comp = Composition.near_uniform(1000)
-    k = ccdm_input_length(comp)
-    assert pas_rate(k, 1000, 0.426) == pytest.approx(k / 1000 + 0.426)
-
-
 @pytest.mark.parametrize("gamma", [0.326, 0.426])
 def test_pas_encode_layout_and_noiseless_decode(gamma):
     n = 1000
@@ -112,21 +99,20 @@ def test_pas_encode_layout_and_noiseless_decode(gamma):
     code = ldpc_build(3 * n, (2 * n + g) / (3 * n))
     rng = np.random.default_rng(1)
     d = rng.integers(0, 2, size=k + g).astype(np.uint8)
-    frame = pas_encode(d, gamma, comp, fec=code)
-    x = frame.symbols
+    x = pas_encode(d, comp, code)
     assert x.shape == (n,)
     s, a = sign_amp_from_symbols(x)
     # amplitudes carry the matcher output with the exact composition
     assert tuple(np.bincount(a, minlength=3)) == comp.counts
-    assert np.array_equal(a, frame.a) and np.array_equal(s, frame.s)
-    # sign sequence = (fec parity, extra data bits)
-    assert np.array_equal(s[: n - g], frame.p)
+    assert np.array_equal(a, ccdm_encode(d[:k], comp))
+    # sign sequence = (parity of (amplitude labels, extra bits), extra bits)
+    u = np.concatenate([amplitudes_to_pairs(a), d[k:]])
+    assert np.array_equal(s[: n - g], ldpc_encode(u, code)[code.k:])
     assert np.array_equal(s[n - g:], d[k:])
-    assert frame.rate == pytest.approx(k / n + gamma)
     # noiseless LLRs from the label bits themselves must round trip
     labels = _label_bits(x)
     llrs = (1.0 - 2.0 * labels.astype(np.float64)) * 12.0
-    got, ok = pas_decode(llrs, lambda v: ldpc_decode(v, code)[:2], comp, gamma)
+    got, ok = pas_decode(llrs, comp, code)
     assert ok and np.array_equal(got, d)
 
 
@@ -136,10 +122,11 @@ def test_pas_gamma_one_needs_no_fec():
     k = ccdm_input_length(comp)
     rng = np.random.default_rng(3)
     d = rng.integers(0, 2, size=k + n).astype(np.uint8)
-    frame = pas_encode(d, 1, comp, fec=None)
-    llrs = (1.0 - 2.0 * _label_bits(frame.symbols).astype(np.float64)) * 9.0
-    hard = lambda v: ((v < 0).astype(np.uint8), True)
-    got, ok = pas_decode(llrs, hard, comp, 1)
+    x = pas_encode(d, comp)
+    s, _ = sign_amp_from_symbols(x)
+    assert np.array_equal(s, d[k:])
+    llrs = (1.0 - 2.0 * _label_bits(x).astype(np.float64)) * 9.0
+    got, ok = pas_decode(llrs, comp)
     assert ok and np.array_equal(got, d)
 
 
@@ -149,18 +136,30 @@ def test_pas_decode_flags_invalid_pairs():
     k = ccdm_input_length(comp)
     rng = np.random.default_rng(4)
     d = rng.integers(0, 2, size=k + n).astype(np.uint8)
-    frame = pas_encode(d, 1, comp, fec=None)
-    labels = _label_bits(frame.symbols)
+    labels = _label_bits(pas_encode(d, comp))
     # force one pair toward 00 with confident wrong LLRs
     llrs = (1.0 - 2.0 * labels.astype(np.float64)) * 9.0
     llrs[0, 1] = 50.0
     llrs[0, 2] = 50.0
-    hard = lambda v: ((v < 0).astype(np.uint8), True)
-    got, ok = pas_decode(llrs, hard, comp, 1)
-    assert not ok
+    got, ok = pas_decode(llrs, comp)
+    assert got is None and not ok
 
 
 def test_pas_encode_validates_data_length():
     comp = Composition.near_uniform(120)
     with pytest.raises(ValueError):
-        pas_encode(np.zeros(5, dtype=np.uint8), 1, comp, fec=None)
+        pas_encode(np.zeros(5, dtype=np.uint8), comp)
+
+
+@pytest.mark.parametrize("length,dim", [
+    (3 * 120, 230),   # dimension below the 2n label bits
+    (3 * 121, 250),   # length of a 121-symbol frame
+])
+def test_pas_rejects_code_that_does_not_fit_frame(length, dim):
+    comp = Composition.near_uniform(120)
+    code = ldpc_build(length, dim / length)
+    d = np.zeros(ccdm_input_length(comp), dtype=np.uint8)
+    with pytest.raises(ValueError, match="does not fit"):
+        pas_encode(d, comp, code)
+    with pytest.raises(ValueError, match="does not fit"):
+        pas_decode(np.zeros((120, 3)), comp, code)
