@@ -22,9 +22,10 @@ import time
 
 from . import __version__
 from .constellation import CONSTELLATION_NAMES, build_constellation
-from .experiment import (CSV_HEADER, ConfigError, _row, parse_config,
+from .experiment import (CSV_HEADER, ConfigError, _check, _row, parse_config,
                          run_experiment)
-from .rates import METRICS, SCHEMES, estimate_gmi, estimate_mi
+from .rates import (METRICS, SCHEMES, check_num_symbols, estimate_gmi,
+                    estimate_mi)
 
 BUNDLED_CONFIGS = ("awgn_gaps", "loopback", "coded_ordering")
 
@@ -112,6 +113,7 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    _check(check_num_symbols, "--num-symbols", args.scheme, args.num_symbols)
     est_fn = estimate_mi if args.metric == "symbol_metric" else estimate_gmi
     est = est_fn(args.scheme, args.snr, num_symbols=args.num_symbols,
                  seed=args.seed, taps=tuple(args.taps) if args.taps else None)

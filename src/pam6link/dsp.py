@@ -3,6 +3,12 @@
 Links with residual inter-symbol interference (the ``fir_isi`` channel)
 are detected by an exact log-domain BCJR over the channel taps; its
 per-symbol level posteriors feed the rate estimators.
+
+Cost of one ``bcjr_app`` call on T observations over S states and Q
+symbols: the forward and the backward recursion are O(T) Python steps of
+one (S, Q) log-sum-exp each, and the posteriors are formed a block of
+POSTERIOR_BLOCK steps at a time. Memory is the branch metrics (T*S*Q
+floats) plus the alphas (T*S) plus one block (POSTERIOR_BLOCK*S*Q).
 """
 from __future__ import annotations
 
@@ -28,7 +34,6 @@ class Trellis:
     branch_mean: np.ndarray = field(repr=False)
     branch_sym: np.ndarray = field(repr=False)
     next_state: np.ndarray = field(repr=False)
-    in_order: np.ndarray = field(repr=False)  # branches sorted by next state
 
 
 def make_trellis(taps: np.ndarray, levels: np.ndarray) -> Trellis:
@@ -46,11 +51,30 @@ def make_trellis(taps: np.ndarray, levels: np.ndarray) -> Trellis:
         mean = mean + taps[i] * levels[digits % q]
         digits = digits // q
     nxt = (q * prev + sym) % n_states
-    in_order = np.argsort(nxt, kind="stable")
     return Trellis(
         taps=taps, levels=levels, memory=memory, n_states=n_states,
-        branch_mean=mean, branch_sym=sym, next_state=nxt, in_order=in_order,
+        branch_mean=mean, branch_sym=sym, next_state=nxt,
     )
+
+
+POSTERIOR_BLOCK = 256  # steps whose posteriors are formed together
+_FLOOR = np.finfo(np.float64).min
+
+
+def _logsumexp(x: np.ndarray, axis: int, out: np.ndarray, mx: np.ndarray) -> None:
+    """Write the log-sum-exp of x along axis to out, with mx as scratch.
+
+    out and mx have x's shape with axis kept at length 1; x is overwritten.
+    The group max is floored at the most negative float, so a group of
+    only -inf gives -inf without a NaN, while any other group keeps its
+    exact max and so the same floats as an unfloored log-sum-exp.
+    """
+    np.maximum.reduce(x, axis, out=mx, keepdims=True, initial=_FLOOR)
+    np.subtract(x, mx, out=x)
+    np.exp(x, out=x)
+    np.add.reduce(x, axis, out=out, keepdims=True)
+    np.log(out, out=out)
+    np.add(mx, out, out=out)
 
 
 def bcjr_app(
@@ -64,57 +88,67 @@ def bcjr_app(
     y are the observations, noise_var the white-noise variance, log_priors
     an optional (T, Q) or (Q,) array of symbol log priors. Returns a (T, Q)
     array of log posteriors normalized per symbol.
+
+    Branch b = p*Q + s (state p, symbol s) leads to state
+    Q*(p mod L) + s with L = S/Q (1 without memory). So a step's (S, Q)
+    branches seen as (Q, S) hold the branches into one state in a column,
+    and seen as (S/L, L, Q) take beta of the next state as an (L, S/L)
+    broadcast: neither recursion gathers. The posteriors of a block of
+    steps are formed together once the backward pass has its betas.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     q = trellis.levels.size
     t_len = y.size
     ns = trellis.n_states
-    if log_priors is None:
-        lp = np.zeros((t_len, q))
-    else:
-        lp = np.asarray(log_priors, dtype=np.float64)
-        lp = np.broadcast_to(lp, (t_len, q)) if lp.ndim == 1 else lp
-        if lp.shape != (t_len, q):
-            raise ValueError(f"log_priors shape {lp.shape} != ({t_len}, {q})")
-    prev = np.arange(ns * q) // q
-    gamma_gain = -0.5 / noise_var
-    # branch metrics per step: gaussian log-likelihood plus symbol prior
-    alphas = np.empty((t_len + 1, ns))
-    alphas[0] = -np.inf
+    lp = (np.zeros(q) if log_priors is None
+          else np.asarray(log_priors, dtype=np.float64))
+    if lp.ndim == 1:
+        lp = np.broadcast_to(lp, (t_len, q))
+    if lp.shape != (t_len, q):
+        raise ValueError(f"log_priors shape {lp.shape} != ({t_len}, {q})")
+    # branch metrics: gaussian log-likelihood plus symbol prior, (T, S, Q)
+    metrics = np.subtract.outer(y, trellis.branch_mean)
+    np.square(metrics, out=metrics)
+    metrics *= -0.5 / noise_var
+    metrics = metrics.reshape(t_len, ns, q)
+    metrics += lp[:, None, :]
+    lead = max(ns // q, 1)
+    by_next, beta_view = (ns // lead, lead, q), (lead, ns // lead)
+    step = np.empty((ns, q))  # one step's branches, reused in place
+    into = step.reshape(q, ns)
+    out_of = step.reshape(by_next)
+    mx_into, mx_out = np.empty((1, ns)), np.empty((ns, 1))
+    block = POSTERIOR_BLOCK
+
+    alphas = np.full((t_len + 1, ns), -np.inf)  # alphas[t]: alpha at time t
     alphas[0, 0] = 0.0
-    sym = trellis.branch_sym
-    mean = trellis.branch_mean
-    in_order = trellis.in_order
-    metrics = np.empty((t_len, ns * q))
-    for t in range(t_len):
-        g = gamma_gain * (y[t] - mean) ** 2 + lp[t, sym]
-        metrics[t] = g
-        m = alphas[t, prev] + g
-        grouped = m[in_order].reshape(ns, q)
-        mx = grouped.max(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = mx + np.log(np.exp(grouped - mx[:, None]).sum(axis=1))
-        nxt[~np.isfinite(mx)] = -np.inf
-        alphas[t + 1] = nxt
-    beta = np.zeros(ns)
-    out = np.empty((t_len, q))
-    nxt_state = trellis.next_state
-    for t in range(t_len - 1, -1, -1):
-        joint = alphas[t, prev] + metrics[t] + beta[nxt_state]
-        by_sym = joint.reshape(ns, q)  # branch id = prev*q + sym
-        mx = by_sym.max(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            post = mx + np.log(np.exp(by_sym - mx[None, :]).sum(axis=0))
-        post[~np.isfinite(mx)] = -np.inf
-        norm = post.max()
-        norm = norm + np.log(np.exp(post - norm).sum())
-        out[t] = post - norm
-        # step beta: beta_prev[s] = lse over branches out of s
-        m = metrics[t] + beta[nxt_state]
-        grouped = m.reshape(ns, q)
-        mx = grouped.max(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newb = mx + np.log(np.exp(grouped - mx[:, None]).sum(axis=1))
-        newb[~np.isfinite(mx)] = -np.inf
-        beta = newb
-    return out
+    with np.errstate(divide="ignore"):
+        for g, a, a_next in zip(metrics, alphas[:, :, None], alphas[1:, None]):
+            np.add(g, a, out=step)
+            _logsumexp(into, 0, a_next, mx_into)
+
+        out = np.empty((t_len, 1, q))
+        betas = np.zeros((block + 1, ns))  # betas[j]: beta at time t0 + j
+        joint = np.empty((block, ns, q))
+        g_out = metrics.reshape((t_len,) + by_next)
+        b_next = betas.reshape((block + 1,) + beta_view)
+        # blocks from the end; only the last one in time can be short, and
+        # betas[block] carries beta across the block boundary
+        for t0 in range((t_len - 1) // block * block, -1, -block):
+            n = min(block, t_len - t0)
+            betas[n] = betas[block]
+            for g, b, b_prev in zip(g_out[t0:t0 + n][::-1], b_next[n:0:-1],
+                                    betas[n - 1::-1, :, None]):
+                np.add(g, b, out=out_of)
+                _logsumexp(step, 1, b_prev, mx_out)
+            blk = joint[:n]
+            np.add(metrics[t0:t0 + n], alphas[t0:t0 + n, :, None], out=blk)
+            four = blk.reshape((n,) + by_next)
+            np.add(four, betas[1:n + 1].reshape((n, 1) + beta_view), out=four)
+            post = np.empty((n, 1, q))
+            _logsumexp(blk, 1, post, np.empty((n, 1, q)))
+            norm = np.empty((n, 1, 1))
+            _logsumexp(post.copy(), 2, norm, np.empty((n, 1, 1)))
+            np.subtract(post, norm, out=out[t0:t0 + n])
+            betas[block] = betas[0]
+    return out.reshape(t_len, q)

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import yaml
 
 from .channel import ChannelSpec, sigma_for_peak_snr
-from .link import coded_fer, rate_at_fer
-from .rates import SCHEMES, METRICS, estimate_gmi, estimate_mi
+from .link import check_frame_symbols, coded_fer, frame_data_bits, rate_at_fer
+from .rates import (SCHEMES, METRICS, check_num_symbols, estimate_gmi,
+                    estimate_mi)
 
 RUN_METRICS = METRICS + ("fer", "rate_at_fer")
 CSV_HEADER = "scheme,metric,snr_db,rate,half_width,N,seed"
@@ -96,8 +97,42 @@ class ExperimentConfig:
             # an uncoded frame carries one fixed rate, whatever the grid says
             raise ConfigError(
                 "codec.family: 'none' not supported with metric rate_at_fer; use 'ldpc' or 'bch'")
-        if self.num_symbols < 10**4:
-            raise ConfigError("num_symbols: need at least 1e4")
+        if not self.seeds:
+            raise ConfigError("seeds: need at least one")
+        for seed in self.seeds:
+            if not 0 <= seed < 2**64:
+                raise ConfigError(f"seeds: {seed} outside [0, 2**64)")
+        for key in ("frame_symbols", "max_frames", "min_errors"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key}: need at least 1, got {getattr(self, key)}")
+        for scheme in self.schemes:
+            _check(check_num_symbols, "num_symbols", scheme, self.num_symbols)
+        if needs_codec:
+            self._check_frames()
+
+    def _check_frames(self):
+        """Check each coded scheme's frame at every rate the metrics ask for."""
+        rates = []
+        if "fer" in self.metrics:
+            rates.append(("codec.rate", self.codec.rate_bpcu))
+        if "rate_at_fer" in self.metrics:
+            if not self.codec.rate_grid:
+                raise ConfigError("codec.rate_grid: need at least one rate")
+            rates += [("codec.rate_grid", r) for r in self.codec.rate_grid]
+        for scheme in self.schemes:
+            _check(check_frame_symbols, "frame_symbols", scheme,
+                   self.frame_symbols)
+            for key, rate in rates:
+                _check(frame_data_bits, key, scheme, rate, self.frame_symbols,
+                       self.codec.family)
+
+
+def _check(fn, key, *args):
+    """Call a library check, turning its ValueError into one naming key."""
+    try:
+        fn(*args)
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from None
 
 
 _TOP_KEYS = {"scheme", "schemes", "metric", "snr_db", "seeds", "channel",

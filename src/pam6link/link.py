@@ -18,6 +18,7 @@ Three formats share the PAM-6 wire alphabet:
 The transmission rate grid is realizable exactly: for 2D formats
 rate * frame_symbols is the LDPC dimension; for dm_pam6 the sign-bit
 fraction gamma = rate - k/n must give an integer gamma * n.
+`frame_data_bits` checks this without building a code.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from .fec import (
     ldpc_encode,
 )
 from .fec.scramble import adapt_llrs, scramble
-from .rates import bisect
+from .rates import SCHEMES, bisect
 
 SCRAMBLE_SEED = 0xC0DEC
 CODECS = ("ldpc", "bch", "none")
@@ -66,6 +67,69 @@ class CodedScheme:
     bch: object = field(repr=False, default=None)
 
 
+def check_frame_symbols(scheme: str, frame_symbols: int) -> None:
+    """Raise ValueError unless a frame of `scheme` can span frame_symbols uses."""
+    if frame_symbols < 1:
+        raise ValueError(f"need at least 1 symbol per frame, got {frame_symbols}")
+    if scheme != "dm_pam6" and frame_symbols % 2:
+        raise ValueError(
+            f"2D formats need an even number of frame symbols, got {frame_symbols}")
+
+
+def frame_data_bits(
+    scheme: str,
+    rate_bpcu: float,
+    frame_symbols: int = 1000,
+    codec: str = "ldpc",
+) -> int:
+    """Data bits one frame carries at rate_bpcu; checks, builds no code.
+
+    2D formats: k = rate_bpcu * frame_symbols must be an integer in (0, n)
+    for the n = 5 * frame_symbols / 2 coded bits (codec none carries all
+    n, and BCH later rounds k down to a code dimension). dm_pam6: the
+    matcher's k_dm bits plus g = (rate_bpcu - k_dm / n) * n data sign
+    bits, g an integer in [0, n] (n with codec none). Raises ValueError
+    for anything a frame cannot realize.
+    """
+    if codec not in CODECS:
+        raise ValueError(f"unknown codec {codec!r}; expected one of {CODECS}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    check_frame_symbols(scheme, frame_symbols)
+    if scheme == "dm_pam6":
+        if codec == "bch":
+            raise ValueError("dm_pam6 supports codecs 'ldpc' and 'none' only")
+        n = frame_symbols
+        k_dm = shaping.ccdm_input_length(shaping.Composition.near_uniform(n))
+        if codec == "none":
+            return k_dm + n
+        gamma_exact = rate_bpcu - k_dm / n
+        g = int(round(gamma_exact * n))
+        if abs(g - gamma_exact * n) > 1e-6:
+            raise ValueError(
+                f"rate {rate_bpcu} bpcu not realizable: gamma*n = "
+                f"{gamma_exact * n} must be an integer"
+            )
+        if not 0 <= g <= n:
+            raise ValueError(
+                f"rate {rate_bpcu} bpcu needs gamma in [0, 1], got {g / n}"
+            )
+        return k_dm + g
+    n_coded = frame_symbols // 2 * 5
+    if codec == "none":
+        return n_coded
+    k_exact = rate_bpcu * frame_symbols
+    k = int(round(k_exact))
+    if abs(k - k_exact) > 1e-9:
+        raise ValueError(
+            f"rate {rate_bpcu} bpcu not realizable: needs "
+            f"{k_exact} data bits in a {frame_symbols}-symbol frame"
+        )
+    if not 0 < k < n_coded:
+        raise ValueError(f"rate {rate_bpcu} bpcu outside (0, 2.5)")
+    return k
+
+
 def build_coded(
     scheme: str,
     rate_bpcu: float,
@@ -73,81 +137,38 @@ def build_coded(
     codec: str = "ldpc",
 ) -> CodedScheme:
     """Resolve a (scheme, rate) request into concrete codes and tables."""
-    if codec not in CODECS:
-        raise ValueError(f"unknown codec {codec!r}; expected one of {CODECS}")
-    if scheme in ("cross_qam32", "framed_cross_qam32"):
-        c = build_constellation(scheme)
-        if frame_symbols % 2:
-            raise ValueError("2D formats need an even number of frame symbols")
-        n_coded = frame_symbols // 2 * 5
-        if codec == "none":
-            k = n_coded
-        else:
-            k_exact = rate_bpcu * frame_symbols
-            k = int(round(k_exact))
-            if abs(k - k_exact) > 1e-9:
-                raise ValueError(
-                    f"rate {rate_bpcu} bpcu not realizable: needs "
-                    f"{k_exact} data bits in a {frame_symbols}-symbol frame"
-                )
-            if not 0 < k < n_coded:
-                raise ValueError(f"rate {rate_bpcu} bpcu outside (0, 2.5)")
-        ldpc = bch = None
-        if codec == "ldpc":
-            ldpc = ldpc_build(n_coded, k / n_coded)
-        elif codec == "bch":
-            # BCH dimensions move in steps of the parity-per-error cost;
-            # take the strongest t whose dimension still reaches k
-            code = None
-            for t in range(1, 200):
-                cand = bch_build(n_coded, t)
-                if cand.systematic_length < k:
-                    break
-                code = cand
-            if code is None:
-                raise ValueError(f"no BCH code of length {n_coded} reaches k={k}")
-            bch = code
-            k = code.systematic_length
-        return CodedScheme(
-            scheme=scheme, rate_bpcu=k / frame_symbols if codec != "none" else 2.5,
-            frame_symbols=frame_symbols, codec=codec, constellation=c,
-            data_bits=k, ldpc=ldpc, bch=bch,
-        )
+    k = frame_data_bits(scheme, rate_bpcu, frame_symbols, codec)
     if scheme == "dm_pam6":
-        c = build_constellation("pam6_label")
         n = frame_symbols
         comp = shaping.Composition.near_uniform(n)
         k_dm = shaping.ccdm_input_length(comp)
-        if codec == "none":
-            gamma = 1.0
-            g = n
-            ldpc = None
-        elif codec == "ldpc":
-            gamma_exact = rate_bpcu - k_dm / n
-            g = int(round(gamma_exact * n))
-            if abs(g - gamma_exact * n) > 1e-6:
-                raise ValueError(
-                    f"rate {rate_bpcu} bpcu not realizable: gamma*n = "
-                    f"{gamma_exact * n} must be an integer"
-                )
-            if not 0 <= g <= n:
-                raise ValueError(
-                    f"rate {rate_bpcu} bpcu needs gamma in [0, 1], got {g / n}"
-                )
-            gamma = g / n
-            if g == n:
-                ldpc = None
-            else:
-                ldpc = ldpc_build(3 * n, (2 * n + g) / (3 * n))
-        else:
-            raise ValueError("dm_pam6 supports codecs 'ldpc' and 'none' only")
+        g = k - k_dm
+        ldpc = None if g == n else ldpc_build(3 * n, (2 * n + g) / (3 * n))
         return CodedScheme(
-            scheme=scheme,
-            rate_bpcu=k_dm / n + gamma if codec != "none" else k_dm / n + 1.0,
-            frame_symbols=n, codec=codec, constellation=c,
-            data_bits=k_dm + g, gamma=gamma, comp=comp, ldpc=ldpc,
+            scheme=scheme, rate_bpcu=k_dm / n + g / n, frame_symbols=n,
+            codec=codec, constellation=build_constellation("pam6_label"),
+            data_bits=k, gamma=g / n, comp=comp, ldpc=ldpc,
         )
-    raise ValueError(f"unknown scheme {scheme!r}")
+    n_coded = frame_symbols // 2 * 5
+    ldpc = bch = None
+    if codec == "ldpc":
+        ldpc = ldpc_build(n_coded, k / n_coded)
+    elif codec == "bch":
+        # BCH dimensions move in steps of the parity-per-error cost;
+        # take the strongest t whose dimension still reaches k
+        for t in range(1, 200):
+            cand = bch_build(n_coded, t)
+            if cand.systematic_length < k:
+                break
+            bch = cand
+        if bch is None:
+            raise ValueError(f"no BCH code of length {n_coded} reaches k={k}")
+        k = bch.systematic_length
+    return CodedScheme(
+        scheme=scheme, rate_bpcu=k / frame_symbols, frame_symbols=frame_symbols,
+        codec=codec, constellation=build_constellation(scheme),
+        data_bits=k, ldpc=ldpc, bch=bch,
+    )
 
 
 def encode_frame(cs: CodedScheme, data: np.ndarray) -> np.ndarray:
@@ -204,6 +225,10 @@ def coded_fer(
     errors); a frame errs when any decoded data bit is wrong or the
     decoder flags failure.
     """
+    if max_frames < 1 or min_errors < 1:
+        raise ValueError(
+            f"max_frames and min_errors must be at least 1, got {max_frames} "
+            f"and {min_errors}")
     cs = build_coded(scheme, rate_bpcu, frame_symbols, codec)
     errors = 0
     frames = 0

@@ -57,16 +57,26 @@ def _constellation_for(scheme: str):
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
+def check_num_symbols(scheme: str, num_symbols: int) -> None:
+    """Raise ValueError unless num_symbols 1D uses fill whole points of scheme."""
+    dim = _constellation_for(scheme).dimension
+    if num_symbols < 10**4:
+        raise ValueError(f"need at least 1e4 symbols, got {num_symbols}")
+    if num_symbols % dim:
+        raise ValueError(
+            f"{scheme} sends {dim} symbols per point; {num_symbols} is not "
+            f"a multiple of {dim}")
+
+
 def _simulate(scheme: str, snr_db: float, num_symbols: int, seed: int, taps=None):
     """Draw symbols, push them through the channel, return (const, idx, y, nv).
 
-    num_symbols counts 1D channel uses; 2D formats emit num_symbols//2
+    num_symbols counts 1D channel uses; 2D formats emit num_symbols/2
     points. With `taps` the link has residual ISI and detection must use a
     trellis; otherwise the channel is memoryless AWGN.
     """
+    check_num_symbols(scheme, num_symbols)
     c = _constellation_for(scheme)
-    if num_symbols < 10**4:
-        raise ValueError(f"need at least 1e4 symbols, got {num_symbols}")
     nv = sigma_for_peak_snr(snr_db)
     if taps is None:
         spec = ChannelSpec(kind="awgn", noise_var=nv, seed=seed)

@@ -63,10 +63,34 @@ def test_config_errors_exit_1(tmp_path, capsys):
         ("scheme: cross_qam32\n" + coded + "codec: {family: ldpc, rate: fast}\n",
          "codec.rate"),
         ("scheme: dm_pam6\n" + coded + "codec: {family: bch}\n", "codec.family"),
+        ("scheme: cross_qam32\n" + coded + "codec: {family: ldpc, rate: 2.0005}\n",
+         "codec.rate"),
+        ("scheme: framed_cross_qam32\nmetric: rate_at_fer\nsnr_db: [40]\n"
+         "codec: {family: ldpc, rate_grid: [2.0005]}\n", "codec.rate_grid"),
+        ("scheme: cross_qam32\n" + coded + "codec: {family: ldpc}\n"
+         "frame_symbols: 999\n", "frame_symbols"),
+        ("scheme: dm_pam6\n" + coded + "codec: {family: ldpc}\nmax_frames: 0\n",
+         "max_frames"),
+        ("scheme: dm_pam6\n" + coded + "codec: {family: ldpc}\nmax_frames: -3\n",
+         "max_frames"),
+        ("scheme: dm_pam6\n" + coded + "codec: {family: ldpc}\nmin_errors: 0\n",
+         "min_errors"),
+        ("scheme: cross_qam32\n" + coded + "codec: {family: none}\n"
+         "frame_symbols: 0\n", "frame_symbols"),
+        (TINY.replace("seeds: [4]", "seeds: [-1]"), "seeds"),
+        (TINY.replace("seeds: [4]", "seeds: [18446744073709551616]"), "seeds"),
+        (TINY.replace("dm_pam6", "cross_qam32").replace("10000", "10001"),
+         "num_symbols"),
     ]:
         bad.write_text(text)
         assert main(["run", "--config", str(bad)]) == 1
         assert field in capsys.readouterr().err
+    bad.write_text(TINY)
+    assert main(["run", "--config", str(bad), "--seed-override", "-1"]) == 1
+    assert "seeds" in capsys.readouterr().err
+    assert main(["rates", "--scheme", "cross_qam32", "--metric", "bit_metric",
+                 "--snr", "22.0", "--num-symbols", "10001"]) == 1
+    assert "--num-symbols" in capsys.readouterr().err
     # argparse failures map to the same code
     assert main(["run"]) == 1
     assert main(["bogus-command"]) == 1
@@ -77,14 +101,14 @@ def test_runtime_errors_exit_2(tmp_path, capsys):
     cfg.write_text(TINY)
     assert main(["run", "--config", str(cfg),
                  "--output", str(tmp_path / "no" / "dir" / "x.csv")]) == 2
-    # grid rates that cannot be realized in the frame surface at run time
-    cfg2 = tmp_path / "unrealizable.yaml"
+    # a frame too short for the LDPC base graph's lift surfaces at run time
+    cfg2 = tmp_path / "unliftable.yaml"
     cfg2.write_text("""
 scheme: framed_cross_qam32
 metric: rate_at_fer
 snr_db: [40.0]
-codec: {family: ldpc, rate_grid: [2.0005]}
-frame_symbols: 200
+codec: {family: ldpc, rate_grid: [2.0]}
+frame_symbols: 2
 max_frames: 5
 min_errors: 6
 """)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pam6link.dsp import bcjr_app, make_trellis
+from pam6link.dsp import POSTERIOR_BLOCK, bcjr_app, make_trellis
+from pam6link.rates import estimate_gmi, estimate_mi
 
 LEVELS = np.arange(6) / 5.0
 
@@ -55,6 +56,14 @@ def test_bcjr_matches_exhaustive_map():
     assert float(np.max(np.abs(got - ref))) < 1e-9
 
 
+def _assert_same_app(got, ref, tol):
+    """Same -inf entries, finite entries within tol."""
+    assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+    finite = np.isfinite(ref)
+    assert np.all(np.isfinite(got[finite]))
+    assert float(np.max(np.abs(got[finite] - ref[finite]))) < tol
+
+
 def test_bcjr_with_nonuniform_priors():
     rng = np.random.default_rng(7)
     taps = np.array([1.0, 0.3])
@@ -66,6 +75,128 @@ def test_bcjr_with_nonuniform_priors():
     assert float(np.max(np.abs(got - ref))) < 1e-9
     with pytest.raises(ValueError, match="log_priors shape"):
         bcjr_app(y, tr, 0.04, log_priors=np.zeros((3, 6)))
+
+
+@pytest.mark.parametrize("taps", [(1.0, 0.3), (1.0, 0.35, -0.12)])
+def test_bcjr_matches_exhaustive_map_with_forbidden_symbols(taps):
+    # -inf priors rule symbols out; groups of only -inf branches must come
+    # out -inf, not NaN, in both recursions and in the posteriors
+    rng = np.random.default_rng(9)
+    taps = np.array(taps)
+    tr = make_trellis(taps, LEVELS)
+    sym = rng.integers(0, 6, size=5)
+    y = np.convolve(LEVELS[sym], taps)[:5] + 0.1 * rng.standard_normal(5)
+    lp = np.log(rng.dirichlet(np.ones(6), size=5))
+    lp[rng.random((5, 6)) < 0.4] = -np.inf
+    lp[np.arange(5), sym] = 0.0
+    lp[2, :5] = -np.inf  # one step with a single allowed symbol
+    lp[2, 5] = 0.0
+    got = bcjr_app(y, tr, noise_var=0.01, log_priors=lp)
+    _assert_same_app(got, _brute_force_app(y, taps, 0.01, log_priors=lp), 1e-9)
+    assert np.array_equal(got[2], np.r_[np.full(5, -np.inf), 0.0])
+    with np.errstate(divide="ignore"):
+        one_d = np.log(np.r_[0.5, 0.0, 0.25, 0.25, 0.0, 0.0])
+    got = bcjr_app(y, tr, noise_var=0.01, log_priors=one_d)
+    _assert_same_app(got, _brute_force_app(y, taps, 0.01, log_priors=one_d),
+                     1e-9)
+
+
+@pytest.mark.parametrize("length", [1, POSTERIOR_BLOCK - 1, POSTERIOR_BLOCK,
+                                    POSTERIOR_BLOCK + 1, 3 * POSTERIOR_BLOCK + 7])
+@pytest.mark.parametrize("priors", [False, True])
+def test_bcjr_memoryless_matches_pointwise_at_block_edges(length, priors):
+    # the posteriors are formed in blocks of steps: lengths around the block
+    # size check that every step is written, across block boundaries
+    rng = np.random.default_rng(length)
+    tr = make_trellis(np.array([1.0]), LEVELS)
+    y = rng.uniform(-0.2, 1.2, size=length)
+    ll = -0.5 * (y[:, None] - LEVELS[None, :]) ** 2 / 0.05
+    lp = None
+    if priors:
+        lp = np.log(rng.dirichlet(np.ones(6), size=length))
+        lp[rng.random((length, 6)) < 0.3] = -np.inf
+        lp[np.arange(length), rng.integers(0, 6, size=length)] = 0.0
+        ll = ll + lp
+    got = bcjr_app(y, tr, noise_var=0.05, log_priors=lp)
+    assert got.shape == (length, 6)
+    _assert_same_app(got, ll - np.logaddexp.reduce(ll, axis=1, keepdims=True),
+                     1e-12)
+
+
+def _per_step_app(y, tr, noise_var, log_priors=None):
+    """Reference BCJR: one step per loop pass, with gathers and NaN masks.
+
+    The arithmetic bcjr_app must reproduce exactly: each log-sum-exp sums
+    the same terms in the same order over the same axis.
+    """
+    t_len, q, ns = y.size, tr.levels.size, tr.n_states
+    lp = np.zeros((t_len, q)) if log_priors is None else \
+        np.broadcast_to(log_priors, (t_len, q))
+    prev = np.arange(ns * q) // q
+    sym, mean = tr.branch_sym, tr.branch_mean
+    in_order = np.argsort(tr.next_state, kind="stable")
+
+    def lse(x, axis):
+        mx = x.max(axis=axis)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = mx + np.log(np.exp(x - np.expand_dims(mx, axis)).sum(axis=axis))
+        r[~np.isfinite(mx)] = -np.inf
+        return r
+
+    alphas = np.full((t_len + 1, ns), -np.inf)
+    alphas[0, 0] = 0.0
+    metrics = np.empty((t_len, ns * q))
+    for t in range(t_len):
+        metrics[t] = -0.5 / noise_var * (y[t] - mean) ** 2 + lp[t, sym]
+        m = alphas[t, prev] + metrics[t]
+        alphas[t + 1] = lse(m[in_order].reshape(ns, q), 1)
+    beta = np.zeros(ns)
+    out = np.empty((t_len, q))
+    for t in range(t_len - 1, -1, -1):
+        joint = alphas[t, prev] + metrics[t] + beta[tr.next_state]
+        post = lse(joint.reshape(ns, q), 0)
+        norm = post.max()
+        out[t] = post - (norm + np.log(np.exp(post - norm).sum()))
+        beta = lse((metrics[t] + beta[tr.next_state]).reshape(ns, q), 1)
+    return out
+
+
+@pytest.mark.parametrize("taps", [(1.0,), (1.0, 0.35), (1.0, 0.4, 0.2)])
+@pytest.mark.parametrize("priors", [None, "1d", "2d"])
+def test_bcjr_equals_per_step_reference(taps, priors):
+    rng = np.random.default_rng(len(taps))
+    tr = make_trellis(np.array(taps), LEVELS)
+    for length in (1, 2, POSTERIOR_BLOCK, 2 * POSTERIOR_BLOCK + 3):
+        sym = rng.integers(0, 6, size=length)
+        y = np.convolve(LEVELS[sym], taps)[:length] + 0.07 * rng.standard_normal(length)
+        lp = None
+        if priors == "1d":
+            lp = np.log(rng.dirichlet(np.ones(6)))
+        elif priors == "2d":
+            lp = np.log(rng.dirichlet(np.ones(6), size=length))
+            lp[rng.random((length, 6)) < 0.3] = -np.inf
+            lp[np.arange(length), sym] = 0.0
+        got = bcjr_app(y, tr, 0.0049, log_priors=lp)
+        assert np.array_equal(got, _per_step_app(y, tr, 0.0049, lp))
+
+
+# MI/GMI on the ISI link, read from the per-step BCJR this kernel replaced:
+# the rewrite must leave every float as it was
+ISI_PINS = {
+    "cross_qam32": ((1.8853100969609697, 0.019531271954010755),
+                    (1.849222214813194, 0.022627192701072475)),
+    "framed_cross_qam32": ((1.9319507844318062, 0.01929242543043033),
+                           (1.9697046186991845, 0.01968367917492276)),
+    "dm_pam6": ((2.0114895216626154, 0.01797706829261091),
+                (2.0106835639367073, 0.018134515028913435)),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(ISI_PINS))
+def test_isi_rates_pinned_exactly(scheme):
+    for fn, pin in zip((estimate_mi, estimate_gmi), ISI_PINS[scheme]):
+        est = fn(scheme, 22.5, num_symbols=10**4, seed=0, taps=(1.0, 0.35))
+        assert (est.rate, est.half_width) == pin
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))

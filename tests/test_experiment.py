@@ -82,10 +82,55 @@ def test_syntax_error_reports_line():
      "channel: {taps: [1.0, 0.35]}", "channel.taps: only allowed"),
     ("scheme: framed_cross_qam32\nmetric: rate_at_fer\nsnr_db: [60]\n"
      "codec: {family: none, rate_grid: [1.8]}", "codec.family: 'none'"),
+    # frame geometry is checked at parse time, before any code is built
+    ("scheme: cross_qam32\nmetric: fer\nsnr_db: [27]\n"
+     "codec: {family: ldpc, rate: 2.0005}", "codec.rate: .*not realizable"),
+    ("scheme: framed_cross_qam32\nmetric: rate_at_fer\nsnr_db: [40]\n"
+     "codec: {family: ldpc, rate_grid: [2.0, 2.0005]}",
+     "codec.rate_grid: .*not realizable"),
+    ("scheme: dm_pam6\nmetric: fer\nsnr_db: [27]\n"
+     "codec: {family: ldpc, rate: 2.0001}", "codec.rate: .*not realizable"),
+    ("scheme: cross_qam32\nmetric: fer\nsnr_db: [27]\n"
+     "codec: {family: ldpc, rate: 2.6}", r"codec.rate: .*outside \(0, 2.5\)"),
+    ("scheme: cross_qam32\nmetric: fer\nsnr_db: [27]\n"
+     "codec: {family: ldpc}\nframe_symbols: 999", "frame_symbols: .*even"),
+    ("scheme: framed_cross_qam32\nmetric: rate_at_fer\nsnr_db: [40]\n"
+     "codec: {family: ldpc, rate_grid: []}", "codec.rate_grid: need at least"),
+    # counts and seeds
+    ("scheme: dm_pam6\nmetric: fer\nsnr_db: [27]\ncodec: {family: ldpc}\n"
+     "max_frames: 0", "max_frames: need at least 1"),
+    ("scheme: dm_pam6\nmetric: fer\nsnr_db: [27]\ncodec: {family: ldpc}\n"
+     "max_frames: -3", "max_frames: need at least 1"),
+    ("scheme: dm_pam6\nmetric: fer\nsnr_db: [27]\ncodec: {family: ldpc}\n"
+     "min_errors: 0", "min_errors: need at least 1"),
+    ("scheme: cross_qam32\nmetric: fer\nsnr_db: [60]\ncodec: {family: none}\n"
+     "frame_symbols: 0", "frame_symbols: need at least 1"),
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\nseeds: [-1]",
+     r"seeds: -1 outside \[0, 2\*\*64\)"),
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\n"
+     "seeds: [18446744073709551616]", "seeds: 18446744073709551616 outside"),
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\nseeds: []",
+     "seeds: need at least one"),
+    # 2D formats send whole points: an odd count would not be simulated
+    ("scheme: cross_qam32\nmetric: symbol_metric\nsnr_db: [20]\n"
+     "num_symbols: 10001", "num_symbols: cross_qam32 sends 2 symbols"),
 ])
 def test_schema_errors_name_the_field(text, field):
     with pytest.raises(ConfigError, match=field):
         parse_config(text)
+
+
+def test_seed_override_is_validated():
+    import dataclasses
+
+    cfg = parse_config(MINIMAL)
+    with pytest.raises(ConfigError, match="seeds: -1"):
+        dataclasses.replace(cfg, seeds=(-1,))
+
+
+def test_odd_num_symbols_fine_for_1d_scheme():
+    cfg = parse_config(MINIMAL.replace("10000", "10001"))
+    assert cfg.num_symbols == 10001
 
 
 def test_config_error_is_value_error():

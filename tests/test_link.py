@@ -5,7 +5,7 @@ import pytest
 from pam6link.channel import ChannelSpec, sigma_for_peak_snr
 from pam6link.fec import bch_build
 from pam6link.link import (build_coded, coded_fer, decode_frame, encode_frame,
-                           snr_at_fer)
+                           frame_data_bits, snr_at_fer)
 
 ALL_SCHEMES = ("cross_qam32", "framed_cross_qam32", "dm_pam6")
 
@@ -38,6 +38,27 @@ def test_build_rejects_unrealizable_rates():
         build_coded("cross_qam32", 2.0, codec="turbo")
     with pytest.raises(ValueError, match="unknown scheme"):
         build_coded("pam8", 2.0)
+
+
+def test_frame_data_bits_matches_built_frames():
+    for scheme in ALL_SCHEMES:
+        for rate in (1.8, 1.9, 2.0, 2.1):
+            cs = build_coded(scheme, rate, frame_symbols=1000)
+            assert frame_data_bits(scheme, rate, 1000) == cs.data_bits
+        cs = build_coded(scheme, 2.0, frame_symbols=200, codec="none")
+        assert frame_data_bits(scheme, 2.0, 200, "none") == cs.data_bits
+    with pytest.raises(ValueError, match="need at least 1 symbol"):
+        frame_data_bits("dm_pam6", 2.0, frame_symbols=0, codec="none")
+    with pytest.raises(ValueError, match="gamma in"):
+        frame_data_bits("dm_pam6", 2.6, frame_symbols=1000)
+
+
+def test_coded_fer_needs_a_frame_and_an_error_budget():
+    chan = ChannelSpec(noise_var=sigma_for_peak_snr(30.0), seed=0)
+    for max_frames, min_errors in ((0, 10), (-3, 10), (10, 0)):
+        with pytest.raises(ValueError, match="at least 1"):
+            coded_fer("cross_qam32", 2.0, chan, frame_symbols=200,
+                      max_frames=max_frames, min_errors=min_errors)
 
 
 def test_dm_rejects_bch():

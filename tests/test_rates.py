@@ -47,6 +47,10 @@ def test_estimates_are_seed_deterministic():
     assert c.rate != a.rate
     with pytest.raises(ValueError, match="at least 1e4 symbols"):
         estimate_mi("cross_qam32", 22.0, num_symbols=5000)
+    # a 2D format cannot send half a point, so an odd count is refused
+    with pytest.raises(ValueError, match="10001 is not a multiple of 2"):
+        estimate_gmi("framed_cross_qam32", 22.0, num_symbols=10001)
+    assert estimate_mi("dm_pam6", 22.0, num_symbols=10001).num_symbols == 10001
 
 
 def test_saturation_rates():
