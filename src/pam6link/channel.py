@@ -6,6 +6,7 @@ across threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,9 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
-        if self.noise_var <= 0:
-            raise ValueError("noise variance must be positive")
+        if not 0 < self.noise_var < math.inf:
+            raise ValueError(
+                f"noise variance must be positive and finite, got {self.noise_var}")
         if self.kind == "fir_isi":
             if len(self.taps) == 0:
                 raise ValueError("fir_isi needs at least one tap")
@@ -32,8 +34,15 @@ class ChannelSpec:
                 raise ValueError("leading FIR tap must be nonzero")
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless seed fits the 64-bit Philox key word."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{seed} outside [0, 2**64)")
+
+
 def philox(seed: int, stream: int) -> np.random.Generator:
     """Philox generator keyed by (seed, stream); same key -> same bits."""
+    check_seed(seed)
     key = np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -58,5 +67,17 @@ def peak_snr_db(spec: ChannelSpec) -> float:
 
 
 def sigma_for_peak_snr(snr_db: float) -> float:
-    """Noise variance giving the requested peak SNR; inverse of peak_snr_db."""
-    return 10.0 ** (-snr_db / 10.0)
+    """Noise variance giving the requested peak SNR; inverse of peak_snr_db.
+
+    Raises ValueError unless that variance is positive and finite (a NaN or
+    infinite SNR, or one beyond the float range, has none).
+    """
+    try:
+        noise_var = 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        noise_var = math.inf
+    if not 0 < noise_var < math.inf:
+        raise ValueError(
+            f"peak SNR {snr_db} dB gives noise variance {noise_var}; "
+            "need a positive finite one")
+    return noise_var

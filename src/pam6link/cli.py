@@ -21,6 +21,7 @@ import sys
 import time
 
 from . import __version__
+from .channel import check_seed, sigma_for_peak_snr
 from .constellation import CONSTELLATION_NAMES, build_constellation
 from .experiment import (CSV_HEADER, ConfigError, _check, _row, parse_config,
                          run_experiment)
@@ -114,6 +115,8 @@ def _cmd_tables(args) -> int:
 
 def _cmd_rates(args) -> int:
     _check(check_num_symbols, "--num-symbols", args.scheme, args.num_symbols)
+    _check(sigma_for_peak_snr, "--snr", args.snr)
+    _check(check_seed, "--seed", args.seed)
     est_fn = estimate_mi if args.metric == "symbol_metric" else estimate_gmi
     est = est_fn(args.scheme, args.snr, num_symbols=args.num_symbols,
                  seed=args.seed, taps=tuple(args.taps) if args.taps else None)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .channel import ChannelSpec, sigma_for_peak_snr
+from .channel import ChannelSpec, check_seed, sigma_for_peak_snr
 from .link import check_frame_symbols, coded_fer, frame_data_bits, rate_at_fer
 from .rates import (SCHEMES, METRICS, check_num_symbols, estimate_gmi,
                     estimate_mi)
@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise ConfigError("metric: need at least one")
         if not self.snr_db:
             raise ConfigError("snr_db: need at least one sweep point")
+        for snr in self.snr_db:
+            _check(sigma_for_peak_snr, "snr_db", snr)
         if self.channel_kind not in ("awgn", "fir_isi"):
             raise ConfigError(
                 f"channel.kind: {self.channel_kind!r} not one of ['awgn', 'fir_isi']")
@@ -100,8 +102,7 @@ class ExperimentConfig:
         if not self.seeds:
             raise ConfigError("seeds: need at least one")
         for seed in self.seeds:
-            if not 0 <= seed < 2**64:
-                raise ConfigError(f"seeds: {seed} outside [0, 2**64)")
+            _check(check_seed, "seeds", seed)
         for key in ("frame_symbols", "max_frames", "min_errors"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key}: need at least 1, got {getattr(self, key)}")

@@ -266,16 +266,21 @@ def snr_at_fer(
 
     Bisection with common random numbers; FER is monotone non-increasing
     in SNR for a fixed seed, so the crossing is well defined up to the
-    Monte Carlo resolution of `frames`.
+    Monte Carlo resolution of `frames`. A probe asks only whether
+    errors / frames > fer_target, so it stops at the smallest error count
+    for which that holds: the verdicts, and so the result, are those of
+    probes that run all `frames`.
     """
+    stop = next((e for e in range(1, frames + 1) if e / frames > fer_target),
+                frames + 1)
 
     def fer_at(snr_db):
         chan = ChannelSpec(kind="awgn", noise_var=sigma_for_peak_snr(snr_db), seed=seed)
-        fer, _, _, _ = coded_fer(
+        _, _, _, errors = coded_fer(
             scheme, rate_bpcu, chan, codec=codec, frame_symbols=frame_symbols,
-            max_frames=frames, min_errors=frames + 1, seed=seed,
+            max_frames=frames, min_errors=stop, seed=seed,
         )
-        return fer
+        return errors / frames
 
     f_lo, f_hi = fer_at(lo_db), fer_at(hi_db)
     if f_lo < fer_target:

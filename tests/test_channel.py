@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pam6link.channel import (ChannelSpec, peak_snr_db, sigma_for_peak_snr,
-                              transmit)
+from pam6link.channel import (ChannelSpec, peak_snr_db, philox,
+                              sigma_for_peak_snr, transmit)
 
 
 def test_spec_validation():
@@ -13,6 +13,8 @@ def test_spec_validation():
         ChannelSpec(kind="rayleigh")
     with pytest.raises(ValueError, match="positive"):
         ChannelSpec(noise_var=0.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        ChannelSpec(noise_var=float("nan"))
     with pytest.raises(ValueError, match="at least one tap"):
         ChannelSpec(kind="fir_isi", taps=())
     with pytest.raises(ValueError, match="leading FIR tap"):
@@ -46,6 +48,20 @@ def test_awgn_noise_statistics():
     y = transmit(np.zeros(200000), spec)
     assert abs(float(np.mean(y))) < 3 * 0.2 / np.sqrt(200000)
     assert np.var(y) == pytest.approx(0.04, rel=0.02)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_philox_rejects_seed_outside_key_word(seed):
+    with pytest.raises(ValueError, match=r"outside \[0, 2\*\*64\)"):
+        philox(seed, 0)
+    philox(2**64 - 1, 0)
+
+
+@pytest.mark.parametrize("snr", [float("nan"), float("inf"), float("-inf"),
+                                 4000.0, -4000.0])
+def test_sigma_for_peak_snr_rejects_snr_without_noise_variance(snr):
+    with pytest.raises(ValueError, match="positive finite"):
+        sigma_for_peak_snr(snr)
 
 
 def test_peak_snr_round_trip():

@@ -81,6 +81,9 @@ def test_config_errors_exit_1(tmp_path, capsys):
         (TINY.replace("seeds: [4]", "seeds: [18446744073709551616]"), "seeds"),
         (TINY.replace("dm_pam6", "cross_qam32").replace("10000", "10001"),
          "num_symbols"),
+        (TINY.replace("[20.0]", "[.nan]"), "snr_db"),
+        ("scheme: dm_pam6\nmetric: fer\nsnr_db: [.inf]\ncodec: {family: ldpc}\n",
+         "snr_db"),
     ]:
         bad.write_text(text)
         assert main(["run", "--config", str(bad)]) == 1
@@ -91,6 +94,11 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["rates", "--scheme", "cross_qam32", "--metric", "bit_metric",
                  "--snr", "22.0", "--num-symbols", "10001"]) == 1
     assert "--num-symbols" in capsys.readouterr().err
+    for flags, field in [(["--snr", "nan"], "--snr"),
+                         (["--snr", "22.0", "--seed", "-1"], "--seed")]:
+        assert main(["rates", "--scheme", "cross_qam32", "--metric",
+                     "bit_metric", "--num-symbols", "10000"] + flags) == 1
+        assert field in capsys.readouterr().err
     # argparse failures map to the same code
     assert main(["run"]) == 1
     assert main(["bogus-command"]) == 1

@@ -111,6 +111,11 @@ def test_syntax_error_reports_line():
      "seeds: [18446744073709551616]", "seeds: 18446744073709551616 outside"),
     ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\nseeds: []",
      "seeds: need at least one"),
+    # every sweep point needs a positive finite noise variance
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20, .nan]",
+     "snr_db: peak SNR nan dB"),
+    ("scheme: dm_pam6\nmetric: fer\nsnr_db: [.inf]\ncodec: {family: ldpc}",
+     "snr_db: peak SNR inf dB"),
     # 2D formats send whole points: an odd count would not be simulated
     ("scheme: cross_qam32\nmetric: symbol_metric\nsnr_db: [20]\n"
      "num_symbols: 10001", "num_symbols: cross_qam32 sends 2 symbols"),

@@ -171,3 +171,12 @@ def test_snr_at_fer_brackets_target():
         ChannelSpec(noise_var=sigma_for_peak_snr(snr + 0.5), seed=0),
         frame_symbols=500, max_frames=60, min_errors=61)
     assert below > 0.1 > above
+
+
+def test_snr_at_fer_early_stop_keeps_the_crossing():
+    # probes stop once errors / frames > fer_target is settled; the values
+    # are those of probes that ran all their frames
+    assert snr_at_fer("framed_cross_qam32", 2.0, fer_target=0.1,
+                      frame_symbols=500, frames=60, seed=0) == 25.244140625
+    assert snr_at_fer("dm_pam6", 2.0, fer_target=0.1,
+                      frame_symbols=500, frames=60, seed=1) == 25.595703125
