@@ -8,9 +8,9 @@ tables     dump the constellation label tables
 rates      single-point MI/GMI estimate
 
 Exit codes: 0 ok, 1 config error, 2 runtime failure, 3 selfcheck failure.
-Bundled configs (awgn_gaps, loopback, coded_ordering) can be named in place
-of a path. All randomness flows from config seeds; two runs with the same
-seeds write byte-identical CSV regardless of --threads.
+Bundled configs (awgn_gaps, loopback, coded_ordering, waterfall) can be
+named in place of a path. All randomness flows from config seeds; two runs
+with the same seeds write byte-identical CSV regardless of --threads.
 """
 from __future__ import annotations
 
@@ -21,14 +21,14 @@ import sys
 import time
 
 from . import __version__
-from .channel import check_seed, sigma_for_peak_snr
+from .channel import check_seed, check_taps, sigma_for_peak_snr
 from .constellation import CONSTELLATION_NAMES, build_constellation
 from .experiment import (CSV_HEADER, ConfigError, _check, _row, parse_config,
                          run_experiment)
 from .rates import (METRICS, SCHEMES, check_num_symbols, estimate_gmi,
                     estimate_mi)
 
-BUNDLED_CONFIGS = ("awgn_gaps", "loopback", "coded_ordering")
+BUNDLED_CONFIGS = ("awgn_gaps", "loopback", "coded_ordering", "waterfall")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -117,9 +117,11 @@ def _cmd_rates(args) -> int:
     _check(check_num_symbols, "--num-symbols", args.scheme, args.num_symbols)
     _check(sigma_for_peak_snr, "--snr", args.snr)
     _check(check_seed, "--seed", args.seed)
+    if args.taps is not None:
+        _check(check_taps, "--taps", args.taps)
     est_fn = estimate_mi if args.metric == "symbol_metric" else estimate_gmi
     est = est_fn(args.scheme, args.snr, num_symbols=args.num_symbols,
-                 seed=args.seed, taps=tuple(args.taps) if args.taps else None)
+                 seed=args.seed, taps=args.taps)
     print(CSV_HEADER)
     print(_row(est.scheme, est.metric, est.snr_db, est.rate, est.half_width,
                est.num_symbols, est.seed))

@@ -158,26 +158,17 @@ def normalize(levels) -> np.ndarray:
     return np.asarray(levels, dtype=np.float64) / PEAK_LEVEL
 
 
-def power_stats(c: Constellation, priors=None) -> tuple[float, float]:
+def power_stats(c: Constellation) -> tuple[float, float]:
     """Peak and average power per 1D channel use, levels centered about 2.5.
 
-    Returns ``(peak_power, avg_power)`` in normalized-amplitude^2 units:
-    amplitude per axis is (level - 2.5)/5, so the outermost levels 0 and 5
-    carry power 0.25.  ``priors`` are per-point probabilities (uniform when
-    omitted); peak power is the maximum over points carrying prior mass.
+    Returns ``(peak_power, avg_power)`` in normalized-amplitude^2 units for
+    equiprobable points: amplitude per axis is (level - 2.5)/5, so the
+    outermost levels 0 and 5 carry power 0.25.
     """
-    if priors is None:
-        priors = np.full(c.num_points, 1.0 / c.num_points)
-    priors = np.asarray(priors, dtype=np.float64)
-    if priors.shape != (c.num_points,):
-        raise ValueError("priors must have one entry per constellation point")
-    if abs(priors.sum() - 1.0) > 1e-9:
-        raise ValueError(f"priors sum to {priors.sum()!r}, expected 1")
     amps = (c.points - 2.5) / PEAK_LEVEL
     axis_power = amps**2
-    used = priors > 0
-    peak = float(axis_power[used].max())
-    avg = float((priors[:, None] * axis_power).sum() / c.dimension)
+    peak = float(axis_power.max())
+    avg = float(((1.0 / c.num_points) * axis_power).sum() / c.dimension)
     return peak, avg
 
 
@@ -215,8 +206,8 @@ def _sum_over_axes(axis_terms, c):
     return out
 
 
-def _log_point_metrics(received, c, noise_var, point_priors):
-    """log [P(point) * p(y|point)] per received group, shape (num_groups, num_points)."""
+def _log_point_metrics(received, c, noise_var):
+    """log p(y|point) + const per received group, shape (num_groups, num_points)."""
     if noise_var <= 0:
         raise ValueError(f"noise variance must be positive, got {noise_var}")
     y = np.asarray(received, dtype=np.float64).ravel()
@@ -228,12 +219,6 @@ def _log_point_metrics(received, c, noise_var, point_priors):
     d2 *= d2
     logm = _sum_over_axes(d2, c)
     logm /= -2.0 * noise_var
-    if point_priors is not None:
-        point_priors = np.asarray(point_priors, dtype=np.float64)
-        if point_priors.shape != (c.num_points,):
-            raise ValueError("point priors must have one entry per constellation point")
-        with np.errstate(divide="ignore"):
-            logm += np.log(point_priors)
     return logm
 
 
@@ -256,14 +241,14 @@ def _marginalize_bits(logm, c):
     return out
 
 
-def bit_llrs(received, c: Constellation, noise_var: float, point_priors=None) -> np.ndarray:
+def bit_llrs(received, c: Constellation, noise_var: float) -> np.ndarray:
     """Bitwise log-likelihood ratios log P(bit=0|y) / P(bit=1|y), natural log.
 
     Computed per received group over all constellation points with
     max-subtraction stabilization; output shape is
     (num_groups, bits_per_point) flattened to 1D in label-bit order.
     """
-    return _marginalize_bits(_log_point_metrics(received, c, noise_var, point_priors), c).ravel()
+    return _marginalize_bits(_log_point_metrics(received, c, noise_var), c).ravel()
 
 
 def bit_llrs_from_levels(level_logposts, c: Constellation) -> np.ndarray:
@@ -276,12 +261,12 @@ def bit_llrs_from_levels(level_logposts, c: Constellation) -> np.ndarray:
     return _marginalize_bits(_sum_over_axes(np.asarray(level_logposts, dtype=np.float64), c), c)
 
 
-def symbol_posteriors(received, c: Constellation, noise_var: float, point_priors=None) -> np.ndarray:
-    """Posterior distribution over constellation points per received group.
+def symbol_posteriors(received, c: Constellation, noise_var: float) -> np.ndarray:
+    """Posterior over equiprobable constellation points per received group.
 
     Shape (num_groups, num_points); each row sums to 1.
     """
-    logm = _log_point_metrics(received, c, noise_var, point_priors)
+    logm = _log_point_metrics(received, c, noise_var)
     logm -= logm.max(axis=1, keepdims=True)
     post = np.exp(logm, out=logm)
     post /= post.sum(axis=1, keepdims=True)

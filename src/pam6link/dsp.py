@@ -77,17 +77,12 @@ def _logsumexp(x: np.ndarray, axis: int, out: np.ndarray, mx: np.ndarray) -> Non
     np.add(mx, out, out=out)
 
 
-def bcjr_app(
-    y: np.ndarray,
-    trellis: Trellis,
-    noise_var: float,
-    log_priors: np.ndarray = None,
-):
+def bcjr_app(y: np.ndarray, trellis: Trellis, noise_var: float):
     """Exact symbol-wise log-APPs over an ISI trellis (log-domain BCJR).
 
-    y are the observations, noise_var the white-noise variance, log_priors
-    an optional (T, Q) or (Q,) array of symbol log priors. Returns a (T, Q)
-    array of log posteriors normalized per symbol.
+    y are the observations, noise_var the white-noise variance; symbols
+    are equiprobable. Returns a (T, Q) array of log posteriors normalized
+    per symbol.
 
     Branch b = p*Q + s (state p, symbol s) leads to state
     Q*(p mod L) + s with L = S/Q (1 without memory). So a step's (S, Q)
@@ -100,18 +95,11 @@ def bcjr_app(
     q = trellis.levels.size
     t_len = y.size
     ns = trellis.n_states
-    lp = (np.zeros(q) if log_priors is None
-          else np.asarray(log_priors, dtype=np.float64))
-    if lp.ndim == 1:
-        lp = np.broadcast_to(lp, (t_len, q))
-    if lp.shape != (t_len, q):
-        raise ValueError(f"log_priors shape {lp.shape} != ({t_len}, {q})")
-    # branch metrics: gaussian log-likelihood plus symbol prior, (T, S, Q)
+    # branch metrics: gaussian log-likelihood, (T, S, Q)
     metrics = np.subtract.outer(y, trellis.branch_mean)
     np.square(metrics, out=metrics)
     metrics *= -0.5 / noise_var
     metrics = metrics.reshape(t_len, ns, q)
-    metrics += lp[:, None, :]
     lead = max(ns // q, 1)
     by_next, beta_view = (ns // lead, lead, q), (lead, ns // lead)
     step = np.empty((ns, q))  # one step's branches, reused in place

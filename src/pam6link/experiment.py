@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .channel import ChannelSpec, check_seed, sigma_for_peak_snr
+from .channel import check_seed, check_taps, sigma_for_peak_snr
 from .link import check_frame_symbols, coded_fer, frame_data_bits, rate_at_fer
 from .rates import (SCHEMES, METRICS, check_num_symbols, estimate_gmi,
                     estimate_mi)
@@ -85,11 +85,13 @@ class ExperimentConfig:
             # the rate estimators run the ISI trellis whenever taps are set
             raise ConfigError(
                 f"channel.taps: only allowed when kind is fir_isi, not {self.channel_kind!r}")
+        if self.taps is not None:
+            _check(check_taps, "channel.taps", self.taps)
         needs_codec = set(self.metrics) & {"fer", "rate_at_fer"}
         if needs_codec and self.codec is None:
             raise ConfigError(f"codec: required for metric(s) {sorted(needs_codec)}")
         if needs_codec and self.channel_kind == "fir_isi":
-            # the coded receiver demaps memorylessly and never sees the taps
+            # the coded link is memoryless AWGN
             raise ConfigError(
                 f"channel.kind: fir_isi not supported with metric(s) {sorted(needs_codec)}")
         if needs_codec and self.codec.family == "bch" and "dm_pam6" in self.schemes:
@@ -103,6 +105,8 @@ class ExperimentConfig:
             raise ConfigError("seeds: need at least one")
         for seed in self.seeds:
             _check(check_seed, "seeds", seed)
+        if not 0 <= self.fer_target <= 1:
+            raise ConfigError(f"fer_target: need a number in [0, 1], got {self.fer_target}")
         for key in ("frame_symbols", "max_frames", "min_errors"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key}: need at least 1, got {getattr(self, key)}")
@@ -129,10 +133,11 @@ class ExperimentConfig:
 
 
 def _check(fn, key, *args):
-    """Call a library check, turning its ValueError into one naming key."""
+    """Call a library check, turning its ValueError (or the OverflowError
+    of a value beyond float or int range) into one naming key."""
     try:
         fn(*args)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise ConfigError(f"{key}: {e}") from None
 
 
@@ -199,23 +204,18 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("snr_db: required")
     snr_db = _floats(raw["snr_db"], "snr_db")
 
-    seeds = raw.get("seeds", [0])
-    try:
-        seeds = tuple(int(s) for s in _as_list(seeds, "seeds"))
-    except (TypeError, ValueError):
-        raise ConfigError(f"seeds: expected integers, got {raw.get('seeds')!r}") from None
+    seeds = tuple(_as_list(raw.get("seeds", [0]), "seeds"))
+    if not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
+        raise ConfigError(f"seeds: expected integers, got {raw.get('seeds')!r}")
 
-    kind, taps = "awgn", None
     ch = raw.get("channel", {})
-    if ch:
-        if not isinstance(ch, dict):
-            raise ConfigError("channel: expected a mapping")
-        unknown = set(ch) - _CHANNEL_KEYS
-        if unknown:
-            raise ConfigError(f"channel: unknown field(s) {sorted(unknown)}")
-        kind = str(ch.get("kind", "awgn"))
-        if "taps" in ch:
-            taps = _floats(ch["taps"], "channel.taps")
+    if not isinstance(ch, dict):
+        raise ConfigError("channel: expected a mapping")
+    unknown = set(ch) - _CHANNEL_KEYS
+    if unknown:
+        raise ConfigError(f"channel: unknown field(s) {sorted(unknown)}")
+    kind = str(ch.get("kind", "awgn"))
+    taps = _floats(ch["taps"], "channel.taps") if "taps" in ch else None
 
     codec = None
     cd = raw.get("codec")
@@ -243,6 +243,8 @@ def parse_config(text: str) -> ExperimentConfig:
         return v
 
     out = raw.get("output")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"output: expected a path, got {out!r}")
     return ExperimentConfig(
         schemes=schemes, metrics=metrics, snr_db=snr_db, seeds=seeds,
         channel_kind=kind, taps=taps,
@@ -252,7 +254,7 @@ def parse_config(text: str) -> ExperimentConfig:
         fer_target=_float(raw.get("fer_target", 1e-2), "fer_target"),
         max_frames=_int("max_frames", 1000),
         min_errors=_int("min_errors", 100),
-        output=str(out) if out is not None else None,
+        output=out,
     )
 
 
@@ -286,17 +288,15 @@ def _eval_item(cfg: ExperimentConfig, scheme: str, metric: str, snr: float,
         return [_row(scheme, metric, snr, est.rate, est.half_width,
                      est.num_symbols, seed)]
 
-    # coded metrics run on AWGN only: parse_config rejects fir_isi for them
-    chan = ChannelSpec(noise_var=sigma_for_peak_snr(snr), seed=seed)
     if metric == "fer":
         fer, hw, frames, _ = coded_fer(
-            scheme, cfg.codec.rate_bpcu, chan, codec=cfg.codec.family,
+            scheme, cfg.codec.rate_bpcu, snr, codec=cfg.codec.family,
             frame_symbols=cfg.frame_symbols, max_frames=cfg.max_frames,
             min_errors=cfg.min_errors, seed=seed)
         return [_row(scheme, "fer", snr, fer, hw, frames, seed)]
 
     achieved, points = rate_at_fer(
-        scheme, chan, fer_target=cfg.fer_target, codec=cfg.codec.family,
+        scheme, snr, fer_target=cfg.fer_target, codec=cfg.codec.family,
         rate_grid=cfg.codec.rate_grid, frame_symbols=cfg.frame_symbols,
         max_frames=cfg.max_frames, min_errors=cfg.min_errors, seed=seed)
     rows = [_row(scheme, "rate_at_fer", snr, achieved, 0.0,

@@ -68,6 +68,15 @@ class BchCode:
         return self.systematic_length / self.length
 
 
+def field_degree(length: int) -> int:
+    """Smallest m >= 2 whose mother length 2^m - 1 reaches length; the
+    t = 1 code, with the most data bits, carries length - m of them."""
+    m = max(2, length.bit_length())
+    if (1 << m) - 1 < length:
+        m += 1
+    return m
+
+
 def bch_build(length: int, t: int, m: int = None) -> BchCode:
     """Construct a t-error-correcting BCH code of the given length.
 
@@ -75,13 +84,13 @@ def bch_build(length: int, t: int, m: int = None) -> BchCode:
     with n_mother >= length is used.
     """
     if m is None:
-        m = max(2, length.bit_length())
-        if (1 << m) - 1 < length:
-            m += 1
+        m = field_degree(length)
     fld = GF2m(m)
     n = fld.order
     if length > n:
         raise ValueError(f"length {length} exceeds mother length {n}")
+    if not 1 <= t or 2 * t >= n:
+        raise ValueError(f"t={t} outside [1, {(n - 1) // 2}] for mother length {n}")
     seen = set()
     gen = np.array([1], dtype=np.uint8)
     for j in range(1, 2 * t + 1):

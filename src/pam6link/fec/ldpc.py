@@ -134,6 +134,26 @@ class LdpcCode:
         return self.k / self.n
 
 
+def rate_match(bg: BaseGraph, codelength: int, k: int) -> tuple[int, int]:
+    """Lift size z and base rows m_use for k data bits in a codelength word.
+
+    Raises ValueError when the base graph cannot carry the code: a lift
+    below 2, less parity than one lifted row (the removed chain tail would
+    take the only check of some data bits), or more than its mb rows hold.
+    """
+    z = -(-k // bg.kb)
+    if z < 2:
+        raise ValueError(f"{k} data bits give lift size {z}; the graph needs at least 2")
+    if codelength - k < z:
+        raise ValueError(
+            f"rate {k}/{codelength} leaves {codelength - k} parity bits, "
+            f"fewer than one lifted row of {z}")
+    m_use = -(-(codelength - k) // z)
+    if m_use > bg.mb:
+        raise ValueError(f"rate {k}/{codelength} needs {m_use} base rows, graph has {bg.mb}")
+    return z, m_use
+
+
 def ldpc_build(codelength: int, rate: float, basegraph: BaseGraph = None) -> LdpcCode:
     """Rate-match the base graph to (codelength, rate) and lift it."""
     bg = basegraph if basegraph is not None else load_basegraph()
@@ -143,16 +163,9 @@ def ldpc_build(codelength: int, rate: float, basegraph: BaseGraph = None) -> Ldp
         raise ValueError(f"rate {rate} * length {codelength} is not an integer")
     if not 0 < k < codelength:
         raise ValueError(f"need 0 < k < n, got k={k}, n={codelength}")
-    z = -(-k // bg.kb)
-    if z < 2:
-        raise ValueError(f"lift size {z} too small")
+    z, m_use = rate_match(bg, codelength, k)
     shorten = bg.kb * z - k
     parity_tx = codelength - k
-    m_use = -(-parity_tx // z)
-    if m_use > bg.mb:
-        raise ValueError(
-            f"rate {rate} needs {m_use} base rows, graph has {bg.mb}"
-        )
     punct_parity = m_use * z - parity_tx
 
     # lifted edge list over active variables (shortened columns dropped);
@@ -240,12 +253,7 @@ def ldpc_syndrome(codeword: np.ndarray, code: LdpcCode) -> np.ndarray:
     return np.bitwise_xor.reduceat(cw[code.var_idx], code.check_ptr[:-1])
 
 
-def ldpc_decode(
-    llrs: np.ndarray,
-    code: LdpcCode,
-    max_iter: int = DEFAULT_MAX_ITER,
-    norm: float = NORM_FACTOR,
-):
+def ldpc_decode(llrs: np.ndarray, code: LdpcCode, max_iter: int = DEFAULT_MAX_ITER):
     """Normalized min-sum decode of per-codeword-bit channel LLRs.
 
     LLRs follow log(P(bit=0)/P(bit=1)). Returns (data_bits, converged,
@@ -277,9 +285,9 @@ def ldpc_decode(
         # a tied minimum is every edge's minimum over the other edges
         tied = np.add.reduce(is_min.view(np.uint8), axis=0, dtype=np.uint16) > 1
         np.copyto(m2, m1, where=tied)
-        mag = np.where(is_min, norm * m2, norm * m1)
+        mag = np.where(is_min, NORM_FACTOR * m2, NORM_FACTOR * m1)
         flip = np.bitwise_xor.reduce(negative, axis=0) ^ negative
-        # -(norm*m) == norm*(-m): the sign goes on by the float sign bit
+        # -(f*m) == f*(-m): the sign goes on by the float sign bit
         np.bitwise_xor(mag.view(np.uint64),
                        np.left_shift(flip, 63, dtype=np.uint64),
                        out=c2v_edges.view(np.uint64))

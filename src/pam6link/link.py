@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import shaping
-from .channel import ChannelSpec, peak_snr_db, philox, sigma_for_peak_snr, transmit
+from .channel import philox, sigma_for_peak_snr, transmit
 from .constellation import (
     Constellation,
     bit_llrs,
@@ -45,11 +45,14 @@ from .fec import (
     ldpc_decode,
     ldpc_encode,
 )
+from .fec.bch import field_degree
+from .fec.ldpc import load_basegraph, rate_match
 from .fec.scramble import adapt_llrs, scramble
 from .rates import SCHEMES, bisect
 
 SCRAMBLE_SEED = 0xC0DEC
 CODECS = ("ldpc", "bch", "none")
+SNR_BRACKET_DB = (15.0, 35.0)  # peak SNRs snr_at_fer searches between
 
 
 @dataclass(frozen=True)
@@ -86,10 +89,11 @@ def frame_data_bits(
 
     2D formats: k = rate_bpcu * frame_symbols must be an integer in (0, n)
     for the n = 5 * frame_symbols / 2 coded bits (codec none carries all
-    n, and BCH later rounds k down to a code dimension). dm_pam6: the
-    matcher's k_dm bits plus g = (rate_bpcu - k_dm / n) * n data sign
-    bits, g an integer in [0, n] (n with codec none). Raises ValueError
-    for anything a frame cannot realize.
+    n; BCH needs k <= n - m for field degree m, later rounded down to a
+    code dimension). dm_pam6: the matcher's k_dm bits plus g = (rate_bpcu
+    - k_dm / n) * n data sign bits, g an integer in [0, n] (n with codec
+    none). LDPC codes must pass fec.ldpc.rate_match. Raises ValueError for
+    anything a frame cannot realize.
     """
     if codec not in CODECS:
         raise ValueError(f"unknown codec {codec!r}; expected one of {CODECS}")
@@ -114,6 +118,8 @@ def frame_data_bits(
             raise ValueError(
                 f"rate {rate_bpcu} bpcu needs gamma in [0, 1], got {g / n}"
             )
+        if g < n:
+            rate_match(load_basegraph(), 3 * n, 2 * n + g)
         return k_dm + g
     n_coded = frame_symbols // 2 * 5
     if codec == "none":
@@ -127,6 +133,10 @@ def frame_data_bits(
         )
     if not 0 < k < n_coded:
         raise ValueError(f"rate {rate_bpcu} bpcu outside (0, 2.5)")
+    if codec == "ldpc":
+        rate_match(load_basegraph(), n_coded, k)
+    elif k > n_coded - field_degree(n_coded):
+        raise ValueError(f"no BCH code of length {n_coded} reaches k={k}")
     return k
 
 
@@ -156,13 +166,15 @@ def build_coded(
     elif codec == "bch":
         # BCH dimensions move in steps of the parity-per-error cost;
         # take the strongest t whose dimension still reaches k
+        # (frame_data_bits has checked that t = 1 does)
         for t in range(1, 200):
-            cand = bch_build(n_coded, t)
+            try:
+                cand = bch_build(n_coded, t)
+            except ValueError:  # t beyond the field, or no data bits left
+                break
             if cand.systematic_length < k:
                 break
             bch = cand
-        if bch is None:
-            raise ValueError(f"no BCH code of length {n_coded} reaches k={k}")
         k = bch.systematic_length
     return CodedScheme(
         scheme=scheme, rate_bpcu=k / frame_symbols, frame_symbols=frame_symbols,
@@ -210,33 +222,34 @@ def decode_frame(cs: CodedScheme, received: np.ndarray, noise_var: float):
 def coded_fer(
     scheme: str,
     rate_bpcu: float,
-    channel: ChannelSpec,
+    snr_db: float,
     codec: str = "ldpc",
     frame_symbols: int = 1000,
     max_frames: int = 1000,
     min_errors: int = 100,
     seed: int = 0,
 ):
-    """Monte Carlo frame error rate of a coded scheme on a channel.
+    """Monte Carlo frame error rate of a coded scheme on AWGN at a peak SNR.
 
-    Frames use independent Philox substreams keyed by the frame index, so
-    a run is reproducible regardless of scheduling. Stops at min_errors
-    frame errors or max_frames frames. Returns (fer, half_width, frames,
-    errors); a frame errs when any decoded data bit is wrong or the
-    decoder flags failure.
+    Frame i draws its noise from Philox stream 2i and its data from stream
+    2i + 1, both keyed by seed, so a run is reproducible regardless of
+    scheduling. Stops at min_errors frame errors or max_frames frames.
+    Returns (fer, half_width, frames, errors); a frame errs when any
+    decoded data bit is wrong or the decoder flags failure.
     """
     if max_frames < 1 or min_errors < 1:
         raise ValueError(
             f"max_frames and min_errors must be at least 1, got {max_frames} "
             f"and {min_errors}")
+    noise_var = sigma_for_peak_snr(snr_db)
     cs = build_coded(scheme, rate_bpcu, frame_symbols, codec)
     errors = 0
     frames = 0
     for i in range(max_frames):
         data = philox(seed, 2 * i + 1).integers(0, 2, cs.data_bits, dtype=np.uint8)
         levels = encode_frame(cs, data)
-        y = transmit(normalize(levels), channel, stream=2 * i)
-        got, ok = decode_frame(cs, y, channel.noise_var)
+        y = transmit(normalize(levels), noise_var, seed, stream=2 * i)
+        got, ok = decode_frame(cs, y, noise_var)
         frames += 1
         if not ok or got is None or not np.array_equal(
             np.asarray(got, dtype=np.uint8), data
@@ -259,29 +272,27 @@ def snr_at_fer(
     frame_symbols: int = 1000,
     frames: int = 1000,
     seed: int = 0,
-    lo_db: float = 15.0,
-    hi_db: float = 35.0,
 ):
     """Peak SNR (dB) where the coded FER crosses fer_target.
 
-    Bisection with common random numbers; FER is monotone non-increasing
-    in SNR for a fixed seed, so the crossing is well defined up to the
-    Monte Carlo resolution of `frames`. A probe asks only whether
-    errors / frames > fer_target, so it stops at the smallest error count
-    for which that holds: the verdicts, and so the result, are those of
-    probes that run all `frames`.
+    Bisection over SNR_BRACKET_DB with common random numbers; FER is
+    monotone non-increasing in SNR for a fixed seed, so the crossing is
+    well defined up to the Monte Carlo resolution of `frames`. A probe
+    asks only whether errors / frames > fer_target, so it stops at the
+    smallest error count for which that holds: the verdicts, and so the
+    result, are those of probes that run all `frames`.
     """
     stop = next((e for e in range(1, frames + 1) if e / frames > fer_target),
                 frames + 1)
 
     def fer_at(snr_db):
-        chan = ChannelSpec(kind="awgn", noise_var=sigma_for_peak_snr(snr_db), seed=seed)
         _, _, _, errors = coded_fer(
-            scheme, rate_bpcu, chan, codec=codec, frame_symbols=frame_symbols,
+            scheme, rate_bpcu, snr_db, codec=codec, frame_symbols=frame_symbols,
             max_frames=frames, min_errors=stop, seed=seed,
         )
         return errors / frames
 
+    lo_db, hi_db = SNR_BRACKET_DB
     f_lo, f_hi = fer_at(lo_db), fer_at(hi_db)
     if f_lo < fer_target:
         raise ValueError(f"FER already below target at {lo_db} dB")
@@ -303,7 +314,7 @@ class FerPoint:
 
 def rate_at_fer(
     scheme: str,
-    channel: ChannelSpec,
+    snr_db: float,
     fer_target: float = 1e-2,
     codec: str = "ldpc",
     rate_grid=(1.80, 1.90, 2.00, 2.10),
@@ -312,7 +323,7 @@ def rate_at_fer(
     min_errors: int = 100,
     seed: int = 0,
 ):
-    """Largest grid rate whose coded FER meets fer_target on the channel.
+    """Largest grid rate whose coded FER meets fer_target at a peak SNR.
 
     Scans the grid from the top; each point runs until min_errors frame
     errors or max_frames frames (whichever first), so clearly failing
@@ -322,10 +333,10 @@ def rate_at_fer(
     points = []
     for rate in sorted(rate_grid, reverse=True):
         fer, hw, frames, errors = coded_fer(
-            scheme, rate, channel, codec=codec, frame_symbols=frame_symbols,
+            scheme, rate, snr_db, codec=codec, frame_symbols=frame_symbols,
             max_frames=max_frames, min_errors=min_errors, seed=seed,
         )
-        points.append(FerPoint(rate=rate, snr_db=peak_snr_db(channel), fer=fer,
+        points.append(FerPoint(rate=rate, snr_db=snr_db, fer=fer,
                                half_width=hw, frames=frames, errors=errors))
         if fer <= fer_target:
             return rate, points

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import shaping
-from .channel import ChannelSpec, philox, sigma_for_peak_snr, transmit
+from .channel import philox, sigma_for_peak_snr, transmit
 from .constellation import (LEVELS, bit_llrs, bit_llrs_from_levels,
                             build_constellation, normalize, symbol_posteriors)
 from .dsp import bcjr_app, make_trellis
@@ -28,6 +28,7 @@ METRICS = ("symbol_metric", "bit_metric")
 MAX_RATE_1D = math.log2(6.0)
 SNR_CAP_DB = 60.0
 _SYMBOL_STREAM = 1000  # rng substream for data; noise uses stream 0
+_RATE_TOL_BPCU = 0.005  # snr_at_rate stops once a probe is this close
 _HW_FLOOR = 1e-12  # keeps reported confidence strictly positive when the
                    # per-sample information is constant (noise-free regime)
 
@@ -78,13 +79,9 @@ def _simulate(scheme: str, snr_db: float, num_symbols: int, seed: int, taps=None
     check_num_symbols(scheme, num_symbols)
     c = _constellation_for(scheme)
     nv = sigma_for_peak_snr(snr_db)
-    if taps is None:
-        spec = ChannelSpec(kind="awgn", noise_var=nv, seed=seed)
-    else:
-        spec = ChannelSpec(kind="fir_isi", noise_var=nv, taps=tuple(taps), seed=seed)
     groups = num_symbols // c.dimension
     idx = philox(seed, _SYMBOL_STREAM).integers(0, c.num_points, size=groups)
-    y = transmit(normalize(c.points[idx].ravel()), spec)
+    y = transmit(normalize(c.points[idx].ravel()), nv, seed, taps=taps)
     return c, idx, y, nv
 
 
@@ -170,7 +167,6 @@ def snr_at_rate(
     target_rate: float = 2.0,
     num_symbols: int = 10**6,
     seed: int = 0,
-    tol_bpcu: float = 0.005,
     matcher_n: int = shaping.DEFAULT_MATCHER_N,
     taps=None,
 ) -> float:
@@ -210,7 +206,7 @@ def snr_at_rate(
 
     def below(snr):
         r = rate_at(snr)
-        return None if abs(r - want) < tol_bpcu else r < want
+        return None if abs(r - want) < _RATE_TOL_BPCU else r < want
 
     snr, _, _ = bisect(below, lo, hi, 1e-4)
     return snr

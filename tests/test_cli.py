@@ -84,6 +84,21 @@ def test_config_errors_exit_1(tmp_path, capsys):
         (TINY.replace("[20.0]", "[.nan]"), "snr_db"),
         ("scheme: dm_pam6\nmetric: fer\nsnr_db: [.inf]\ncodec: {family: ldpc}\n",
          "snr_db"),
+        # rates the code cannot realize: LDPC lift below 2, more parity
+        # than the base graph's rows, k above the largest BCH dimension
+        ("scheme: framed_cross_qam32\nmetric: rate_at_fer\nsnr_db: [40]\n"
+         "codec: {family: ldpc, rate_grid: [2.0]}\nframe_symbols: 2\n",
+         "codec.rate_grid"),
+        ("scheme: cross_qam32\n" + coded + "codec: {family: ldpc, rate: 1.0}\n",
+         "codec.rate"),
+        ("scheme: cross_qam32\n" + coded + "codec: {family: bch, rate: 2.496}\n",
+         "codec.rate"),
+        ("scheme: cross_qam32\n" + coded + "codec: {family: ldpc, rate: .inf}\n",
+         "codec.rate"),
+        ("scheme: dm_pam6\nmetric: rate_at_fer\nsnr_db: [20]\n"
+         "codec: {family: ldpc}\nfer_target: .nan\n", "fer_target"),
+        (TINY + "channel: {kind: fir_isi, taps: [0.0, 1.0]}\n", "channel.taps"),
+        (TINY + "channel: {kind: fir_isi, taps: [1.0, .nan]}\n", "channel.taps"),
     ]:
         bad.write_text(text)
         assert main(["run", "--config", str(bad)]) == 1
@@ -95,7 +110,9 @@ def test_config_errors_exit_1(tmp_path, capsys):
                  "--snr", "22.0", "--num-symbols", "10001"]) == 1
     assert "--num-symbols" in capsys.readouterr().err
     for flags, field in [(["--snr", "nan"], "--snr"),
-                         (["--snr", "22.0", "--seed", "-1"], "--seed")]:
+                         (["--snr", "22.0", "--seed", "-1"], "--seed"),
+                         (["--snr", "22.0", "--taps", "0", "1"], "--taps"),
+                         (["--snr", "22.0", "--taps", "1", "inf"], "--taps")]:
         assert main(["rates", "--scheme", "cross_qam32", "--metric",
                      "bit_metric", "--num-symbols", "10000"] + flags) == 1
         assert field in capsys.readouterr().err
@@ -109,18 +126,6 @@ def test_runtime_errors_exit_2(tmp_path, capsys):
     cfg.write_text(TINY)
     assert main(["run", "--config", str(cfg),
                  "--output", str(tmp_path / "no" / "dir" / "x.csv")]) == 2
-    # a frame too short for the LDPC base graph's lift surfaces at run time
-    cfg2 = tmp_path / "unliftable.yaml"
-    cfg2.write_text("""
-scheme: framed_cross_qam32
-metric: rate_at_fer
-snr_db: [40.0]
-codec: {family: ldpc, rate_grid: [2.0]}
-frame_symbols: 2
-max_frames: 5
-min_errors: 6
-""")
-    assert main(["run", "--config", str(cfg2)]) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -23,7 +23,7 @@ def test_trellis_structure():
     assert tr.branch_sym[b] == 5
 
 
-def _brute_force_app(y, taps, noise_var, log_priors=None):
+def _brute_force_app(y, taps, noise_var):
     """Exhaustive MAP posteriors for a short burst starting from level 0."""
     t_len = y.size
     q = LEVELS.size
@@ -36,9 +36,6 @@ def _brute_force_app(y, taps, noise_var, log_priors=None):
             mean = sum(taps[i] * LEVELS[padded[memory + t - i]]
                        for i in range(memory + 1))
             ll += -0.5 * (y[t] - mean) ** 2 / noise_var
-            if log_priors is not None:
-                ll += log_priors[t, seq[t]] if log_priors.ndim == 2 else \
-                    log_priors[seq[t]]
         for t in range(t_len):
             logp[t, seq[t]] = np.logaddexp(logp[t, seq[t]], ll)
     return logp - np.logaddexp.reduce(logp, axis=1, keepdims=True)
@@ -56,82 +53,30 @@ def test_bcjr_matches_exhaustive_map():
     assert float(np.max(np.abs(got - ref))) < 1e-9
 
 
-def _assert_same_app(got, ref, tol):
-    """Same -inf entries, finite entries within tol."""
-    assert np.array_equal(np.isneginf(got), np.isneginf(ref))
-    finite = np.isfinite(ref)
-    assert np.all(np.isfinite(got[finite]))
-    assert float(np.max(np.abs(got[finite] - ref[finite]))) < tol
-
-
-def test_bcjr_with_nonuniform_priors():
-    rng = np.random.default_rng(7)
-    taps = np.array([1.0, 0.3])
-    tr = make_trellis(taps, LEVELS)
-    y = 0.6 + 0.2 * rng.standard_normal(5)
-    lp = np.log(rng.dirichlet(np.ones(6), size=5))
-    got = bcjr_app(y, tr, noise_var=0.04, log_priors=lp)
-    ref = _brute_force_app(y, taps, 0.04, log_priors=lp)
-    assert float(np.max(np.abs(got - ref))) < 1e-9
-    with pytest.raises(ValueError, match="log_priors shape"):
-        bcjr_app(y, tr, 0.04, log_priors=np.zeros((3, 6)))
-
-
-@pytest.mark.parametrize("taps", [(1.0, 0.3), (1.0, 0.35, -0.12)])
-def test_bcjr_matches_exhaustive_map_with_forbidden_symbols(taps):
-    # -inf priors rule symbols out; groups of only -inf branches must come
-    # out -inf, not NaN, in both recursions and in the posteriors
-    rng = np.random.default_rng(9)
-    taps = np.array(taps)
-    tr = make_trellis(taps, LEVELS)
-    sym = rng.integers(0, 6, size=5)
-    y = np.convolve(LEVELS[sym], taps)[:5] + 0.1 * rng.standard_normal(5)
-    lp = np.log(rng.dirichlet(np.ones(6), size=5))
-    lp[rng.random((5, 6)) < 0.4] = -np.inf
-    lp[np.arange(5), sym] = 0.0
-    lp[2, :5] = -np.inf  # one step with a single allowed symbol
-    lp[2, 5] = 0.0
-    got = bcjr_app(y, tr, noise_var=0.01, log_priors=lp)
-    _assert_same_app(got, _brute_force_app(y, taps, 0.01, log_priors=lp), 1e-9)
-    assert np.array_equal(got[2], np.r_[np.full(5, -np.inf), 0.0])
-    with np.errstate(divide="ignore"):
-        one_d = np.log(np.r_[0.5, 0.0, 0.25, 0.25, 0.0, 0.0])
-    got = bcjr_app(y, tr, noise_var=0.01, log_priors=one_d)
-    _assert_same_app(got, _brute_force_app(y, taps, 0.01, log_priors=one_d),
-                     1e-9)
-
-
 @pytest.mark.parametrize("length", [1, POSTERIOR_BLOCK - 1, POSTERIOR_BLOCK,
                                     POSTERIOR_BLOCK + 1, 3 * POSTERIOR_BLOCK + 7])
-@pytest.mark.parametrize("priors", [False, True])
-def test_bcjr_memoryless_matches_pointwise_at_block_edges(length, priors):
+def test_bcjr_memoryless_matches_pointwise_at_block_edges(length):
     # the posteriors are formed in blocks of steps: lengths around the block
     # size check that every step is written, across block boundaries
     rng = np.random.default_rng(length)
     tr = make_trellis(np.array([1.0]), LEVELS)
     y = rng.uniform(-0.2, 1.2, size=length)
     ll = -0.5 * (y[:, None] - LEVELS[None, :]) ** 2 / 0.05
-    lp = None
-    if priors:
-        lp = np.log(rng.dirichlet(np.ones(6), size=length))
-        lp[rng.random((length, 6)) < 0.3] = -np.inf
-        lp[np.arange(length), rng.integers(0, 6, size=length)] = 0.0
-        ll = ll + lp
-    got = bcjr_app(y, tr, noise_var=0.05, log_priors=lp)
+    got = bcjr_app(y, tr, noise_var=0.05)
     assert got.shape == (length, 6)
-    _assert_same_app(got, ll - np.logaddexp.reduce(ll, axis=1, keepdims=True),
-                     1e-12)
+    ref = ll - np.logaddexp.reduce(ll, axis=1, keepdims=True)
+    assert float(np.max(np.abs(got - ref))) < 1e-12
 
 
-def _per_step_app(y, tr, noise_var, log_priors=None):
+def _per_step_app(y, tr, noise_var):
     """Reference BCJR: one step per loop pass, with gathers and NaN masks.
 
     The arithmetic bcjr_app must reproduce exactly: each log-sum-exp sums
-    the same terms in the same order over the same axis.
+    the same terms in the same order over the same axis. With memory 2 the
+    first forward steps reach states no branch has entered yet, so their
+    groups are all -inf.
     """
     t_len, q, ns = y.size, tr.levels.size, tr.n_states
-    lp = np.zeros((t_len, q)) if log_priors is None else \
-        np.broadcast_to(log_priors, (t_len, q))
     prev = np.arange(ns * q) // q
     sym, mean = tr.branch_sym, tr.branch_mean
     in_order = np.argsort(tr.next_state, kind="stable")
@@ -147,7 +92,7 @@ def _per_step_app(y, tr, noise_var, log_priors=None):
     alphas[0, 0] = 0.0
     metrics = np.empty((t_len, ns * q))
     for t in range(t_len):
-        metrics[t] = -0.5 / noise_var * (y[t] - mean) ** 2 + lp[t, sym]
+        metrics[t] = -0.5 / noise_var * (y[t] - mean) ** 2
         m = alphas[t, prev] + metrics[t]
         alphas[t + 1] = lse(m[in_order].reshape(ns, q), 1)
     beta = np.zeros(ns)
@@ -162,22 +107,14 @@ def _per_step_app(y, tr, noise_var, log_priors=None):
 
 
 @pytest.mark.parametrize("taps", [(1.0,), (1.0, 0.35), (1.0, 0.4, 0.2)])
-@pytest.mark.parametrize("priors", [None, "1d", "2d"])
-def test_bcjr_equals_per_step_reference(taps, priors):
+def test_bcjr_equals_per_step_reference(taps):
     rng = np.random.default_rng(len(taps))
     tr = make_trellis(np.array(taps), LEVELS)
     for length in (1, 2, POSTERIOR_BLOCK, 2 * POSTERIOR_BLOCK + 3):
         sym = rng.integers(0, 6, size=length)
         y = np.convolve(LEVELS[sym], taps)[:length] + 0.07 * rng.standard_normal(length)
-        lp = None
-        if priors == "1d":
-            lp = np.log(rng.dirichlet(np.ones(6)))
-        elif priors == "2d":
-            lp = np.log(rng.dirichlet(np.ones(6), size=length))
-            lp[rng.random((length, 6)) < 0.3] = -np.inf
-            lp[np.arange(length), sym] = 0.0
-        got = bcjr_app(y, tr, 0.0049, log_priors=lp)
-        assert np.array_equal(got, _per_step_app(y, tr, 0.0049, lp))
+        got = bcjr_app(y, tr, 0.0049)
+        assert np.array_equal(got, _per_step_app(y, tr, 0.0049))
 
 
 # MI/GMI on the ISI link, read from the per-step BCJR this kernel replaced:

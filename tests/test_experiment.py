@@ -1,8 +1,13 @@
 """Config parsing diagnostics and the sweep runner's output contract."""
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pam6link.cli import BUNDLED_CONFIGS, _resolve_config
 from pam6link.experiment import (CSV_HEADER, ConfigError, ExperimentConfig,
                                  load_config, parse_config, run_experiment)
+from pam6link.link import build_coded
 
 MINIMAL = """
 scheme: dm_pam6
@@ -54,6 +59,10 @@ def test_syntax_error_reports_line():
      "channel: {kind: fir_isi}", "channel.taps: required"),
     ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\n"
      "channel: {kind: awgn, gain: 2}", r"channel: unknown field\(s\)"),
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\nchannel: []",
+     "channel: expected a mapping"),
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\noutput: {}",
+     "output: expected a path"),
     ("scheme: dm_pam6\nmetric: fer\nsnr_db: [20]", "codec: required"),
     ("scheme: dm_pam6\nmetric: fer\nsnr_db: [20]\ncodec: {family: rs}",
      "codec.family: 'rs'"),
@@ -96,6 +105,9 @@ def test_syntax_error_reports_line():
      "codec: {family: ldpc}\nframe_symbols: 999", "frame_symbols: .*even"),
     ("scheme: framed_cross_qam32\nmetric: rate_at_fer\nsnr_db: [40]\n"
      "codec: {family: ldpc, rate_grid: []}", "codec.rate_grid: need at least"),
+    ("scheme: framed_cross_qam32\nmetric: rate_at_fer\nsnr_db: [40]\n"
+     "codec: {family: ldpc, rate_grid: [2.496]}",
+     "codec.rate_grid: .*fewer than one lifted row"),
     # counts and seeds
     ("scheme: dm_pam6\nmetric: fer\nsnr_db: [27]\ncodec: {family: ldpc}\n"
      "max_frames: 0", "max_frames: need at least 1"),
@@ -111,6 +123,10 @@ def test_syntax_error_reports_line():
      "seeds: [18446744073709551616]", "seeds: 18446744073709551616 outside"),
     ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\nseeds: []",
      "seeds: need at least one"),
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\nseeds: [.inf]",
+     "seeds: expected integers"),
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\nseeds: [0.5]",
+     "seeds: expected integers"),
     # every sweep point needs a positive finite noise variance
     ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20, .nan]",
      "snr_db: peak SNR nan dB"),
@@ -209,12 +225,10 @@ min_errors: 11
 
 
 def test_rate_at_fer_raises_when_grid_exhausted():
-    from pam6link.channel import ChannelSpec, sigma_for_peak_snr
     from pam6link.link import rate_at_fer
 
-    chan = ChannelSpec(noise_var=sigma_for_peak_snr(15.0), seed=0)
     with pytest.raises(ValueError, match="no rate"):
-        rate_at_fer("framed_cross_qam32", chan, rate_grid=(1.9, 2.0),
+        rate_at_fer("framed_cross_qam32", 15.0, rate_grid=(1.9, 2.0),
                     frame_symbols=200, max_frames=10, min_errors=2)
 
 
@@ -223,3 +237,67 @@ def test_progress_callback_sees_every_item():
     seen = []
     run_experiment(cfg, progress=lambda item, rows: seen.append(item))
     assert seen == [("dm_pam6", "symbol_metric", 20.0, 0)]
+
+
+def _bundled_text(name):
+    return _resolve_config(name)[0]
+
+
+@pytest.mark.parametrize("name", BUNDLED_CONFIGS)
+def test_bundled_configs_parse(name):
+    cfg = parse_config(_bundled_text(name))
+    assert cfg.schemes and cfg.metrics and cfg.snr_db
+
+
+# every field a config sets, nested ones dotted
+FIELDS = ("schemes", "metric", "snr_db", "seeds", "channel", "channel.kind",
+          "channel.taps", "num_symbols", "frame_symbols", "codec",
+          "codec.family", "codec.rate", "codec.rate_grid", "fer_target",
+          "max_frames", "min_errors", "output")
+DROP, AS_LIST, AS_MAPPING = object(), object(), object()
+EDGES = (-1, 0, 1, 2, 3, 7, 0.5, 2.496, 1e308, float("nan"), float("inf"),
+         float("-inf"), True, "", "x", "fir_isi", "bch", "none", [], [0.0, 1.0],
+         [1.0, float("nan")], [2.0], {}, None)
+
+
+def _mutate(raw, path, op):
+    *parents, key = path.split(".")
+    node = raw
+    for p in parents:
+        if not isinstance(node.get(p), dict):
+            node[p] = {}
+        node = node[p]
+    if op is DROP:
+        node.pop(key, None)
+    elif op is AS_LIST:
+        node[key] = [node.get(key)]
+    elif op is AS_MAPPING:
+        node[key] = {"value": node.get(key)}
+    else:
+        node[key] = op
+
+
+@given(st.sampled_from(BUNDLED_CONFIGS),
+       st.lists(st.tuples(st.sampled_from(FIELDS),
+                          st.sampled_from((DROP, AS_LIST, AS_MAPPING) + EDGES)),
+                min_size=1, max_size=2))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_config_mutants_fail_at_parse_or_build(name, mutations):
+    # a mutant of a bundled config is rejected naming a field, or every
+    # code its coded metrics ask for builds: nothing can fail mid-run
+    raw = yaml.safe_load(_bundled_text(name))
+    for path, op in mutations:
+        _mutate(raw, path, op)
+    try:
+        cfg = parse_config(yaml.safe_dump(raw))
+    except ConfigError as e:
+        assert str(e).split(":")[0] in FIELDS + ("scheme",), str(e)
+        return
+    rates = []
+    if "fer" in cfg.metrics:
+        rates.append(cfg.codec.rate_bpcu)
+    if "rate_at_fer" in cfg.metrics:
+        rates += cfg.codec.rate_grid
+    for scheme in cfg.schemes:
+        for rate in rates:
+            build_coded(scheme, rate, cfg.frame_symbols, cfg.codec.family)

@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
-from pam6link.channel import ChannelSpec, sigma_for_peak_snr
+from pam6link.channel import philox, sigma_for_peak_snr, transmit
+from pam6link.constellation import normalize
 from pam6link.fec import bch_build
 from pam6link.link import (build_coded, coded_fer, decode_frame, encode_frame,
                            frame_data_bits, snr_at_fer)
+from pam6link.shaping import Composition, ccdm_input_length
 
 ALL_SCHEMES = ("cross_qam32", "framed_cross_qam32", "dm_pam6")
 
@@ -54,10 +56,9 @@ def test_frame_data_bits_matches_built_frames():
 
 
 def test_coded_fer_needs_a_frame_and_an_error_budget():
-    chan = ChannelSpec(noise_var=sigma_for_peak_snr(30.0), seed=0)
     for max_frames, min_errors in ((0, 10), (-3, 10), (10, 0)):
         with pytest.raises(ValueError, match="at least 1"):
-            coded_fer("cross_qam32", 2.0, chan, frame_symbols=200,
+            coded_fer("cross_qam32", 2.0, 30.0, frame_symbols=200,
                       max_frames=max_frames, min_errors=min_errors)
 
 
@@ -115,14 +116,12 @@ def test_encode_frame_length_check():
 
 
 def test_fer_extremes():
-    quiet = ChannelSpec(noise_var=sigma_for_peak_snr(40.0), seed=0)
     fer, hw, frames, errors = coded_fer(
-        "framed_cross_qam32", 2.0, quiet, frame_symbols=500,
+        "framed_cross_qam32", 2.0, 40.0, frame_symbols=500,
         max_frames=20, min_errors=21)
     assert fer == 0.0 and errors == 0 and frames == 20 and hw > 0
-    loud = ChannelSpec(noise_var=sigma_for_peak_snr(10.0), seed=0)
     fer, _, frames, errors = coded_fer(
-        "framed_cross_qam32", 2.0, loud, frame_symbols=500,
+        "framed_cross_qam32", 2.0, 10.0, frame_symbols=500,
         max_frames=20, min_errors=21)
     assert fer == 1.0 and errors == 20
 
@@ -131,8 +130,7 @@ def test_fer_extremes():
 def test_fer_half_width_is_wilson_at_the_edges(snr_db, errors):
     # 0 or 5 errors in 5 frames: the Wilson score half width is
     # 1.96 * sqrt(z^2 / 4n^2) / (1 + z^2 / n) ~ 0.217 at both edges
-    ch = ChannelSpec(noise_var=sigma_for_peak_snr(snr_db), seed=0)
-    fer, hw, frames, errs = coded_fer("framed_cross_qam32", 2.0, ch,
+    fer, hw, frames, errs = coded_fer("framed_cross_qam32", 2.0, snr_db,
                                       codec="none", frame_symbols=200,
                                       max_frames=5, min_errors=6)
     assert frames == 5 and errs == errors and fer == errors / 5
@@ -142,34 +140,49 @@ def test_fer_half_width_is_wilson_at_the_edges(snr_db, errors):
 
 
 def test_fer_stops_at_min_errors():
-    loud = ChannelSpec(noise_var=sigma_for_peak_snr(10.0), seed=0)
-    _, _, frames, errors = coded_fer("cross_qam32", 2.0, loud,
+    _, _, frames, errors = coded_fer("cross_qam32", 2.0, 10.0,
                                      frame_symbols=500, max_frames=100,
                                      min_errors=5)
     assert errors == 5 and frames == 5
 
 
 def test_fer_seed_determinism():
-    ch = ChannelSpec(noise_var=sigma_for_peak_snr(26.5), seed=3)
-    a = coded_fer("dm_pam6", 2.0, ch, frame_symbols=500, max_frames=30,
-                  min_errors=31)
-    b = coded_fer("dm_pam6", 2.0, ch, frame_symbols=500, max_frames=30,
-                  min_errors=31)
+    a = coded_fer("dm_pam6", 2.0, 26.5, frame_symbols=500, max_frames=30,
+                  min_errors=31, seed=3)
+    b = coded_fer("dm_pam6", 2.0, 26.5, frame_symbols=500, max_frames=30,
+                  min_errors=31, seed=3)
     assert a == b
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_one_seed_drives_noise_and_data(scheme):
+    # frame i: data from philox(seed, 2i + 1), noise from stream 2i
+    seed, snr_db, frames = 3, 24.0, 12
+    _, _, n, errors = coded_fer(scheme, 2.0, snr_db, frame_symbols=200,
+                                max_frames=frames, min_errors=frames + 1,
+                                seed=seed)
+    cs = build_coded(scheme, 2.0, frame_symbols=200)
+    noise_var = sigma_for_peak_snr(snr_db)
+    by_hand = 0
+    for i in range(frames):
+        data = philox(seed, 2 * i + 1).integers(0, 2, cs.data_bits,
+                                                dtype=np.uint8)
+        y = transmit(normalize(encode_frame(cs, data)), noise_var, seed,
+                     stream=2 * i)
+        got, ok = decode_frame(cs, y, noise_var)
+        by_hand += not ok or got is None or not np.array_equal(got, data)
+    assert n == frames and errors == by_hand
+    assert 0 < by_hand < frames
 
 
 def test_snr_at_fer_brackets_target():
     snr = snr_at_fer("framed_cross_qam32", 2.0, fer_target=0.1,
                      frame_symbols=500, frames=60, seed=0)
     assert 20.0 < snr < 32.0
-    below, _, _, _ = coded_fer(
-        "framed_cross_qam32", 2.0,
-        ChannelSpec(noise_var=sigma_for_peak_snr(snr - 0.5), seed=0),
-        frame_symbols=500, max_frames=60, min_errors=61)
-    above, _, _, _ = coded_fer(
-        "framed_cross_qam32", 2.0,
-        ChannelSpec(noise_var=sigma_for_peak_snr(snr + 0.5), seed=0),
-        frame_symbols=500, max_frames=60, min_errors=61)
+    below, _, _, _ = coded_fer("framed_cross_qam32", 2.0, snr - 0.5,
+                               frame_symbols=500, max_frames=60, min_errors=61)
+    above, _, _, _ = coded_fer("framed_cross_qam32", 2.0, snr + 0.5,
+                               frame_symbols=500, max_frames=60, min_errors=61)
     assert below > 0.1 > above
 
 
@@ -180,3 +193,27 @@ def test_snr_at_fer_early_stop_keeps_the_crossing():
                       frame_symbols=500, frames=60, seed=0) == 25.244140625
     assert snr_at_fer("dm_pam6", 2.0, fer_target=0.1,
                       frame_symbols=500, frames=60, seed=1) == 25.595703125
+
+
+def test_every_small_frame_the_checks_accept_builds():
+    # frame_data_bits must reject exactly what build_coded cannot build:
+    # every data-bit count of every short frame, where the lift, parity
+    # and BCH field limits bind
+    for fs in range(2, 25, 2):
+        for k in range(1, fs // 2 * 5):
+            for codec in ("ldpc", "bch"):
+                try:
+                    frame_data_bits("cross_qam32", k / fs, fs, codec)
+                except ValueError:
+                    continue
+                build_coded("cross_qam32", k / fs, fs, codec)
+    for fs in range(1, 31):
+        k_dm = ccdm_input_length(Composition.near_uniform(fs))
+        for g in range(fs + 1):
+            rate = (k_dm + g) / fs
+            try:
+                frame_data_bits("dm_pam6", rate, fs)
+            except ValueError:
+                continue
+            assert build_coded("dm_pam6", rate, fs).data_bits == \
+                frame_data_bits("dm_pam6", rate, fs)
