@@ -7,13 +7,19 @@ scrambled: flipping bits there would destroy the amplitude composition.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..channel import philox
 
 
+@functools.lru_cache(maxsize=8)
 def _prbs(n: int, seed: int) -> np.ndarray:
-    return philox(seed, 0x5C12A).integers(0, 2, size=n, dtype=np.uint8)
+    """The scramble sequence, built once per (length, seed); read-only."""
+    seq = philox(seed, 0x5C12A).integers(0, 2, size=n, dtype=np.uint8)
+    seq.flags.writeable = False
+    return seq
 
 
 def scramble(bits: np.ndarray, seed: int) -> np.ndarray:

@@ -53,6 +53,8 @@ from .rates import SCHEMES, bisect
 SCRAMBLE_SEED = 0xC0DEC
 CODECS = ("ldpc", "bch", "none")
 SNR_BRACKET_DB = (15.0, 35.0)  # peak SNRs snr_at_fer searches between
+MAX_FRAME_SYMBOLS = 10**5  # largest frame; the dm_pam6 matcher size grows
+                           # with factorial(frame_symbols)
 
 
 @dataclass(frozen=True)
@@ -71,9 +73,13 @@ class CodedScheme:
 
 
 def check_frame_symbols(scheme: str, frame_symbols: int) -> None:
-    """Raise ValueError unless a frame of `scheme` can span frame_symbols uses."""
+    """Raise ValueError unless a frame of `scheme` can span frame_symbols
+    uses, in [1, MAX_FRAME_SYMBOLS]."""
     if frame_symbols < 1:
         raise ValueError(f"need at least 1 symbol per frame, got {frame_symbols}")
+    if frame_symbols > MAX_FRAME_SYMBOLS:
+        raise ValueError(
+            f"at most {MAX_FRAME_SYMBOLS} symbols per frame, got {frame_symbols}")
     if scheme != "dm_pam6" and frame_symbols % 2:
         raise ValueError(
             f"2D formats need an even number of frame symbols, got {frame_symbols}")

@@ -31,6 +31,8 @@ _SYMBOL_STREAM = 1000  # rng substream for data; noise uses stream 0
 _RATE_TOL_BPCU = 0.005  # snr_at_rate stops once a probe is this close
 _HW_FLOOR = 1e-12  # keeps reported confidence strictly positive when the
                    # per-sample information is constant (noise-free regime)
+MAX_NUM_SYMBOLS = 10**7  # largest MI/GMI sample
+_BLOCK_POINTS = 4096  # points per demapper call: keeps intermediates in cache
 
 
 @dataclass(frozen=True)
@@ -59,10 +61,14 @@ def _constellation_for(scheme: str):
 
 
 def check_num_symbols(scheme: str, num_symbols: int) -> None:
-    """Raise ValueError unless num_symbols 1D uses fill whole points of scheme."""
+    """Raise ValueError unless num_symbols 1D uses, in [1e4, MAX_NUM_SYMBOLS],
+    fill whole points of scheme."""
     dim = _constellation_for(scheme).dimension
     if num_symbols < 10**4:
         raise ValueError(f"need at least 1e4 symbols, got {num_symbols}")
+    if num_symbols > MAX_NUM_SYMBOLS:
+        raise ValueError(
+            f"at most {MAX_NUM_SYMBOLS} symbols per estimate, got {num_symbols}")
     if num_symbols % dim:
         raise ValueError(
             f"{scheme} sends {dim} symbols per point; {num_symbols} is not "
@@ -89,6 +95,24 @@ def _trellis_logposts(y, taps, noise_var):
     """Per-use log posteriors over the six levels from the exact ISI trellis."""
     trellis = make_trellis(np.asarray(taps, dtype=np.float64), normalize(LEVELS))
     return bcjr_app(y, trellis, noise_var)
+
+
+def _per_point(fn, y, idx, c):
+    """Per-point values fn(y_block, idx_block) over blocks of _BLOCK_POINTS
+    points. Every demapper step is per row, so blocking changes no bit."""
+    d = c.dimension
+    out = np.empty(idx.size)
+    for s in range(0, idx.size, _BLOCK_POINTS):
+        e = s + _BLOCK_POINTS
+        out[s:e] = fn(y[s * d:e * d], idx[s:e])
+    return out
+
+
+def _penalty(llr, idx, c):
+    """Per-point sum over label bits of log2(1 + exp(-(1-2b) * llr))."""
+    b = c.labels[idx].astype(np.float64)
+    signed = (1.0 - 2.0 * b) * llr
+    return (np.logaddexp(0.0, -signed) / math.log(2.0)).sum(axis=1)
 
 
 def _estimate(scheme, metric, snr_db, c, info_point, samples, num_symbols, seed):
@@ -118,9 +142,10 @@ def estimate_mi(
     """
     c, idx, y, nv = _simulate(scheme, snr_db, num_symbols, seed, taps)
     if taps is None:
-        post = symbol_posteriors(y, c, nv)
-        p_true = post[np.arange(len(idx)), idx]
-        samples = np.log2(np.maximum(p_true, np.finfo(np.float64).tiny))
+        def log2_p_true(yb, ib):
+            p_true = symbol_posteriors(yb, c, nv)[np.arange(ib.size), ib]
+            return np.log2(np.maximum(p_true, np.finfo(np.float64).tiny))
+        samples = _per_point(log2_p_true, y, idx, c)
     else:
         app = _trellis_logposts(y, taps, nv)
         lev_idx = c.points[idx].ravel()
@@ -141,14 +166,13 @@ def estimate_gmi(
     """Bit-metric Monte Carlo rate per 1D use (bitwise-LLR decoding bound)."""
     c, idx, y, nv = _simulate(scheme, snr_db, num_symbols, seed, taps)
     if taps is None:
-        llr = bit_llrs(y, c, nv).reshape(-1, c.bits_per_point)
+        per_point = _per_point(
+            lambda yb, ib: _penalty(
+                bit_llrs(yb, c, nv).reshape(-1, c.bits_per_point), ib, c),
+            y, idx, c)
     else:
-        llr = bit_llrs_from_levels(_trellis_logposts(y, taps, nv), c)
-    b = c.labels[idx].astype(np.float64)
-    # penalty log2(1 + exp(-(1-2b) * llr)) per bit, summed per point
-    signed = (1.0 - 2.0 * b) * llr
-    penalties = np.logaddexp(0.0, -signed) / math.log(2.0)
-    per_point = penalties.sum(axis=1)
+        per_point = _penalty(
+            bit_llrs_from_levels(_trellis_logposts(y, taps, nv), c), idx, c)
     return _estimate(scheme, "bit_metric", snr_db, c,
                      math.log2(c.num_points) - per_point.mean(), per_point,
                      num_symbols, seed)

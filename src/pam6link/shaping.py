@@ -12,6 +12,7 @@ bits carry data.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,10 +44,7 @@ class Composition:
 
     def multinomial(self) -> int:
         """Number of distinct sequences with this composition (exact)."""
-        n0, n1, n2 = self.counts
-        return math.factorial(self.n) // (
-            math.factorial(n0) * math.factorial(n1) * math.factorial(n2)
-        )
+        return _multinomial(*self.counts)
 
     @classmethod
     def near_uniform(cls, n: int) -> "Composition":
@@ -54,6 +52,13 @@ class Composition:
         base, rem = divmod(n, 3)
         counts = tuple(base + (1 if i < rem else 0) for i in range(3))
         return cls(counts)
+
+
+@functools.lru_cache(maxsize=16)
+def _multinomial(n0: int, n1: int, n2: int) -> int:
+    return math.factorial(n0 + n1 + n2) // (
+        math.factorial(n0) * math.factorial(n1) * math.factorial(n2)
+    )
 
 
 def ccdm_input_length(comp: Composition) -> int:

@@ -77,6 +77,9 @@ def test_config_errors_exit_1(tmp_path, capsys):
          "min_errors"),
         ("scheme: cross_qam32\n" + coded + "codec: {family: none}\n"
          "frame_symbols: 0\n", "frame_symbols"),
+        ("scheme: cross_qam32\n" + coded + "codec: {family: none}\n"
+         "frame_symbols: 1000000000000000000000000000000\n", "frame_symbols"),
+        (TINY.replace("10000", "10000002"), "num_symbols"),
         (TINY.replace("seeds: [4]", "seeds: [-1]"), "seeds"),
         (TINY.replace("seeds: [4]", "seeds: [18446744073709551616]"), "seeds"),
         (TINY.replace("dm_pam6", "cross_qam32").replace("10000", "10001"),
@@ -106,9 +109,10 @@ def test_config_errors_exit_1(tmp_path, capsys):
     bad.write_text(TINY)
     assert main(["run", "--config", str(bad), "--seed-override", "-1"]) == 1
     assert "seeds" in capsys.readouterr().err
-    assert main(["rates", "--scheme", "cross_qam32", "--metric", "bit_metric",
-                 "--snr", "22.0", "--num-symbols", "10001"]) == 1
-    assert "--num-symbols" in capsys.readouterr().err
+    for n in ("10001", "10000002"):
+        assert main(["rates", "--scheme", "cross_qam32", "--metric",
+                     "bit_metric", "--snr", "22.0", "--num-symbols", n]) == 1
+        assert "--num-symbols" in capsys.readouterr().err
     for flags, field in [(["--snr", "nan"], "--snr"),
                          (["--snr", "22.0", "--seed", "-1"], "--seed"),
                          (["--snr", "22.0", "--taps", "0", "1"], "--taps"),

@@ -117,6 +117,14 @@ def test_syntax_error_reports_line():
      "min_errors: 0", "min_errors: need at least 1"),
     ("scheme: cross_qam32\nmetric: fer\nsnr_db: [60]\ncodec: {family: none}\n"
      "frame_symbols: 0", "frame_symbols: need at least 1"),
+    # sizes have upper bounds, so no run fails mid-way on a huge size
+    ("scheme: cross_qam32\nmetric: fer\nsnr_db: [60]\ncodec: {family: none}\n"
+     "frame_symbols: 1000000000000000000000000000000",
+     "frame_symbols: at most 100000 symbols"),
+    ("scheme: dm_pam6\nmetric: fer\nsnr_db: [27]\ncodec: {family: ldpc}\n"
+     "frame_symbols: 100001", "frame_symbols: at most 100000 symbols"),
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\n"
+     "num_symbols: 10000002", "num_symbols: at most 10000000 symbols"),
     ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\nseeds: [-1]",
      r"seeds: -1 outside \[0, 2\*\*64\)"),
     ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\n"

@@ -240,3 +240,8 @@ def test_scramble_moves_bits_and_adapts_llrs():
     adapted = adapt_llrs(llrs, seed=99)
     hard_adapted = (adapted < 0).astype(np.uint8)
     assert np.array_equal(scramble(hard_adapted, seed=99), (llrs < 0).astype(np.uint8))
+    # the sequence is built once and shared read-only; each result is a
+    # fresh writable array, so writing one changes no later call
+    again = scramble(bits, seed=99)
+    again ^= 1
+    assert np.array_equal(scramble(bits, seed=99), sc)

@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from pam6link import rates
+from pam6link.constellation import (bit_llrs, bit_llrs_from_levels,
+                                    symbol_posteriors)
 from pam6link.rates import (MAX_RATE_1D, RateEstimate, estimate_gmi,
                             estimate_mi, matcher_rate_loss, snr_at_rate)
 
@@ -50,6 +53,9 @@ def test_estimates_are_seed_deterministic():
     # a 2D format cannot send half a point, so an odd count is refused
     with pytest.raises(ValueError, match="10001 is not a multiple of 2"):
         estimate_gmi("framed_cross_qam32", 22.0, num_symbols=10001)
+    with pytest.raises(ValueError, match="at most 10000000 symbols"):
+        rates.check_num_symbols("dm_pam6", rates.MAX_NUM_SYMBOLS + 1)
+    rates.check_num_symbols("cross_qam32", rates.MAX_NUM_SYMBOLS)
     assert estimate_mi("dm_pam6", 22.0, num_symbols=10001).num_symbols == 10001
 
 
@@ -102,3 +108,59 @@ def test_isi_taps_cost_rate():
     isi = estimate_mi("dm_pam6", 24.0, num_symbols=N_FAST, seed=4,
                       taps=(1.0, 0.4))
     assert isi.rate < flat.rate
+
+
+def _reference_mi(scheme, snr_db, num_symbols, seed, taps=None):
+    """estimate_mi computed in one unblocked pass over all points."""
+    c, idx, y, nv = rates._simulate(scheme, snr_db, num_symbols, seed, taps)
+    if taps is None:
+        post = symbol_posteriors(y, c, nv)
+        p_true = post[np.arange(len(idx)), idx]
+        samples = np.log2(np.maximum(p_true, np.finfo(np.float64).tiny))
+    else:
+        app = rates._trellis_logposts(y, taps, nv)
+        lev_idx = c.points[idx].ravel()
+        lp = app[np.arange(lev_idx.size), lev_idx] / math.log(2.0)
+        samples = lp.reshape(-1, c.dimension).sum(axis=1)
+    return rates._estimate(scheme, "symbol_metric", snr_db, c,
+                           math.log2(c.num_points) + samples.mean(), samples,
+                           num_symbols, seed)
+
+
+def _reference_gmi(scheme, snr_db, num_symbols, seed, taps=None):
+    """estimate_gmi computed in one unblocked pass over all points."""
+    c, idx, y, nv = rates._simulate(scheme, snr_db, num_symbols, seed, taps)
+    if taps is None:
+        llr = bit_llrs(y, c, nv).reshape(-1, c.bits_per_point)
+    else:
+        llr = bit_llrs_from_levels(rates._trellis_logposts(y, taps, nv), c)
+    b = c.labels[idx].astype(np.float64)
+    signed = (1.0 - 2.0 * b) * llr
+    penalties = np.logaddexp(0.0, -signed) / math.log(2.0)
+    per_point = penalties.sum(axis=1)
+    return rates._estimate(scheme, "bit_metric", snr_db, c,
+                           math.log2(c.num_points) - per_point.mean(),
+                           per_point, num_symbols, seed)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("blocks", ("one", "ragged", "isi"))
+def test_blocked_estimates_equal_unblocked(scheme, blocks, monkeypatch):
+    """Streaming the demapper over point blocks moves no bit of a rate or
+    half width: one block holding every point, several blocks with a ragged
+    tail, and the unblocked trellis path with the shared bit penalty."""
+    dim = 1 if scheme == "dm_pam6" else 2
+    taps = None
+    if blocks == "one":
+        points = 10**4 // dim
+        monkeypatch.setattr(rates, "_BLOCK_POINTS", points)
+    elif blocks == "ragged":
+        points = 3 * rates._BLOCK_POINTS + 17
+    else:
+        points, taps = 10**4 // dim, (1.0, 0.35)
+    n = points * dim
+    for got, want in ((estimate_mi, _reference_mi),
+                      (estimate_gmi, _reference_gmi)):
+        a = got(scheme, 22.5, num_symbols=n, seed=5, taps=taps)
+        b = want(scheme, 22.5, n, 5, taps)
+        assert a.rate == b.rate and a.half_width == b.half_width
