@@ -51,6 +51,9 @@ def _resolve_config(name: str):
 
 
 def _cmd_run(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(
+            f"--threads: need at least 1 worker thread, got {args.threads}")
     text, origin = _resolve_config(args.config)
     cfg = parse_config(text)
     if args.seed_override is not None:

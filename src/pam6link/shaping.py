@@ -4,6 +4,13 @@ The matcher maps k uniform bits onto ternary amplitude sequences of a fixed
 composition by exact integer interval subdivision (enumerative arithmetic
 coding), so encode/decode round-trip exactly with no floating point.
 
+Cost of one block of n amplitudes carrying k bits, with exact integers
+throughout: ``ccdm_encode`` is O(n) Python steps of one k-bit division by a
+small int each; ``ccdm_decode`` forms per-position counts with numpy, folds
+them into int64 leaves of L positions (L = 3 at n = 1000, see _leaf_size)
+and then takes O(n/L) Python steps of two k-bit multiply-and-divides by
+one-digit ints each. Memory is O(n) either way.
+
 The frame construction carries the remaining information on the sign bits:
 amplitudes are labeled with bit pairs, fed through a systematic LDPC
 encoder, and the parity plus extra data bits select the upper or lower half
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,14 +64,20 @@ class Composition:
 
 @functools.lru_cache(maxsize=16)
 def _multinomial(n0: int, n1: int, n2: int) -> int:
-    return math.factorial(n0 + n1 + n2) // (
-        math.factorial(n0) * math.factorial(n1) * math.factorial(n2)
-    )
+    return math.comb(n0 + n1 + n2, n0) * math.comb(n1 + n2, n1)
 
 
 def ccdm_input_length(comp: Composition) -> int:
     """Number of data bits the matcher absorbs: floor(log2 of the class size)."""
     return comp.multinomial().bit_length() - 1
+
+
+def _as_bits(data, what: str) -> np.ndarray:
+    """Flat uint8 copy of a 0/1 array; any other entry raises ValueError."""
+    data = np.asarray(data).ravel()
+    if not np.all((data == 0) | (data == 1)):
+        raise ValueError(f"{what} must hold only 0 and 1")
+    return data.astype(np.uint8)
 
 
 def ccdm_encode(data, comp: Composition) -> np.ndarray:
@@ -74,61 +88,103 @@ def ccdm_encode(data, comp: Composition) -> np.ndarray:
     remaining sequence counts is subdivided proportionally to the remaining
     symbol counts at every position.
     """
-    data = np.asarray(data, dtype=np.uint8).ravel()
+    data = _as_bits(data, "matcher input")
     k = ccdm_input_length(comp)
     if len(data) != k:
         raise ValueError(f"matcher input must be {k} bits, got {len(data)}")
-    index = 0
-    for bit in data:
-        index = (index << 1) | int(bit)
-    counts = list(comp.counts)
+    # packbits pads the last byte on the right; shift the padding out
+    index = int.from_bytes(np.packbits(data).tobytes(), "big") >> (-k % 8)
+    c0, c1, _ = comp.counts
     n = comp.n
     remaining = comp.multinomial()
-    out = np.empty(n, dtype=np.int8)
+    out = bytearray(n)
     for pos in range(n):
-        for sym in (0, 1, 2):
-            if counts[sym] == 0:
-                continue
-            # sequences starting with sym: exact subdivision of the interval
-            sub = remaining * counts[sym] // (n - pos)
-            if index < sub:
-                out[pos] = sym
-                counts[sym] -= 1
-                remaining = sub
-                break
-            index -= sub
+        # sequences starting with symbol s number remaining * c_s / m, an
+        # exact integer; split remaining = q*m + r so the two thresholds
+        # need one bigint division and small-int floors. index < remaining
+        # throughout (2**k <= class size), so no symbol of count 0 is chosen
+        m = n - pos
+        q, r = divmod(remaining, m)
+        t0 = q * c0 + r * c0 // m
+        if index < t0:
+            remaining = t0
+            c0 -= 1
+            continue
+        c01 = c0 + c1
+        t1 = q * c01 + r * c01 // m
+        if index < t1:
+            out[pos] = 1
+            index -= t0
+            remaining = t1 - t0
+            c1 -= 1
         else:
-            raise AssertionError("index exceeded composition class size")
-    return out
+            out[pos] = 2
+            index -= t1
+            remaining -= t1
+    return np.frombuffer(out, dtype=np.int8)
+
+
+def _leaf_size(n: int) -> int:
+    """Positions per leaf of the rank fold: the largest L <= n with n**L below
+    one CPython int digit.
+
+    Every per-position factor (c, l, m) is at most n, so a leaf's products
+    stay below n**L and its partial rank below L*n**L, well inside int64,
+    and each exact division by a leaf's m product is a one-digit division.
+    """
+    size = 1
+    while size < n and n ** (size + 1) < 2 ** sys.int_info.bits_per_digit:
+        size += 1
+    return size
 
 
 def ccdm_decode(a, comp: Composition) -> np.ndarray:
-    """Recover the matcher input bits from a sequence in the encoder image."""
+    """Recover the matcher input bits from a sequence in the encoder image.
+
+    At position j let R_j be the size of the class of the remaining
+    composition, c_j the remaining count of the symbol placed, l_j that of
+    the lower symbols and m_j = n - j. The rank is sum_j R_j l_j / m_j with
+    R_{j+1} = R_j c_j / m_j. numpy folds L consecutive positions into one
+    leaf (S, Pc, Pm) = (sum_j l_j prod_{i<j} c_i prod_{i>j} m_i, prod c_j,
+    prod m_j), so the Python loop takes n/L exact steps
+    rank += R S / Pm, R = R Pc / Pm.
+    """
     a = np.asarray(a, dtype=np.int8).ravel()
-    if len(a) != comp.n:
-        raise ValueError(f"sequence length {len(a)} != composition length {comp.n}")
-    observed = tuple(int((a == s).sum()) for s in (0, 1, 2))
+    n = comp.n
+    if len(a) != n:
+        raise ValueError(f"sequence length {len(a)} != composition length {n}")
+    # placed[j, s]: occurrences of symbol s in a[:j+1]
+    placed = np.cumsum(a[:, None] == np.arange(3), axis=0)
+    observed = tuple(placed[-1].tolist())
     if observed != tuple(comp.counts):
         raise ValueError(f"composition mismatch: got {observed}, expected {comp.counts}")
     k = ccdm_input_length(comp)
-    counts = list(comp.counts)
-    n = comp.n
-    remaining = comp.multinomial()
+    after = np.asarray(comp.counts) - placed
+    size = _leaf_size(n)
+    total = -(-n // size) * size
+    # positions past n (c = m = 1, l = 0) leave their leaf unchanged
+    c = np.ones(total, dtype=np.int64)
+    low = np.zeros(total, dtype=np.int64)
+    c[:n] = after[np.arange(n), a] + 1
+    low[:n] = np.where(a > 0, after[:, 0], 0) + np.where(a > 1, after[:, 1], 0)
+    m = np.maximum(np.arange(n, n - total, -1), 1)
+    c, low, m = (v.reshape(-1, size) for v in (c, low, m))
+    s = np.zeros(len(c), dtype=np.int64)
+    pc = np.ones(len(c), dtype=np.int64)
+    pm = np.ones(len(c), dtype=np.int64)
+    for j in range(size):
+        s = s * m[:, j] + pc * low[:, j]
+        pc *= c[:, j]
+        pm *= m[:, j]
     index = 0
-    for pos, sym in enumerate(a):
-        sym = int(sym)
-        for lower in range(sym):
-            if counts[lower]:
-                index += remaining * counts[lower] // (n - pos)
-        remaining = remaining * counts[sym] // (n - pos)
-        counts[sym] -= 1
+    remaining = comp.multinomial()
+    for sj, cj, mj in zip(s.tolist(), pc.tolist(), pm.tolist()):
+        index += remaining * sj // mj
+        remaining = remaining * cj // mj
     if index >> k:
         raise ValueError("sequence is not in the matcher image")
-    bits = np.empty(k, dtype=np.uint8)
-    for i in range(k - 1, -1, -1):
-        bits[i] = index & 1
-        index >>= 1
-    return bits
+    raw = np.frombuffer((index << (-k % 8)).to_bytes(-(-k // 8), "big"), dtype=np.uint8)
+    return np.unpackbits(raw)[:k]
 
 
 def amplitudes_to_pairs(a) -> np.ndarray:
@@ -192,7 +248,7 @@ def pas_encode(d, comp: Composition, code=None) -> np.ndarray:
     """
     g = _extra_bits(comp, code)
     k = ccdm_input_length(comp)
-    d = np.asarray(d, dtype=np.uint8).ravel()
+    d = _as_bits(d, "source")
     if len(d) != k + g:
         raise ValueError(f"source must provide {k + g} bits (k={k}, g={g}), got {len(d)}")
     a = ccdm_encode(d[:k], comp)

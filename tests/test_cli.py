@@ -109,6 +109,9 @@ def test_config_errors_exit_1(tmp_path, capsys):
     bad.write_text(TINY)
     assert main(["run", "--config", str(bad), "--seed-override", "-1"]) == 1
     assert "seeds" in capsys.readouterr().err
+    for threads in ("0", "-3"):
+        assert main(["run", "--config", str(bad), "--threads", threads]) == 1
+        assert "--threads" in capsys.readouterr().err
     for n in ("10001", "10000002"):
         assert main(["rates", "--scheme", "cross_qam32", "--metric",
                      "bit_metric", "--snr", "22.0", "--num-symbols", n]) == 1

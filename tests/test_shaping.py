@@ -8,12 +8,104 @@ from hypothesis import strategies as st
 
 from pam6link.constellation import build_constellation
 from pam6link.fec.ldpc import ldpc_build, ldpc_encode
-from pam6link.shaping import (Composition, amplitudes_to_pairs, ccdm_decode,
-                              ccdm_encode, ccdm_input_length,
+from pam6link.shaping import (Composition, _leaf_size, amplitudes_to_pairs,
+                              ccdm_decode, ccdm_encode, ccdm_input_length,
                               pairs_to_amplitudes, pas_decode, pas_encode,
                               sign_amp_from_symbols, symbols_from_sign_amp)
 
 PAM6 = build_constellation("pam6_label")
+
+# uniform, a zero count in each place, one-symbol classes (k = 0), and the
+# length-1000 blocks whose rank fold ends in a padded leaf
+REFERENCE_COMPOSITIONS = [Composition.near_uniform(1000).counts, (5, 0, 3),
+                          (1, 1, 1), (400, 300, 300), (0, 0, 7), (1, 0, 0),
+                          (0, 5, 0)]
+
+
+def _reference_encode(data, comp):
+    """Per-position interval subdivision, one floor division per symbol tried."""
+    data = np.asarray(data, dtype=np.uint8).ravel()
+    k = ccdm_input_length(comp)
+    if len(data) != k:
+        raise ValueError(f"matcher input must be {k} bits, got {len(data)}")
+    index = 0
+    for bit in data:
+        index = (index << 1) | int(bit)
+    counts = list(comp.counts)
+    n = comp.n
+    remaining = comp.multinomial()
+    out = np.empty(n, dtype=np.int8)
+    for pos in range(n):
+        for sym in (0, 1, 2):
+            if counts[sym] == 0:
+                continue
+            sub = remaining * counts[sym] // (n - pos)
+            if index < sub:
+                out[pos] = sym
+                counts[sym] -= 1
+                remaining = sub
+                break
+            index -= sub
+        else:
+            raise AssertionError("index exceeded composition class size")
+    return out
+
+
+def _reference_decode(a, comp):
+    """Per-position rank sum over the lower symbols, then a per-bit loop."""
+    a = np.asarray(a, dtype=np.int8).ravel()
+    if len(a) != comp.n:
+        raise ValueError(f"sequence length {len(a)} != composition length {comp.n}")
+    observed = tuple(int((a == s).sum()) for s in (0, 1, 2))
+    if observed != tuple(comp.counts):
+        raise ValueError(f"composition mismatch: got {observed}, expected {comp.counts}")
+    k = ccdm_input_length(comp)
+    counts = list(comp.counts)
+    n = comp.n
+    remaining = comp.multinomial()
+    index = 0
+    for pos, sym in enumerate(a):
+        sym = int(sym)
+        for lower in range(sym):
+            if counts[lower]:
+                index += remaining * counts[lower] // (n - pos)
+        remaining = remaining * counts[sym] // (n - pos)
+        counts[sym] -= 1
+    if index >> k:
+        raise ValueError("sequence is not in the matcher image")
+    bits = np.empty(k, dtype=np.uint8)
+    for i in range(k - 1, -1, -1):
+        bits[i] = index & 1
+        index >>= 1
+    return bits
+
+
+def _decode_outcome(decode, a, comp):
+    """Decoded bits, or the ValueError message for a sequence it rejects."""
+    try:
+        return decode(a, comp)
+    except ValueError as e:
+        return str(e)
+
+
+def _check_against_reference(comp, words, rng):
+    for d in words:
+        a = ccdm_encode(d, comp)
+        ref = _reference_encode(d, comp)
+        assert a.dtype == ref.dtype and np.array_equal(a, ref)
+        assert np.array_equal(ccdm_decode(a, comp), d)
+        assert np.array_equal(_reference_decode(a, comp), d)
+        # a permutation keeps the composition but is often outside the image;
+        # dropping a symbol breaks the length, changing one the composition
+        changed = a.copy()
+        changed[0] = (changed[0] + 1) % 3
+        for seq in (rng.permutation(a), a[1:], changed):
+            got = _decode_outcome(ccdm_decode, seq, comp)
+            want = _decode_outcome(_reference_decode, seq, comp)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert np.array_equal(got, want)
 
 
 def _label_bits(symbols):
@@ -34,6 +126,15 @@ def test_input_length_against_multinomial_oracle():
         comp = Composition.near_uniform(n)
         c0, c1, c2 = comp.counts
         count = math.comb(n, c0) * math.comb(n - c0, c1)
+        assert ccdm_input_length(comp) == count.bit_length() - 1
+    # the class size equals the factorial formula, independent of comb
+    for counts in [Composition.near_uniform(n).counts for n in (9, 1000, 10**4)] + [
+            (5, 0, 3), (0, 0, 7), (1, 0, 0), (400, 300, 300)]:
+        comp = Composition(counts)
+        c0, c1, c2 = counts
+        count = math.factorial(comp.n) // (
+            math.factorial(c0) * math.factorial(c1) * math.factorial(c2))
+        assert comp.multinomial() == count
         assert ccdm_input_length(comp) == count.bit_length() - 1
 
 
@@ -70,6 +171,41 @@ def test_ccdm_rejects_wrong_length():
     k = ccdm_input_length(comp)
     with pytest.raises(ValueError):
         ccdm_encode(np.zeros(k + 1, dtype=np.uint8), comp)
+
+
+@pytest.mark.parametrize("counts", REFERENCE_COMPOSITIONS)
+def test_matcher_equals_per_position_reference(counts):
+    comp = Composition(counts)
+    k = ccdm_input_length(comp)
+    rng = np.random.default_rng(sum(counts))
+    words = [np.zeros(k, dtype=np.uint8), np.ones(k, dtype=np.uint8)]
+    words += [rng.integers(0, 2, size=k).astype(np.uint8) for _ in range(100)]
+    _check_against_reference(comp, words, rng)
+
+
+def test_matcher_equals_reference_with_smaller_leaves():
+    comp = Composition.near_uniform(20000)
+    assert _leaf_size(comp.n) < _leaf_size(1000)
+    k = ccdm_input_length(comp)
+    rng = np.random.default_rng(20000)
+    words = [np.zeros(k, dtype=np.uint8), np.ones(k, dtype=np.uint8),
+             rng.integers(0, 2, size=k).astype(np.uint8)]
+    _check_against_reference(comp, words, rng)
+
+
+@pytest.mark.parametrize("pos,value", [(0, 2), (-1, 255), (3, -1)])
+def test_ccdm_and_pas_reject_non_binary_bits(pos, value):
+    comp = Composition((9, 8, 8))
+    k = ccdm_input_length(comp)
+    d = np.zeros(k, dtype=np.int64)
+    d[pos] = value
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        ccdm_encode(d, comp)
+    # the extra bits pas_encode puts on the signs are checked too
+    d = np.zeros(k + comp.n, dtype=np.int64)
+    d[k + pos if pos >= 0 else pos] = value
+    with pytest.raises(ValueError, match="only 0 and 1"):
+        pas_encode(d, comp)
 
 
 def test_pair_tables_invert_and_skip_00():
