@@ -149,7 +149,11 @@ def ccdm_decode(a, comp: Composition) -> np.ndarray:
     prod m_j), so the Python loop takes n/L exact steps
     rank += R S / Pm, R = R Pc / Pm.
     """
-    a = np.asarray(a, dtype=np.int8).ravel()
+    a = np.asarray(a).ravel()
+    # checked before the cast, which would read 256 or 0.7 as amplitude 0
+    if not np.all((a == 0) | (a == 1) | (a == 2)):
+        raise ValueError("matcher sequence must hold only 0, 1 and 2")
+    a = a.astype(np.int8)
     n = comp.n
     if len(a) != n:
         raise ValueError(f"sequence length {len(a)} != composition length {n}")

@@ -1,9 +1,12 @@
 """Config parsing diagnostics and the sweep runner's output contract."""
+import threading
+
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pam6link import experiment
 from pam6link.cli import BUNDLED_CONFIGS, _resolve_config
 from pam6link.experiment import (CSV_HEADER, ConfigError, ExperimentConfig,
                                  load_config, parse_config, run_experiment)
@@ -209,6 +212,29 @@ num_symbols: 10000
     a = run_experiment(cfg, threads=1)
     b = run_experiment(cfg, threads=4)
     assert a == b
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_run_experiment_needs_a_thread(threads):
+    with pytest.raises(ValueError, match="threads"):
+        run_experiment(parse_config(MINIMAL), threads=threads)
+
+
+def test_one_thread_runs_items_on_the_caller_between_reports(monkeypatch):
+    events, caller = [], threading.get_ident()
+
+    def fake_item(cfg, scheme, metric, snr, seed):
+        assert threading.get_ident() == caller
+        events.append(("run", snr))
+        return [f"{scheme},{snr}"]
+
+    monkeypatch.setattr(experiment, "_eval_item", fake_item)
+    cfg = parse_config(MINIMAL.replace("[20.0]", "[20.0, 21.0, 22.0]"))
+    csv = run_experiment(cfg, threads=1,
+                         progress=lambda item, rows: events.append(("seen", item[2])))
+    assert events == [(kind, snr) for snr in (20.0, 21.0, 22.0)
+                      for kind in ("run", "seen")]
+    assert csv.splitlines()[1:] == ["dm_pam6,20.0", "dm_pam6,21.0", "dm_pam6,22.0"]
 
 
 def test_rate_at_fer_rows_include_grid_points():

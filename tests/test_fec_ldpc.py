@@ -1,4 +1,6 @@
 """QC-LDPC rate matching, encode/decode, alist I/O, and the scrambler."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,33 @@ from pam6link.fec.scramble import adapt_llrs, scramble
 
 COMMITTED_CODES = [(2500, 2000), (3000, 2426)]  # cross/framed, dm_pam6 at 2.0
 ALL_ROWS_CODE = (2200, 1000)  # all 12 base rows: variable degrees up to 8
+# sha256 of write_alist's text: the export must not drift with the layout
+ALIST_SHA256 = {
+    (2500, 2000): "0f8e1deaf8005a9eb0cbf4a93cc48eb65e78200fcf82795d8901e82c44d6b63c",
+    (3000, 2426): "1cec57a60168722a0e52d06cd8f17eee55eab03a7381cfdb43efd3e30f1ffce8",
+    (2200, 1000): "40da264e05555a88dbdb5b8c89a4ae05b59cf18f999b8827085dec78abdfc56d",
+}
+
+
+def _edge_list(code):
+    """The code's edges as a check-sorted list: (check_idx, var_idx) in
+    (check, variable) order, the reduceat start of each check, and the
+    stable permutation to variable order with the start of each variable."""
+    table = code.check_vars.T
+    real = table < code.n
+    check_idx = np.nonzero(real)[0]
+    var_idx = table[real]
+    var_perm = np.argsort(var_idx, kind="stable")
+    check_starts = np.searchsorted(check_idx, np.arange(code.n_checks))
+    var_starts = np.searchsorted(var_idx[var_perm], np.arange(code.n))
+    return check_idx, var_idx, check_starts, var_perm, var_starts
 
 
 def _reference_encode(data, code):
     """Block-row forward substitution with cyclic shifts of the data blocks."""
-    z, bg = code.z, code.graph
-    u = np.concatenate([data, np.zeros(code.shorten, dtype=np.uint8)])
+    z, bg = code.z, load_basegraph()
+    shorten = bg.kb * z - code.k
+    u = np.concatenate([data, np.zeros(shorten, dtype=np.uint8)])
     blocks = u.reshape(bg.kb, z)
     parity = np.zeros((code.m_use, z), dtype=np.uint8)
     prev = np.zeros(z, dtype=np.uint8)
@@ -36,8 +59,7 @@ def _reference_decode(llrs, code, max_iter=50, norm=0.75):
     segments; the first argmin of each check gets the second minimum."""
     channel = np.asarray(llrs, dtype=np.float64)
     total = channel
-    starts = code.check_ptr[:-1]
-    vidx, cidx = code.var_idx, code.check_idx
+    cidx, vidx, starts, var_perm, var_starts = _edge_list(code)
     c2v = np.zeros(vidx.size)
     converged = False
     iters = 0
@@ -63,7 +85,7 @@ def _reference_decode(llrs, code, max_iter=50, norm=0.75):
         mag_out[argmin_edges] = m2[cidx[argmin_edges]]
         sign_out = np.bitwise_xor.reduceat(sbit, starts)[cidx] ^ sbit
         c2v = norm * np.where(sign_out == 0, mag_out, -mag_out)
-        total = channel + np.add.reduceat(c2v[code.var_perm], code.var_ptr[:-1])
+        total = channel + np.add.reduceat(c2v[var_perm], var_starts)
     else:
         hard = (total < 0).astype(np.uint8)
         converged = not np.bitwise_xor.reduceat(hard[vidx], starts).any()
@@ -105,13 +127,14 @@ def test_basegraph_rejects_corruption(tmp_path):
 
 
 def test_rate_matching_dimensions():
+    kb = load_basegraph().kb
     code = ldpc_build(2500, 0.8)
     assert code.n == 2500 and code.k == 2000 and code.z == 200
-    assert code.m_use == 3 and code.shorten == 0
+    assert code.m_use == 3 and kb * code.z - code.k == 0  # nothing shortened
     assert code.n - code.k == 500
     code = ldpc_build(3000, 2426 / 3000)
     assert code.k == 2426 and code.z == 243
-    assert code.shorten == 10 * 243 - 2426
+    assert kb * code.z - code.k == 10 * 243 - 2426
     assert code.n - code.k == 3000 - 2426
 
 
@@ -139,7 +162,8 @@ def test_encode_equals_block_row_reference(n, k):
         u = rng.integers(0, 2, size=code.k).astype(np.uint8)
         cw = ldpc_encode(u, code)
         assert np.array_equal(cw, _reference_encode(u, code))
-        assert not ldpc_syndrome(cw, code).any()
+        syndrome = ldpc_syndrome(cw, code)
+        assert syndrome.dtype == np.uint8 and not syndrome.any()
 
 
 @pytest.mark.parametrize("n,k", COMMITTED_CODES + [ALL_ROWS_CODE])
@@ -204,9 +228,10 @@ def test_parity_tail_removal_keeps_projected_code():
     # codeword still satisfies every kept check, and kept checks never
     # reference a variable beyond the active range
     code = ldpc_build(3000, 2426 / 3000)
-    assert code.n_checks == code.m_use * code.z - code.punct_parity
-    assert code.var_idx.max() < code.n
-    assert code.check_idx.max() == code.n_checks - 1
+    check_idx, var_idx = _edge_list(code)[:2]
+    assert code.n_checks == code.n - code.k < code.m_use * code.z
+    assert var_idx.max() < code.n
+    assert check_idx.max() == code.n_checks - 1
 
 
 def test_alist_round_trip():
@@ -214,8 +239,15 @@ def test_alist_round_trip():
     text = write_alist(code)
     nvar, ncheck, ci, vi = read_alist(text)
     assert nvar == code.n and ncheck == code.n_checks
+    check_idx, var_idx = _edge_list(code)[:2]
     assert set(zip(ci.tolist(), vi.tolist())) == set(
-        zip(code.check_idx.tolist(), code.var_idx.tolist()))
+        zip(check_idx.tolist(), var_idx.tolist()))
+
+
+@pytest.mark.parametrize("n,k", COMMITTED_CODES + [ALL_ROWS_CODE])
+def test_alist_text_is_pinned(n, k):
+    text = write_alist(ldpc_build(n, k / n))
+    assert hashlib.sha256(text.encode()).hexdigest() == ALIST_SHA256[(n, k)]
 
 
 @given(st.integers(min_value=1, max_value=4096),

@@ -208,6 +208,17 @@ def test_ccdm_and_pas_reject_non_binary_bits(pos, value):
         pas_encode(d, comp)
 
 
+@pytest.mark.parametrize("value", [256, 0.7, -1])
+def test_ccdm_decode_rejects_non_amplitudes(value):
+    comp = Composition((9, 8, 8))
+    a = ccdm_encode(np.zeros(ccdm_input_length(comp), dtype=np.uint8), comp)
+    # 256 and 0.7 would otherwise be cast to amplitude 0 and decode cleanly
+    bad = a.astype(type(value))
+    bad[np.flatnonzero(a == 0)[0]] = value
+    with pytest.raises(ValueError, match="only 0, 1 and 2"):
+        ccdm_decode(bad, comp)
+
+
 def test_pair_tables_invert_and_skip_00():
     a = np.array([0, 1, 2, 2, 1, 0])
     b = amplitudes_to_pairs(a)
