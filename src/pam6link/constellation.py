@@ -11,6 +11,28 @@ Three alphabets are supported, all built on the six intensity levels
 
 Levels are normalized to amplitudes level/5 in [0, 1] (unipolar intensity,
 peak amplitude 1), so peak SNR is 1/sigma^2 for every scheme.
+
+The soft demapper works points-major: the log metrics of a block of received
+groups form one (num_points, num_groups) array, so each reduction over the
+points adds whole contiguous rows instead of reducing thousands of short
+rows one by one. Per axis, a C-contiguous (6, num_groups) table holds the
+squared distance of each use to each level; the point metrics take rows
+from it by the points' coordinates, add the axes and divide by -2 sigma^2
+once. The ISI path transposes its per-use level log posteriors into the
+same per-axis tables. Every output equals that of a row-major
+(num_groups, num_points) demapper bit for bit, because each sum keeps the
+order numpy gives the row-major one:
+
+* the max over the points is exact in any order;
+* a label half's mass adds its rows left to right, the order of the strided
+  column sum w[:, mask].sum(axis=1);
+* a posterior's normalizer (``_row_sum``) follows np.sum along a contiguous
+  row, numpy's pairwise sum for up to 128 values: left to right below 8,
+  else 8 running sums over blocks of 8 folded as
+  ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder left to right.
+
+``symbol_posteriors`` returns the transposed view and ``bit_llrs`` a flat
+copy in label-bit order, so callers see the row-major shapes.
 """
 from __future__ import annotations
 
@@ -196,49 +218,73 @@ def check_unit_distance_gray(c: Constellation) -> list[tuple]:
     return violations
 
 
-def _sum_over_axes(axis_terms, c):
-    """Per-use terms over the six levels, shape (num_uses, 6), summed along
-    each point's coordinates: shape (num_groups, num_points)."""
-    d = c.dimension
-    out = np.take(axis_terms[0::d], c.points[:, 0], axis=1)
-    for k in range(1, d):
-        out += np.take(axis_terms[k::d], c.points[:, k], axis=1)
+def _sum_over_axes(tables, c):
+    """Per-axis terms over the six levels, tables[k] of shape (6, num_groups)
+    and C-contiguous, summed along each point's coordinates: shape
+    (num_points, num_groups)."""
+    out = np.take(tables[0], c.points[:, 0], axis=0)
+    for k in range(1, c.dimension):
+        out += np.take(tables[k], c.points[:, k], axis=0)
     return out
 
 
 def _log_point_metrics(received, c, noise_var):
-    """log p(y|point) + const per received group, shape (num_groups, num_points)."""
+    """log p(y|point) + const per received group, shape (num_points, num_groups)."""
     if noise_var <= 0:
         raise ValueError(f"noise variance must be positive, got {noise_var}")
     y = np.asarray(received, dtype=np.float64).ravel()
-    if len(y) % c.dimension:
-        raise ValueError(f"received length {len(y)} not divisible by dimension {c.dimension}")
+    d = c.dimension
+    if len(y) % d:
+        raise ValueError(f"received length {len(y)} not divisible by dimension {d}")
     # squared distance to each level per use, summed over a point's axes and
     # only then divided: dividing per axis first rounds differently
-    d2 = y[:, None] - normalize(LEVELS)
-    d2 *= d2
-    logm = _sum_over_axes(d2, c)
+    levels = normalize(LEVELS)[:, None]
+    tables = [y[k::d] - levels for k in range(d)]
+    for t in tables:
+        t *= t
+    logm = _sum_over_axes(tables, c)
     logm /= -2.0 * noise_var
     return logm
 
 
+def _row_sum(w):
+    """Sum of the rows of w, in the order np.sum adds a contiguous row of
+    w.shape[0] <= 128 values: left to right below 8, else 8 running sums
+    folded pairwise, then the remainder left to right."""
+    n = len(w)
+    if n < 8:
+        s = w[0].copy()
+        for i in range(1, n):
+            s += w[i]
+        return s
+    m = n - n % 8
+    r = w[0:8].copy()
+    for i in range(8, m, 8):
+        r += w[i:i + 8]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(m, n):
+        s += w[i]
+    return s
+
+
 def _marginalize_bits(logm, c):
-    """Bitwise LLRs, shape (num_groups, bits_per_point), from per-point log
-    metrics; overwrites logm.
+    """Bitwise LLRs, shape (num_groups, bits_per_point), from points-major
+    log metrics; overwrites logm.
 
     Both label halves are summed explicitly: taking s1 as total - s0
-    cancels catastrophically once one half dominates.
+    cancels catastrophically once one half dominates. Each half is gathered
+    on its own (16 rows for a 32-point format) to keep the block in cache.
     """
-    logm -= logm.max(axis=1, keepdims=True)
+    logm -= logm.max(axis=0)
     w = np.exp(logm, out=logm)
-    out = np.empty((w.shape[0], c.bits_per_point), dtype=np.float64)
+    out = np.empty((c.bits_per_point, w.shape[1]), dtype=np.float64)
     tiny = np.finfo(np.float64).tiny
     for j in range(c.bits_per_point):
         mask0 = c.labels[:, j] == 0
-        s0 = w[:, mask0].sum(axis=1)
-        s1 = w[:, ~mask0].sum(axis=1)
-        out[:, j] = np.log(np.maximum(s0, tiny)) - np.log(np.maximum(s1, tiny))
-    return out
+        s0 = w[mask0].sum(axis=0)
+        s1 = w[~mask0].sum(axis=0)
+        out[j] = np.log(np.maximum(s0, tiny)) - np.log(np.maximum(s1, tiny))
+    return out.T
 
 
 def bit_llrs(received, c: Constellation, noise_var: float) -> np.ndarray:
@@ -258,7 +304,10 @@ def bit_llrs_from_levels(level_logposts, c: Constellation) -> np.ndarray:
     Each point is scored by the sum of its coordinates' log posteriors (a
     product metric for 2D formats).
     """
-    return _marginalize_bits(_sum_over_axes(np.asarray(level_logposts, dtype=np.float64), c), c)
+    lp = np.asarray(level_logposts, dtype=np.float64)
+    d = c.dimension
+    tables = [np.ascontiguousarray(lp[k::d].T) for k in range(d)]
+    return _marginalize_bits(_sum_over_axes(tables, c), c)
 
 
 def symbol_posteriors(received, c: Constellation, noise_var: float) -> np.ndarray:
@@ -267,7 +316,7 @@ def symbol_posteriors(received, c: Constellation, noise_var: float) -> np.ndarra
     Shape (num_groups, num_points); each row sums to 1.
     """
     logm = _log_point_metrics(received, c, noise_var)
-    logm -= logm.max(axis=1, keepdims=True)
+    logm -= logm.max(axis=0)
     post = np.exp(logm, out=logm)
-    post /= post.sum(axis=1, keepdims=True)
-    return post
+    post /= _row_sum(post)
+    return post.T

@@ -314,7 +314,13 @@ def write_alist(code: LdpcCode) -> str:
 
 def read_alist(text: str):
     """Parse alist text; returns (n_var, n_check, check_idx, var_idx) sorted
-    by (check, var) for comparison against a built code."""
+    by (check, var) for comparison against a built code.
+
+    Raises ValueError naming the row when a row's degree is wrong, when an
+    index lies outside [1, n_check] (variable rows) or [1, n_var] (check
+    rows), or when a check row lists other variables than the variable rows
+    give it.
+    """
     toks = text.split()
     pos = 0
 
@@ -326,24 +332,29 @@ def read_alist(text: str):
         pos += count
         return vals
 
+    def row(what, width, degree, limit):
+        got = [x for x in take(width) if x != 0]
+        if len(got) != degree:
+            raise ValueError(f"alist {what}: degree mismatch")
+        for x in got:
+            if not 1 <= x <= limit:
+                raise ValueError(f"alist {what}: index {x} outside [1, {limit}]")
+        return got
+
     nvar, ncheck = take(2)
     max_v, max_c = take(2)
     vdeg = take(nvar)
     cdeg = take(ncheck)
-    edges = []
+    check_vars = [[] for _ in range(ncheck)]  # as the variable rows give them
     for v in range(nvar):
-        row = take(max_v)
-        got = [x for x in row if x != 0]
-        if len(got) != vdeg[v]:
-            raise ValueError(f"alist variable {v}: degree mismatch")
-        for c in got:
-            edges.append((c - 1, v))
+        for c in row(f"variable {v}", max_v, vdeg[v], ncheck):
+            check_vars[c - 1].append(v)
     for c in range(ncheck):
-        row = take(max_c)
-        got = [x for x in row if x != 0]
-        if len(got) != cdeg[c]:
-            raise ValueError(f"alist check {c}: degree mismatch")
-    edges.sort()
-    check_idx = np.array([e[0] for e in edges], dtype=np.int64)
-    var_idx = np.array([e[1] for e in edges], dtype=np.int64)
+        got = sorted(x - 1 for x in row(f"check {c}", max_c, cdeg[c], nvar))
+        if got != check_vars[c]:
+            raise ValueError(f"alist check {c}: variables {got} but the "
+                             f"variable rows give {check_vars[c]}")
+    check_idx = np.repeat(np.arange(ncheck, dtype=np.int64),
+                          [len(vs) for vs in check_vars])
+    var_idx = np.array([v for vs in check_vars for v in vs], dtype=np.int64)
     return nvar, ncheck, check_idx, var_idx

@@ -2,9 +2,10 @@
 
 Each check is small, seeded, and independent; together they catch the
 failure modes that silently corrupt results: a damaged base-graph file, a
-tampered label table, a broken matcher round trip, a shaped frame whose
-signs no longer carry (parity, extra data bits), or a detector that no
-longer agrees with exhaustive enumeration. Check names are stable so
+tampered label table, a demapper whose LLRs or posteriors drift from a
+log-sum-exp over every point, a broken matcher round trip, a shaped frame
+whose signs no longer carry (parity, extra data bits), or a detector that
+no longer agrees with exhaustive enumeration. Check names are stable so
 failures can be grepped and individual suites rerun.
 """
 from __future__ import annotations
@@ -54,6 +55,30 @@ def _check_gray(name, expect_violations):
         return True, "unit-distance Gray, 0 violations"
     p1, p2 = viol[0][:2]
     return False, f"{len(viol)} violations, first at points {p1} / {p2}"
+
+
+def _check_demapper(name):
+    """Bit LLRs and posteriors of a seeded block against np.logaddexp.reduce
+    over every point. At this noise many LLRs exceed 40 nats, where forming
+    one label half as total minus the other would lose every digit."""
+    c = cst.build_constellation(name)
+    nv = 1e-3
+    rng = np.random.default_rng(12)
+    idx = rng.integers(0, c.num_points, size=64)
+    y = cst.normalize(c.points[idx].ravel()) + np.sqrt(nv) * rng.standard_normal(
+        idx.size * c.dimension)
+    d2 = ((y.reshape(-1, 1, c.dimension) - cst.normalize(c.points)) ** 2).sum(axis=-1)
+    logm = -d2 / (2.0 * nv)
+    post = np.exp(logm - np.logaddexp.reduce(logm, axis=1, keepdims=True))
+    ref = np.stack([np.logaddexp.reduce(logm[:, c.labels[:, j] == 0], axis=1)
+                    - np.logaddexp.reduce(logm[:, c.labels[:, j] == 1], axis=1)
+                    for j in range(c.bits_per_point)], axis=1)
+    llr = cst.bit_llrs(y, c, nv).reshape(ref.shape)
+    llr_err = float(np.max(np.abs(llr - ref) / (1.0 + np.abs(ref))))
+    post_err = float(np.max(np.abs(cst.symbol_posteriors(y, c, nv) - post)))
+    ok = llr_err <= 1e-9 and post_err <= 1e-9
+    return ok, (f"LLRs up to {np.max(np.abs(ref)):.0f} nats, max relative LLR "
+                f"error {llr_err:.1e}, max posterior error {post_err:.1e}")
 
 
 def _check_ccdm():
@@ -144,6 +169,10 @@ CHECKS = (
     ("gray_framed_cross_qam32", lambda: _check_gray("framed_cross_qam32", False), False),
     ("gray_pam6", lambda: _check_gray("pam6_label", False), False),
     ("gray_cross_qam32_violations", lambda: _check_gray("cross_qam32", True), False),
+    ("demapper_cross_qam32", lambda: _check_demapper("cross_qam32"), False),
+    ("demapper_framed_cross_qam32",
+     lambda: _check_demapper("framed_cross_qam32"), False),
+    ("demapper_pam6", lambda: _check_demapper("pam6_label"), False),
     ("ccdm_round_trip", _check_ccdm, False),
     ("bcjr_brute_force", _check_bcjr, False),
     ("ldpc_round_trip", _check_ldpc, True),

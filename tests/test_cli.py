@@ -175,11 +175,12 @@ def test_selfcheck_passes(capsys):
     assert main(["selfcheck"]) == 0
     out = capsys.readouterr().out
     for name in ("basegraph_file", "gray_framed_cross_qam32", "gray_pam6",
-                 "gray_cross_qam32_violations", "ccdm_round_trip",
-                 "bcjr_brute_force", "ldpc_round_trip", "pas_round_trip",
-                 "bch_round_trip"):
+                 "gray_cross_qam32_violations", "demapper_cross_qam32",
+                 "demapper_framed_cross_qam32", "demapper_pam6",
+                 "ccdm_round_trip", "bcjr_brute_force", "ldpc_round_trip",
+                 "pas_round_trip", "bch_round_trip"):
         assert f"{name}" in out
-    assert "9/9 checks passed" in out
+    assert "12/12 checks passed" in out
     assert "FAIL" not in out
 
 
@@ -227,6 +228,18 @@ def test_selfcheck_detects_tampered_2d_table(monkeypatch, capsys):
     out = capsys.readouterr().out
     lines = [l for l in out.split("\n") if l.startswith("gray_framed")]
     assert lines and "FAIL" in lines[0]
+
+
+def test_selfcheck_detects_drifting_posteriors(monkeypatch, capsys):
+    # posteriors normalized by a slightly wrong row sum fail every
+    # demapper check and no other
+    row_sum = constellation._row_sum
+    monkeypatch.setattr(constellation, "_row_sum", lambda w: row_sum(w) * 1.001)
+    assert main(["selfcheck"]) == 3
+    out = capsys.readouterr().out
+    lines = [l for l in out.split("\n") if l.startswith("demapper_")]
+    assert len(lines) == 3 and all("FAIL" in l for l in lines)
+    assert "9/12 checks passed" in out
 
 
 def test_version_flag(capsys):

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pam6link.constellation import (CONSTELLATION_NAMES, PEAK_LEVEL,
-                                    bit_llrs, build_constellation,
+from pam6link import constellation
+from pam6link.constellation import (CONSTELLATION_NAMES, LEVELS, PEAK_LEVEL,
+                                    bit_llrs, bit_llrs_from_levels,
+                                    build_constellation,
                                     check_unit_distance_gray, demap_hard,
                                     map_bits, normalize, power_stats,
                                     symbol_posteriors)
@@ -163,3 +165,83 @@ def test_llrs_match_logsumexp_at_high_snr(const):
         assert np.allclose(llr[exact, b], ref[exact], rtol=1e-9, atol=1e-9)
         assert np.all(np.sign(llr[~exact, b]) == np.sign(ref[~exact]))
         assert np.all(np.abs(llr[~exact, b]) >= 700.0)
+
+
+# Row-major demapper, (num_groups, num_points), kept as the exact reference
+# for the points-major one: every LLR and posterior must match it bit for bit.
+
+def _reference_sum_over_axes(axis_terms, c):
+    d = c.dimension
+    out = np.take(axis_terms[0::d], c.points[:, 0], axis=1)
+    for k in range(1, d):
+        out += np.take(axis_terms[k::d], c.points[:, k], axis=1)
+    return out
+
+
+def _reference_log_point_metrics(received, c, noise_var):
+    y = np.asarray(received, dtype=np.float64).ravel()
+    d2 = y[:, None] - normalize(LEVELS)
+    d2 *= d2
+    logm = _reference_sum_over_axes(d2, c)
+    logm /= -2.0 * noise_var
+    return logm
+
+
+def _reference_marginalize_bits(logm, c):
+    logm -= logm.max(axis=1, keepdims=True)
+    w = np.exp(logm, out=logm)
+    out = np.empty((w.shape[0], c.bits_per_point), dtype=np.float64)
+    tiny = np.finfo(np.float64).tiny
+    for j in range(c.bits_per_point):
+        mask0 = c.labels[:, j] == 0
+        s0 = w[:, mask0].sum(axis=1)
+        s1 = w[:, ~mask0].sum(axis=1)
+        out[:, j] = np.log(np.maximum(s0, tiny)) - np.log(np.maximum(s1, tiny))
+    return out
+
+
+def reference_bit_llrs(received, c, noise_var):
+    return _reference_marginalize_bits(
+        _reference_log_point_metrics(received, c, noise_var), c).ravel()
+
+
+def reference_bit_llrs_from_levels(level_logposts, c):
+    return _reference_marginalize_bits(
+        _reference_sum_over_axes(np.asarray(level_logposts, dtype=np.float64), c), c)
+
+
+def reference_symbol_posteriors(received, c, noise_var):
+    logm = _reference_log_point_metrics(received, c, noise_var)
+    logm -= logm.max(axis=1, keepdims=True)
+    post = np.exp(logm, out=logm)
+    post /= post.sum(axis=1, keepdims=True)
+    return post
+
+
+@pytest.mark.parametrize("snr_db", (0.0, 15.0, 22.5, 30.0, 60.0))
+@pytest.mark.parametrize("groups", (1, 500, 4096, 4097))
+def test_points_major_demapper_equals_row_major(const, snr_db, groups):
+    nv = 10.0 ** (-snr_db / 10.0)
+    rng = np.random.default_rng(groups)
+    idx = rng.integers(0, const.num_points, size=groups)
+    y = normalize(const.points[idx].ravel()) + np.sqrt(nv) * rng.standard_normal(
+        groups * const.dimension)
+    for got, want in ((bit_llrs(y, const, nv), reference_bit_llrs(y, const, nv)),
+                      (symbol_posteriors(y, const, nv),
+                       reference_symbol_posteriors(y, const, nv))):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    # trellis-style level log posteriors: the product metric path
+    lp = -rng.exponential(1.0 / nv, size=(groups * const.dimension, len(LEVELS)))
+    got = bit_llrs_from_levels(lp, const)
+    want = reference_bit_llrs_from_levels(lp, const)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_row_sum_follows_numpy_order():
+    # exp of a wide uniform spreads the values over ~17 orders of magnitude,
+    # so almost any other association rounds some column differently
+    rng = np.random.default_rng(0)
+    for rows in range(1, 41):
+        w = np.exp(rng.uniform(-20.0, 20.0, size=(rows, 2000)))
+        want = np.ascontiguousarray(w.T).sum(axis=1)
+        assert np.array_equal(constellation._row_sum(w), want), rows

@@ -244,6 +244,31 @@ def test_alist_round_trip():
         zip(check_idx.tolist(), var_idx.tolist()))
 
 
+def test_read_alist_rejects_inconsistent_rows():
+    code = ldpc_build(400, 0.75)
+    lines = write_alist(code).splitlines()
+    var0 = 4  # header, widths, variable degrees, check degrees, then rows
+    last_check = var0 + code.n + code.n_checks - 1
+    # a variable row naming a check that does not exist
+    bad = lines.copy()
+    row = bad[var0].split()
+    row[0] = "999"
+    bad[var0] = " ".join(row)
+    with pytest.raises(ValueError, match=r"variable 0: index 999 outside \[1, 100\]"):
+        read_alist("\n".join(bad))
+    # a check row naming a variable whose own row does not list that check
+    bad = lines.copy()
+    row = bad[last_check].split()
+    row[0] = "1"
+    bad[last_check] = " ".join(row)
+    with pytest.raises(ValueError, match=f"check {code.n_checks - 1}: variables"):
+        read_alist("\n".join(bad))
+    # and a check row naming a variable beyond n
+    bad[last_check] = " ".join(["401"] + row[1:])
+    with pytest.raises(ValueError, match=r"check 99: index 401 outside \[1, 400\]"):
+        read_alist("\n".join(bad))
+
+
 @pytest.mark.parametrize("n,k", COMMITTED_CODES + [ALL_ROWS_CODE])
 def test_alist_text_is_pinned(n, k):
     text = write_alist(ldpc_build(n, k / n))

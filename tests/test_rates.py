@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from test_constellation import (reference_bit_llrs,
+                                reference_bit_llrs_from_levels,
+                                reference_symbol_posteriors)
 
 from pam6link import rates
-from pam6link.constellation import (bit_llrs, bit_llrs_from_levels,
-                                    symbol_posteriors)
 from pam6link.rates import (MAX_RATE_1D, RateEstimate, estimate_gmi,
                             estimate_mi, matcher_rate_loss, snr_at_rate)
 
@@ -111,10 +112,11 @@ def test_isi_taps_cost_rate():
 
 
 def _reference_mi(scheme, snr_db, num_symbols, seed, taps=None):
-    """estimate_mi computed in one unblocked pass over all points."""
+    """estimate_mi computed in one unblocked pass over all points, with the
+    row-major reference demapper."""
     c, idx, y, nv = rates._simulate(scheme, snr_db, num_symbols, seed, taps)
     if taps is None:
-        post = symbol_posteriors(y, c, nv)
+        post = reference_symbol_posteriors(y, c, nv)
         p_true = post[np.arange(len(idx)), idx]
         samples = np.log2(np.maximum(p_true, np.finfo(np.float64).tiny))
     else:
@@ -128,12 +130,14 @@ def _reference_mi(scheme, snr_db, num_symbols, seed, taps=None):
 
 
 def _reference_gmi(scheme, snr_db, num_symbols, seed, taps=None):
-    """estimate_gmi computed in one unblocked pass over all points."""
+    """estimate_gmi computed in one unblocked pass over all points, with the
+    row-major reference demapper."""
     c, idx, y, nv = rates._simulate(scheme, snr_db, num_symbols, seed, taps)
     if taps is None:
-        llr = bit_llrs(y, c, nv).reshape(-1, c.bits_per_point)
+        llr = reference_bit_llrs(y, c, nv).reshape(-1, c.bits_per_point)
     else:
-        llr = bit_llrs_from_levels(rates._trellis_logposts(y, taps, nv), c)
+        llr = reference_bit_llrs_from_levels(
+            rates._trellis_logposts(y, taps, nv), c)
     b = c.labels[idx].astype(np.float64)
     signed = (1.0 - 2.0 * b) * llr
     penalties = np.logaddexp(0.0, -signed) / math.log(2.0)
