@@ -122,6 +122,8 @@ def _cmd_rates(args) -> int:
     _check(check_seed, "--seed", args.seed)
     if args.taps is not None:
         _check(check_taps, "--taps", args.taps)
+        _check(check_num_symbols, "--taps", args.scheme, args.num_symbols,
+               args.taps)
     est_fn = estimate_mi if args.metric == "symbol_metric" else estimate_gmi
     est = est_fn(args.scheme, args.snr, num_symbols=args.num_symbols,
                  seed=args.seed, taps=args.taps)

@@ -116,13 +116,13 @@ class Constellation:
         return self.labels.shape[1]
 
 
-def _row_index(rows, table, radix):
-    """Index in `table` of each row of base-`radix` digits, -1 where absent."""
-    shape = (radix,) * table.shape[1]
-    lut = np.full(radix ** table.shape[1], -1)
+def _row_index(rows, table):
+    """Index in `table` of each row of unsigned bits, -1 where absent."""
+    shape = (2,) * table.shape[1]
+    lut = np.full(2 ** table.shape[1], -1)
     lut[np.ravel_multi_index(table.T, shape)] = np.arange(len(table))
-    inside = ((rows >= 0) & (rows < radix)).all(axis=1)
-    return np.where(inside, lut[np.ravel_multi_index(np.clip(rows, 0, radix - 1).T, shape)], -1)
+    inside = (rows < 2).all(axis=1)
+    return np.where(inside, lut[np.ravel_multi_index(np.minimum(rows, 1).T, shape)], -1)
 
 
 def _from_table(name, table, dimension):
@@ -139,7 +139,7 @@ def build_constellation(name: str) -> Constellation:
     if name == "framed_cross_qam32":
         return _from_table(name, _FRAMED_CROSS_QAM32, 2)
     if name == "pam6_label":
-        return _from_table(name, {k: v for k, v in _PAM6_LABELS.items()}, 1)
+        return _from_table(name, _PAM6_LABELS, 1)
     raise ValueError(f"unknown constellation {name!r}; expected one of {CONSTELLATION_NAMES}")
 
 
@@ -154,7 +154,7 @@ def map_bits(bits, c: Constellation) -> np.ndarray:
     if len(bits) % L:
         raise ValueError(f"bit count {len(bits)} not divisible by {L}")
     groups = bits.reshape(-1, L)
-    idx = _row_index(groups, c.labels, 2)
+    idx = _row_index(groups, c.labels)
     bad = np.flatnonzero(idx < 0)
     if bad.size:
         g = groups[bad[0]]
@@ -162,36 +162,9 @@ def map_bits(bits, c: Constellation) -> np.ndarray:
     return c.points[idx].ravel()
 
 
-def demap_hard(levels, c: Constellation) -> np.ndarray:
-    """Invert :func:`map_bits` on a valid level sequence."""
-    levels = np.asarray(levels, dtype=np.int64).ravel()
-    if len(levels) % c.dimension:
-        raise ValueError(f"level count {len(levels)} not divisible by dimension {c.dimension}")
-    pts = levels.reshape(-1, c.dimension)
-    idx = _row_index(pts, c.points, PEAK_LEVEL + 1)
-    bad = np.flatnonzero(idx < 0)
-    if bad.size:
-        raise ValueError(f"{tuple(int(v) for v in pts[bad[0]])} is not a point of {c.name}")
-    return c.labels[idx].ravel()
-
-
 def normalize(levels) -> np.ndarray:
     """Levels {0..5} -> transmit amplitudes in [0, 1] (peak amplitude 1)."""
     return np.asarray(levels, dtype=np.float64) / PEAK_LEVEL
-
-
-def power_stats(c: Constellation) -> tuple[float, float]:
-    """Peak and average power per 1D channel use, levels centered about 2.5.
-
-    Returns ``(peak_power, avg_power)`` in normalized-amplitude^2 units for
-    equiprobable points: amplitude per axis is (level - 2.5)/5, so the
-    outermost levels 0 and 5 carry power 0.25.
-    """
-    amps = (c.points - 2.5) / PEAK_LEVEL
-    axis_power = amps**2
-    peak = float(axis_power.max())
-    avg = float(((1.0 / c.num_points) * axis_power).sum() / c.dimension)
-    return peak, avg
 
 
 def check_unit_distance_gray(c: Constellation) -> list[tuple]:

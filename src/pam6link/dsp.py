@@ -19,42 +19,31 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Trellis:
-    """Branch bookkeeping for a 6-ary (or general Q-ary) ISI trellis.
+    """Branch means of a 6-ary (or general Q-ary) ISI trellis.
 
-    State encodes the last `memory` symbol indices base Q; a branch is
-    (prev_state, symbol) with id b = prev_state*Q + symbol, next state
-    (Q*prev_state + symbol) mod Q^memory. The channel is assumed quiescent
-    (level-0 amplitude) before the burst, so the initial state is 0; the
-    terminal distribution is left uniform.
+    A state holds the last len(taps) - 1 symbol indices base Q; branch
+    b = prev_state*Q + symbol leads to state (Q*prev_state + symbol) mod
+    n_states. The channel is assumed quiescent (level-0 amplitude) before
+    the burst, so the initial state is 0; the terminal distribution is left
+    uniform.
     """
-    taps: np.ndarray
     levels: np.ndarray
-    memory: int
     n_states: int
     branch_mean: np.ndarray = field(repr=False)
-    branch_sym: np.ndarray = field(repr=False)
-    next_state: np.ndarray = field(repr=False)
 
 
 def make_trellis(taps: np.ndarray, levels: np.ndarray) -> Trellis:
     taps = np.asarray(taps, dtype=np.float64).ravel()
     levels = np.asarray(levels, dtype=np.float64).ravel()
     q = levels.size
-    memory = taps.size - 1
-    n_states = q**memory
+    n_states = q**(taps.size - 1)
     b = np.arange(n_states * q)
-    prev = b // q
-    sym = b % q
-    mean = taps[0] * levels[sym]
-    digits = prev
-    for i in range(1, memory + 1):
-        mean = mean + taps[i] * levels[digits % q]
+    mean = taps[0] * levels[b % q]
+    digits = b // q
+    for tap in taps[1:]:
+        mean = mean + tap * levels[digits % q]
         digits = digits // q
-    nxt = (q * prev + sym) % n_states
-    return Trellis(
-        taps=taps, levels=levels, memory=memory, n_states=n_states,
-        branch_mean=mean, branch_sym=sym, next_state=nxt,
-    )
+    return Trellis(levels=levels, n_states=n_states, branch_mean=mean)
 
 
 POSTERIOR_BLOCK = 256  # steps whose posteriors are formed together

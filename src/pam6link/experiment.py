@@ -27,11 +27,13 @@ from dataclasses import dataclass
 import yaml
 
 from .channel import check_seed, check_taps, sigma_for_peak_snr
-from .link import check_frame_symbols, coded_fer, frame_data_bits, rate_at_fer
+from .link import (CODECS, check_frame_symbols, coded_fer, frame_data_bits,
+                   rate_at_fer)
 from .rates import (SCHEMES, METRICS, check_num_symbols, estimate_gmi,
                     estimate_mi)
 
 RUN_METRICS = METRICS + ("fer", "rate_at_fer")
+CHANNEL_KINDS = ("awgn", "fir_isi")
 CSV_HEADER = "scheme,metric,snr_db,rate,half_width,N,seed"
 
 
@@ -41,7 +43,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class CodecSpec:
-    family: str = "ldpc"  # ldpc | bch | none
+    family: str = "ldpc"  # one of link.CODECS
     rate_bpcu: float = 2.0
     rate_grid: tuple = (1.80, 1.90, 2.00, 2.10)
 
@@ -63,6 +65,9 @@ class ExperimentConfig:
     output: str = None
 
     def __post_init__(self):
+        if self.codec is not None and self.codec.family not in CODECS:
+            raise ConfigError(
+                f"codec.family: {self.codec.family!r} not one of {list(CODECS)}")
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"scheme: {s!r} not one of {list(SCHEMES)}")
@@ -76,9 +81,9 @@ class ExperimentConfig:
             raise ConfigError("snr_db: need at least one sweep point")
         for snr in self.snr_db:
             _check(sigma_for_peak_snr, "snr_db", snr)
-        if self.channel_kind not in ("awgn", "fir_isi"):
+        if self.channel_kind not in CHANNEL_KINDS:
             raise ConfigError(
-                f"channel.kind: {self.channel_kind!r} not one of ['awgn', 'fir_isi']")
+                f"channel.kind: {self.channel_kind!r} not one of {list(CHANNEL_KINDS)}")
         if self.channel_kind == "fir_isi" and not self.taps:
             raise ConfigError("channel.taps: required when kind is fir_isi")
         if self.channel_kind != "fir_isi" and self.taps is not None:
@@ -112,6 +117,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: need at least 1, got {getattr(self, key)}")
         for scheme in self.schemes:
             _check(check_num_symbols, "num_symbols", scheme, self.num_symbols)
+            if self.taps is not None:
+                _check(check_num_symbols, "channel.taps", scheme,
+                       self.num_symbols, self.taps)
         if needs_codec:
             self._check_frames()
 
@@ -204,9 +212,12 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("snr_db: required")
     snr_db = _floats(raw["snr_db"], "snr_db")
 
-    seeds = tuple(_as_list(raw.get("seeds", [0]), "seeds"))
-    if not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
-        raise ConfigError(f"seeds: expected integers, got {raw.get('seeds')!r}")
+    kw = {"schemes": schemes, "metrics": metrics, "snr_db": snr_db}
+    if "seeds" in raw:
+        kw["seeds"] = tuple(_as_list(raw["seeds"], "seeds"))
+        if not all(isinstance(s, int) and not isinstance(s, bool)
+                   for s in kw["seeds"]):
+            raise ConfigError(f"seeds: expected integers, got {raw['seeds']!r}")
 
     ch = raw.get("channel", {})
     if not isinstance(ch, dict):
@@ -214,10 +225,11 @@ def parse_config(text: str) -> ExperimentConfig:
     unknown = set(ch) - _CHANNEL_KEYS
     if unknown:
         raise ConfigError(f"channel: unknown field(s) {sorted(unknown)}")
-    kind = str(ch.get("kind", "awgn"))
-    taps = _floats(ch["taps"], "channel.taps") if "taps" in ch else None
+    if "kind" in ch:
+        kw["channel_kind"] = str(ch["kind"])
+    if "taps" in ch:
+        kw["taps"] = _floats(ch["taps"], "channel.taps")
 
-    codec = None
     cd = raw.get("codec")
     if cd is not None:
         if not isinstance(cd, dict):
@@ -225,46 +237,29 @@ def parse_config(text: str) -> ExperimentConfig:
         unknown = set(cd) - _CODEC_KEYS
         if unknown:
             raise ConfigError(f"codec: unknown field(s) {sorted(unknown)}")
-        grid = cd.get("rate_grid")
-        codec = CodecSpec(
-            family=str(cd.get("family", "ldpc")),
-            rate_bpcu=_float(cd.get("rate", 2.0), "codec.rate"),
-            rate_grid=(_floats(grid, "codec.rate_grid") if grid is not None
-                       else CodecSpec.rate_grid),
-        )
-        if codec.family not in ("ldpc", "bch", "none"):
-            raise ConfigError(
-                f"codec.family: {codec.family!r} not one of ['ldpc', 'bch', 'none']")
+        spec = {}
+        if "family" in cd:
+            spec["family"] = str(cd["family"])
+        if "rate" in cd:
+            spec["rate_bpcu"] = _float(cd["rate"], "codec.rate")
+        if cd.get("rate_grid") is not None:
+            spec["rate_grid"] = _floats(cd["rate_grid"], "codec.rate_grid")
+        kw["codec"] = CodecSpec(**spec)
 
-    def _int(key, default):
-        v = raw.get(key, default)
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ConfigError(f"{key}: expected an integer, got {v!r}")
-        return v
-
+    for key in ("num_symbols", "frame_symbols", "max_frames", "min_errors"):
+        if key in raw:
+            v = raw[key]
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ConfigError(f"{key}: expected an integer, got {v!r}")
+            kw[key] = v
+    if "fer_target" in raw:
+        kw["fer_target"] = _float(raw["fer_target"], "fer_target")
     out = raw.get("output")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"output: expected a path, got {out!r}")
-    return ExperimentConfig(
-        schemes=schemes, metrics=metrics, snr_db=snr_db, seeds=seeds,
-        channel_kind=kind, taps=taps,
-        num_symbols=_int("num_symbols", 10**5),
-        frame_symbols=_int("frame_symbols", 1000),
-        codec=codec,
-        fer_target=_float(raw.get("fer_target", 1e-2), "fer_target"),
-        max_frames=_int("max_frames", 1000),
-        min_errors=_int("min_errors", 100),
-        output=out,
-    )
-
-
-def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise ConfigError(f"config: cannot read {path}: {e}") from None
-    return parse_config(text)
+    if out is not None:
+        if not isinstance(out, str):
+            raise ConfigError(f"output: expected a path, got {out!r}")
+        kw["output"] = out
+    return ExperimentConfig(**kw)
 
 
 def _fmt(x) -> str:

@@ -52,20 +52,12 @@ class BchCode:
     field: GF2m = field(repr=False, default=None)
 
     @property
-    def n_mother(self) -> int:
-        return (1 << self.m) - 1
-
-    @property
     def parity_length(self) -> int:
         return len(self.generator) - 1
 
     @property
     def systematic_length(self) -> int:
         return self.length - self.parity_length
-
-    @property
-    def rate(self) -> float:
-        return self.systematic_length / self.length
 
 
 def field_degree(length: int) -> int:
@@ -77,18 +69,12 @@ def field_degree(length: int) -> int:
     return m
 
 
-def bch_build(length: int, t: int, m: int = None) -> BchCode:
-    """Construct a t-error-correcting BCH code of the given length.
-
-    m picks the mother-code length 2^m - 1; by default the smallest field
-    with n_mother >= length is used.
-    """
-    if m is None:
-        m = field_degree(length)
+def bch_build(length: int, t: int) -> BchCode:
+    """Construct a t-error-correcting BCH code of the given length, shortened
+    from the mother code of the smallest field that reaches it."""
+    m = field_degree(length)
     fld = GF2m(m)
     n = fld.order
-    if length > n:
-        raise ValueError(f"length {length} exceeds mother length {n}")
     if not 1 <= t or 2 * t >= n:
         raise ValueError(f"t={t} outside [1, {(n - 1) // 2}] for mother length {n}")
     seen = set()

@@ -127,10 +127,6 @@ class LdpcCode:
     def n_checks(self) -> int:
         return self.check_vars.shape[1]
 
-    @property
-    def rate(self) -> float:
-        return self.k / self.n
-
 
 def rate_match(bg: BaseGraph, codelength: int, k: int) -> tuple[int, int]:
     """Lift size z and base rows m_use for k data bits in a codelength word.

@@ -32,7 +32,6 @@ from .channel import philox, sigma_for_peak_snr, transmit
 from .constellation import (
     Constellation,
     bit_llrs,
-    build_constellation,
     map_bits,
     normalize,
     symbol_posteriors,
@@ -48,7 +47,7 @@ from .fec import (
 from .fec.bch import field_degree
 from .fec.ldpc import load_basegraph, rate_match
 from .fec.scramble import adapt_llrs, scramble
-from .rates import SCHEMES, bisect
+from .rates import SCHEMES, bisect, constellation_for
 
 SCRAMBLE_SEED = 0xC0DEC
 CODECS = ("ldpc", "bch", "none")
@@ -61,12 +60,9 @@ MAX_FRAME_SYMBOLS = 10**5  # largest frame; the dm_pam6 matcher size grows
 class CodedScheme:
     """A scheme bound to a code rate and frame geometry, ready to run."""
     scheme: str
-    rate_bpcu: float
-    frame_symbols: int
     codec: str
     constellation: Constellation = field(repr=False)
     data_bits: int = 0
-    gamma: float = 0.0
     comp: shaping.Composition = field(repr=False, default=None)
     ldpc: object = field(repr=False, default=None)
     bch: object = field(repr=False, default=None)
@@ -95,11 +91,14 @@ def frame_data_bits(
 
     2D formats: k = rate_bpcu * frame_symbols must be an integer in (0, n)
     for the n = 5 * frame_symbols / 2 coded bits (codec none carries all
-    n; BCH needs k <= n - m for field degree m, later rounded down to a
-    code dimension). dm_pam6: the matcher's k_dm bits plus g = (rate_bpcu
-    - k_dm / n) * n data sign bits, g an integer in [0, n] (n with codec
-    none). LDPC codes must pass fec.ldpc.rate_match. Raises ValueError for
-    anything a frame cannot realize.
+    n). BCH needs k <= n - m for field degree m, and k is then only the
+    least a frame carries: build_coded takes the strongest t whose
+    dimension still reaches k, so 1000-symbol frames at 1.8 / 2.0 / 2.1
+    bpcu carry 1810 / 2002 / 2110 data bits (t = 58 / 42 / 33).
+    dm_pam6: the matcher's k_dm bits plus g = (rate_bpcu - k_dm / n) * n
+    data sign bits, g an integer in [0, n] (n with codec none). LDPC codes
+    must pass fec.ldpc.rate_match. Raises ValueError for anything a frame
+    cannot realize.
     """
     if codec not in CODECS:
         raise ValueError(f"unknown codec {codec!r}; expected one of {CODECS}")
@@ -154,17 +153,15 @@ def build_coded(
 ) -> CodedScheme:
     """Resolve a (scheme, rate) request into concrete codes and tables."""
     k = frame_data_bits(scheme, rate_bpcu, frame_symbols, codec)
+    constellation = constellation_for(scheme)
     if scheme == "dm_pam6":
         n = frame_symbols
         comp = shaping.Composition.near_uniform(n)
-        k_dm = shaping.ccdm_input_length(comp)
-        g = k - k_dm
+        g = k - shaping.ccdm_input_length(comp)
         ldpc = None if g == n else ldpc_build(3 * n, (2 * n + g) / (3 * n))
-        return CodedScheme(
-            scheme=scheme, rate_bpcu=k_dm / n + g / n, frame_symbols=n,
-            codec=codec, constellation=build_constellation("pam6_label"),
-            data_bits=k, gamma=g / n, comp=comp, ldpc=ldpc,
-        )
+        return CodedScheme(scheme=scheme, codec=codec,
+                           constellation=constellation, data_bits=k, comp=comp,
+                           ldpc=ldpc)
     n_coded = frame_symbols // 2 * 5
     ldpc = bch = None
     if codec == "ldpc":
@@ -182,11 +179,8 @@ def build_coded(
                 break
             bch = cand
         k = bch.systematic_length
-    return CodedScheme(
-        scheme=scheme, rate_bpcu=k / frame_symbols, frame_symbols=frame_symbols,
-        codec=codec, constellation=build_constellation(scheme),
-        data_bits=k, ldpc=ldpc, bch=bch,
-    )
+    return CodedScheme(scheme=scheme, codec=codec, constellation=constellation,
+                       data_bits=k, ldpc=ldpc, bch=bch)
 
 
 def encode_frame(cs: CodedScheme, data: np.ndarray) -> np.ndarray:
@@ -311,11 +305,9 @@ def snr_at_fer(
 @dataclass(frozen=True)
 class FerPoint:
     rate: float
-    snr_db: float
     fer: float
     half_width: float
     frames: int
-    errors: int
 
 
 def rate_at_fer(
@@ -338,12 +330,11 @@ def rate_at_fer(
     """
     points = []
     for rate in sorted(rate_grid, reverse=True):
-        fer, hw, frames, errors = coded_fer(
+        fer, hw, frames, _ = coded_fer(
             scheme, rate, snr_db, codec=codec, frame_symbols=frame_symbols,
             max_frames=max_frames, min_errors=min_errors, seed=seed,
         )
-        points.append(FerPoint(rate=rate, snr_db=snr_db, fer=fer,
-                               half_width=hw, frames=frames, errors=errors))
+        points.append(FerPoint(rate=rate, fer=fer, half_width=hw, frames=frames))
         if fer <= fer_target:
             return rate, points
     raise ValueError(

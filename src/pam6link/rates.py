@@ -32,6 +32,10 @@ _RATE_TOL_BPCU = 0.005  # snr_at_rate stops once a probe is this close
 _HW_FLOOR = 1e-12  # keeps reported confidence strictly positive when the
                    # per-sample information is constant (noise-free regime)
 MAX_NUM_SYMBOLS = 10**7  # largest MI/GMI sample
+# largest count of float64 branch metrics bcjr_app holds at once, one per
+# (use, state, symbol): num_symbols * 6**len(taps). Two taps at
+# MAX_NUM_SYMBOLS need 2.9 GB; a third tap would need 17 GB.
+MAX_BRANCH_METRICS = MAX_NUM_SYMBOLS * 6**2
 _BLOCK_POINTS = 4096  # points per demapper call: keeps intermediates in cache
 
 
@@ -52,7 +56,8 @@ class RateEstimate:
             raise ValueError("half_width must be positive")
 
 
-def _constellation_for(scheme: str):
+def constellation_for(scheme: str):
+    """The constellation a scheme sends: dm_pam6 goes on the PAM-6 labels."""
     if scheme == "dm_pam6":
         return build_constellation("pam6_label")
     if scheme in ("cross_qam32", "framed_cross_qam32"):
@@ -60,10 +65,11 @@ def _constellation_for(scheme: str):
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
 
-def check_num_symbols(scheme: str, num_symbols: int) -> None:
+def check_num_symbols(scheme: str, num_symbols: int, taps=None) -> None:
     """Raise ValueError unless num_symbols 1D uses, in [1e4, MAX_NUM_SYMBOLS],
-    fill whole points of scheme."""
-    dim = _constellation_for(scheme).dimension
+    fill whole points of scheme and, with ISI taps, keep the trellis's
+    branch metrics within MAX_BRANCH_METRICS."""
+    dim = constellation_for(scheme).dimension
     if num_symbols < 10**4:
         raise ValueError(f"need at least 1e4 symbols, got {num_symbols}")
     if num_symbols > MAX_NUM_SYMBOLS:
@@ -73,6 +79,11 @@ def check_num_symbols(scheme: str, num_symbols: int) -> None:
         raise ValueError(
             f"{scheme} sends {dim} symbols per point; {num_symbols} is not "
             f"a multiple of {dim}")
+    if taps is not None and num_symbols * 6**len(taps) > MAX_BRANCH_METRICS:
+        raise ValueError(
+            f"{len(taps)} taps over {num_symbols} symbols need {num_symbols} "
+            f"* 6**{len(taps)} trellis branch metrics, more than "
+            f"{MAX_BRANCH_METRICS}")
 
 
 def _simulate(scheme: str, snr_db: float, num_symbols: int, seed: int, taps=None):
@@ -82,8 +93,8 @@ def _simulate(scheme: str, snr_db: float, num_symbols: int, seed: int, taps=None
     points. With `taps` the link has residual ISI and detection must use a
     trellis; otherwise the channel is memoryless AWGN.
     """
-    check_num_symbols(scheme, num_symbols)
-    c = _constellation_for(scheme)
+    check_num_symbols(scheme, num_symbols, taps)
+    c = constellation_for(scheme)
     nv = sigma_for_peak_snr(snr_db)
     groups = num_symbols // c.dimension
     idx = philox(seed, _SYMBOL_STREAM).integers(0, c.num_points, size=groups)
@@ -178,11 +189,12 @@ def estimate_gmi(
                      num_symbols, seed)
 
 
-def matcher_rate_loss(n: int = shaping.DEFAULT_MATCHER_N) -> float:
-    """Entropy lost to the finite-length fixed-composition matcher (bits/amp)."""
-    comp = shaping.Composition.near_uniform(n)
-    k = shaping.ccdm_input_length(comp)
-    return math.log2(3.0) - k / n
+def matcher_rate_loss() -> float:
+    """Entropy lost to the fixed-composition matcher of DEFAULT_MATCHER_N
+    amplitudes (bits/amp)."""
+    n = shaping.DEFAULT_MATCHER_N
+    return math.log2(3.0) - shaping.ccdm_input_length(
+        shaping.Composition.near_uniform(n)) / n
 
 
 def snr_at_rate(
@@ -191,7 +203,6 @@ def snr_at_rate(
     target_rate: float = 2.0,
     num_symbols: int = 10**6,
     seed: int = 0,
-    matcher_n: int = shaping.DEFAULT_MATCHER_N,
     taps=None,
 ) -> float:
     """Peak SNR (dB) where the scheme's estimated rate meets target_rate.
@@ -200,8 +211,7 @@ def snr_at_rate(
     auto-expansion capped at 60 dB. For dm_pam6 the target is feasibility
     of the full shaped construction: the finite-length matcher redeems
     k/n < log2(3) bits per amplitude, so the solver finds the SNR where
-    the ideal rate exceeds the target by that loss. Pass matcher_n=None
-    for the asymptotic (infinite-n) threshold.
+    the ideal rate exceeds the target by that loss.
     """
     if metric == "symbol_metric":
         est = estimate_mi
@@ -209,10 +219,9 @@ def snr_at_rate(
         est = estimate_gmi
     else:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-    offset = 0.0
-    if scheme == "dm_pam6" and matcher_n is not None:
-        offset = matcher_rate_loss(matcher_n)
-    want = target_rate + offset
+    want = target_rate
+    if scheme == "dm_pam6":
+        want += matcher_rate_loss()
 
     def rate_at(snr):
         return est(scheme, snr, num_symbols, seed, taps=taps).rate

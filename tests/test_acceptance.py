@@ -191,7 +191,7 @@ def test_codec_sanity():
         ldpc_ok &= bool(conv) and np.array_equal(got, u)
 
     # exhaustive weight <= t at the smallest field
-    small = bch_build(15, 2, m=4)
+    small = bch_build(15, 2)
     data = np.random.default_rng(1).integers(0, 2, size=small.systematic_length)
     cw = bch_encode(data.astype(np.uint8), small)
     n_ex = 0

@@ -52,6 +52,7 @@ num_symbols: 10000
 
 def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.yaml")]) == 1
+    assert "neither a bundled name" in capsys.readouterr().err
     bad = tmp_path / "bad.yaml"
     bad.write_text("scheme: dm_pam6\nmetric: nope\nsnr_db: [20]\n")
     assert main(["run", "--config", str(bad)]) == 1
@@ -102,6 +103,9 @@ def test_config_errors_exit_1(tmp_path, capsys):
          "codec: {family: ldpc}\nfer_target: .nan\n", "fer_target"),
         (TINY + "channel: {kind: fir_isi, taps: [0.0, 1.0]}\n", "channel.taps"),
         (TINY + "channel: {kind: fir_isi, taps: [1.0, .nan]}\n", "channel.taps"),
+        (TINY.replace("10000", "10000000")
+         + "channel: {kind: fir_isi, taps: [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}\n",
+         "channel.taps"),
     ]:
         bad.write_text(text)
         assert main(["run", "--config", str(bad)]) == 1
@@ -119,7 +123,9 @@ def test_config_errors_exit_1(tmp_path, capsys):
     for flags, field in [(["--snr", "nan"], "--snr"),
                          (["--snr", "22.0", "--seed", "-1"], "--seed"),
                          (["--snr", "22.0", "--taps", "0", "1"], "--taps"),
-                         (["--snr", "22.0", "--taps", "1", "inf"], "--taps")]:
+                         (["--snr", "22.0", "--taps", "1", "inf"], "--taps"),
+                         (["--snr", "22.0", "--num-symbols", "10000000",
+                           "--taps"] + ["1"] + ["0"] * 11, "--taps")]:
         assert main(["rates", "--scheme", "cross_qam32", "--metric",
                      "bit_metric", "--num-symbols", "10000"] + flags) == 1
         assert field in capsys.readouterr().err

@@ -14,13 +14,11 @@ LEVELS = np.arange(6) / 5.0
 
 def test_trellis_structure():
     tr = make_trellis(np.array([1.0, 0.4]), LEVELS)
-    assert tr.memory == 1 and tr.n_states == 6
+    assert tr.n_states == 6
     assert tr.branch_mean.size == 36
     # branch (prev_state=2, symbol=5): mean = 1.0*levels[5] + 0.4*levels[2]
     b = 2 * 6 + 5
     assert tr.branch_mean[b] == pytest.approx(LEVELS[5] + 0.4 * LEVELS[2])
-    assert tr.next_state[b] == 5
-    assert tr.branch_sym[b] == 5
 
 
 def _brute_force_app(y, taps, noise_var):
@@ -77,9 +75,10 @@ def _per_step_app(y, tr, noise_var):
     groups are all -inf.
     """
     t_len, q, ns = y.size, tr.levels.size, tr.n_states
-    prev = np.arange(ns * q) // q
-    sym, mean = tr.branch_sym, tr.branch_mean
-    in_order = np.argsort(tr.next_state, kind="stable")
+    prev, sym = np.divmod(np.arange(ns * q), q)
+    next_state = (q * prev + sym) % ns
+    mean = tr.branch_mean
+    in_order = np.argsort(next_state, kind="stable")
 
     def lse(x, axis):
         mx = x.max(axis=axis)
@@ -98,11 +97,11 @@ def _per_step_app(y, tr, noise_var):
     beta = np.zeros(ns)
     out = np.empty((t_len, q))
     for t in range(t_len - 1, -1, -1):
-        joint = alphas[t, prev] + metrics[t] + beta[tr.next_state]
+        joint = alphas[t, prev] + metrics[t] + beta[next_state]
         post = lse(joint.reshape(ns, q), 0)
         norm = post.max()
         out[t] = post - (norm + np.log(np.exp(post - norm).sum()))
-        beta = lse((metrics[t] + beta[tr.next_state]).reshape(ns, q), 1)
+        beta = lse((metrics[t] + beta[next_state]).reshape(ns, q), 1)
     return out
 
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from pam6link import experiment
 from pam6link.cli import BUNDLED_CONFIGS, _resolve_config
-from pam6link.experiment import (CSV_HEADER, ConfigError, ExperimentConfig,
-                                 load_config, parse_config, run_experiment)
+from pam6link.experiment import (CSV_HEADER, CodecSpec, ConfigError,
+                                 ExperimentConfig, parse_config, run_experiment)
 from pam6link.link import build_coded
 
 MINIMAL = """
@@ -146,6 +146,12 @@ def test_syntax_error_reports_line():
     # 2D formats send whole points: an odd count would not be simulated
     ("scheme: cross_qam32\nmetric: symbol_metric\nsnr_db: [20]\n"
      "num_symbols: 10001", "num_symbols: cross_qam32 sends 2 symbols"),
+    # parsing allocates nothing; a run would ask bcjr_app for 10**7 * 6**12
+    # branch metrics
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\n"
+     "num_symbols: 10000000\n"
+     "channel: {kind: fir_isi, taps: [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}",
+     "channel.taps: .*branch metrics"),
 ])
 def test_schema_errors_name_the_field(text, field):
     with pytest.raises(ConfigError, match=field):
@@ -169,12 +175,26 @@ def test_config_error_is_value_error():
     assert issubclass(ConfigError, ValueError)
 
 
-def test_load_config_missing_file(tmp_path):
-    with pytest.raises(ConfigError, match="cannot read"):
-        load_config(tmp_path / "nope.yaml")
-    p = tmp_path / "ok.yaml"
-    p.write_text(MINIMAL)
-    assert load_config(p).schemes == ("dm_pam6",)
+def test_unset_fields_take_the_dataclass_defaults():
+    cfg = parse_config("scheme: dm_pam6\nmetric: fer\nsnr_db: [27]\n"
+                       "channel: {}\ncodec: {rate_grid: null}\n")
+    assert cfg == ExperimentConfig(schemes=("dm_pam6",), metrics=("fer",),
+                                   snr_db=(27.0,), codec=CodecSpec())
+
+
+@pytest.mark.parametrize("metrics", [("fer",), ("symbol_metric",)])
+def test_codec_family_checked_by_the_config(metrics):
+    # built directly, not parsed: an unknown family is named whatever the
+    # metrics, not left for the frame checks to trip over
+    with pytest.raises(ConfigError, match="codec.family: 'turbo' not one of"):
+        ExperimentConfig(schemes=("cross_qam32",), metrics=metrics,
+                         snr_db=(25.0,), codec=CodecSpec(family="turbo"))
+
+
+def test_two_taps_fit_the_largest_sample():
+    cfg = parse_config(MINIMAL.replace("10000", "10000000")
+                       + "channel: {kind: fir_isi, taps: [1.0, 0.35]}")
+    assert cfg.num_symbols == 10**7 and cfg.taps == (1.0, 0.35)
 
 
 def test_run_emits_cross_product_in_config_order():

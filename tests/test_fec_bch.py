@@ -39,14 +39,15 @@ def test_field_multiplication_matches_polynomial_model():
 
 def test_build_dimensions_mother_4095():
     code = bch_build(4095, t=5)
-    assert code.n_mother == 4095
+    assert code.m == 12  # mother length 2**12 - 1 = 4095
     assert code.length == 4095
     assert code.parity_length == 60  # five distinct even cosets of size 12
     assert code.systematic_length == 4035
 
 
 def test_build_shortened():
-    code = bch_build(400, t=4, m=12)
+    code = bch_build(400, t=4)
+    assert code.m == 9  # the smallest field reaching 400: 2**9 - 1 = 511
     assert code.length == 400
     assert code.systematic_length == 400 - code.parity_length
 
@@ -63,7 +64,7 @@ def test_encode_is_systematic():
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=60, deadline=None)
 def test_random_weight_t_corrected(seed):
-    code = bch_build(255, t=3, m=8)
+    code = bch_build(255, t=3)
     rng = np.random.default_rng(seed)
     u = rng.integers(0, 2, size=code.systematic_length).astype(np.uint8)
     cw = bch_encode(u, code)
@@ -77,7 +78,7 @@ def test_random_weight_t_corrected(seed):
 
 def test_exhaustive_weight_le_t_small():
     # every correctable pattern at (m=4, t=2, n=15); also the clean word
-    code = bch_build(15, t=2, m=4)
+    code = bch_build(15, t=2)
     rng = np.random.default_rng(2)
     u = rng.integers(0, 2, size=code.systematic_length).astype(np.uint8)
     cw = bch_encode(u, code)
@@ -101,7 +102,7 @@ def test_beyond_t_detected_or_bounded_distance():
     # t+1 errors: either the decoder flags failure and returns the data
     # field untouched, or it lands on a codeword within distance t of the
     # received word (bounded-distance decoding, a miscorrection)
-    code = bch_build(63, t=2, m=6)
+    code = bch_build(63, t=2)
     rng = np.random.default_rng(3)
     flagged = 0
     for _ in range(200):

@@ -16,17 +16,15 @@ def test_build_qam_ldpc_bookkeeping():
     cs = build_coded("cross_qam32", 2.0, frame_symbols=1000)
     assert cs.data_bits == 2000
     assert cs.ldpc.n == 2500 and cs.ldpc.k == 2000
-    assert cs.rate_bpcu == pytest.approx(2.0)
 
 
 def test_build_dm_ldpc_bookkeeping():
     cs = build_coded("dm_pam6", 2.0, frame_symbols=1000)
     assert cs.comp.n == 1000
-    k_dm = cs.data_bits - round(cs.gamma * 1000)
-    assert k_dm == 1574
-    assert cs.gamma == pytest.approx(0.426)
-    assert cs.ldpc.n == 3000 and cs.ldpc.k == 2426
-    assert cs.rate_bpcu == pytest.approx(2.0)
+    assert ccdm_input_length(cs.comp) == 1574
+    # 2000 data bits: 1574 through the matcher, 426 on the sign bits
+    assert cs.data_bits == 2000
+    assert cs.ldpc.n == 3000 and cs.ldpc.k == 2 * 1000 + 426
 
 
 def test_build_rejects_unrealizable_rates():
@@ -49,6 +47,13 @@ def test_frame_data_bits_matches_built_frames():
             assert frame_data_bits(scheme, rate, 1000) == cs.data_bits
         cs = build_coded(scheme, 2.0, frame_symbols=200, codec="none")
         assert frame_data_bits(scheme, 2.0, 200, "none") == cs.data_bits
+    # BCH: k is the least a frame carries; the strongest t whose dimension
+    # still reaches k sets the count
+    for rate, k, carried, t in ((1.8, 1800, 1810, 58), (2.0, 2000, 2002, 42),
+                                (2.1, 2100, 2110, 33)):
+        assert frame_data_bits("cross_qam32", rate, 1000, "bch") == k
+        cs = build_coded("cross_qam32", rate, frame_symbols=1000, codec="bch")
+        assert (cs.data_bits, cs.bch.t) == (carried, t)
     with pytest.raises(ValueError, match="need at least 1 symbol"):
         frame_data_bits("dm_pam6", 2.0, frame_symbols=0, codec="none")
     with pytest.raises(ValueError, match="gamma in"):

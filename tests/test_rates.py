@@ -7,7 +7,7 @@ from test_constellation import (reference_bit_llrs,
                                 reference_bit_llrs_from_levels,
                                 reference_symbol_posteriors)
 
-from pam6link import rates
+from pam6link import rates, shaping
 from pam6link.rates import (MAX_RATE_1D, RateEstimate, estimate_gmi,
                             estimate_mi, matcher_rate_loss, snr_at_rate)
 
@@ -81,10 +81,12 @@ def test_unknown_scheme_rejected():
 
 
 def test_matcher_rate_loss_value():
-    loss = matcher_rate_loss(1000)
+    assert shaping.DEFAULT_MATCHER_N == 1000
+    loss = matcher_rate_loss()
     assert loss == pytest.approx(math.log2(3.0) - 1.574, abs=1e-12)
     # longer blocks lose less
-    assert matcher_rate_loss(10000) < loss
+    longer = shaping.ccdm_input_length(shaping.Composition.near_uniform(10000))
+    assert math.log2(3.0) - longer / 10000 < loss
 
 
 def test_snr_at_rate_brackets_measured_estimate():
@@ -96,12 +98,23 @@ def test_snr_at_rate_brackets_measured_estimate():
 
 
 def test_snr_at_rate_dm_subtracts_matcher_loss():
-    # with the matcher loss folded in, dm needs a slightly higher SNR than
-    # the raw bit-metric crossing of the same target
-    raw = snr_at_rate("dm_pam6", "bit_metric", 2.0, num_symbols=N_FAST,
-                      seed=3, matcher_n=None)
-    net = snr_at_rate("dm_pam6", "bit_metric", 2.0, num_symbols=N_FAST, seed=3)
-    assert net > raw
+    # the dm crossing is where the ideal rate covers the target plus the
+    # finite-length matcher loss, so the coded system can carry the target
+    snr = snr_at_rate("dm_pam6", "bit_metric", 2.0, num_symbols=N_FAST, seed=3)
+    gmi = estimate_gmi("dm_pam6", snr, num_symbols=N_FAST, seed=3)
+    assert abs(gmi.rate - (2.0 + matcher_rate_loss())) < rates._RATE_TOL_BPCU
+
+
+def test_trellis_size_is_checked_before_any_draw():
+    # two taps at the largest sample fit; more would not: twelve taps ask
+    # bcjr_app for 10**7 * 6**12 branch metrics
+    rates.check_num_symbols("dm_pam6", rates.MAX_NUM_SYMBOLS, (1.0, 0.35))
+    with pytest.raises(ValueError, match="branch metrics"):
+        rates.check_num_symbols("dm_pam6", rates.MAX_NUM_SYMBOLS,
+                                (1.0, 0.35, 0.1))
+    with pytest.raises(ValueError, match="branch metrics"):
+        estimate_mi("cross_qam32", 22.0, num_symbols=rates.MAX_NUM_SYMBOLS,
+                    taps=(1.0,) + (0.0,) * 11)
 
 
 def test_isi_taps_cost_rate():
