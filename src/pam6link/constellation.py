@@ -240,16 +240,24 @@ def _row_sum(w):
     return s
 
 
-def _marginalize_bits(logm, c):
+def _weights(logm):
+    """Points-major weights exp(logm - max over the points), in place in logm.
+
+    The max-subtraction keeps every group's best point at weight 1, so no
+    sum below overflows and the best point never underflows.
+    """
+    logm -= logm.max(axis=0)
+    return np.exp(logm, out=logm)
+
+
+def _label_llrs(w, c):
     """Bitwise LLRs, shape (num_groups, bits_per_point), from points-major
-    log metrics; overwrites logm.
+    weights.
 
     Both label halves are summed explicitly: taking s1 as total - s0
     cancels catastrophically once one half dominates. Each half is gathered
     on its own (16 rows for a 32-point format) to keep the block in cache.
     """
-    logm -= logm.max(axis=0)
-    w = np.exp(logm, out=logm)
     out = np.empty((c.bits_per_point, w.shape[1]), dtype=np.float64)
     tiny = np.finfo(np.float64).tiny
     for j in range(c.bits_per_point):
@@ -267,7 +275,8 @@ def bit_llrs(received, c: Constellation, noise_var: float) -> np.ndarray:
     max-subtraction stabilization; output shape is
     (num_groups, bits_per_point) flattened to 1D in label-bit order.
     """
-    return _marginalize_bits(_log_point_metrics(received, c, noise_var), c).ravel()
+    return _label_llrs(_weights(_log_point_metrics(received, c, noise_var)),
+                       c).ravel()
 
 
 def bit_llrs_from_levels(level_logposts, c: Constellation) -> np.ndarray:
@@ -280,7 +289,7 @@ def bit_llrs_from_levels(level_logposts, c: Constellation) -> np.ndarray:
     lp = np.asarray(level_logposts, dtype=np.float64)
     d = c.dimension
     tables = [np.ascontiguousarray(lp[k::d].T) for k in range(d)]
-    return _marginalize_bits(_sum_over_axes(tables, c), c)
+    return _label_llrs(_weights(_sum_over_axes(tables, c)), c)
 
 
 def symbol_posteriors(received, c: Constellation, noise_var: float) -> np.ndarray:
@@ -288,8 +297,6 @@ def symbol_posteriors(received, c: Constellation, noise_var: float) -> np.ndarra
 
     Shape (num_groups, num_points); each row sums to 1.
     """
-    logm = _log_point_metrics(received, c, noise_var)
-    logm -= logm.max(axis=0)
-    post = np.exp(logm, out=logm)
+    post = _weights(_log_point_metrics(received, c, noise_var))
     post /= _row_sum(post)
     return post.T

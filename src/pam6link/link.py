@@ -237,12 +237,19 @@ def coded_fer(
     Returns (fer, half_width, frames, errors); a frame errs when any
     decoded data bit is wrong or the decoder flags failure.
     """
+    cs = build_coded(scheme, rate_bpcu, frame_symbols, codec)
+    return _count_frame_errors(cs, snr_db, max_frames, min_errors, seed)
+
+
+def _count_frame_errors(cs: CodedScheme, snr_db: float, max_frames: int,
+                        min_errors: int, seed: int):
+    """coded_fer's frame loop on a built scheme: (fer, half_width, frames,
+    errors)."""
     if max_frames < 1 or min_errors < 1:
         raise ValueError(
             f"max_frames and min_errors must be at least 1, got {max_frames} "
             f"and {min_errors}")
     noise_var = sigma_for_peak_snr(snr_db)
-    cs = build_coded(scheme, rate_bpcu, frame_symbols, codec)
     errors = 0
     frames = 0
     for i in range(max_frames):
@@ -326,17 +333,20 @@ def rate_at_fer(
     Scans the grid from the top; each point runs until min_errors frame
     errors or max_frames frames (whichever first), so clearly failing
     rates abort early. Returns (achieved_rate, [FerPoint...]); raises if
-    no grid rate meets the target.
+    no grid rate meets the target. Each rate reported is the one a frame
+    carries, data bits over frame symbols: the grid rate for LDPC, more
+    for BCH, whose code dimension steps past it (see frame_data_bits).
     """
     points = []
     for rate in sorted(rate_grid, reverse=True):
-        fer, hw, frames, _ = coded_fer(
-            scheme, rate, snr_db, codec=codec, frame_symbols=frame_symbols,
-            max_frames=max_frames, min_errors=min_errors, seed=seed,
-        )
-        points.append(FerPoint(rate=rate, fer=fer, half_width=hw, frames=frames))
+        cs = build_coded(scheme, rate, frame_symbols, codec)
+        fer, hw, frames, _ = _count_frame_errors(cs, snr_db, max_frames,
+                                                 min_errors, seed)
+        carried = cs.data_bits / frame_symbols
+        points.append(FerPoint(rate=carried, fer=fer, half_width=hw,
+                               frames=frames))
         if fer <= fer_target:
-            return rate, points
+            return carried, points
     raise ValueError(
         f"no rate in {sorted(rate_grid)} meets FER {fer_target} for {scheme}"
     )

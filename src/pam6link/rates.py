@@ -19,8 +19,9 @@ import numpy as np
 
 from . import shaping
 from .channel import philox, sigma_for_peak_snr, transmit
-from .constellation import (LEVELS, bit_llrs, bit_llrs_from_levels,
-                            build_constellation, normalize, symbol_posteriors)
+from .constellation import (LEVELS, _label_llrs, _log_point_metrics, _row_sum,
+                            _weights, bit_llrs_from_levels, build_constellation,
+                            normalize)
 from .dsp import bcjr_app, make_trellis
 
 SCHEMES = ("cross_qam32", "framed_cross_qam32", "dm_pam6")
@@ -108,22 +109,53 @@ def _trellis_logposts(y, taps, noise_var):
     return bcjr_app(y, trellis, noise_var)
 
 
-def _per_point(fn, y, idx, c):
-    """Per-point values fn(y_block, idx_block) over blocks of _BLOCK_POINTS
-    points. Every demapper step is per row, so blocking changes no bit."""
-    d = c.dimension
-    out = np.empty(idx.size)
-    for s in range(0, idx.size, _BLOCK_POINTS):
-        e = s + _BLOCK_POINTS
-        out[s:e] = fn(y[s * d:e * d], idx[s:e])
-    return out
-
-
 def _penalty(llr, idx, c):
     """Per-point sum over label bits of log2(1 + exp(-(1-2b) * llr))."""
     b = c.labels[idx].astype(np.float64)
     signed = (1.0 - 2.0 * b) * llr
     return (np.logaddexp(0.0, -signed) / math.log(2.0)).sum(axis=1)
+
+
+def _awgn_samples(y, idx, c, noise_var, metrics):
+    """Per-point samples of each metric over blocks of _BLOCK_POINTS points.
+
+    Each block forms its points-major weights once. The symbol metric takes
+    log2 of the true point's posterior, the weight divided by the block's
+    _row_sum exactly as symbol_posteriors divides it; the bit metric takes
+    the GMI penalty of the label LLRs of the same weights. Every step is
+    per group, so blocking changes no bit.
+    """
+    d = c.dimension
+    out = {m: np.empty(idx.size) for m in metrics}
+    mi, gmi = out.get("symbol_metric"), out.get("bit_metric")
+    tiny = np.finfo(np.float64).tiny
+    for s in range(0, idx.size, _BLOCK_POINTS):
+        e = s + _BLOCK_POINTS
+        ib = idx[s:e]
+        w = _weights(_log_point_metrics(y[s * d:e * d], c, noise_var))
+        if mi is not None:
+            p_true = w[ib, np.arange(ib.size)] / _row_sum(w)
+            mi[s:e] = np.log2(np.maximum(p_true, tiny))
+        if gmi is not None:
+            gmi[s:e] = _penalty(_label_llrs(w, c), ib, c)
+    return out
+
+
+def _trellis_samples(y, idx, c, noise_var, taps, metrics):
+    """Per-point samples of each metric from one trellis detector pass.
+
+    2D formats score each point by the product of its two level posteriors
+    (a mismatched but achievable metric), for both metrics.
+    """
+    app = _trellis_logposts(y, taps, noise_var)
+    out = {}
+    if "symbol_metric" in metrics:
+        lev_idx = c.points[idx].ravel()
+        lp = app[np.arange(lev_idx.size), lev_idx] / math.log(2.0)
+        out["symbol_metric"] = lp.reshape(-1, c.dimension).sum(axis=1)
+    if "bit_metric" in metrics:
+        out["bit_metric"] = _penalty(bit_llrs_from_levels(app, c), idx, c)
+    return out
 
 
 def _estimate(scheme, metric, snr_db, c, info_point, samples, num_symbols, seed):
@@ -138,6 +170,45 @@ def _estimate(scheme, metric, snr_db, c, info_point, samples, num_symbols, seed)
     )
 
 
+def estimate_rates(
+    scheme: str,
+    snr_db: float,
+    metrics=METRICS,
+    num_symbols: int = 10**6,
+    seed: int = 0,
+    taps=None,
+) -> dict:
+    """Monte Carlo rates per 1D use of the given metrics, from one draw.
+
+    Returns {metric: RateEstimate} for each of `metrics`, a subset of
+    METRICS: "symbol_metric" is the MI, H(X) - E[-log2 P(x|y)];
+    "bit_metric" the GMI, the bitwise-LLR decoding bound. Both come from
+    the same symbols and noise, the same point weights on AWGN and the same
+    trellis pass with ISI taps, and each equals what estimate_mi or
+    estimate_gmi returns alone.
+    """
+    metrics = tuple(metrics)
+    if not metrics:
+        raise ValueError(f"need at least one metric of {METRICS}")
+    for m in metrics:
+        if m not in METRICS:
+            raise ValueError(f"unknown metric {m!r}; expected one of {METRICS}")
+    c, idx, y, nv = _simulate(scheme, snr_db, num_symbols, seed, taps)
+    if taps is None:
+        samples = _awgn_samples(y, idx, c, nv, metrics)
+    else:
+        samples = _trellis_samples(y, idx, c, nv, taps, metrics)
+    # only the per-point vectors stay at full length for the moments
+    del y, idx
+    info = math.log2(c.num_points)
+    out = {}
+    for m in metrics:
+        v = samples[m]
+        point = info + v.mean() if m == "symbol_metric" else info - v.mean()
+        out[m] = _estimate(scheme, m, snr_db, c, point, v, num_symbols, seed)
+    return out
+
+
 def estimate_mi(
     scheme: str,
     snr_db: float,
@@ -145,26 +216,14 @@ def estimate_mi(
     seed: int = 0,
     taps=None,
 ) -> RateEstimate:
-    """Symbol-metric Monte Carlo rate per 1D use.
+    """Symbol-metric Monte Carlo rate per 1D use (see estimate_rates).
 
     With ISI taps the posteriors come from the exact trellis detector run
     per level; 2D formats then score each point by the product of its two
     level posteriors (a mismatched but achievable metric).
     """
-    c, idx, y, nv = _simulate(scheme, snr_db, num_symbols, seed, taps)
-    if taps is None:
-        def log2_p_true(yb, ib):
-            p_true = symbol_posteriors(yb, c, nv)[np.arange(ib.size), ib]
-            return np.log2(np.maximum(p_true, np.finfo(np.float64).tiny))
-        samples = _per_point(log2_p_true, y, idx, c)
-    else:
-        app = _trellis_logposts(y, taps, nv)
-        lev_idx = c.points[idx].ravel()
-        lp = app[np.arange(lev_idx.size), lev_idx] / math.log(2.0)
-        samples = lp.reshape(-1, c.dimension).sum(axis=1)
-    return _estimate(scheme, "symbol_metric", snr_db, c,
-                     math.log2(c.num_points) + samples.mean(), samples,
-                     num_symbols, seed)
+    return estimate_rates(scheme, snr_db, ("symbol_metric",), num_symbols,
+                          seed, taps)["symbol_metric"]
 
 
 def estimate_gmi(
@@ -174,19 +233,10 @@ def estimate_gmi(
     seed: int = 0,
     taps=None,
 ) -> RateEstimate:
-    """Bit-metric Monte Carlo rate per 1D use (bitwise-LLR decoding bound)."""
-    c, idx, y, nv = _simulate(scheme, snr_db, num_symbols, seed, taps)
-    if taps is None:
-        per_point = _per_point(
-            lambda yb, ib: _penalty(
-                bit_llrs(yb, c, nv).reshape(-1, c.bits_per_point), ib, c),
-            y, idx, c)
-    else:
-        per_point = _penalty(
-            bit_llrs_from_levels(_trellis_logposts(y, taps, nv), c), idx, c)
-    return _estimate(scheme, "bit_metric", snr_db, c,
-                     math.log2(c.num_points) - per_point.mean(), per_point,
-                     num_symbols, seed)
+    """Bit-metric Monte Carlo rate per 1D use (bitwise-LLR decoding bound;
+    see estimate_rates)."""
+    return estimate_rates(scheme, snr_db, ("bit_metric",), num_symbols,
+                          seed, taps)["bit_metric"]
 
 
 def matcher_rate_loss() -> float:

@@ -10,7 +10,8 @@ from pam6link import experiment
 from pam6link.cli import BUNDLED_CONFIGS, _resolve_config
 from pam6link.experiment import (CSV_HEADER, CodecSpec, ConfigError,
                                  ExperimentConfig, parse_config, run_experiment)
-from pam6link.link import build_coded
+from pam6link.link import build_coded, coded_fer
+from pam6link.rates import estimate_gmi, estimate_mi
 
 MINIMAL = """
 scheme: dm_pam6
@@ -243,18 +244,72 @@ def test_run_experiment_needs_a_thread(threads):
 def test_one_thread_runs_items_on_the_caller_between_reports(monkeypatch):
     events, caller = [], threading.get_ident()
 
-    def fake_item(cfg, scheme, metric, snr, seed):
+    def fake_unit(cfg, scheme, metrics, snr, seed):
         assert threading.get_ident() == caller
         events.append(("run", snr))
-        return [f"{scheme},{snr}"]
+        return {m: [f"{scheme},{snr}"] for m in metrics}
 
-    monkeypatch.setattr(experiment, "_eval_item", fake_item)
+    monkeypatch.setattr(experiment, "_eval_unit", fake_unit)
     cfg = parse_config(MINIMAL.replace("[20.0]", "[20.0, 21.0, 22.0]"))
     csv = run_experiment(cfg, threads=1,
                          progress=lambda item, rows: events.append(("seen", item[2])))
     assert events == [(kind, snr) for snr in (20.0, 21.0, 22.0)
                       for kind in ("run", "seen")]
     assert csv.splitlines()[1:] == ["dm_pam6,20.0", "dm_pam6,21.0", "dm_pam6,22.0"]
+
+
+def test_units_write_what_per_item_calls_give():
+    """Rate items sharing a draw and coded items between them write the
+    rows separate per-item calls give, in config order, at any threads."""
+    cfg = parse_config("""
+schemes: [cross_qam32, dm_pam6]
+metric: [bit_metric, fer, symbol_metric]
+snr_db: [21.0, 24.0]
+seeds: [3, 8]
+num_symbols: 10000
+codec: {family: ldpc, rate: 2.0}
+frame_symbols: 200
+max_frames: 4
+min_errors: 5
+""")
+    want, items = [CSV_HEADER], []
+    for scheme in cfg.schemes:
+        for metric in cfg.metrics:
+            for snr in cfg.snr_db:
+                for seed in cfg.seeds:
+                    if metric == "fer":
+                        fer, hw, n, _ = coded_fer(
+                            scheme, 2.0, snr, frame_symbols=200, max_frames=4,
+                            min_errors=5, seed=seed)
+                    else:
+                        est = (estimate_mi if metric == "symbol_metric"
+                               else estimate_gmi)(scheme, snr, 10000, seed)
+                        fer, hw, n = est.rate, est.half_width, est.num_symbols
+                    want.append(",".join(
+                        (scheme, metric, repr(snr), repr(fer), repr(hw),
+                         str(n), str(seed))))
+                    items.append((scheme, metric, snr, seed))
+    want = "\n".join(want) + "\n"
+    for threads in (1, 2):
+        seen = []
+        got = run_experiment(cfg, threads=threads,
+                             progress=lambda item, rows: seen.append(item))
+        assert got == want
+        assert seen == items
+
+
+def test_bch_rate_at_fer_reports_the_rate_frames_carry():
+    # a 1000-symbol BCH frame asked for 2.0 bpcu carries 2002 data bits
+    cfg = parse_config("""
+scheme: cross_qam32
+metric: rate_at_fer
+snr_db: [60.0]
+codec: {family: bch, rate_grid: [2.0]}
+max_frames: 2
+""")
+    lines = run_experiment(cfg).strip().split("\n")
+    assert [l.split(",")[1:4] for l in lines[1:]] == \
+        [["rate_at_fer", "60.0", "2.002"], ["fer@2.002", "60.0", "0.0"]]
 
 
 def test_rate_at_fer_rows_include_grid_points():

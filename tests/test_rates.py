@@ -9,7 +9,8 @@ from test_constellation import (reference_bit_llrs,
 
 from pam6link import rates, shaping
 from pam6link.rates import (MAX_RATE_1D, RateEstimate, estimate_gmi,
-                            estimate_mi, matcher_rate_loss, snr_at_rate)
+                            estimate_mi, estimate_rates, matcher_rate_loss,
+                            snr_at_rate)
 
 SCHEMES = ("cross_qam32", "framed_cross_qam32", "dm_pam6")
 SWEEP = np.linspace(14.0, 32.0, 10)
@@ -181,3 +182,30 @@ def test_blocked_estimates_equal_unblocked(scheme, blocks, monkeypatch):
         a = got(scheme, 22.5, num_symbols=n, seed=5, taps=taps)
         b = want(scheme, 22.5, n, 5, taps)
         assert a.rate == b.rate and a.half_width == b.half_width
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("taps", (None, (1.0, 0.35)))
+@pytest.mark.parametrize("metrics", (("symbol_metric", "bit_metric"),
+                                     ("bit_metric", "symbol_metric"),
+                                     ("symbol_metric",), ("bit_metric",)))
+def test_joint_estimate_equals_separate_calls(scheme, taps, metrics):
+    """One draw, one demapper pass and one trellis pass give every field
+    of each estimate the separate estimators give, keyed in request order."""
+    n = 3 * rates._BLOCK_POINTS + 34 if taps is None else 10**4
+    got = estimate_rates(scheme, 22.5, metrics, num_symbols=n, seed=6,
+                         taps=taps)
+    assert tuple(got) == metrics
+    separate = {"symbol_metric": estimate_mi, "bit_metric": estimate_gmi}
+    for m in metrics:
+        assert got[m] == separate[m](scheme, 22.5, num_symbols=n, seed=6,
+                                     taps=taps)
+        assert got[m].metric == m
+
+
+def test_estimate_rates_rejects_unknown_metrics():
+    with pytest.raises(ValueError, match="unknown metric 'fer'"):
+        estimate_rates("dm_pam6", 22.0, ("symbol_metric", "fer"),
+                       num_symbols=N_FAST)
+    with pytest.raises(ValueError, match="at least one metric"):
+        estimate_rates("dm_pam6", 22.0, (), num_symbols=N_FAST)
