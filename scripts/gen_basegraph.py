@@ -136,8 +136,8 @@ def main():
         "# (row r connects p_(r-1) and p_r with shift 0).",
         "# Shift sums around every quad are nonzero with magnitude < zmin,",
         "# so any lift Z >= zmin is free of length-4 cycles.",
-        "# Rate matching may puncture the first two systematic block-columns",
-        "# from transmission; they remain in the graph for decoding.",
+        "# Rate matching shortens the tail of the systematic block and",
+        "# keeps a prefix of the rows; every systematic bit is transmitted.",
         f"{KB} {MB} {ZMIN} {VERSION}",
     ]
     for row in shifts:

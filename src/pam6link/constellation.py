@@ -129,6 +129,7 @@ def _from_table(name, table, dimension):
     items = sorted(table.items())
     points = np.array([p if isinstance(p, tuple) else (p,) for p, _ in items], dtype=np.int64)
     labels = np.array([[int(c) for c in lab] for _, lab in items], dtype=np.uint8)
+    points.flags.writeable = labels.flags.writeable = False
     return Constellation(name=name, dimension=dimension, points=points, labels=labels)
 
 

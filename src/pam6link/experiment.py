@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import yaml
 
 from .channel import check_seed, check_taps, sigma_for_peak_snr
-from .link import (CODECS, check_frame_symbols, coded_fer, frame_data_bits,
+from .link import (CODECS, build_coded, check_frame_symbols, coded_fer,
                    rate_at_fer)
 from .rates import SCHEMES, METRICS, check_num_symbols, estimate_rates
 
@@ -125,7 +125,9 @@ class ExperimentConfig:
             self._check_frames()
 
     def _check_frames(self):
-        """Check each coded scheme's frame at every rate the metrics ask for."""
+        """Build each coded scheme's frame at every rate the metrics ask for:
+        a rate is accepted exactly when its frame builds, and the run reuses
+        the memoized builds."""
         rates = []
         if "fer" in self.metrics:
             rates.append(("codec.rate", self.codec.rate_bpcu))
@@ -137,7 +139,7 @@ class ExperimentConfig:
             _check(check_frame_symbols, "frame_symbols", scheme,
                    self.frame_symbols)
             for key, rate in rates:
-                _check(frame_data_bits, key, scheme, rate, self.frame_symbols,
+                _check(build_coded, key, scheme, rate, self.frame_symbols,
                        self.codec.family)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf2m import GF2m
+from .gf2m import PRIMITIVE_POLY, GF2m
 
 
 def _cyclotomic_coset(j: int, n: int) -> tuple:
@@ -45,11 +45,11 @@ def _poly_mul_gf2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BchCode:
-    m: int
     t: int
     length: int
     generator: np.ndarray  # GF(2) coefficients, generator[d] is the x^d term
-    field: GF2m = field(repr=False, default=None)
+    remainders: np.ndarray = field(repr=False)  # row i: x^(r+i) mod generator
+    field: GF2m = field(repr=False)
 
     @property
     def parity_length(self) -> int:
@@ -60,68 +60,67 @@ class BchCode:
         return self.length - self.parity_length
 
 
-def field_degree(length: int) -> int:
-    """Smallest m >= 2 whose mother length 2^m - 1 reaches length; the
-    t = 1 code, with the most data bits, carries length - m of them."""
+def _cosets(n: int, t: int):
+    """The distinct cyclotomic cosets mod n that meet 1..2t, as (least
+    element, coset) in increasing order; the t-error code's generator is
+    the product of their minimal polynomials."""
+    seen = set()
+    for j in range(1, 2 * t, 2):  # an even j shares the coset of j / 2
+        if j not in seen:
+            coset = _cyclotomic_coset(j, n)
+            seen.update(coset)
+            yield j, coset
+
+
+def _field_degree(length: int) -> int:
+    """Smallest m >= 2 whose mother length 2^m - 1 reaches length."""
     m = max(2, length.bit_length())
-    if (1 << m) - 1 < length:
-        m += 1
+    if m not in PRIMITIVE_POLY:
+        raise ValueError(f"BCH length {length} needs GF(2^{m}); "
+                         f"at most GF(2^{max(PRIMITIVE_POLY)}) is supported")
     return m
+
+
+def bch_strength(length: int, k: int) -> int:
+    """Strongest t whose code of the given length keeps at least k data
+    bits: each coset the generator takes on costs its size in parity.
+    Raises ValueError when t = 1 already keeps fewer, or when the length
+    needs a field beyond those PRIMITIVE_POLY lists."""
+    n = (1 << _field_degree(length)) - 1
+    parity = 0
+    for j, coset in _cosets(n, (n - 1) // 2):
+        parity += len(coset)
+        if length - parity < max(k, 1):  # a code keeps one data bit
+            if j == 1:
+                raise ValueError(f"no BCH code of length {length} reaches k={k}")
+            return (j - 1) // 2
+    return (n - 1) // 2
 
 
 def bch_build(length: int, t: int) -> BchCode:
     """Construct a t-error-correcting BCH code of the given length, shortened
     from the mother code of the smallest field that reaches it."""
-    m = field_degree(length)
-    fld = GF2m(m)
+    fld = GF2m(_field_degree(length))
     n = fld.order
     if not 1 <= t or 2 * t >= n:
         raise ValueError(f"t={t} outside [1, {(n - 1) // 2}] for mother length {n}")
-    seen = set()
     gen = np.array([1], dtype=np.uint8)
-    for j in range(1, 2 * t + 1):
-        coset = _cyclotomic_coset(j, n)
-        if coset in seen:
-            continue
-        seen.add(coset)
+    for _, coset in _cosets(n, t):
         gen = _poly_mul_gf2(gen, _minimal_poly(fld, coset))
-    if length <= len(gen) - 1:
-        raise ValueError(
-            f"length {length} leaves no room for data (parity {len(gen) - 1})"
-        )
-    return BchCode(m=m, t=t, length=length, generator=gen, field=fld)
-
-
-def _remainder_table(code: BchCode) -> np.ndarray:
-    """Row i is x^(r+i) mod g, so parity = XOR of rows selected by data bits."""
-    r = code.parity_length
-    k = code.systematic_length
-    g = code.generator
-    table = np.zeros((k, r), dtype=np.uint8)
-    # iterative x^(r) mod g, then multiply by x stepwise
-    cur = np.zeros(r, dtype=np.uint8)
-    # x^r mod g = g - x^r truncated (g is monic)
-    cur[:] = g[:r]
-    table[0] = cur
-    for i in range(1, k):
-        carry = cur[r - 1]
-        nxt = np.zeros(r, dtype=np.uint8)
-        nxt[1:] = cur[: r - 1]
-        if carry:
-            nxt ^= g[:r]
-        cur = nxt
-        table[i] = cur
-    return table
-
-
-_REM_CACHE: dict = {}
-
-
-def _remainders(code: BchCode) -> np.ndarray:
-    key = (code.m, code.t, code.length)
-    if key not in _REM_CACHE:
-        _REM_CACHE[key] = _remainder_table(code)
-    return _REM_CACHE[key]
+    r = len(gen) - 1
+    if length <= r:
+        raise ValueError(f"length {length} leaves no room for data (parity {r})")
+    # row i is x^(r+i) mod g, so parity = XOR of rows selected by data bits;
+    # row 0 is g - x^r (g is monic), each next row the last times x
+    table = np.zeros((length - r, r), dtype=np.uint8)
+    table[0] = gen[:r]
+    for i in range(1, length - r):
+        table[i, 1:] = table[i - 1, :-1]
+        if table[i - 1, -1]:
+            table[i] ^= gen[:r]
+    gen.flags.writeable = table.flags.writeable = False
+    return BchCode(t=t, length=length, generator=gen, remainders=table,
+                   field=fld)
 
 
 def bch_encode(data: np.ndarray, code: BchCode) -> np.ndarray:
@@ -130,19 +129,15 @@ def bch_encode(data: np.ndarray, code: BchCode) -> np.ndarray:
         raise ValueError(
             f"expected {code.systematic_length} data bits, got {data.size}"
         )
-    parity = (data @ _remainders(code)) & 1
+    parity = (data @ code.remainders) & 1
     return np.concatenate([data, parity.astype(np.uint8)])
 
 
-def _degrees(code: BchCode) -> np.ndarray:
-    """Polynomial degree of each codeword-vector position."""
-    r = code.parity_length
-    k = code.systematic_length
-    return np.concatenate([np.arange(k) + r, np.arange(r)])
-
-
 def _syndromes(code: BchCode, word: np.ndarray) -> np.ndarray:
-    degs = _degrees(code)[word != 0]
+    pos = np.flatnonzero(word)
+    k = code.systematic_length
+    # data bit i sits at degree r + i, parity bit j at degree j
+    degs = np.where(pos < k, pos + code.parity_length, pos - k)
     js = np.arange(1, 2 * code.t + 1)
     if degs.size == 0:
         return np.zeros(2 * code.t, dtype=np.int64)
@@ -213,11 +208,9 @@ def bch_decode(word: np.ndarray, code: BchCode):
     roots = _chien_roots(code, sigma)
     if roots.size != nerr:
         return word[:k], False
-    degs = _degrees(code)
-    pos = np.searchsorted(np.sort(degs), roots)
-    # map degrees back to vector positions
-    order = np.argsort(degs)
-    flip = order[pos]
+    # degree d is data bit d - r, or parity bit d (after the k data bits)
+    r = code.parity_length
+    flip = np.where(roots >= r, roots - r, roots + k)
     word[flip] ^= 1
     if _syndromes(code, word).any():
         word[flip] ^= 1

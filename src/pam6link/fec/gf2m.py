@@ -31,6 +31,7 @@ class GF2m:
             if x >> m:
                 x ^= poly
         exp[self.order :] = exp[: self.order]
+        exp.flags.writeable = log.flags.writeable = False
         self.exp = exp
         self.log = log
 

@@ -203,6 +203,7 @@ def ldpc_build(codelength: int, rate: float, basegraph: BaseGraph = None) -> Ldp
     var_slots = np.full((vrow.max() + 1, codelength), check_vars.size,
                         dtype=np.intp)
     var_slots[vrow, var_sorted] = (crow * n_checks + check_idx)[by_var]
+    check_vars.flags.writeable = var_slots.flags.writeable = False
     return LdpcCode(n=codelength, k=k, z=z, m_use=m_use,
                     check_vars=check_vars, var_slots=var_slots)
 

@@ -18,10 +18,11 @@ Three formats share the PAM-6 wire alphabet:
 The transmission rate grid is realizable exactly: for 2D formats
 rate * frame_symbols is the LDPC dimension; for dm_pam6 the sign-bit
 fraction gamma = rate - k/n must give an integer gamma * n.
-`frame_data_bits` checks this without building a code.
+`build_coded` is the one place that checks this, by building the frame.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -44,10 +45,9 @@ from .fec import (
     ldpc_decode,
     ldpc_encode,
 )
-from .fec.bch import field_degree
-from .fec.ldpc import load_basegraph, rate_match
+from .fec.bch import bch_strength
 from .fec.scramble import adapt_llrs, scramble
-from .rates import SCHEMES, bisect, constellation_for
+from .rates import bisect, constellation_for
 
 SCRAMBLE_SEED = 0xC0DEC
 CODECS = ("ldpc", "bch", "none")
@@ -81,103 +81,71 @@ def check_frame_symbols(scheme: str, frame_symbols: int) -> None:
             f"2D formats need an even number of frame symbols, got {frame_symbols}")
 
 
-def frame_data_bits(
-    scheme: str,
-    rate_bpcu: float,
-    frame_symbols: int = 1000,
-    codec: str = "ldpc",
-) -> int:
-    """Data bits one frame carries at rate_bpcu; checks, builds no code.
-
-    2D formats: k = rate_bpcu * frame_symbols must be an integer in (0, n)
-    for the n = 5 * frame_symbols / 2 coded bits (codec none carries all
-    n). BCH needs k <= n - m for field degree m, and k is then only the
-    least a frame carries: build_coded takes the strongest t whose
-    dimension still reaches k, so 1000-symbol frames at 1.8 / 2.0 / 2.1
-    bpcu carry 1810 / 2002 / 2110 data bits (t = 58 / 42 / 33).
-    dm_pam6: the matcher's k_dm bits plus g = (rate_bpcu - k_dm / n) * n
-    data sign bits, g an integer in [0, n] (n with codec none). LDPC codes
-    must pass fec.ldpc.rate_match. Raises ValueError for anything a frame
-    cannot realize.
-    """
-    if codec not in CODECS:
-        raise ValueError(f"unknown codec {codec!r}; expected one of {CODECS}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    check_frame_symbols(scheme, frame_symbols)
-    if scheme == "dm_pam6":
-        if codec == "bch":
-            raise ValueError("dm_pam6 supports codecs 'ldpc' and 'none' only")
-        n = frame_symbols
-        k_dm = shaping.ccdm_input_length(shaping.Composition.near_uniform(n))
-        if codec == "none":
-            return k_dm + n
-        gamma_exact = rate_bpcu - k_dm / n
-        g = int(round(gamma_exact * n))
-        if abs(g - gamma_exact * n) > 1e-6:
-            raise ValueError(
-                f"rate {rate_bpcu} bpcu not realizable: gamma*n = "
-                f"{gamma_exact * n} must be an integer"
-            )
-        if not 0 <= g <= n:
-            raise ValueError(
-                f"rate {rate_bpcu} bpcu needs gamma in [0, 1], got {g / n}"
-            )
-        if g < n:
-            rate_match(load_basegraph(), 3 * n, 2 * n + g)
-        return k_dm + g
-    n_coded = frame_symbols // 2 * 5
-    if codec == "none":
-        return n_coded
-    k_exact = rate_bpcu * frame_symbols
-    k = int(round(k_exact))
-    if abs(k - k_exact) > 1e-9:
-        raise ValueError(
-            f"rate {rate_bpcu} bpcu not realizable: needs "
-            f"{k_exact} data bits in a {frame_symbols}-symbol frame"
-        )
-    if not 0 < k < n_coded:
-        raise ValueError(f"rate {rate_bpcu} bpcu outside (0, 2.5)")
-    if codec == "ldpc":
-        rate_match(load_basegraph(), n_coded, k)
-    elif k > n_coded - field_degree(n_coded):
-        raise ValueError(f"no BCH code of length {n_coded} reaches k={k}")
-    return k
-
-
+@functools.lru_cache(maxsize=16)
 def build_coded(
     scheme: str,
     rate_bpcu: float,
     frame_symbols: int = 1000,
     codec: str = "ldpc",
 ) -> CodedScheme:
-    """Resolve a (scheme, rate) request into concrete codes and tables."""
-    k = frame_data_bits(scheme, rate_bpcu, frame_symbols, codec)
+    """Resolve a (scheme, rate) request into the frame it sends: the one
+    place that decides what a frame carries.
+
+    2D formats: k = rate_bpcu * frame_symbols must be an integer in (0, n)
+    for the n = 5 * frame_symbols / 2 coded bits (codec none carries all
+    n). BCH takes the strongest t whose dimension still reaches k, so
+    1000-symbol frames at 1.8 / 2.0 / 2.1 bpcu carry 1810 / 2002 / 2110
+    data bits (t = 58 / 42 / 33).
+    dm_pam6: the matcher's k_dm bits plus g = (rate_bpcu - k_dm / n) * n
+    data sign bits, g an integer in [0, n] (n with codec none).
+    Raises ValueError for anything a frame cannot realize, code limits
+    included. Memoized, and the codes' arrays are read-only: call it
+    positionally, so that every caller hits the same entry.
+    """
+    if codec not in CODECS:
+        raise ValueError(f"unknown codec {codec!r}; expected one of {CODECS}")
     constellation = constellation_for(scheme)
+    check_frame_symbols(scheme, frame_symbols)
+    ldpc = bch = None
     if scheme == "dm_pam6":
+        if codec == "bch":
+            raise ValueError("dm_pam6 supports codecs 'ldpc' and 'none' only")
         n = frame_symbols
         comp = shaping.Composition.near_uniform(n)
-        g = k - shaping.ccdm_input_length(comp)
-        ldpc = None if g == n else ldpc_build(3 * n, (2 * n + g) / (3 * n))
+        k_dm = shaping.ccdm_input_length(comp)
+        g = n
+        if codec == "ldpc":
+            gamma_exact = rate_bpcu - k_dm / n
+            g = int(round(gamma_exact * n))
+            if abs(g - gamma_exact * n) > 1e-6:
+                raise ValueError(
+                    f"rate {rate_bpcu} bpcu not realizable: gamma*n = "
+                    f"{gamma_exact * n} must be an integer"
+                )
+            if not 0 <= g <= n:
+                raise ValueError(
+                    f"rate {rate_bpcu} bpcu needs gamma in [0, 1], got {g / n}"
+                )
+            if g < n:
+                ldpc = ldpc_build(3 * n, (2 * n + g) / (3 * n))
         return CodedScheme(scheme=scheme, codec=codec,
-                           constellation=constellation, data_bits=k, comp=comp,
-                           ldpc=ldpc)
-    n_coded = frame_symbols // 2 * 5
-    ldpc = bch = None
+                           constellation=constellation, data_bits=k_dm + g,
+                           comp=comp, ldpc=ldpc)
+    k = n_coded = frame_symbols // 2 * 5
+    if codec != "none":
+        k_exact = rate_bpcu * frame_symbols
+        k = int(round(k_exact))
+        if abs(k - k_exact) > 1e-9:
+            raise ValueError(
+                f"rate {rate_bpcu} bpcu not realizable: needs "
+                f"{k_exact} data bits in a {frame_symbols}-symbol frame"
+            )
+        if not 0 < k < n_coded:
+            raise ValueError(f"rate {rate_bpcu} bpcu outside (0, 2.5)")
     if codec == "ldpc":
         ldpc = ldpc_build(n_coded, k / n_coded)
     elif codec == "bch":
-        # BCH dimensions move in steps of the parity-per-error cost;
-        # take the strongest t whose dimension still reaches k
-        # (frame_data_bits has checked that t = 1 does)
-        for t in range(1, 200):
-            try:
-                cand = bch_build(n_coded, t)
-            except ValueError:  # t beyond the field, or no data bits left
-                break
-            if cand.systematic_length < k:
-                break
-            bch = cand
+        bch = bch_build(n_coded, bch_strength(n_coded, k))
         k = bch.systematic_length
     return CodedScheme(scheme=scheme, codec=codec, constellation=constellation,
                        data_bits=k, ldpc=ldpc, bch=bch)
@@ -238,13 +206,6 @@ def coded_fer(
     decoded data bit is wrong or the decoder flags failure.
     """
     cs = build_coded(scheme, rate_bpcu, frame_symbols, codec)
-    return _count_frame_errors(cs, snr_db, max_frames, min_errors, seed)
-
-
-def _count_frame_errors(cs: CodedScheme, snr_db: float, max_frames: int,
-                        min_errors: int, seed: int):
-    """coded_fer's frame loop on a built scheme: (fer, half_width, frames,
-    errors)."""
     if max_frames < 1 or min_errors < 1:
         raise ValueError(
             f"max_frames and min_errors must be at least 1, got {max_frames} "
@@ -335,13 +296,14 @@ def rate_at_fer(
     rates abort early. Returns (achieved_rate, [FerPoint...]); raises if
     no grid rate meets the target. Each rate reported is the one a frame
     carries, data bits over frame symbols: the grid rate for LDPC, more
-    for BCH, whose code dimension steps past it (see frame_data_bits).
+    for BCH, whose code dimension steps past it (see build_coded).
     """
     points = []
     for rate in sorted(rate_grid, reverse=True):
         cs = build_coded(scheme, rate, frame_symbols, codec)
-        fer, hw, frames, _ = _count_frame_errors(cs, snr_db, max_frames,
-                                                 min_errors, seed)
+        fer, hw, frames, _ = coded_fer(scheme, rate, snr_db, codec,
+                                       frame_symbols, max_frames, min_errors,
+                                       seed)
         carried = cs.data_bits / frame_symbols
         points.append(FerPoint(rate=carried, fer=fer, half_width=hw,
                                frames=frames))

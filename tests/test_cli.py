@@ -89,7 +89,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
         ("scheme: dm_pam6\nmetric: fer\nsnr_db: [.inf]\ncodec: {family: ldpc}\n",
          "snr_db"),
         # rates the code cannot realize: LDPC lift below 2, more parity
-        # than the base graph's rows, k above the largest BCH dimension
+        # than the base graph's rows, k above the largest BCH dimension,
+        # a BCH field beyond GF(2^16)
         ("scheme: framed_cross_qam32\nmetric: rate_at_fer\nsnr_db: [40]\n"
          "codec: {family: ldpc, rate_grid: [2.0]}\nframe_symbols: 2\n",
          "codec.rate_grid"),
@@ -97,6 +98,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
          "codec.rate"),
         ("scheme: cross_qam32\n" + coded + "codec: {family: bch, rate: 2.496}\n",
          "codec.rate"),
+        ("scheme: cross_qam32\n" + coded + "codec: {family: bch, rate: 2.0}\n"
+         "frame_symbols: 30000\n", "codec.rate"),
         ("scheme: cross_qam32\n" + coded + "codec: {family: ldpc, rate: .inf}\n",
          "codec.rate"),
         ("scheme: dm_pam6\nmetric: rate_at_fer\nsnr_db: [20]\n"

@@ -1,10 +1,12 @@
 """BCH construction, round trips, and bounded-distance behavior."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pam6link.fec.bch import bch_build, bch_decode, bch_encode
+from pam6link.fec.bch import bch_build, bch_decode, bch_encode, bch_strength
 from pam6link.fec.gf2m import GF2m
 
 
@@ -39,7 +41,7 @@ def test_field_multiplication_matches_polynomial_model():
 
 def test_build_dimensions_mother_4095():
     code = bch_build(4095, t=5)
-    assert code.m == 12  # mother length 2**12 - 1 = 4095
+    assert code.field.m == 12  # mother length 2**12 - 1 = 4095
     assert code.length == 4095
     assert code.parity_length == 60  # five distinct even cosets of size 12
     assert code.systematic_length == 4035
@@ -47,9 +49,40 @@ def test_build_dimensions_mother_4095():
 
 def test_build_shortened():
     code = bch_build(400, t=4)
-    assert code.m == 9  # the smallest field reaching 400: 2**9 - 1 = 511
+    assert code.field.m == 9  # the smallest field reaching 400: 2**9 - 1 = 511
     assert code.length == 400
     assert code.systematic_length == 400 - code.parity_length
+
+
+def _dimensions_by_scan(length):
+    """Reference: build t = 1, 2, ... until no code is left (t beyond the
+    field, or no data bits), with no cap on t; their dimensions in order."""
+    dims = []
+    while True:
+        try:
+            dims.append(bch_build(length, len(dims) + 1).systematic_length)
+        except ValueError:
+            return dims
+
+
+def test_strength_matches_a_build_scan():
+    for length in list(range(3, 80)) + [255, 400]:
+        dims = _dimensions_by_scan(length)
+        for k in range(1, length):
+            # the scan stops at the first t whose dimension drops below k
+            want = len(list(itertools.takewhile(lambda d: d >= k, dims)))
+            if want == 0:
+                with pytest.raises(ValueError, match="reaches k"):
+                    bch_strength(length, k)
+            else:
+                assert bch_strength(length, k) == want, (length, k)
+
+
+def test_strength_needs_a_supported_field():
+    # 65535 is the longest length GF(2^16) reaches
+    assert bch_strength(65535, 52428) == 850
+    with pytest.raises(ValueError, match="GF\\(2\\^17\\)"):
+        bch_strength(65536, 52428)
 
 
 def test_encode_is_systematic():

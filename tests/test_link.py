@@ -1,4 +1,7 @@
 """Coded-frame plumbing: build bookkeeping, round trips, FER extremes."""
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from pam6link.channel import philox, sigma_for_peak_snr, transmit
 from pam6link.constellation import normalize
 from pam6link.fec import bch_build
 from pam6link.link import (build_coded, coded_fer, decode_frame, encode_frame,
-                           frame_data_bits, snr_at_fer)
+                           snr_at_fer)
 from pam6link.shaping import Composition, ccdm_input_length
 
 ALL_SCHEMES = ("cross_qam32", "framed_cross_qam32", "dm_pam6")
@@ -40,24 +43,59 @@ def test_build_rejects_unrealizable_rates():
         build_coded("pam8", 2.0)
 
 
-def test_frame_data_bits_matches_built_frames():
+def test_built_frames_carry_their_rate():
     for scheme in ALL_SCHEMES:
         for rate in (1.8, 1.9, 2.0, 2.1):
-            cs = build_coded(scheme, rate, frame_symbols=1000)
-            assert frame_data_bits(scheme, rate, 1000) == cs.data_bits
-        cs = build_coded(scheme, 2.0, frame_symbols=200, codec="none")
-        assert frame_data_bits(scheme, 2.0, 200, "none") == cs.data_bits
-    # BCH: k is the least a frame carries; the strongest t whose dimension
-    # still reaches k sets the count
-    for rate, k, carried, t in ((1.8, 1800, 1810, 58), (2.0, 2000, 2002, 42),
-                                (2.1, 2100, 2110, 33)):
-        assert frame_data_bits("cross_qam32", rate, 1000, "bch") == k
-        cs = build_coded("cross_qam32", rate, frame_symbols=1000, codec="bch")
+            assert build_coded(scheme, rate, 1000, "ldpc").data_bits == \
+                round(rate * 1000)
+        assert build_coded(scheme, 2.0, 200, "none").data_bits == (
+            ccdm_input_length(Composition.near_uniform(200)) + 200
+            if scheme == "dm_pam6" else 500)
+    # BCH: the strongest t whose dimension still reaches rate * frame_symbols
+    # sets the count, past the 199 an earlier t-scan stopped at
+    for rate, carried, t in ((1.8, 1810, 58), (2.0, 2002, 42), (2.1, 2110, 33),
+                             (0.1, 108, 236)):
+        cs = build_coded("cross_qam32", rate, 1000, "bch")
         assert (cs.data_bits, cs.bch.t) == (carried, t)
     with pytest.raises(ValueError, match="need at least 1 symbol"):
-        frame_data_bits("dm_pam6", 2.0, frame_symbols=0, codec="none")
+        build_coded("dm_pam6", 2.0, 0, "none")
     with pytest.raises(ValueError, match="gamma in"):
-        frame_data_bits("dm_pam6", 2.6, frame_symbols=1000)
+        build_coded("dm_pam6", 2.6, 1000, "ldpc")
+    with pytest.raises(ValueError, match="outside \\(0, 2.5\\)"):
+        build_coded("cross_qam32", 2.5, 1000, "ldpc")
+
+
+def test_threads_share_built_frames():
+    # a run's worker threads share the memoized frames: with more threads
+    # than cores and a short switch interval, each FER equals a serial run
+    jobs = [(scheme, codec, seed) for scheme, codec in
+            (("cross_qam32", "bch"), ("framed_cross_qam32", "ldpc"),
+             ("dm_pam6", "ldpc")) for seed in range(4)]
+
+    def fer(job):
+        scheme, codec, seed = job
+        return coded_fer(scheme, 2.0, 26.0, codec, 200, 20, 20, seed)
+
+    serial = [fer(job) for job in jobs]
+    build_coded.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            threaded = list(pool.map(fer, jobs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_built_codes_are_shared_and_read_only():
+    cs = build_coded("cross_qam32", 2.0, 200, "bch")
+    assert build_coded("cross_qam32", 2.0, 200, "bch") is cs
+    for a in (cs.bch.generator, cs.bch.remainders, cs.bch.field.exp,
+              cs.constellation.labels,
+              build_coded("dm_pam6", 2.0, 200, "ldpc").ldpc.check_vars):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
 
 
 def test_coded_fer_needs_a_frame_and_an_error_budget():
@@ -200,25 +238,23 @@ def test_snr_at_fer_early_stop_keeps_the_crossing():
                       frame_symbols=500, frames=60, seed=1) == 25.595703125
 
 
-def test_every_small_frame_the_checks_accept_builds():
-    # frame_data_bits must reject exactly what build_coded cannot build:
+def test_every_small_frame_builds_or_raises_value_error():
     # every data-bit count of every short frame, where the lift, parity
-    # and BCH field limits bind
+    # and BCH field limits bind: a frame builds, carrying at least the
+    # bits its rate asks for, or build_coded raises ValueError
     for fs in range(2, 25, 2):
         for k in range(1, fs // 2 * 5):
             for codec in ("ldpc", "bch"):
                 try:
-                    frame_data_bits("cross_qam32", k / fs, fs, codec)
+                    cs = build_coded("cross_qam32", k / fs, fs, codec)
                 except ValueError:
                     continue
-                build_coded("cross_qam32", k / fs, fs, codec)
+                assert cs.data_bits == k if codec == "ldpc" else cs.data_bits >= k
     for fs in range(1, 31):
         k_dm = ccdm_input_length(Composition.near_uniform(fs))
         for g in range(fs + 1):
-            rate = (k_dm + g) / fs
             try:
-                frame_data_bits("dm_pam6", rate, fs)
+                cs = build_coded("dm_pam6", (k_dm + g) / fs, fs, "ldpc")
             except ValueError:
                 continue
-            assert build_coded("dm_pam6", rate, fs).data_bits == \
-                frame_data_bits("dm_pam6", rate, fs)
+            assert cs.data_bits == k_dm + g
