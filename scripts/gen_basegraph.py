@@ -5,13 +5,11 @@ parity (row r connects p_{r-1} and p_r, both with shift 0, so encoding is
 forward substitution). The top three rows touch every systematic column, so
 any rate matching that keeps >= 3 rows gives every systematic variable
 degree >= 3. Extension rows from row 3 on contain exactly one of columns
-0 and 1: when those two block-columns are punctured from transmission,
-rows 3 and 4 each see a single erased column, which is what lets iterative
-decoding bootstrap the erasures (a check with two erased members passes no
-information). Shifts are drawn from a bounded range and chosen greedily so
-that no quad of entries closes a length-4 cycle for any lift size
-Z >= ZMIN: the alternating shift sum of every candidate cycle is nonzero
-with magnitude < ZMIN.
+0 and 1, alternating; this is a design property of the committed graph,
+and rate matching transmits every systematic bit. Shifts are drawn from a
+bounded range and chosen greedily so that no quad of entries closes a
+length-4 cycle for any lift size Z >= ZMIN: the alternating shift sum of
+every candidate cycle is nonzero with magnitude < ZMIN.
 
 Deterministic; rerunning reproduces the committed file byte for byte.
 """
@@ -108,8 +106,8 @@ def verify(shifts):
         assert min(deg) >= 3, f"column degree < 3 with {m} rows"
         if m >= 5:
             assert min(deg) >= 4, f"column degree < 4 with {m} rows"
-    # extension rows hit exactly one of columns 0..1, alternating, so that
-    # with both columns punctured rows 3 and 4 see single erasures
+    # extension rows hit exactly one of columns 0..1, alternating: a design
+    # property of the committed graph
     for r in range(3, MB):
         has0 = shifts[r][0] >= 0
         has1 = shifts[r][1] >= 0

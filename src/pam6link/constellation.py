@@ -72,6 +72,8 @@ _FRAMED_CROSS_QAM32 = {
 
 # level -> 3-bit label; bit 0 is the sign/half-select bit, bits 1-2 the
 # amplitude-class pair (levels {0,5} -> 01, {1,4} -> 11, {2,3} -> 10).
+# Shaped frames map through this table both ways, so it must keep levels
+# 0-2 on sign 0 and give v and 5 - v the same pair (selfcheck pas_round_trip).
 _PAM6_LABELS = {0: "001", 1: "011", 2: "010", 3: "110", 4: "111", 5: "101"}
 
 CONSTELLATION_NAMES = ("cross_qam32", "framed_cross_qam32", "pam6_label")

@@ -48,7 +48,6 @@ class BchCode:
     t: int
     length: int
     generator: np.ndarray  # GF(2) coefficients, generator[d] is the x^d term
-    remainders: np.ndarray = field(repr=False)  # row i: x^(r+i) mod generator
     field: GF2m = field(repr=False)
 
     @property
@@ -110,17 +109,13 @@ def bch_build(length: int, t: int) -> BchCode:
     r = len(gen) - 1
     if length <= r:
         raise ValueError(f"length {length} leaves no room for data (parity {r})")
-    # row i is x^(r+i) mod g, so parity = XOR of rows selected by data bits;
-    # row 0 is g - x^r (g is monic), each next row the last times x
-    table = np.zeros((length - r, r), dtype=np.uint8)
-    table[0] = gen[:r]
-    for i in range(1, length - r):
-        table[i, 1:] = table[i - 1, :-1]
-        if table[i - 1, -1]:
-            table[i] ^= gen[:r]
-    gen.flags.writeable = table.flags.writeable = False
-    return BchCode(t=t, length=length, generator=gen, remainders=table,
-                   field=fld)
+    gen.flags.writeable = False
+    return BchCode(t=t, length=length, generator=gen, field=fld)
+
+
+def _to_int(bits) -> int:
+    """GF(2) polynomial as an int: bits[d] is the x^d coefficient, bit d."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def bch_encode(data: np.ndarray, code: BchCode) -> np.ndarray:
@@ -129,21 +124,30 @@ def bch_encode(data: np.ndarray, code: BchCode) -> np.ndarray:
         raise ValueError(
             f"expected {code.systematic_length} data bits, got {data.size}"
         )
-    parity = (data @ code.remainders) & 1
-    return np.concatenate([data, parity.astype(np.uint8)])
+    # parity(x) = data(x) x^r mod g(x), by long division on ints
+    r = code.parity_length
+    g = _to_int(code.generator)
+    rem = _to_int(data) << r
+    while (top := rem.bit_length() - 1) >= r:
+        rem ^= g << (top - r)
+    raw = np.frombuffer(rem.to_bytes(-(-r // 8), "little"), dtype=np.uint8)
+    return np.concatenate([data, np.unpackbits(raw, bitorder="little")[:r]])
 
 
 def _syndromes(code: BchCode, word: np.ndarray) -> np.ndarray:
+    """S_j = word(alpha^j) for j = 1..2t, one j at a time: linear memory."""
     pos = np.flatnonzero(word)
     k = code.systematic_length
     # data bit i sits at degree r + i, parity bit j at degree j
     degs = np.where(pos < k, pos + code.parity_length, pos - k)
-    js = np.arange(1, 2 * code.t + 1)
-    if degs.size == 0:
-        return np.zeros(2 * code.t, dtype=np.int64)
-    expo = (degs[:, None] * js[None, :]) % code.field.order
-    vals = code.field.exp[expo]
-    return np.bitwise_xor.reduce(vals, axis=0)
+    order = code.field.order
+    synd = np.zeros(2 * code.t, dtype=np.int64)
+    expo = np.zeros_like(degs)
+    for j in range(2 * code.t):
+        expo += degs  # degs * (j + 1) mod order; both terms are below order
+        expo[expo >= order] -= order
+        synd[j] = np.bitwise_xor.reduce(code.field.exp[expo])
+    return synd
 
 
 def _berlekamp_massey(code: BchCode, synd: np.ndarray) -> list:

@@ -133,7 +133,12 @@ def _check_ldpc(basegraph_path=None):
 
 
 def _check_pas(basegraph_path=None):
-    """Noiseless gamma = 0.426 shaped frame: sign layout and round trip."""
+    """Noiseless gamma = 0.426 shaped frame against the definition of
+    sign-bit shaping, and its round trip. Frames map through pam6_label, so
+    it must keep levels 0-2 on sign 0 and give v and 5 - v one pair."""
+    labels = cst.build_constellation("pam6_label").labels
+    if labels[:3, 0].any() or not np.array_equal(labels[:, 1:], labels[::-1, 1:]):
+        return False, "pam6_label must put levels 0-2 on sign 0 and v, 5 - v on one pair"
     bg = load_basegraph(basegraph_path) if basegraph_path else None
     n, g = 1000, 426
     comp = shaping.Composition.near_uniform(n)
@@ -141,13 +146,14 @@ def _check_pas(basegraph_path=None):
     code = ldpc_build(3 * n, (2 * n + g) / (3 * n), basegraph=bg)
     d = np.random.default_rng(6).integers(0, 2, size=k + g).astype(np.uint8)
     x = shaping.pas_encode(d, comp, code)
-    s, a = shaping.sign_amp_from_symbols(x)
-    u = np.concatenate([shaping.amplitudes_to_pairs(a), d[k:]])
+    if not np.array_equal(np.minimum(x, 5 - x), shaping.ccdm_encode(d[:k], comp)):
+        return False, "levels do not fold onto the matcher's amplitudes"
+    s = (x >= 3).astype(np.uint8)
+    u = np.concatenate([labels[x, 1:].ravel(), d[k:]])
     if not (np.array_equal(s[: n - g], ldpc_encode(u, code)[code.k:])
             and np.array_equal(s[n - g:], d[k:])):
         return False, "signs are not (parity, extra data bits)"
-    labels = cst.build_constellation("pam6_label").labels[x]
-    got, ok = shaping.pas_decode((1.0 - 2.0 * labels) * 8.0, comp, code)
+    got, ok = shaping.pas_decode((1.0 - 2.0 * labels[x]) * 8.0, comp, code)
     ok = ok and np.array_equal(got, d)
     return ok, f"k={k} + g={g} bits, noiseless round trip" if ok else "decode mismatch"
 

@@ -15,7 +15,9 @@ The frame construction carries the remaining information on the sign bits:
 amplitudes are labeled with bit pairs, fed through a systematic LDPC
 encoder, and the parity plus extra data bits select the upper or lower half
 of the PAM-6 alphabet per symbol. The code's dimension fixes how many sign
-bits carry data.
+bits carry data. Shaped frames map through the ``pam6_label`` table that the
+receiver demaps with: amplitude a is level a, whose label is (0, pair), and
+each symbol sends the level labeled (sign, pair).
 """
 from __future__ import annotations
 
@@ -26,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constellation import build_constellation, map_bits
 from .fec.ldpc import ldpc_decode, ldpc_encode
 
-# ternary amplitude class -> bit pair; the pattern 00 is never emitted
-AMP_TO_PAIR = {0: (0, 1), 1: (1, 1), 2: (1, 0)}
+# the one labeling of shaped frames, shared with the receiver's demapper
+_PAM6 = build_constellation("pam6_label")
 
 DEFAULT_MATCHER_N = 1000  # amplitudes per shaped block
 
@@ -191,39 +194,6 @@ def ccdm_decode(a, comp: Composition) -> np.ndarray:
     return np.unpackbits(raw)[:k]
 
 
-def amplitudes_to_pairs(a) -> np.ndarray:
-    """Ternary amplitudes -> flat label-bit sequence (2 bits per symbol)."""
-    a = np.asarray(a, dtype=np.int64).ravel()
-    table = np.array([AMP_TO_PAIR[0], AMP_TO_PAIR[1], AMP_TO_PAIR[2]], dtype=np.uint8)
-    return table[a].ravel()
-
-
-def pairs_to_amplitudes(b) -> np.ndarray:
-    """Flat label bits -> ternary amplitudes; raises on a 00 pair."""
-    b = np.asarray(b, dtype=np.uint8).reshape(-1, 2)
-    amps = np.empty(len(b), dtype=np.int8)
-    code = b[:, 0] * 2 + b[:, 1]
-    if np.any(code == 0):
-        raise ValueError("label pair 00 does not encode an amplitude")
-    lut = np.array([-1, 0, 2, 1], dtype=np.int8)  # 01->0, 10->2, 11->1
-    amps[:] = lut[code]
-    return amps
-
-
-def symbols_from_sign_amp(s, a) -> np.ndarray:
-    """PAM-6 level per symbol: lower half {0,1,2} for s=0, mirrored for s=1."""
-    s = np.asarray(s, dtype=np.int64).ravel()
-    a = np.asarray(a, dtype=np.int64).ravel()
-    return np.where(s == 0, a, 5 - a)
-
-
-def sign_amp_from_symbols(x) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=np.int64).ravel()
-    s = (x >= 3).astype(np.uint8)
-    a = np.where(s == 0, x, 5 - x).astype(np.int8)
-    return s, a
-
-
 def _extra_bits(comp: Composition, code) -> int:
     """Data bits g carried on signs: code.k - 2n, or every sign (n) uncoded.
 
@@ -255,13 +225,14 @@ def pas_encode(d, comp: Composition, code=None) -> np.ndarray:
     d = _as_bits(d, "source")
     if len(d) != k + g:
         raise ValueError(f"source must provide {k + g} bits (k={k}, g={g}), got {len(d)}")
-    a = ccdm_encode(d[:k], comp)
+    # amplitude a is level a, whose label has sign bit 0
+    pairs = _PAM6.labels[ccdm_encode(d[:k], comp), 1:]
     if code is None:
         s = d[k:]
     else:
-        u = np.concatenate([amplitudes_to_pairs(a), d[k:]])
+        u = np.concatenate([pairs.ravel(), d[k:]])
         s = np.concatenate([ldpc_encode(u, code)[code.k:], d[k:]])
-    return symbols_from_sign_amp(s, a)
+    return map_bits(np.column_stack([s, pairs]), _PAM6)
 
 
 def pas_decode(label_llrs, comp: Composition, code=None):
@@ -286,10 +257,11 @@ def pas_decode(label_llrs, comp: Composition, code=None):
         bits, converged = (cw_llrs < 0).astype(np.uint8), True
     else:
         bits, converged, _ = ldpc_decode(cw_llrs, code)
-    b_hat = bits[: 2 * n]
     d_extra = bits[2 * n : 2 * n + g]
     try:
-        a_hat = pairs_to_amplitudes(b_hat)
+        # amplitudes are the levels labeled (0, pair); a 00 pair is no label
+        signs = np.zeros(n, dtype=np.uint8)
+        a_hat = map_bits(np.column_stack([signs, bits[: 2 * n].reshape(n, 2)]), _PAM6)
         d_head = ccdm_decode(a_hat, comp)
     except ValueError:
         return None, False

@@ -199,20 +199,20 @@ def test_selfcheck_detects_corrupt_basegraph(tmp_path, capsys):
     good = (importlib.resources.files("pam6link")
             / "fec/data/basegraph_v1.txt").read_text()
     lines = good.strip().split("\n")
-    # introduce a 4-cycle: make two rows share identical shifts in two
-    # shared positive columns
-    row = lines[1].split()
-    row[0], row[1] = "5", "7"
-    lines[1] = " ".join(row)
-    row2 = lines[2].split()
-    row2[0], row2[1] = "5", "7"
-    lines[2] = " ".join(row2)
+    # introduce a 4-cycle: give the first two shift rows (after the comments
+    # and the header line) identical shifts in two shared columns
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    for i in (header + 1, header + 2):
+        row = lines[i].split()
+        row[0], row[1] = "5", "7"
+        lines[i] = " ".join(row)
     bad = tmp_path / "tampered.txt"
     bad.write_text("\n".join(lines) + "\n")
     assert main(["selfcheck", "--basegraph", str(bad)]) == 3
     out = capsys.readouterr().out
-    assert "basegraph_file" in out and "FAIL" in out
-    assert "tampered.txt" in out
+    line = next(l for l in out.split("\n") if l.startswith("basegraph_file"))
+    assert "FAIL" in line and "tampered.txt" in out
+    assert "rows 0,1 cols 0,1 close a 4-cycle (shift sum 0)" in out
 
 
 def test_selfcheck_detects_tampered_labels(monkeypatch, capsys):

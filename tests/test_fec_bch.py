@@ -1,5 +1,10 @@
 """BCH construction, round trips, and bounded-distance behavior."""
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -8,6 +13,9 @@ from hypothesis import strategies as st
 
 from pam6link.fec.bch import bch_build, bch_decode, bch_encode, bch_strength
 from pam6link.fec.gf2m import GF2m
+from pam6link.link import build_coded
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_field_tables_consistent():
@@ -92,6 +100,64 @@ def test_encode_is_systematic():
     cw = bch_encode(u, code)
     assert cw.size == code.length
     assert np.array_equal(cw[: code.systematic_length], u)
+
+
+def _reference_encode(data, code):
+    """(data, parity) with parity the XOR of the remainder rows x^(r+i) mod g
+    that the data bits select; row 0 is g - x^r (g is monic), each next row
+    the last times x."""
+    gen, r = code.generator, code.parity_length
+    rows = np.zeros((code.systematic_length, r), dtype=np.uint8)
+    rows[0] = gen[:r]
+    for i in range(1, code.systematic_length):
+        rows[i, 1:] = rows[i - 1, :-1]
+        if rows[i - 1, -1]:
+            rows[i] ^= gen[:r]
+    return np.concatenate([data, (data @ rows) & 1])
+
+
+@pytest.mark.parametrize("code", [
+    *(build_coded("cross_qam32", rate, 1000, "bch").bch for rate in (0.1, 1.8, 2.0, 2.1)),
+    bch_build(400, t=4),
+], ids=lambda c: f"n{c.length}-t{c.t}")
+def test_division_parity_equals_remainder_rows(code):
+    k = code.systematic_length
+    rng = np.random.default_rng(code.t)
+    # the lowest and the highest data bit alone, all ones, three random words
+    words = np.zeros((6, k), dtype=np.uint8)
+    words[0, 0] = words[1, -1] = 1
+    words[2] = 1
+    words[3:] = rng.integers(0, 2, size=(3, k))
+    for u in words:
+        assert np.array_equal(bch_encode(u, code), _reference_encode(u, code))
+
+
+def test_limit_frame_encodes_and_corrects_in_linear_memory():
+    # the longest frame: length 65535 at t = 850, whose dense remainder
+    # table alone would hold 52439 x 13096 bytes (687 MB)
+    script = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from pam6link.fec import bch_decode, bch_encode
+        from pam6link.link import build_coded
+        code = build_coded("cross_qam32", 2.0, 26214, "bch").bch
+        rng = np.random.default_rng(0)
+        u = rng.integers(0, 2, size=code.systematic_length).astype(np.uint8)
+        word = bch_encode(u, code)
+        word[rng.choice(code.length, size=3, replace=False)] ^= 1
+        got, ok = bch_decode(word, code)
+        assert ok and np.array_equal(got, u)
+        print(code.length, code.t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    length, t, maxrss_kb = map(int, done.stdout.split())
+    assert (length, t) == (65535, 850)
+    assert maxrss_kb < 200 * 1024
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))

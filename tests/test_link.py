@@ -91,7 +91,7 @@ def test_threads_share_built_frames():
 def test_built_codes_are_shared_and_read_only():
     cs = build_coded("cross_qam32", 2.0, 200, "bch")
     assert build_coded("cross_qam32", 2.0, 200, "bch") is cs
-    for a in (cs.bch.generator, cs.bch.remainders, cs.bch.field.exp,
+    for a in (cs.bch.generator, cs.bch.field.exp,
               cs.constellation.labels,
               build_coded("dm_pam6", 2.0, 200, "ldpc").ldpc.check_vars):
         with pytest.raises(ValueError, match="read-only"):

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from pam6link.constellation import build_constellation
 from pam6link.fec.ldpc import ldpc_build, ldpc_encode
-from pam6link.shaping import (Composition, _leaf_size, amplitudes_to_pairs,
-                              ccdm_decode, ccdm_encode, ccdm_input_length,
-                              pairs_to_amplitudes, pas_decode, pas_encode,
-                              sign_amp_from_symbols, symbols_from_sign_amp)
+from pam6link.shaping import (Composition, _leaf_size, ccdm_decode, ccdm_encode,
+                              ccdm_input_length, pas_decode, pas_encode)
 
 PAM6 = build_constellation("pam6_label")
 
@@ -110,6 +108,13 @@ def _check_against_reference(comp, words, rng):
 
 def _label_bits(symbols):
     return PAM6.labels[np.asarray(symbols, dtype=np.int64)]
+
+
+def _sign_amp(x):
+    """Sign-bit shaping by definition: level v sends sign (v >= 3) and
+    amplitude min(v, 5 - v)."""
+    x = np.asarray(x)
+    return (x >= 3).astype(np.uint8), np.minimum(x, 5 - x)
 
 
 def test_near_uniform_composition():
@@ -219,22 +224,19 @@ def test_ccdm_decode_rejects_non_amplitudes(value):
         ccdm_decode(bad, comp)
 
 
-def test_pair_tables_invert_and_skip_00():
-    a = np.array([0, 1, 2, 2, 1, 0])
-    b = amplitudes_to_pairs(a)
-    assert b.shape == (12,)
-    pairs = b.reshape(-1, 2)
-    assert not np.any((pairs[:, 0] == 0) & (pairs[:, 1] == 0))
-    assert np.array_equal(pairs_to_amplitudes(b), a)
-
-
-def test_sign_amp_symbol_mapping():
-    s = np.array([0, 0, 0, 1, 1, 1])
-    a = np.array([0, 1, 2, 0, 1, 2])
-    x = symbols_from_sign_amp(s, a)
-    assert np.array_equal(x, [0, 1, 2, 5, 4, 3])
-    s2, a2 = sign_amp_from_symbols(x)
-    assert np.array_equal(s2, s) and np.array_equal(a2, a)
+def test_shaped_levels_carry_their_labels():
+    # every sent level's pam6_label label is (sign, matcher pair), the
+    # table the receiver demaps with
+    n, g = 1000, 426
+    comp = Composition.near_uniform(n)
+    k = ccdm_input_length(comp)
+    code = ldpc_build(3 * n, (2 * n + g) / (3 * n))
+    d = np.random.default_rng(5).integers(0, 2, size=k + g).astype(np.uint8)
+    x = pas_encode(d, comp, code)
+    pairs = _label_bits(ccdm_encode(d[:k], comp))[:, 1:]
+    u = np.concatenate([pairs.ravel(), d[k:]])
+    signs = np.concatenate([ldpc_encode(u, code)[code.k:], d[k:]])
+    assert np.array_equal(_label_bits(x), np.column_stack([signs, pairs]))
 
 
 @pytest.mark.parametrize("gamma", [0.326, 0.426])
@@ -248,12 +250,12 @@ def test_pas_encode_layout_and_noiseless_decode(gamma):
     d = rng.integers(0, 2, size=k + g).astype(np.uint8)
     x = pas_encode(d, comp, code)
     assert x.shape == (n,)
-    s, a = sign_amp_from_symbols(x)
+    s, a = _sign_amp(x)
     # amplitudes carry the matcher output with the exact composition
     assert tuple(np.bincount(a, minlength=3)) == comp.counts
     assert np.array_equal(a, ccdm_encode(d[:k], comp))
     # sign sequence = (parity of (amplitude labels, extra bits), extra bits)
-    u = np.concatenate([amplitudes_to_pairs(a), d[k:]])
+    u = np.concatenate([_label_bits(a)[:, 1:].ravel(), d[k:]])
     assert np.array_equal(s[: n - g], ldpc_encode(u, code)[code.k:])
     assert np.array_equal(s[n - g:], d[k:])
     # noiseless LLRs from the label bits themselves must round trip
@@ -270,8 +272,9 @@ def test_pas_gamma_one_needs_no_fec():
     rng = np.random.default_rng(3)
     d = rng.integers(0, 2, size=k + n).astype(np.uint8)
     x = pas_encode(d, comp)
-    s, _ = sign_amp_from_symbols(x)
+    s, a = _sign_amp(x)
     assert np.array_equal(s, d[k:])
+    assert np.array_equal(a, ccdm_encode(d[:k], comp))
     llrs = (1.0 - 2.0 * _label_bits(x).astype(np.float64)) * 9.0
     got, ok = pas_decode(llrs, comp)
     assert ok and np.array_equal(got, d)
