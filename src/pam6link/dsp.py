@@ -5,10 +5,11 @@ are detected by an exact log-domain BCJR over the channel taps; its
 per-symbol level posteriors feed the rate estimators.
 
 Cost of one ``bcjr_app`` call on T observations over S states and Q
-symbols: the forward and the backward recursion are O(T) Python steps of
-one (S, Q) log-sum-exp each, and the posteriors are formed a block of
-POSTERIOR_BLOCK steps at a time. Memory is the branch metrics (T*S*Q
-floats) plus the alphas (T*S) plus one block (POSTERIOR_BLOCK*S*Q).
+symbols: O(T) Python steps of one stacked (2, Q, S) log-sum-exp each,
+which advance the forward and the backward recursion together; the
+posteriors are formed afterwards, a block of POSTERIOR_BLOCK steps at a
+time. Memory is the branch metrics (T*S*Q floats) plus the states of
+both recursions (2*(T+1)*S) plus one block (POSTERIOR_BLOCK*S*Q).
 """
 from __future__ import annotations
 
@@ -74,11 +75,15 @@ def bcjr_app(y: np.ndarray, trellis: Trellis, noise_var: float):
     per symbol.
 
     Branch b = p*Q + s (state p, symbol s) leads to state
-    Q*(p mod L) + s with L = S/Q (1 without memory). So a step's (S, Q)
-    branches seen as (Q, S) hold the branches into one state in a column,
-    and seen as (S/L, L, Q) take beta of the next state as an (L, S/L)
-    broadcast: neither recursion gathers. The posteriors of a block of
-    steps are formed together once the backward pass has its betas.
+    Q*(p mod L) + s with L = S/Q (1 without memory). One loop runs both
+    recursions: step k takes alpha_k to alpha_{k+1} and beta_{T-k} to
+    beta_{T-k-1} with one log-sum-exp over axis 1 of a (2, Q, S) buffer.
+    Its forward half is the step's (S, Q) branches seen as (Q, S), so a
+    column holds the branches into one state. Its backward half is the
+    branches transposed to [symbol, prev state], with prev state split
+    as (S/L, L), so beta of the next state is a (Q, 1, L) broadcast of
+    beta seen as (L, Q). Neither half gathers. The posteriors are formed
+    after the loop, a block of steps at a time.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     q = trellis.levels.size
@@ -91,41 +96,37 @@ def bcjr_app(y: np.ndarray, trellis: Trellis, noise_var: float):
     metrics = metrics.reshape(t_len, ns, q)
     lead = max(ns // q, 1)
     by_next, beta_view = (ns // lead, lead, q), (lead, ns // lead)
-    step = np.empty((ns, q))  # one step's branches, reused in place
-    into = step.reshape(q, ns)
-    out_of = step.reshape(by_next)
-    mx_into, mx_out = np.empty((1, ns)), np.empty((ns, 1))
+    x = np.empty((2, q, ns))  # one step of both recursions, reused in place
+    fwd = x[0].reshape(ns, q)
+    bwd = x[1].reshape(q, ns // lead, lead)
+    mx = np.empty((2, 1, ns))
+
+    # st[k] holds (alpha_k, beta_{T-k}): state 0 at the start, any at the end
+    st = np.full((t_len + 1, 2, ns), -np.inf)
+    st[0, 0, 0] = 0.0
+    st[0, 1] = 0.0
+    g_bwd = metrics.transpose(0, 2, 1).reshape(t_len, q, ns // lead, lead)[::-1]
+    b_bwd = st[:, 1].reshape((t_len + 1,) + beta_view).transpose(0, 2, 1)[:, :, None]
     block = POSTERIOR_BLOCK
-
-    alphas = np.full((t_len + 1, ns), -np.inf)  # alphas[t]: alpha at time t
-    alphas[0, 0] = 0.0
+    out = np.empty((t_len, 1, q))
+    joint = np.empty((block, ns, q))
     with np.errstate(divide="ignore"):
-        for g, a, a_next in zip(metrics, alphas[:, :, None], alphas[1:, None]):
-            np.add(g, a, out=step)
-            _logsumexp(into, 0, a_next, mx_into)
+        for g, a, gb, b, s_next in zip(metrics, st[:, 0, :, None], g_bwd, b_bwd,
+                                       st[1:, :, None]):
+            np.add(g, a, out=fwd)
+            np.add(gb, b, out=bwd)
+            _logsumexp(x, 1, s_next, mx)
 
-        out = np.empty((t_len, 1, q))
-        betas = np.zeros((block + 1, ns))  # betas[j]: beta at time t0 + j
-        joint = np.empty((block, ns, q))
-        g_out = metrics.reshape((t_len,) + by_next)
-        b_next = betas.reshape((block + 1,) + beta_view)
-        # blocks from the end; only the last one in time can be short, and
-        # betas[block] carries beta across the block boundary
-        for t0 in range((t_len - 1) // block * block, -1, -block):
+        alphas, betas = st[:, 0], st[::-1, 1]  # [t]: at time t
+        for t0 in range(0, t_len, block):
             n = min(block, t_len - t0)
-            betas[n] = betas[block]
-            for g, b, b_prev in zip(g_out[t0:t0 + n][::-1], b_next[n:0:-1],
-                                    betas[n - 1::-1, :, None]):
-                np.add(g, b, out=out_of)
-                _logsumexp(step, 1, b_prev, mx_out)
             blk = joint[:n]
             np.add(metrics[t0:t0 + n], alphas[t0:t0 + n, :, None], out=blk)
             four = blk.reshape((n,) + by_next)
-            np.add(four, betas[1:n + 1].reshape((n, 1) + beta_view), out=four)
+            np.add(four, betas[t0 + 1:t0 + n + 1].reshape((n, 1) + beta_view), out=four)
             post = np.empty((n, 1, q))
             _logsumexp(blk, 1, post, np.empty((n, 1, q)))
             norm = np.empty((n, 1, 1))
             _logsumexp(post.copy(), 2, norm, np.empty((n, 1, 1)))
             np.subtract(post, norm, out=out[t0:t0 + n])
-            betas[block] = betas[0]
     return out.reshape(t_len, q)

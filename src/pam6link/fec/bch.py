@@ -134,20 +134,34 @@ def bch_encode(data: np.ndarray, code: BchCode) -> np.ndarray:
     return np.concatenate([data, np.unpackbits(raw, bitorder="little")[:r]])
 
 
+def _power_sums(fld: GF2m, degs: np.ndarray, count: int) -> np.ndarray:
+    """S_j = sum over d in degs of alpha^(d j), for j = 1..count.
+
+    Only the odd j are evaluated, one at a time with a running exponent
+    (memory linear in degs); over GF(2) an even j = o 2^k (o odd) gives
+    S_j = S_o^(2^k), read through the log/exp tables.
+    """
+    order = fld.order
+    step = 2 * degs % order
+    expo = (order - degs) % order  # -d: the first pass lands on j = 1
+    odd = np.empty((count + 1) // 2, dtype=np.int64)
+    for i in range(odd.size):
+        expo += step  # d j mod order; both terms are below order
+        expo[expo >= order] -= order
+        odd[i] = np.bitwise_xor.reduce(fld.exp[expo])
+    j = np.arange(1, count + 1)
+    power = j & -j  # 2^k
+    base = odd[(j // power - 1) // 2]
+    return np.where(base != 0, fld.exp[fld.log[base] * power % order], 0)
+
+
 def _syndromes(code: BchCode, word: np.ndarray) -> np.ndarray:
-    """S_j = word(alpha^j) for j = 1..2t, one j at a time: linear memory."""
+    """S_j = word(alpha^j) for j = 1..2t."""
     pos = np.flatnonzero(word)
     k = code.systematic_length
     # data bit i sits at degree r + i, parity bit j at degree j
     degs = np.where(pos < k, pos + code.parity_length, pos - k)
-    order = code.field.order
-    synd = np.zeros(2 * code.t, dtype=np.int64)
-    expo = np.zeros_like(degs)
-    for j in range(2 * code.t):
-        expo += degs  # degs * (j + 1) mod order; both terms are below order
-        expo[expo >= order] -= order
-        synd[j] = np.bitwise_xor.reduce(code.field.exp[expo])
-    return synd
+    return _power_sums(code.field, degs, 2 * code.t)
 
 
 def _berlekamp_massey(code: BchCode, synd: np.ndarray) -> list:
@@ -215,8 +229,8 @@ def bch_decode(word: np.ndarray, code: BchCode):
     # degree d is data bit d - r, or parity bit d (after the k data bits)
     r = code.parity_length
     flip = np.where(roots >= r, roots - r, roots + k)
-    word[flip] ^= 1
-    if _syndromes(code, word).any():
-        word[flip] ^= 1
+    # the corrected word's syndromes: synd plus those of the flipped bits
+    if (synd ^ _power_sums(code.field, roots, 2 * code.t)).any():
         return word[:k], False
+    word[flip] ^= 1
     return word[:k], True

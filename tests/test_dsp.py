@@ -105,11 +105,17 @@ def _per_step_app(y, tr, noise_var):
     return out
 
 
-@pytest.mark.parametrize("taps", [(1.0,), (1.0, 0.35), (1.0, 0.4, 0.2)])
+@pytest.mark.parametrize("taps", [(1.0,), (1.0, 0.35), (1.0, 0.4, 0.2),
+                                  (1.0, 0.3, 0.2, 0.1)])
 def test_bcjr_equals_per_step_reference(taps):
+    # one loop runs both recursions, the backward one on a transposed view
+    # split as (S/L, L): memory 3 (L = 36) checks that split, odd lengths
+    # have the two directions cross mid-loop, and the posteriors are formed
+    # in blocks after it
     rng = np.random.default_rng(len(taps))
     tr = make_trellis(np.array(taps), LEVELS)
-    for length in (1, 2, POSTERIOR_BLOCK, 2 * POSTERIOR_BLOCK + 3):
+    for length in (1, 2, 3, 5, POSTERIOR_BLOCK, POSTERIOR_BLOCK + 1,
+                   2 * POSTERIOR_BLOCK + 3):
         sym = rng.integers(0, 6, size=length)
         y = np.convolve(LEVELS[sym], taps)[:length] + 0.07 * rng.standard_normal(length)
         got = bcjr_app(y, tr, 0.0049)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pam6link.fec.bch import bch_build, bch_decode, bch_encode, bch_strength
+from pam6link.fec.bch import (_berlekamp_massey, _chien_roots, _syndromes, bch_build,
+                              bch_decode, bch_encode, bch_strength)
 from pam6link.fec.gf2m import GF2m
 from pam6link.link import build_coded
 
@@ -217,6 +218,73 @@ def test_beyond_t_detected_or_bounded_distance():
             cw2 = bch_encode(np.asarray(got, dtype=np.uint8), code)
             assert int(np.sum(cw2 ^ word)) <= code.t
     assert flagged > 0  # detection does happen at weight t+1
+
+
+def _direct_syndromes(code, word):
+    """S_j = word(alpha^j), every j in 1..2t evaluated on its own."""
+    k, r = code.systematic_length, code.parity_length
+    pos = np.flatnonzero(word)
+    degs = np.where(pos < k, pos + r, pos - k)
+    fld = code.field
+    return np.array([np.bitwise_xor.reduce(fld.exp[degs * j % fld.order])
+                     for j in range(1, 2 * code.t + 1)], dtype=np.int64)
+
+
+def _full_recheck_decode(word, code):
+    """Bounded-distance decode that re-checks the corrected word with a
+    full direct syndrome pass: the reference bch_decode must agree with."""
+    word = word.copy()
+    k, r = code.systematic_length, code.parity_length
+    synd = _direct_syndromes(code, word)
+    if not synd.any():
+        return word[:k], True
+    sigma = _berlekamp_massey(code, synd)
+    nerr = len(sigma) - 1
+    if nerr == 0 or nerr > code.t:
+        return word[:k], False
+    roots = _chien_roots(code, sigma)
+    if roots.size != nerr:
+        return word[:k], False
+    flip = np.where(roots >= r, roots - r, roots + k)
+    word[flip] ^= 1
+    if _direct_syndromes(code, word).any():
+        word[flip] ^= 1
+        return word[:k], False
+    return word[:k], True
+
+
+CODES = [(15, 2), (63, 3), (200, 4), (1000, 12), (2047, 20)]
+
+
+@pytest.mark.parametrize("length,t", CODES)
+def test_syndromes_equal_direct_evaluation(length, t):
+    # the even S_j are squares of earlier ones, not evaluated: every j
+    # must still equal word(alpha^j)
+    code = bch_build(length, t)
+    rng = np.random.default_rng(length)
+    for density in (0.0, 1 / length, 0.5, 1.0):
+        word = (rng.random(length) < density).astype(np.uint8)
+        assert np.array_equal(_syndromes(code, word), _direct_syndromes(code, word))
+
+
+@pytest.mark.parametrize("length,t", CODES)
+def test_decode_outcomes_match_full_recheck(length, t):
+    # the corrected word is re-checked from the flipped bits' syndromes
+    # alone: (data, ok) must be what a full second syndrome pass gives,
+    # on clean words, correctable patterns and beyond-t patterns
+    code = bch_build(length, t)
+    rng = np.random.default_rng(t)
+    outcomes = set()
+    for weight in range(t + 3):
+        for _ in range(8):
+            u = rng.integers(0, 2, size=code.systematic_length).astype(np.uint8)
+            word = bch_encode(u, code)
+            word[rng.choice(length, size=weight, replace=False)] ^= 1
+            got, ok = bch_decode(word, code)
+            want, want_ok = _full_recheck_decode(word, code)
+            assert ok == want_ok and np.array_equal(got, want)
+            outcomes.add((ok, bool(np.array_equal(got, u))))
+    assert (True, True) in outcomes and (False, False) in outcomes
 
 
 def test_decode_rejects_bad_length():
