@@ -4,8 +4,10 @@ A config is a YAML mapping (nested key-value with lists) that names one or
 more schemes, one or more metrics, a channel, an SNR sweep, and seeds. The
 runner expands the cross product scheme x metric x snr x seed into work
 items, evaluates them in units (the MI/GMI items of one scheme, snr and
-seed share one draw; optionally across threads), and emits CSV rows in
-config order so the output bytes are independent of scheduling.
+seed share one draw, and on fir_isi those of every scheme at one snr and
+seed share one stacked trellis pass; optionally across threads), and
+emits CSV rows in config order so the output bytes are independent of
+scheduling.
 
 CSV schema (header always present, one row per item):
 
@@ -31,7 +33,8 @@ import yaml
 from .channel import check_seed, check_taps, sigma_for_peak_snr
 from .link import (CODECS, build_coded, check_frame_symbols, coded_fer,
                    rate_at_fer)
-from .rates import SCHEMES, METRICS, check_num_symbols, estimate_rates
+from .rates import (SCHEMES, METRICS, check_num_symbols,
+                    estimate_rates_per_scheme)
 
 RUN_METRICS = METRICS + ("fer", "rate_at_fer")
 CHANNEL_KINDS = ("awgn", "fir_isi")
@@ -277,26 +280,29 @@ def _row(scheme, metric, snr_db, rate, half_width, n, seed) -> str:
                      float(half_width), int(n), int(seed)))
 
 
-def _eval_unit(cfg: ExperimentConfig, scheme: str, metrics: tuple, snr: float,
-               seed: int) -> dict:
-    """Evaluate one work unit; returns {metric: rows}.
+def _eval_unit(cfg: ExperimentConfig, schemes: tuple, metrics: tuple,
+               snr: float, seed: int) -> list:
+    """Evaluate one work unit; returns {metric: rows} per scheme of it.
 
-    A unit is either the MI/GMI metrics of one (scheme, snr, seed), all
-    estimated from one draw, or one coded metric at that point.
+    A unit is either the MI/GMI metrics of its schemes at (snr, seed),
+    each scheme estimated from one draw, or one coded metric of one scheme
+    at that point.
     """
     if metrics[0] in METRICS:
-        ests = estimate_rates(scheme, snr, metrics, cfg.num_symbols, seed,
-                              cfg.taps)
-        return {m: [_row(scheme, m, snr, e.rate, e.half_width, e.num_symbols,
-                         seed)]
-                for m, e in ests.items()}
+        per_scheme = estimate_rates_per_scheme(schemes, snr, metrics,
+                                               cfg.num_symbols, seed, cfg.taps)
+        return [{m: [_row(scheme, m, snr, e.rate, e.half_width,
+                          e.num_symbols, seed)]
+                 for m, e in ests.items()}
+                for scheme, ests in zip(schemes, per_scheme)]
 
+    (scheme,) = schemes
     if metrics == ("fer",):
         fer, hw, frames, _ = coded_fer(
             scheme, cfg.codec.rate_bpcu, snr, codec=cfg.codec.family,
             frame_symbols=cfg.frame_symbols, max_frames=cfg.max_frames,
             min_errors=cfg.min_errors, seed=seed)
-        return {"fer": [_row(scheme, "fer", snr, fer, hw, frames, seed)]}
+        return [{"fer": [_row(scheme, "fer", snr, fer, hw, frames, seed)]}]
 
     achieved, points = rate_at_fer(
         scheme, snr, fer_target=cfg.fer_target, codec=cfg.codec.family,
@@ -307,30 +313,39 @@ def _eval_unit(cfg: ExperimentConfig, scheme: str, metrics: tuple, snr: float,
     for p in sorted(points, key=lambda p: -p.rate):
         rows.append(_row(scheme, f"fer@{p.rate:g}", snr, p.fer, p.half_width,
                          p.frames, seed))
-    return {"rate_at_fer": rows}
+    return [{"rate_at_fer": rows}]
 
 
 def _plan(cfg: ExperimentConfig):
     """(items, units): the work items in config order, each with the index
-    of its unit, and the units in the order their first item comes.
+    of its unit and its scheme's place in that unit, and the units in the
+    order their first item comes.
 
-    The MI/GMI items of one (scheme, snr, seed) share a unit; each coded
-    item is a unit of its own. Units are keyed by list positions, so a
-    value repeated in the config gets units of its own as it got items.
+    The MI/GMI items of one (scheme, snr, seed) share a unit; on fir_isi
+    those of every scheme at one (snr, seed) do, so one trellis pass
+    detects all their draws. Each coded item is a unit of its own. Units
+    are keyed by list positions, so a value repeated in the config gets
+    units of its own as it got items.
     """
     rate_metrics = tuple(dict.fromkeys(m for m in cfg.metrics if m in METRICS))
+    stacked = cfg.taps is not None
     items, units, index = [], [], {}
     for i, scheme in enumerate(cfg.schemes):
         for j, metric in enumerate(cfg.metrics):
             shared = metric in METRICS
             for k, snr in enumerate(cfg.snr_db):
                 for l, seed in enumerate(cfg.seeds):
-                    key = (i, None if shared else j, k, l)
+                    if not shared:
+                        key, unit = (i, j, k, l), ((scheme,), (metric,))
+                    elif stacked:
+                        key, unit = (None, None, k, l), (cfg.schemes, rate_metrics)
+                    else:
+                        key, unit = (i, None, k, l), ((scheme,), rate_metrics)
                     if key not in index:
                         index[key] = len(units)
-                        units.append((scheme, rate_metrics if shared
-                                      else (metric,), snr, seed))
-                    items.append(((scheme, metric, snr, seed), index[key]))
+                        units.append(unit + (snr, seed))
+                    row = i if shared and stacked else 0
+                    items.append(((scheme, metric, snr, seed), index[key], row))
     return items, units
 
 
@@ -339,12 +354,15 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
     """Run every work unit and return the full CSV text.
 
     One unit estimates every MI/GMI metric of a (scheme, snr, seed) from
-    one draw; each coded item is a unit of its own. Units run in the order
-    their first item comes in the config. Rows are written, and progress
-    is called once per item with (scheme, metric, snr, seed) and its rows,
-    in config order whatever the scheduling, so the bytes never depend on
-    it: config order puts the metric outside the SNR, so a unit's later
-    rows are held until their turn. With threads > 1 the units run on a
+    one draw; on fir_isi one unit does so for every scheme at an
+    (snr, seed), detecting their draws in one stacked trellis pass, so
+    threads share out only the (snr, seed) points there. Each coded item
+    is a unit of its own. Units run in the order their first item comes in
+    the config. Rows are written, and progress is called once per item
+    with (scheme, metric, snr, seed) and its rows, in config order
+    whatever the scheduling, so the bytes never depend on it: config order
+    puts the scheme and the metric outside the SNR, so a unit's later rows
+    are held until their turn. With threads > 1 the units run on a
     pool of that many worker threads. One thread runs them on the caller's
     thread, one after another, with progress called between units; run on
     a single worker thread instead, a 1e6-symbol MI/GMI sweep of the three
@@ -356,14 +374,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
     items, units = _plan(cfg)
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
-    done = []  # {metric: rows} of each unit run so far, in unit order
+    done = []  # per scheme {metric: rows} of each unit run so far
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
         run = ex.map if threads > 1 else map
         results = run(lambda u: _eval_unit(cfg, *u), units)
-        for item, u in items:
+        for item, u, r in items:
             if u == len(done):
                 done.append(next(results))
-            rows = done[u][item[1]]
+            rows = done[u][r][item[1]]
             buf.writelines(row + "\n" for row in rows)
             if progress:
                 progress(item, rows)

@@ -22,7 +22,7 @@ from .channel import philox, sigma_for_peak_snr, transmit
 from .constellation import (LEVELS, _label_llrs, _log_point_metrics, _row_sum,
                             _weights, bit_llrs_from_levels, build_constellation,
                             normalize)
-from .dsp import bcjr_app, make_trellis
+from .dsp import bcjr_app, make_trellis, rows_per_call
 
 SCHEMES = ("cross_qam32", "framed_cross_qam32", "dm_pam6")
 METRICS = ("symbol_metric", "bit_metric")
@@ -33,9 +33,12 @@ _RATE_TOL_BPCU = 0.005  # snr_at_rate stops once a probe is this close
 _HW_FLOOR = 1e-12  # keeps reported confidence strictly positive when the
                    # per-sample information is constant (noise-free regime)
 MAX_NUM_SYMBOLS = 10**7  # largest MI/GMI sample
-# largest count of float64 branch metrics bcjr_app holds at once, one per
-# (use, state, symbol): num_symbols * 6**len(taps). Two taps at
-# MAX_NUM_SYMBOLS need 2.9 GB; a third tap would need 17 GB.
+# largest trellis a sample may span, num_symbols * 6**len(taps) (one
+# branch metric per use, state and symbol). bcjr_app stacks
+# dsp.rows_per_call rows per call, so beside its fixed blocks a call holds
+# no more floats than one row holding all its branch metrics would:
+# num_symbols * (S*Q + 2S + Q) for S*Q = 6**len(taps). At MAX_NUM_SYMBOLS
+# that is 4.3 GB for two taps and would be 24 GB for three.
 MAX_BRANCH_METRICS = MAX_NUM_SYMBOLS * 6**2
 _BLOCK_POINTS = 4096  # points per demapper call: keeps intermediates in cache
 
@@ -103,10 +106,9 @@ def _simulate(scheme: str, snr_db: float, num_symbols: int, seed: int, taps=None
     return c, idx, y, nv
 
 
-def _trellis_logposts(y, taps, noise_var):
-    """Per-use log posteriors over the six levels from the exact ISI trellis."""
-    trellis = make_trellis(np.asarray(taps, dtype=np.float64), normalize(LEVELS))
-    return bcjr_app(y, trellis, noise_var)
+def _trellis(taps):
+    """The exact ISI trellis over the six normalized levels."""
+    return make_trellis(np.asarray(taps, dtype=np.float64), normalize(LEVELS))
 
 
 def _penalty(llr, idx, c):
@@ -141,13 +143,13 @@ def _awgn_samples(y, idx, c, noise_var, metrics):
     return out
 
 
-def _trellis_samples(y, idx, c, noise_var, taps, metrics):
-    """Per-point samples of each metric from one trellis detector pass.
+def _trellis_samples(app, idx, c, metrics):
+    """Per-point samples of each metric from one row's trellis posteriors.
 
-    2D formats score each point by the product of its two level posteriors
-    (a mismatched but achievable metric), for both metrics.
+    app holds the (T, Q) level log posteriors of the row. 2D formats score
+    each point by the product of its two level posteriors (a mismatched
+    but achievable metric), for both metrics.
     """
-    app = _trellis_logposts(y, taps, noise_var)
     out = {}
     if "symbol_metric" in metrics:
         lev_idx = c.points[idx].ravel()
@@ -187,25 +189,67 @@ def estimate_rates(
     trellis pass with ISI taps, and each equals what estimate_mi or
     estimate_gmi returns alone.
     """
+    return estimate_rates_per_scheme((scheme,), snr_db, metrics, num_symbols,
+                                     seed, taps)[0]
+
+
+def estimate_rates_per_scheme(
+    schemes,
+    snr_db: float,
+    metrics=METRICS,
+    num_symbols: int = 10**6,
+    seed: int = 0,
+    taps=None,
+) -> list:
+    """estimate_rates of each of `schemes` at one SNR and seed, in order.
+
+    Each scheme is drawn on the Philox streams it uses alone, so each dict
+    equals estimate_rates(scheme, ...). With ISI taps the draws of up to
+    dsp.rows_per_call schemes at a time go through one stacked trellis
+    pass; on AWGN each scheme is demapped on its own.
+    """
     metrics = tuple(metrics)
     if not metrics:
         raise ValueError(f"need at least one metric of {METRICS}")
     for m in metrics:
         if m not in METRICS:
             raise ValueError(f"unknown metric {m!r}; expected one of {METRICS}")
-    c, idx, y, nv = _simulate(scheme, snr_db, num_symbols, seed, taps)
-    if taps is None:
-        samples = _awgn_samples(y, idx, c, nv, metrics)
+    for s in schemes:  # first: the trellis of too many taps would not fit
+        check_num_symbols(s, num_symbols, taps)
+    trellis = None if taps is None else _trellis(taps)
+    rows = 1 if trellis is None else rows_per_call(trellis)
+    out = []
+    for s0 in range(0, len(schemes), rows):
+        out += _estimate_rows(schemes[s0:s0 + rows], snr_db, metrics,
+                              num_symbols, seed, taps, trellis)
+    return out
+
+
+def _estimate_rows(schemes, snr_db, metrics, num_symbols, seed, taps, trellis):
+    """{metric: RateEstimate} of each scheme, from one draw each and, with
+    a trellis, one bcjr_app call over all their draws."""
+    draws = [_simulate(s, snr_db, num_symbols, seed, taps) for s in schemes]
+    consts = [c for c, _, _, _ in draws]
+    if trellis is None:
+        samples = [_awgn_samples(y, idx, c, nv, metrics)
+                   for c, idx, y, nv in draws]
     else:
-        samples = _trellis_samples(y, idx, c, nv, taps, metrics)
+        app = bcjr_app(np.stack([y for _, _, y, _ in draws]), trellis,
+                       [nv for _, _, _, nv in draws])
+        samples = [_trellis_samples(a, idx, c, metrics)
+                   for a, (c, idx, _, _) in zip(app, draws)]
+        del app
     # only the per-point vectors stay at full length for the moments
-    del y, idx
-    info = math.log2(c.num_points)
-    out = {}
-    for m in metrics:
-        v = samples[m]
-        point = info + v.mean() if m == "symbol_metric" else info - v.mean()
-        out[m] = _estimate(scheme, m, snr_db, c, point, v, num_symbols, seed)
+    del draws
+    out = []
+    for scheme, c, smp in zip(schemes, consts, samples):
+        info = math.log2(c.num_points)
+        est = {}
+        for m in metrics:
+            v = smp[m]
+            point = info + v.mean() if m == "symbol_metric" else info - v.mean()
+            est[m] = _estimate(scheme, m, snr_db, c, point, v, num_symbols, seed)
+        out.append(est)
     return out
 
 

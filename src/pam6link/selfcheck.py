@@ -105,7 +105,7 @@ def _check_bcjr():
     nv = 0.05
     x = rng.integers(0, 6, size=6)
     y = np.convolve(x / 5.0, taps)[: len(x)] + 0.1 * rng.standard_normal(len(x))
-    app = bcjr_app(y, tr, nv)
+    app = bcjr_app(y[None], tr, nv)[0]
     # exhaustive-enumeration posterior with the same level-0 history start
     logp = np.full((len(x), 6), -np.inf)
     for seq in itertools.product(range(6), repeat=len(x)):

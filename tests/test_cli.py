@@ -1,4 +1,6 @@
 """CLI exit codes, bundled configs, and selfcheck mutation behavior."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,21 @@ def test_runtime_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(cfg),
                  "--output", str(tmp_path / "no" / "dir" / "x.csv")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# sha256 of the bundled configs' CSVs: a change that moves any float of
+# these results must update the digest and say why
+BUNDLED_SHA256 = {
+    "awgn_gaps": "0deb2984e7bb94e3285f35a8154540a12a4c39d4ae27a31b07f6da64aa63fb20",
+    "loopback": "2fcac1a921bf5a29fb7a2eb68d8906417451fbe33cab423dbd64fb5e20048e1b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_SHA256))
+def test_bundled_config_csv_digest(tmp_path, name):
+    out = tmp_path / f"{name}.csv"
+    assert main(["run", "--config", name, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BUNDLED_SHA256[name]
 
 
 def test_bundled_config_loopback(tmp_path):

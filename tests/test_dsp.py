@@ -1,12 +1,13 @@
 """BCJR detector tests."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pam6link.dsp import POSTERIOR_BLOCK, bcjr_app, make_trellis
+from pam6link.dsp import POSTERIOR_BLOCK, bcjr_app, make_trellis, rows_per_call
 from pam6link.rates import estimate_gmi, estimate_mi
 
 LEVELS = np.arange(6) / 5.0
@@ -46,7 +47,7 @@ def test_bcjr_matches_exhaustive_map():
     sym = rng.integers(0, 6, size=6)
     x = np.convolve(LEVELS[sym], taps)[:6]
     y = x + 0.15 * rng.standard_normal(6)
-    got = bcjr_app(y, tr, noise_var=0.15**2)
+    got = bcjr_app(y[None], tr, noise_var=0.15**2)[0]
     ref = _brute_force_app(y, taps, 0.15**2)
     assert float(np.max(np.abs(got - ref))) < 1e-9
 
@@ -60,7 +61,7 @@ def test_bcjr_memoryless_matches_pointwise_at_block_edges(length):
     tr = make_trellis(np.array([1.0]), LEVELS)
     y = rng.uniform(-0.2, 1.2, size=length)
     ll = -0.5 * (y[:, None] - LEVELS[None, :]) ** 2 / 0.05
-    got = bcjr_app(y, tr, noise_var=0.05)
+    got = bcjr_app(y[None], tr, noise_var=0.05)[0]
     assert got.shape == (length, 6)
     ref = ll - np.logaddexp.reduce(ll, axis=1, keepdims=True)
     assert float(np.max(np.abs(got - ref))) < 1e-12
@@ -118,8 +119,45 @@ def test_bcjr_equals_per_step_reference(taps):
                    2 * POSTERIOR_BLOCK + 3):
         sym = rng.integers(0, 6, size=length)
         y = np.convolve(LEVELS[sym], taps)[:length] + 0.07 * rng.standard_normal(length)
-        got = bcjr_app(y, tr, 0.0049)
+        got = bcjr_app(y[None], tr, 0.0049)[0]
         assert np.array_equal(got, _per_step_app(y, tr, 0.0049))
+
+
+@pytest.mark.parametrize("taps", [(1.0,), (1.0, 0.35), (1.0, 0.4, 0.2),
+                                  (1.0, 0.3, 0.2, 0.1)])
+def test_stacked_rows_equal_single_row_calls(taps):
+    # rows advance in one loop over a (B, 2, Q, S) buffer and share each
+    # block of branch metrics; each must still be the one-row result
+    rng = np.random.default_rng(10 + len(taps))
+    tr = make_trellis(np.array(taps), LEVELS)
+    nvs = np.array([1e-4, 0.0049, 0.1])
+    for length in (1, 3, 5, POSTERIOR_BLOCK - 1, POSTERIOR_BLOCK + 1, 1000):
+        y = np.stack([
+            np.convolve(LEVELS[rng.integers(0, 6, size=length)], taps)[:length]
+            + np.sqrt(nv) * rng.standard_normal(length) for nv in nvs])
+        got = bcjr_app(y, tr, nvs)
+        assert got.shape == (3, length, 6)
+        for r in range(3):
+            assert np.array_equal(got[r], bcjr_app(y[r:r + 1], tr, nvs[r])[0])
+    with pytest.raises(ValueError, match="rows, uses"):
+        bcjr_app(y[0], tr, nvs[0])
+
+
+def test_stacked_call_holds_no_more_than_one_rows_branch_metrics():
+    # rows_per_call rows of 1e4 uses at two taps stay below what the
+    # branch metrics of those uses alone would take, 3 * T * S * Q floats
+    tr = make_trellis(np.array([1.0, 0.35]), LEVELS)
+    rows, t_len = rows_per_call(tr), 10**4
+    assert rows == 3
+    assert rows_per_call(make_trellis(np.array([1.0]), LEVELS)) == 1
+    y = np.random.default_rng(3).uniform(-0.2, 1.5, size=(rows, t_len))
+    tracemalloc.start()
+    try:
+        bcjr_app(y, tr, 0.0056)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * t_len * tr.n_states * 6 * 8
 
 
 # MI/GMI on the ISI link, read from the per-step BCJR this kernel replaced:
@@ -147,7 +185,7 @@ def test_bcjr_memoryless_reduces_to_pointwise_posterior(seed):
     rng = np.random.default_rng(seed)
     tr = make_trellis(np.array([1.0]), LEVELS)
     y = rng.uniform(-0.2, 1.2, size=8)
-    got = bcjr_app(y, tr, noise_var=0.05)
+    got = bcjr_app(y[None], tr, noise_var=0.05)[0]
     ll = -0.5 * (y[:, None] - LEVELS[None, :]) ** 2 / 0.05
     ref = ll - np.logaddexp.reduce(ll, axis=1, keepdims=True)
     assert np.allclose(got, ref, atol=1e-12)
@@ -160,5 +198,5 @@ def test_bcjr_high_snr_recovers_sequence():
     sym = rng.integers(0, 6, size=400)
     x = np.convolve(LEVELS[sym], taps)[:400]
     y = x + 0.01 * rng.standard_normal(400)
-    post = bcjr_app(y, tr, noise_var=1e-4)
+    post = bcjr_app(y[None], tr, noise_var=1e-4)[0]
     assert np.array_equal(np.argmax(post, axis=1), sym)

@@ -11,7 +11,8 @@ from pam6link.cli import BUNDLED_CONFIGS, _resolve_config
 from pam6link.experiment import (CSV_HEADER, CodecSpec, ConfigError,
                                  ExperimentConfig, parse_config, run_experiment)
 from pam6link.link import build_coded, coded_fer
-from pam6link.rates import estimate_gmi, estimate_mi
+from pam6link.rates import estimate_gmi, estimate_mi, estimate_rates
+from test_dsp import ISI_PINS
 
 MINIMAL = """
 scheme: dm_pam6
@@ -147,8 +148,8 @@ def test_syntax_error_reports_line():
     # 2D formats send whole points: an odd count would not be simulated
     ("scheme: cross_qam32\nmetric: symbol_metric\nsnr_db: [20]\n"
      "num_symbols: 10001", "num_symbols: cross_qam32 sends 2 symbols"),
-    # parsing allocates nothing; a run would ask bcjr_app for 10**7 * 6**12
-    # branch metrics
+    # parsing allocates nothing; a run would detect a trellis of 6**11
+    # states over 10**7 uses
     ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\n"
      "num_symbols: 10000000\n"
      "channel: {kind: fir_isi, taps: [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}",
@@ -244,10 +245,10 @@ def test_run_experiment_needs_a_thread(threads):
 def test_one_thread_runs_items_on_the_caller_between_reports(monkeypatch):
     events, caller = [], threading.get_ident()
 
-    def fake_unit(cfg, scheme, metrics, snr, seed):
+    def fake_unit(cfg, schemes, metrics, snr, seed):
         assert threading.get_ident() == caller
         events.append(("run", snr))
-        return {m: [f"{scheme},{snr}"] for m in metrics}
+        return [{m: [f"{scheme},{snr}"] for m in metrics} for scheme in schemes]
 
     monkeypatch.setattr(experiment, "_eval_unit", fake_unit)
     cfg = parse_config(MINIMAL.replace("[20.0]", "[20.0, 21.0, 22.0]"))
@@ -296,6 +297,58 @@ min_errors: 5
                              progress=lambda item, rows: seen.append(item))
         assert got == want
         assert seen == items
+
+
+def test_isi_units_write_what_per_scheme_calls_give():
+    """On fir_isi the rate items of every scheme at one (snr, seed) share a
+    stacked trellis pass, yet write the rows per-scheme calls give, in
+    config order, at any threads."""
+    cfg = parse_config("""
+schemes: [cross_qam32, framed_cross_qam32, dm_pam6]
+metric: [symbol_metric, bit_metric]
+snr_db: [19.0, 23.0]
+seeds: [0, 5]
+channel: {kind: fir_isi, taps: [1.0, 0.35]}
+num_symbols: 10000
+""")
+    want, items = [CSV_HEADER], []
+    for scheme in cfg.schemes:
+        ests = {(snr, seed): estimate_rates(scheme, snr, num_symbols=10000,
+                                            seed=seed, taps=cfg.taps)
+                for snr in cfg.snr_db for seed in cfg.seeds}
+        for metric in cfg.metrics:
+            for snr in cfg.snr_db:
+                for seed in cfg.seeds:
+                    est = ests[snr, seed][metric]
+                    want.append(",".join(
+                        (scheme, metric, repr(snr), repr(est.rate),
+                         repr(est.half_width), "10000", str(seed))))
+                    items.append((scheme, metric, snr, seed))
+    want = "\n".join(want) + "\n"
+    for threads in (1, 2):
+        seen = []
+        got = run_experiment(cfg, threads=threads,
+                             progress=lambda item, rows: seen.append(item))
+        assert got == want
+        assert seen == items
+
+
+def test_isi_rates_sweep_reproduces_the_pins():
+    # the isi_rates benchmark sweep at seed 0: the stacked unit's rows are
+    # the pinned single-scheme estimates
+    cfg = parse_config("""
+schemes: [cross_qam32, framed_cross_qam32, dm_pam6]
+metric: [symbol_metric, bit_metric]
+snr_db: [22.5]
+seeds: [0]
+channel: {kind: fir_isi, taps: [1.0, 0.35]}
+num_symbols: 10000
+""")
+    rows = [line.split(",") for line in run_experiment(cfg).splitlines()[1:]]
+    got = {}
+    for scheme, _, _, rate, hw, _, _ in rows:
+        got.setdefault(scheme, []).append((float(rate), float(hw)))
+    assert got == {s: list(pins) for s, pins in ISI_PINS.items()}
 
 
 def test_bch_rate_at_fer_reports_the_rate_frames_carry():

@@ -8,6 +8,7 @@ from test_constellation import (reference_bit_llrs,
                                 reference_symbol_posteriors)
 
 from pam6link import rates, shaping
+from pam6link.dsp import bcjr_app
 from pam6link.rates import (MAX_RATE_1D, RateEstimate, estimate_gmi,
                             estimate_mi, estimate_rates, matcher_rate_loss,
                             snr_at_rate)
@@ -107,8 +108,9 @@ def test_snr_at_rate_dm_subtracts_matcher_loss():
 
 
 def test_trellis_size_is_checked_before_any_draw():
-    # two taps at the largest sample fit; more would not: twelve taps ask
-    # bcjr_app for 10**7 * 6**12 branch metrics
+    # two taps at the largest sample fit; more would not: twelve taps span
+    # a trellis of 10**7 * 6**12 branch metrics, and building it alone
+    # would take 16 GiB
     rates.check_num_symbols("dm_pam6", rates.MAX_NUM_SYMBOLS, (1.0, 0.35))
     with pytest.raises(ValueError, match="branch metrics"):
         rates.check_num_symbols("dm_pam6", rates.MAX_NUM_SYMBOLS,
@@ -134,7 +136,7 @@ def _reference_mi(scheme, snr_db, num_symbols, seed, taps=None):
         p_true = post[np.arange(len(idx)), idx]
         samples = np.log2(np.maximum(p_true, np.finfo(np.float64).tiny))
     else:
-        app = rates._trellis_logposts(y, taps, nv)
+        app = bcjr_app(y[None], rates._trellis(taps), nv)[0]
         lev_idx = c.points[idx].ravel()
         lp = app[np.arange(lev_idx.size), lev_idx] / math.log(2.0)
         samples = lp.reshape(-1, c.dimension).sum(axis=1)
@@ -151,7 +153,7 @@ def _reference_gmi(scheme, snr_db, num_symbols, seed, taps=None):
         llr = reference_bit_llrs(y, c, nv).reshape(-1, c.bits_per_point)
     else:
         llr = reference_bit_llrs_from_levels(
-            rates._trellis_logposts(y, taps, nv), c)
+            bcjr_app(y[None], rates._trellis(taps), nv)[0], c)
     b = c.labels[idx].astype(np.float64)
     signed = (1.0 - 2.0 * b) * llr
     penalties = np.logaddexp(0.0, -signed) / math.log(2.0)
