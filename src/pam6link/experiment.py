@@ -47,7 +47,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class CodecSpec:
-    family: str = "ldpc"  # one of link.CODECS
+    family: str = "ldpc"  # the one code family, link.CODECS; configs name it
     rate_bpcu: float = 2.0
     rate_grid: tuple = (1.80, 1.90, 2.00, 2.10)
 
@@ -103,13 +103,6 @@ class ExperimentConfig:
             # the coded link is memoryless AWGN
             raise ConfigError(
                 f"channel.kind: fir_isi not supported with metric(s) {sorted(needs_codec)}")
-        if needs_codec and self.codec.family == "bch" and "dm_pam6" in self.schemes:
-            raise ConfigError(
-                "codec.family: 'bch' not supported by scheme dm_pam6; use 'ldpc' or 'none'")
-        if "rate_at_fer" in self.metrics and self.codec.family == "none":
-            # an uncoded frame carries one fixed rate, whatever the grid says
-            raise ConfigError(
-                "codec.family: 'none' not supported with metric rate_at_fer; use 'ldpc' or 'bch'")
         if not self.seeds:
             raise ConfigError("seeds: need at least one")
         for seed in self.seeds:
@@ -299,15 +292,14 @@ def _eval_unit(cfg: ExperimentConfig, schemes: tuple, metrics: tuple,
     (scheme,) = schemes
     if metrics == ("fer",):
         fer, hw, frames, _ = coded_fer(
-            scheme, cfg.codec.rate_bpcu, snr, codec=cfg.codec.family,
-            frame_symbols=cfg.frame_symbols, max_frames=cfg.max_frames,
-            min_errors=cfg.min_errors, seed=seed)
+            scheme, cfg.codec.rate_bpcu, snr, frame_symbols=cfg.frame_symbols,
+            max_frames=cfg.max_frames, min_errors=cfg.min_errors, seed=seed)
         return [{"fer": [_row(scheme, "fer", snr, fer, hw, frames, seed)]}]
 
     achieved, points = rate_at_fer(
-        scheme, snr, fer_target=cfg.fer_target, codec=cfg.codec.family,
-        rate_grid=cfg.codec.rate_grid, frame_symbols=cfg.frame_symbols,
-        max_frames=cfg.max_frames, min_errors=cfg.min_errors, seed=seed)
+        scheme, snr, fer_target=cfg.fer_target, rate_grid=cfg.codec.rate_grid,
+        frame_symbols=cfg.frame_symbols, max_frames=cfg.max_frames,
+        min_errors=cfg.min_errors, seed=seed)
     rows = [_row(scheme, "rate_at_fer", snr, achieved, 0.0,
                  sum(p.frames for p in points), seed)]
     for p in sorted(points, key=lambda p: -p.rate):

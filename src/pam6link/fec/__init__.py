@@ -1,4 +1,3 @@
-from .bch import BchCode, bch_build, bch_decode, bch_encode
 from .ldpc import (
     BaseGraph,
     LdpcCode,
@@ -13,7 +12,6 @@ from .ldpc import (
 from .scramble import adapt_llrs, scramble
 
 __all__ = [
-    "BchCode", "bch_build", "bch_decode", "bch_encode",
     "BaseGraph", "LdpcCode", "ldpc_build", "ldpc_decode",
     "ldpc_encode", "ldpc_syndrome", "load_basegraph", "read_alist",
     "write_alist", "adapt_llrs", "scramble",

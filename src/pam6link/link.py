@@ -2,18 +2,18 @@
 
 Three formats share the PAM-6 wire alphabet:
 
-  cross_qam32 / framed_cross_qam32: coded bits are scrambled, mapped five at
-  a time onto 2D points (two consecutive levels). LDPC decoding is
-  bit-metric from the 2D demapper; BCH decoding is hard-decision.
+  cross_qam32 / framed_cross_qam32: LDPC-coded bits are scrambled, mapped
+  five at a time onto 2D points (two consecutive levels), and decoded
+  bit-metric from the 2D demapper.
 
   dm_pam6: sign-bit shaping. A fixed-composition matcher produces ternary
   amplitudes; their pair labels plus extra data bits form the systematic
-  input of the FEC, whose parity (plus those extra bits) selects the upper
-  or lower half of the alphabet per symbol. Transmitted levels therefore
-  carry the code's systematic AND parity bits positionally, so nothing is
-  scrambled (bit flips would break the amplitude composition). With no
-  parity (gamma = 1, or codec none) the code is None and every sign bit
-  carries data.
+  input of the LDPC code, whose parity (plus those extra bits) selects the
+  upper or lower half of the alphabet per symbol. Transmitted levels
+  therefore carry the code's systematic AND parity bits positionally, so
+  nothing is scrambled (bit flips would break the amplitude composition).
+  With no parity (gamma = 1) the code is None and every sign bit carries
+  data.
 
 The transmission rate grid is realizable exactly: for 2D formats
 rate * frame_symbols is the LDPC dimension; for dm_pam6 the sign-bit
@@ -30,27 +30,13 @@ import numpy as np
 
 from . import shaping
 from .channel import philox, sigma_for_peak_snr, transmit
-from .constellation import (
-    Constellation,
-    bit_llrs,
-    map_bits,
-    normalize,
-    symbol_posteriors,
-)
-from .fec import (
-    bch_build,
-    bch_decode,
-    bch_encode,
-    ldpc_build,
-    ldpc_decode,
-    ldpc_encode,
-)
-from .fec.bch import bch_strength
+from .constellation import Constellation, bit_llrs, map_bits, normalize
+from .fec import ldpc_build, ldpc_decode, ldpc_encode
 from .fec.scramble import adapt_llrs, scramble
 from .rates import bisect, constellation_for
 
 SCRAMBLE_SEED = 0xC0DEC
-CODECS = ("ldpc", "bch", "none")
+CODECS = ("ldpc",)
 SNR_BRACKET_DB = (15.0, 35.0)  # peak SNRs snr_at_fer searches between
 MAX_FRAME_SYMBOLS = 10**5  # largest frame; the dm_pam6 matcher size grows
                            # with factorial(frame_symbols)
@@ -60,12 +46,10 @@ MAX_FRAME_SYMBOLS = 10**5  # largest frame; the dm_pam6 matcher size grows
 class CodedScheme:
     """A scheme bound to a code rate and frame geometry, ready to run."""
     scheme: str
-    codec: str
     constellation: Constellation = field(repr=False)
     data_bits: int = 0
     comp: shaping.Composition = field(repr=False, default=None)
     ldpc: object = field(repr=False, default=None)
-    bch: object = field(repr=False, default=None)
 
 
 def check_frame_symbols(scheme: str, frame_symbols: int) -> None:
@@ -88,67 +72,53 @@ def build_coded(
     frame_symbols: int = 1000,
     codec: str = "ldpc",
 ) -> CodedScheme:
-    """Resolve a (scheme, rate) request into the frame it sends: the one
-    place that decides what a frame carries.
+    """Resolve a (scheme, rate) request into the LDPC-coded frame it sends:
+    the one place that decides what a frame carries.
 
     2D formats: k = rate_bpcu * frame_symbols must be an integer in (0, n)
-    for the n = 5 * frame_symbols / 2 coded bits (codec none carries all
-    n). BCH takes the strongest t whose dimension still reaches k, so
-    1000-symbol frames at 1.8 / 2.0 / 2.1 bpcu carry 1810 / 2002 / 2110
-    data bits (t = 58 / 42 / 33).
+    for the n = 5 * frame_symbols / 2 coded bits.
     dm_pam6: the matcher's k_dm bits plus g = (rate_bpcu - k_dm / n) * n
-    data sign bits, g an integer in [0, n] (n with codec none).
+    data sign bits, g an integer in [0, n]; at g = n no parity is left and
+    the frame is uncoded (code None).
     Raises ValueError for anything a frame cannot realize, code limits
-    included. Memoized, and the codes' arrays are read-only: call it
-    positionally, so that every caller hits the same entry.
+    included, and for any codec but "ldpc". Memoized, and the codes'
+    arrays are read-only: call it with all four arguments positionally, so
+    that every caller hits the same entry.
     """
     if codec not in CODECS:
         raise ValueError(f"unknown codec {codec!r}; expected one of {CODECS}")
     constellation = constellation_for(scheme)
     check_frame_symbols(scheme, frame_symbols)
-    ldpc = bch = None
     if scheme == "dm_pam6":
-        if codec == "bch":
-            raise ValueError("dm_pam6 supports codecs 'ldpc' and 'none' only")
         n = frame_symbols
         comp = shaping.Composition.near_uniform(n)
         k_dm = shaping.ccdm_input_length(comp)
-        g = n
-        if codec == "ldpc":
-            gamma_exact = rate_bpcu - k_dm / n
-            g = int(round(gamma_exact * n))
-            if abs(g - gamma_exact * n) > 1e-6:
-                raise ValueError(
-                    f"rate {rate_bpcu} bpcu not realizable: gamma*n = "
-                    f"{gamma_exact * n} must be an integer"
-                )
-            if not 0 <= g <= n:
-                raise ValueError(
-                    f"rate {rate_bpcu} bpcu needs gamma in [0, 1], got {g / n}"
-                )
-            if g < n:
-                ldpc = ldpc_build(3 * n, (2 * n + g) / (3 * n))
-        return CodedScheme(scheme=scheme, codec=codec,
-                           constellation=constellation, data_bits=k_dm + g,
-                           comp=comp, ldpc=ldpc)
-    k = n_coded = frame_symbols // 2 * 5
-    if codec != "none":
-        k_exact = rate_bpcu * frame_symbols
-        k = int(round(k_exact))
-        if abs(k - k_exact) > 1e-9:
+        gamma_exact = rate_bpcu - k_dm / n
+        g = int(round(gamma_exact * n))
+        if abs(g - gamma_exact * n) > 1e-6:
             raise ValueError(
-                f"rate {rate_bpcu} bpcu not realizable: needs "
-                f"{k_exact} data bits in a {frame_symbols}-symbol frame"
+                f"rate {rate_bpcu} bpcu not realizable: gamma*n = "
+                f"{gamma_exact * n} must be an integer"
             )
-        if not 0 < k < n_coded:
-            raise ValueError(f"rate {rate_bpcu} bpcu outside (0, 2.5)")
-    if codec == "ldpc":
-        ldpc = ldpc_build(n_coded, k / n_coded)
-    elif codec == "bch":
-        bch = bch_build(n_coded, bch_strength(n_coded, k))
-        k = bch.systematic_length
-    return CodedScheme(scheme=scheme, codec=codec, constellation=constellation,
-                       data_bits=k, ldpc=ldpc, bch=bch)
+        if not 0 <= g <= n:
+            raise ValueError(
+                f"rate {rate_bpcu} bpcu needs gamma in [0, 1], got {g / n}"
+            )
+        ldpc = ldpc_build(3 * n, (2 * n + g) / (3 * n)) if g < n else None
+        return CodedScheme(scheme=scheme, constellation=constellation,
+                           data_bits=k_dm + g, comp=comp, ldpc=ldpc)
+    n_coded = frame_symbols // 2 * 5
+    k_exact = rate_bpcu * frame_symbols
+    k = int(round(k_exact))
+    if abs(k - k_exact) > 1e-9:
+        raise ValueError(
+            f"rate {rate_bpcu} bpcu not realizable: needs "
+            f"{k_exact} data bits in a {frame_symbols}-symbol frame"
+        )
+    if not 0 < k < n_coded:
+        raise ValueError(f"rate {rate_bpcu} bpcu outside (0, 2.5)")
+    return CodedScheme(scheme=scheme, constellation=constellation,
+                       data_bits=k, ldpc=ldpc_build(n_coded, k / n_coded))
 
 
 def encode_frame(cs: CodedScheme, data: np.ndarray) -> np.ndarray:
@@ -158,12 +128,7 @@ def encode_frame(cs: CodedScheme, data: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {cs.data_bits} data bits, got {data.size}")
     if cs.scheme == "dm_pam6":
         return shaping.pas_encode(data, cs.comp, cs.ldpc)
-    if cs.codec == "ldpc":
-        coded = ldpc_encode(data, cs.ldpc)
-    elif cs.codec == "bch":
-        coded = bch_encode(data, cs.bch)
-    else:
-        coded = data
+    coded = ldpc_encode(data, cs.ldpc)
     return map_bits(scramble(coded, SCRAMBLE_SEED), cs.constellation)
 
 
@@ -173,25 +138,15 @@ def decode_frame(cs: CodedScheme, received: np.ndarray, noise_var: float):
     if cs.scheme == "dm_pam6":
         llrs = bit_llrs(y, cs.constellation, noise_var).reshape(-1, 3)
         return shaping.pas_decode(llrs, cs.comp, cs.ldpc)
-    if cs.codec == "ldpc":
-        llr = adapt_llrs(bit_llrs(y, cs.constellation, noise_var), SCRAMBLE_SEED)
-        bits, converged, _ = ldpc_decode(llr, cs.ldpc)
-        return bits, bool(converged)
-    # hard decisions on 2D points, then algebraic or no decoding
-    post = symbol_posteriors(y, cs.constellation, noise_var)
-    pts = np.argmax(post, axis=1)
-    hard = cs.constellation.labels[pts].ravel().astype(np.uint8)
-    hard = scramble(hard, SCRAMBLE_SEED)
-    if cs.codec == "bch":
-        return bch_decode(hard, cs.bch)
-    return hard, True
+    llr = adapt_llrs(bit_llrs(y, cs.constellation, noise_var), SCRAMBLE_SEED)
+    bits, converged, _ = ldpc_decode(llr, cs.ldpc)
+    return bits, bool(converged)
 
 
 def coded_fer(
     scheme: str,
     rate_bpcu: float,
     snr_db: float,
-    codec: str = "ldpc",
     frame_symbols: int = 1000,
     max_frames: int = 1000,
     min_errors: int = 100,
@@ -205,7 +160,7 @@ def coded_fer(
     Returns (fer, half_width, frames, errors); a frame errs when any
     decoded data bit is wrong or the decoder flags failure.
     """
-    cs = build_coded(scheme, rate_bpcu, frame_symbols, codec)
+    cs = build_coded(scheme, rate_bpcu, frame_symbols, "ldpc")
     if max_frames < 1 or min_errors < 1:
         raise ValueError(
             f"max_frames and min_errors must be at least 1, got {max_frames} "
@@ -236,7 +191,6 @@ def snr_at_fer(
     scheme: str,
     rate_bpcu: float,
     fer_target: float = 1e-2,
-    codec: str = "ldpc",
     frame_symbols: int = 1000,
     frames: int = 1000,
     seed: int = 0,
@@ -255,7 +209,7 @@ def snr_at_fer(
 
     def fer_at(snr_db):
         _, _, _, errors = coded_fer(
-            scheme, rate_bpcu, snr_db, codec=codec, frame_symbols=frame_symbols,
+            scheme, rate_bpcu, snr_db, frame_symbols=frame_symbols,
             max_frames=frames, min_errors=stop, seed=seed,
         )
         return errors / frames
@@ -282,7 +236,6 @@ def rate_at_fer(
     scheme: str,
     snr_db: float,
     fer_target: float = 1e-2,
-    codec: str = "ldpc",
     rate_grid=(1.80, 1.90, 2.00, 2.10),
     frame_symbols: int = 1000,
     max_frames: int = 1000,
@@ -295,15 +248,13 @@ def rate_at_fer(
     errors or max_frames frames (whichever first), so clearly failing
     rates abort early. Returns (achieved_rate, [FerPoint...]); raises if
     no grid rate meets the target. Each rate reported is the one a frame
-    carries, data bits over frame symbols: the grid rate for LDPC, more
-    for BCH, whose code dimension steps past it (see build_coded).
+    carries, data bits over frame symbols.
     """
     points = []
     for rate in sorted(rate_grid, reverse=True):
-        cs = build_coded(scheme, rate, frame_symbols, codec)
-        fer, hw, frames, _ = coded_fer(scheme, rate, snr_db, codec,
-                                       frame_symbols, max_frames, min_errors,
-                                       seed)
+        cs = build_coded(scheme, rate, frame_symbols, "ldpc")
+        fer, hw, frames, _ = coded_fer(scheme, rate, snr_db, frame_symbols,
+                                       max_frames, min_errors, seed)
         carried = cs.data_bits / frame_symbols
         points.append(FerPoint(rate=carried, fer=fer, half_width=hw,
                                frames=frames))

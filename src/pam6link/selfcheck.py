@@ -17,7 +17,6 @@ import numpy as np
 from . import constellation as cst
 from . import shaping
 from .dsp import bcjr_app, make_trellis
-from .fec.bch import bch_build, bch_decode, bch_encode
 from .fec.ldpc import ldpc_build, ldpc_decode, ldpc_encode, load_basegraph
 
 
@@ -158,18 +157,6 @@ def _check_pas(basegraph_path=None):
     return ok, f"k={k} + g={g} bits, noiseless round trip" if ok else "decode mismatch"
 
 
-def _check_bch():
-    rng = np.random.default_rng(9)
-    code = bch_build(400, t=4)
-    u = rng.integers(0, 2, size=code.systematic_length).astype(np.uint8)
-    cw = bch_encode(u, code)
-    word = cw.copy()
-    word[rng.choice(len(word), size=4, replace=False)] ^= 1
-    got, ok = bch_decode(word, code)
-    ok = ok and np.array_equal(got, u)
-    return ok, "t=4 errors corrected at length 400" if ok else "decode mismatch"
-
-
 CHECKS = (
     ("basegraph_file", _check_basegraph, True),
     ("gray_framed_cross_qam32", lambda: _check_gray("framed_cross_qam32", False), False),
@@ -183,7 +170,6 @@ CHECKS = (
     ("bcjr_brute_force", _check_bcjr, False),
     ("ldpc_round_trip", _check_ldpc, True),
     ("pas_round_trip", _check_pas, True),
-    ("bch_round_trip", _check_bch, False),
 )
 
 

@@ -8,6 +8,7 @@ committed numbers are recorded next to each window.
 Expensive measurements (the 1e6-symbol SNR crossings and the coded-rate
 ordering) are shared through module-scoped fixtures.
 """
+import hashlib
 import itertools
 import math
 
@@ -18,14 +19,17 @@ from pam6link import shaping
 from pam6link.cli import main
 from pam6link.constellation import build_constellation, check_unit_distance_gray
 from pam6link.dsp import bcjr_app, make_trellis
-from pam6link.fec import (bch_build, bch_decode, bch_encode, ldpc_build,
-                          ldpc_decode, ldpc_encode)
-from pam6link.link import rate_at_fer, snr_at_fer
+from pam6link.fec import ldpc_build, ldpc_decode, ldpc_encode
+from pam6link.link import snr_at_fer
 from pam6link.rates import estimate_mi, snr_at_rate
 
 GAP_SEED = 11  # crossings at N=1e6: C 22.6562/23.1250, FC 22.1875/22.3633,
                # DM 22.1875/22.1875 (symbol/bit metric)
 ORDER_SEED = 0  # coded ordering at 27.0 dB: DM 2.0, FC 2.0, C 1.9
+# sha256 of the bundled coded_ordering CSV (seed ORDER_SEED): a change that
+# moves any of its floats must update the digest and say why
+CODED_ORDERING_SHA256 = (
+    "3d7bf8572aa50884066e779821c7a6ddc242cebeb294bf4eeae656c8499caa91")
 N_GAP = 10**6
 LEVELS = np.arange(6) / 5.0
 
@@ -149,15 +153,15 @@ def test_label_tables_gray_properties():
 
 
 @pytest.fixture(scope="module")
-def coded_rates():
-    out = {}
-    for scheme in ("dm_pam6", "framed_cross_qam32", "cross_qam32"):
-        rate, _ = rate_at_fer(scheme, 27.0, fer_target=1e-2,
-                              rate_grid=(1.8, 1.9, 2.0, 2.1),
-                              frame_symbols=1000, max_frames=1000,
-                              min_errors=100, seed=ORDER_SEED)
-        out[scheme] = rate
-    return out
+def coded_rates(tmp_path_factory):
+    # the bundled coded_ordering sweep, run once: its achieved rates are
+    # its rate_at_fer rows
+    out = tmp_path_factory.mktemp("coded") / "coded_ordering.csv"
+    assert main(["run", "--config", "coded_ordering", "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CODED_ORDERING_SHA256
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    return {scheme: float(rate)
+            for scheme, metric, _, rate, *_ in rows if metric == "rate_at_fer"}
 
 
 def test_coded_rate_ordering_at_fer_1e2(coded_rates):
@@ -189,37 +193,7 @@ def test_codec_sanity():
         llr = (1.0 - 2.0 * ldpc_encode(u, code)) * 6.0
         got, conv, _ = ldpc_decode(llr, code)
         ldpc_ok &= bool(conv) and np.array_equal(got, u)
-
-    # exhaustive weight <= t at the smallest field
-    small = bch_build(15, 2)
-    data = np.random.default_rng(1).integers(0, 2, size=small.systematic_length)
-    cw = bch_encode(data.astype(np.uint8), small)
-    n_ex = 0
-    exhaustive_ok = True
-    for w in range(small.t + 1):
-        for pos in itertools.combinations(range(small.length), w):
-            word = cw.copy()
-            word[list(pos)] ^= 1
-            got, ok = bch_decode(word, small)
-            exhaustive_ok &= ok and np.array_equal(got, data)
-            n_ex += 1
-
-    # random weight-t trials at the full mother length
-    big = bch_build(4095, 5)
-    rng = np.random.default_rng(2)
-    data = rng.integers(0, 2, size=big.systematic_length).astype(np.uint8)
-    cw = bch_encode(data, big)
-    n_rand_ok = 0
-    for _ in range(1000):
-        word = cw.copy()
-        word[rng.choice(big.length, size=big.t, replace=False)] ^= 1
-        got, ok = bch_decode(word, big)
-        n_rand_ok += int(ok and np.array_equal(got, data))
-
-    ok = ldpc_ok and exhaustive_ok and n_rand_ok == 1000
-    _report("codec sanity", ok,
-            f"ldpc noiseless identity {ldpc_ok}, bch exhaustive "
-            f"{n_ex} patterns at (15,2), random {n_rand_ok}/1000 at 4095")
+    _report("codec sanity", ldpc_ok, f"ldpc noiseless identity {ldpc_ok}")
 
 
 def test_bundled_config_determinism(tmp_path):

@@ -65,7 +65,10 @@ def test_config_errors_exit_1(tmp_path, capsys):
          "fer_target"),
         ("scheme: cross_qam32\n" + coded + "codec: {family: ldpc, rate: fast}\n",
          "codec.rate"),
-        ("scheme: dm_pam6\n" + coded + "codec: {family: bch}\n", "codec.family"),
+        ("scheme: dm_pam6\n" + coded + "codec: {family: bch}\n",
+         "codec.family: 'bch' not one of ['ldpc']"),
+        ("scheme: cross_qam32\n" + coded + "codec: {family: none}\n",
+         "codec.family: 'none' not one of ['ldpc']"),
         ("scheme: cross_qam32\n" + coded + "codec: {family: ldpc, rate: 2.0005}\n",
          "codec.rate"),
         ("scheme: framed_cross_qam32\nmetric: rate_at_fer\nsnr_db: [40]\n"
@@ -78,9 +81,9 @@ def test_config_errors_exit_1(tmp_path, capsys):
          "max_frames"),
         ("scheme: dm_pam6\n" + coded + "codec: {family: ldpc}\nmin_errors: 0\n",
          "min_errors"),
-        ("scheme: cross_qam32\n" + coded + "codec: {family: none}\n"
+        ("scheme: cross_qam32\n" + coded + "codec: {family: ldpc}\n"
          "frame_symbols: 0\n", "frame_symbols"),
-        ("scheme: cross_qam32\n" + coded + "codec: {family: none}\n"
+        ("scheme: cross_qam32\n" + coded + "codec: {family: ldpc}\n"
          "frame_symbols: 1000000000000000000000000000000\n", "frame_symbols"),
         (TINY.replace("10000", "10000002"), "num_symbols"),
         (TINY.replace("seeds: [4]", "seeds: [-1]"), "seeds"),
@@ -91,17 +94,12 @@ def test_config_errors_exit_1(tmp_path, capsys):
         ("scheme: dm_pam6\nmetric: fer\nsnr_db: [.inf]\ncodec: {family: ldpc}\n",
          "snr_db"),
         # rates the code cannot realize: LDPC lift below 2, more parity
-        # than the base graph's rows, k above the largest BCH dimension,
-        # a BCH field beyond GF(2^16)
+        # than the base graph's rows
         ("scheme: framed_cross_qam32\nmetric: rate_at_fer\nsnr_db: [40]\n"
          "codec: {family: ldpc, rate_grid: [2.0]}\nframe_symbols: 2\n",
          "codec.rate_grid"),
         ("scheme: cross_qam32\n" + coded + "codec: {family: ldpc, rate: 1.0}\n",
          "codec.rate"),
-        ("scheme: cross_qam32\n" + coded + "codec: {family: bch, rate: 2.496}\n",
-         "codec.rate"),
-        ("scheme: cross_qam32\n" + coded + "codec: {family: bch, rate: 2.0}\n"
-         "frame_symbols: 30000\n", "codec.rate"),
         ("scheme: cross_qam32\n" + coded + "codec: {family: ldpc, rate: .inf}\n",
          "codec.rate"),
         ("scheme: dm_pam6\nmetric: rate_at_fer\nsnr_db: [20]\n"
@@ -204,9 +202,10 @@ def test_selfcheck_passes(capsys):
                  "gray_cross_qam32_violations", "demapper_cross_qam32",
                  "demapper_framed_cross_qam32", "demapper_pam6",
                  "ccdm_round_trip", "bcjr_brute_force", "ldpc_round_trip",
-                 "pas_round_trip", "bch_round_trip"):
+                 "pas_round_trip"):
         assert f"{name}" in out
-    assert "12/12 checks passed" in out
+    assert "bch" not in out
+    assert "11/11 checks passed" in out
     assert "FAIL" not in out
 
 
@@ -265,7 +264,7 @@ def test_selfcheck_detects_drifting_posteriors(monkeypatch, capsys):
     out = capsys.readouterr().out
     lines = [l for l in out.split("\n") if l.startswith("demapper_")]
     assert len(lines) == 3 and all("FAIL" in l for l in lines)
-    assert "9/12 checks passed" in out
+    assert "8/11 checks passed" in out
 
 
 def test_version_flag(capsys):

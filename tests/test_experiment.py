@@ -94,8 +94,12 @@ def test_syntax_error_reports_line():
      "channel: {kind: awgn, taps: [1.0, 0.35]}", "channel.taps: only allowed"),
     ("scheme: cross_qam32\nmetric: bit_metric\nsnr_db: [22.5]\n"
      "channel: {taps: [1.0, 0.35]}", "channel.taps: only allowed"),
+    # LDPC is the one code family
+    ("scheme: cross_qam32\nmetric: fer\nsnr_db: [27]\ncodec: {family: bch}",
+     r"codec.family: 'bch' not one of \['ldpc'\]"),
     ("scheme: framed_cross_qam32\nmetric: rate_at_fer\nsnr_db: [60]\n"
-     "codec: {family: none, rate_grid: [1.8]}", "codec.family: 'none'"),
+     "codec: {family: none, rate_grid: [1.8]}",
+     r"codec.family: 'none' not one of \['ldpc'\]"),
     # frame geometry is checked at parse time, before any code is built
     ("scheme: cross_qam32\nmetric: fer\nsnr_db: [27]\n"
      "codec: {family: ldpc, rate: 2.0005}", "codec.rate: .*not realizable"),
@@ -120,10 +124,10 @@ def test_syntax_error_reports_line():
      "max_frames: -3", "max_frames: need at least 1"),
     ("scheme: dm_pam6\nmetric: fer\nsnr_db: [27]\ncodec: {family: ldpc}\n"
      "min_errors: 0", "min_errors: need at least 1"),
-    ("scheme: cross_qam32\nmetric: fer\nsnr_db: [60]\ncodec: {family: none}\n"
+    ("scheme: cross_qam32\nmetric: fer\nsnr_db: [60]\ncodec: {family: ldpc}\n"
      "frame_symbols: 0", "frame_symbols: need at least 1"),
     # sizes have upper bounds, so no run fails mid-way on a huge size
-    ("scheme: cross_qam32\nmetric: fer\nsnr_db: [60]\ncodec: {family: none}\n"
+    ("scheme: cross_qam32\nmetric: fer\nsnr_db: [60]\ncodec: {family: ldpc}\n"
      "frame_symbols: 1000000000000000000000000000000",
      "frame_symbols: at most 100000 symbols"),
     ("scheme: dm_pam6\nmetric: fer\nsnr_db: [27]\ncodec: {family: ldpc}\n"
@@ -349,20 +353,6 @@ num_symbols: 10000
     for scheme, _, _, rate, hw, _, _ in rows:
         got.setdefault(scheme, []).append((float(rate), float(hw)))
     assert got == {s: list(pins) for s, pins in ISI_PINS.items()}
-
-
-def test_bch_rate_at_fer_reports_the_rate_frames_carry():
-    # a 1000-symbol BCH frame asked for 2.0 bpcu carries 2002 data bits
-    cfg = parse_config("""
-scheme: cross_qam32
-metric: rate_at_fer
-snr_db: [60.0]
-codec: {family: bch, rate_grid: [2.0]}
-max_frames: 2
-""")
-    lines = run_experiment(cfg).strip().split("\n")
-    assert [l.split(",")[1:4] for l in lines[1:]] == \
-        [["rate_at_fer", "60.0", "2.002"], ["fer@2.002", "60.0", "0.0"]]
 
 
 def test_rate_at_fer_rows_include_grid_points():

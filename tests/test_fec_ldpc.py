@@ -13,6 +13,11 @@ from pam6link.fec.scramble import adapt_llrs, scramble
 
 COMMITTED_CODES = [(2500, 2000), (3000, 2426)]  # cross/framed, dm_pam6 at 2.0
 ALL_ROWS_CODE = (2200, 1000)  # all 12 base rows: variable degrees up to 8
+# the codes of 1000-symbol frames at the rate grid 1.8, 1.9, 2.0, 2.1 bpcu:
+# 2D formats, then dm_pam6 (2000 amplitude label bits plus the data sign
+# bits)
+GRID_CODES = ([(2500, k) for k in (1800, 1900, 2000, 2100)]
+              + [(3000, k) for k in (2226, 2326, 2426, 2526)])
 # sha256 of write_alist's text: the export must not drift with the layout
 ALIST_SHA256 = {
     (2500, 2000): "0f8e1deaf8005a9eb0cbf4a93cc48eb65e78200fcf82795d8901e82c44d6b63c",
@@ -141,6 +146,99 @@ def test_rate_matching_dimensions():
 def test_build_rejects_non_integer_k():
     with pytest.raises(ValueError):
         ldpc_build(2500, 0.8001)
+
+
+@pytest.mark.parametrize("n,rate,match", [
+    (30, 1 / 3, "lift size 1; the graph needs at least 2"),
+    (2100, 2000 / 2100, "100 parity bits, fewer than one lifted row of 200"),
+    (2500, 0.04, "needs 240 base rows, graph has 12"),
+    (100, 0.0, "need 0 < k < n"),
+    (100, 1.0, "need 0 < k < n"),
+])
+def test_build_rejects_what_the_graph_cannot_carry(n, rate, match):
+    with pytest.raises(ValueError, match=match):
+        ldpc_build(n, rate)
+
+
+@pytest.mark.parametrize("call,size,match", [
+    (lambda code, x: ldpc_encode(x, code), 401, "expected 400 data bits, got 401"),
+    (lambda code, x: ldpc_syndrome(x, code), 499, "expected 500 bits, got 499"),
+    (lambda code, x: ldpc_decode(x, code), 501, "expected 500 channel LLRs, got 501"),
+], ids=["encode", "syndrome", "decode"])
+def test_lengths_are_checked(call, size, match):
+    code = ldpc_build(500, 0.8)
+    with pytest.raises(ValueError, match=match):
+        call(code, np.zeros(size))
+
+
+@pytest.mark.parametrize("n,k", GRID_CODES)
+def test_tables_follow_rate_matching(n, k):
+    # the dense layout of the module docstring, at every code a 1000-symbol
+    # frame of the rate grid uses
+    bg = load_basegraph()
+    code = ldpc_build(n, k / n)
+    assert (code.n, code.k, code.n_checks) == (n, k, n - k)
+    assert code.z == -(-k // bg.kb) >= bg.zmin
+    assert code.m_use == -(-(n - k) // code.z) <= bg.mb
+    cv, vs = code.check_vars, code.var_slots
+    assert not cv.flags.writeable and not vs.flags.writeable
+    # each check lists its variables in increasing order, then its pads
+    real = cv < n
+    assert (real.sum(axis=0) >= 2).all()
+    assert not (real[1:] & ~real[:-1]).any()
+    assert (np.diff(np.where(real, cv, n), axis=0)[real[1:]] > 0).all()
+    # each variable's slots point back at it, in check order, then pads
+    used = vs < cv.size
+    assert (used.sum(axis=0) >= 1).all() and used.sum() == real.sum()
+    assert not (used[1:] & ~used[:-1]).any()
+    variables = np.broadcast_to(np.arange(n), vs.shape)
+    assert np.array_equal(cv.ravel()[vs[used]], variables[used])
+    checks = np.where(used, vs % code.n_checks, code.n_checks)
+    assert (np.diff(checks, axis=0)[used[1:]] > 0).all()
+
+
+@pytest.mark.parametrize("n,k", GRID_CODES)
+def test_lifts_from_zmin_have_no_four_cycles(n, k):
+    # two checks share at most one variable, as the base graph's header
+    # promises for every lift of at least zmin
+    code = ldpc_build(n, k / n)
+    h = np.zeros((code.n_checks, n + 1))
+    h[np.arange(code.n_checks), code.check_vars] = 1.0
+    h = h[:, :n]
+    overlap = h @ h.T
+    np.fill_diagonal(overlap, 0.0)
+    assert overlap.max() == 1.0
+
+
+@pytest.mark.parametrize("n,k", COMMITTED_CODES)
+def test_single_flips_on_multi_check_bits_are_corrected(n, k):
+    # a hard error on a bit of two or more checks is outvoted in one or two
+    # iterations; a bit of one check can only be detected, not located
+    code = ldpc_build(n, k / n)
+    rng = np.random.default_rng(n + k)
+    u = rng.integers(0, 2, size=code.k).astype(np.uint8)
+    llr = (1.0 - 2.0 * ldpc_encode(u, code)) * 4.0
+    degree = (code.var_slots < code.check_vars.size).sum(axis=0)
+    for v in np.flatnonzero(degree >= 2):
+        word = llr.copy()
+        word[v] = -word[v]
+        got, conv, iters = ldpc_decode(word, code)
+        assert conv and iters <= 2 and np.array_equal(got, u), v
+
+
+@pytest.mark.parametrize("n,k", [(400, 300), (500, 400), (600, 485), ALL_ROWS_CODE])
+def test_every_single_erasure_is_filled(n, k):
+    # an erased bit (LLR 0) is the parity of the other bits of any of its
+    # checks, so one iteration fills it, at any lift
+    code = ldpc_build(n, k / n)
+    rng = np.random.default_rng(k)
+    u = rng.integers(0, 2, size=code.k).astype(np.uint8)
+    llr = (1.0 - 2.0 * ldpc_encode(u, code)) * 4.0
+    for v in range(n):
+        word = llr.copy()
+        word[v] = 0.0
+        got, conv, iters = ldpc_decode(word, code)
+        assert conv and iters <= 1 and np.array_equal(got, u), v
 
 
 @given(st.integers(min_value=0, max_value=2**31 - 1))

@@ -7,7 +7,6 @@ import pytest
 
 from pam6link.channel import philox, sigma_for_peak_snr, transmit
 from pam6link.constellation import normalize
-from pam6link.fec import bch_build
 from pam6link.link import (build_coded, coded_fer, decode_frame, encode_frame,
                            snr_at_fer)
 from pam6link.shaping import Composition, ccdm_input_length
@@ -37,8 +36,9 @@ def test_build_rejects_unrealizable_rates():
         build_coded("dm_pam6", 2.0001, frame_symbols=1000)
     with pytest.raises(ValueError, match="even number"):
         build_coded("cross_qam32", 2.0, frame_symbols=999)
-    with pytest.raises(ValueError, match="unknown codec"):
-        build_coded("cross_qam32", 2.0, codec="turbo")
+    for codec in ("turbo", "bch", "none"):
+        with pytest.raises(ValueError, match="unknown codec"):
+            build_coded("cross_qam32", 2.0, 200, codec)
     with pytest.raises(ValueError, match="unknown scheme"):
         build_coded("pam8", 2.0)
 
@@ -48,17 +48,8 @@ def test_built_frames_carry_their_rate():
         for rate in (1.8, 1.9, 2.0, 2.1):
             assert build_coded(scheme, rate, 1000, "ldpc").data_bits == \
                 round(rate * 1000)
-        assert build_coded(scheme, 2.0, 200, "none").data_bits == (
-            ccdm_input_length(Composition.near_uniform(200)) + 200
-            if scheme == "dm_pam6" else 500)
-    # BCH: the strongest t whose dimension still reaches rate * frame_symbols
-    # sets the count, past the 199 an earlier t-scan stopped at
-    for rate, carried, t in ((1.8, 1810, 58), (2.0, 2002, 42), (2.1, 2110, 33),
-                             (0.1, 108, 236)):
-        cs = build_coded("cross_qam32", rate, 1000, "bch")
-        assert (cs.data_bits, cs.bch.t) == (carried, t)
     with pytest.raises(ValueError, match="need at least 1 symbol"):
-        build_coded("dm_pam6", 2.0, 0, "none")
+        build_coded("dm_pam6", 2.0, 0, "ldpc")
     with pytest.raises(ValueError, match="gamma in"):
         build_coded("dm_pam6", 2.6, 1000, "ldpc")
     with pytest.raises(ValueError, match="outside \\(0, 2.5\\)"):
@@ -68,13 +59,11 @@ def test_built_frames_carry_their_rate():
 def test_threads_share_built_frames():
     # a run's worker threads share the memoized frames: with more threads
     # than cores and a short switch interval, each FER equals a serial run
-    jobs = [(scheme, codec, seed) for scheme, codec in
-            (("cross_qam32", "bch"), ("framed_cross_qam32", "ldpc"),
-             ("dm_pam6", "ldpc")) for seed in range(4)]
+    jobs = [(scheme, seed) for scheme in ALL_SCHEMES for seed in range(4)]
 
     def fer(job):
-        scheme, codec, seed = job
-        return coded_fer(scheme, 2.0, 26.0, codec, 200, 20, 20, seed)
+        scheme, seed = job
+        return coded_fer(scheme, 2.0, 26.0, 200, 20, 20, seed)
 
     serial = [fer(job) for job in jobs]
     build_coded.cache_clear()
@@ -89,10 +78,9 @@ def test_threads_share_built_frames():
 
 
 def test_built_codes_are_shared_and_read_only():
-    cs = build_coded("cross_qam32", 2.0, 200, "bch")
-    assert build_coded("cross_qam32", 2.0, 200, "bch") is cs
-    for a in (cs.bch.generator, cs.bch.field.exp,
-              cs.constellation.labels,
+    cs = build_coded("cross_qam32", 2.0, 200, "ldpc")
+    assert build_coded("cross_qam32", 2.0, 200, "ldpc") is cs
+    for a in (cs.ldpc.check_vars, cs.ldpc.var_slots, cs.constellation.labels,
               build_coded("dm_pam6", 2.0, 200, "ldpc").ldpc.check_vars):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
@@ -105,24 +93,9 @@ def test_coded_fer_needs_a_frame_and_an_error_budget():
                       max_frames=max_frames, min_errors=min_errors)
 
 
-def test_dm_rejects_bch():
-    with pytest.raises(ValueError, match="'ldpc' and 'none'"):
-        build_coded("dm_pam6", 2.0, codec="bch")
-
-
-def test_build_bch_picks_strongest_feasible_t():
-    cs = build_coded("framed_cross_qam32", 2.0, frame_symbols=1000, codec="bch")
-    assert cs.bch is not None
-    assert cs.data_bits == cs.bch.systematic_length >= 2000
-    # one more correctable error would drop the dimension below 2000 bits
-    stronger = bch_build(cs.bch.length, cs.bch.t + 1)
-    assert stronger.systematic_length < 2000
-
-
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-@pytest.mark.parametrize("codec", ("ldpc", "none"))
-def test_frame_round_trip_clean(scheme, codec):
-    cs = build_coded(scheme, 2.0, frame_symbols=200, codec=codec)
+def test_frame_round_trip_clean(scheme):
+    cs = build_coded(scheme, 2.0, 200, "ldpc")
     rng = np.random.default_rng(0)
     data = rng.integers(0, 2, size=cs.data_bits).astype(np.uint8)
     levels = encode_frame(cs, data)
@@ -133,12 +106,30 @@ def test_frame_round_trip_clean(scheme, codec):
     assert ok and np.array_equal(got, data)
 
 
-def test_frame_round_trip_bch():
-    cs = build_coded("cross_qam32", 2.0, frame_symbols=200, codec="bch")
-    rng = np.random.default_rng(1)
-    data = rng.integers(0, 2, size=cs.data_bits).astype(np.uint8)
-    y = encode_frame(cs, data) / 5.0
-    got, ok = decode_frame(cs, y, noise_var=1e-4)
+@pytest.mark.parametrize("rate", (1.8, 1.9, 2.0, 2.1))
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_grid_frames_round_trip_at_60db(scheme, rate):
+    # every frame the bundled coded sweeps send: 1000 symbols at each
+    # rate_at_fer grid rate, through the channel at a clean SNR
+    cs = build_coded(scheme, rate, 1000, "ldpc")
+    data = np.random.default_rng(0).integers(0, 2, cs.data_bits, dtype=np.uint8)
+    levels = encode_frame(cs, data)
+    assert levels.size == 1000
+    noise_var = sigma_for_peak_snr(60.0)
+    y = transmit(normalize(levels), noise_var, 0, stream=0)
+    got, ok = decode_frame(cs, y, noise_var)
+    assert ok and np.array_equal(got, data)
+
+
+def test_uncoded_shaped_frame_round_trip():
+    # gamma = 1: every sign bit carries data, so no parity is left to code
+    k_dm = ccdm_input_length(Composition.near_uniform(200))
+    cs = build_coded("dm_pam6", (k_dm + 200) / 200, 200, "ldpc")
+    assert cs.ldpc is None and cs.data_bits == k_dm + 200
+    data = np.random.default_rng(1).integers(0, 2, cs.data_bits, dtype=np.uint8)
+    noise_var = sigma_for_peak_snr(60.0)
+    y = transmit(normalize(encode_frame(cs, data)), noise_var, 0, stream=0)
+    got, ok = decode_frame(cs, y, noise_var)
     assert ok and np.array_equal(got, data)
 
 
@@ -174,8 +165,8 @@ def test_fer_half_width_is_wilson_at_the_edges(snr_db, errors):
     # 0 or 5 errors in 5 frames: the Wilson score half width is
     # 1.96 * sqrt(z^2 / 4n^2) / (1 + z^2 / n) ~ 0.217 at both edges
     fer, hw, frames, errs = coded_fer("framed_cross_qam32", 2.0, snr_db,
-                                      codec="none", frame_symbols=200,
-                                      max_frames=5, min_errors=6)
+                                      frame_symbols=200, max_frames=5,
+                                      min_errors=6)
     assert frames == 5 and errs == errors and fer == errors / 5
     zn = 1.96**2 / 5
     assert hw == pytest.approx(1.96 * np.sqrt(zn / 20) / (1 + zn), rel=1e-12)
@@ -239,17 +230,16 @@ def test_snr_at_fer_early_stop_keeps_the_crossing():
 
 
 def test_every_small_frame_builds_or_raises_value_error():
-    # every data-bit count of every short frame, where the lift, parity
-    # and BCH field limits bind: a frame builds, carrying at least the
-    # bits its rate asks for, or build_coded raises ValueError
+    # every data-bit count of every short frame, where the lift and parity
+    # limits bind: a frame builds, carrying the bits its rate asks for, or
+    # build_coded raises ValueError
     for fs in range(2, 25, 2):
         for k in range(1, fs // 2 * 5):
-            for codec in ("ldpc", "bch"):
-                try:
-                    cs = build_coded("cross_qam32", k / fs, fs, codec)
-                except ValueError:
-                    continue
-                assert cs.data_bits == k if codec == "ldpc" else cs.data_bits >= k
+            try:
+                cs = build_coded("cross_qam32", k / fs, fs, "ldpc")
+            except ValueError:
+                continue
+            assert cs.data_bits == k
     for fs in range(1, 31):
         k_dm = ccdm_input_length(Composition.near_uniform(fs))
         for g in range(fs + 1):
