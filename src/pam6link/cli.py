@@ -25,8 +25,7 @@ from .channel import check_seed, check_taps, sigma_for_peak_snr
 from .constellation import CONSTELLATION_NAMES, build_constellation
 from .experiment import (CSV_HEADER, ConfigError, _check, _row, parse_config,
                          run_experiment)
-from .rates import (METRICS, SCHEMES, check_num_symbols, estimate_gmi,
-                    estimate_mi)
+from .rates import METRICS, SCHEMES, check_num_symbols, estimate_rates
 
 BUNDLED_CONFIGS = ("awgn_gaps", "loopback", "coded_ordering", "waterfall")
 
@@ -124,9 +123,9 @@ def _cmd_rates(args) -> int:
         _check(check_taps, "--taps", args.taps)
         _check(check_num_symbols, "--taps", args.scheme, args.num_symbols,
                args.taps)
-    est_fn = estimate_mi if args.metric == "symbol_metric" else estimate_gmi
-    est = est_fn(args.scheme, args.snr, num_symbols=args.num_symbols,
-                 seed=args.seed, taps=args.taps)
+    est = estimate_rates(args.scheme, args.snr, (args.metric,),
+                         num_symbols=args.num_symbols, seed=args.seed,
+                         taps=args.taps)[args.metric]
     print(CSV_HEADER)
     print(_row(est.scheme, est.metric, est.snr_db, est.rate, est.half_width,
                est.num_symbols, est.seed))

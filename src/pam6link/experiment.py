@@ -3,11 +3,9 @@
 A config is a YAML mapping (nested key-value with lists) that names one or
 more schemes, one or more metrics, a channel, an SNR sweep, and seeds. The
 runner expands the cross product scheme x metric x snr x seed into work
-items, evaluates them in units (the MI/GMI items of one scheme, snr and
-seed share one draw, and on fir_isi those of every scheme at one snr and
-seed share one stacked trellis pass; optionally across threads), and
-emits CSV rows in config order so the output bytes are independent of
-scheduling.
+items, evaluates them in one unit per (snr, seed) point (every scheme and
+metric there; optionally points across threads), and emits CSV rows in
+config order so the output bytes are independent of scheduling.
 
 CSV schema (header always present, one row per item):
 
@@ -17,16 +15,16 @@ For metric "symbol_metric"/"bit_metric" the rate column is the Monte Carlo
 estimate in bits per 1D channel use and N counts channel uses. For metric
 "fer" the rate column holds the measured frame error rate and N the frame
 count. For metric "rate_at_fer" the first row per point reports the
-achieved rate (half_width 0) over the total frames spent, followed by one
-"fer@<rate>" row per grid rate probed; both give the rate a frame carries,
-data bits over frame symbols. Floats are written with repr so parsing
-them back loses nothing.
+achieved rate (half_width 0; nan when no grid rate meets the target) over
+the total frames spent, followed by one "fer@<rate>" row per grid rate
+probed; both give the rate a frame carries, data bits over frame symbols.
+Floats are written with repr so parsing them back loses nothing.
 """
 from __future__ import annotations
 
 import concurrent.futures
 import io
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import yaml
 
@@ -273,28 +271,14 @@ def _row(scheme, metric, snr_db, rate, half_width, n, seed) -> str:
                      float(half_width), int(n), int(seed)))
 
 
-def _eval_unit(cfg: ExperimentConfig, schemes: tuple, metrics: tuple,
-               snr: float, seed: int) -> list:
-    """Evaluate one work unit; returns {metric: rows} per scheme of it.
-
-    A unit is either the MI/GMI metrics of its schemes at (snr, seed),
-    each scheme estimated from one draw, or one coded metric of one scheme
-    at that point.
-    """
-    if metrics[0] in METRICS:
-        per_scheme = estimate_rates_per_scheme(schemes, snr, metrics,
-                                               cfg.num_symbols, seed, cfg.taps)
-        return [{m: [_row(scheme, m, snr, e.rate, e.half_width,
-                          e.num_symbols, seed)]
-                 for m, e in ests.items()}
-                for scheme, ests in zip(schemes, per_scheme)]
-
-    (scheme,) = schemes
-    if metrics == ("fer",):
+def _coded_rows(cfg: ExperimentConfig, scheme: str, metric: str,
+                snr: float, seed: int) -> list:
+    """The rows of one fer or rate_at_fer item."""
+    if metric == "fer":
         fer, hw, frames, _ = coded_fer(
             scheme, cfg.codec.rate_bpcu, snr, frame_symbols=cfg.frame_symbols,
             max_frames=cfg.max_frames, min_errors=cfg.min_errors, seed=seed)
-        return [{"fer": [_row(scheme, "fer", snr, fer, hw, frames, seed)]}]
+        return [_row(scheme, "fer", snr, fer, hw, frames, seed)]
 
     achieved, points = rate_at_fer(
         scheme, snr, fer_target=cfg.fer_target, rate_grid=cfg.codec.rate_grid,
@@ -305,76 +289,63 @@ def _eval_unit(cfg: ExperimentConfig, schemes: tuple, metrics: tuple,
     for p in sorted(points, key=lambda p: -p.rate):
         rows.append(_row(scheme, f"fer@{p.rate:g}", snr, p.fer, p.half_width,
                          p.frames, seed))
-    return [{"rate_at_fer": rows}]
+    return rows
 
 
-def _plan(cfg: ExperimentConfig):
-    """(items, units): the work items in config order, each with the index
-    of its unit and its scheme's place in that unit, and the units in the
-    order their first item comes.
+def _eval_point(cfg: ExperimentConfig, snr: float, seed: int) -> list:
+    """The rows of every item at one sweep point: entry [i][j] lists the
+    rows of scheme cfg.schemes[i] and metric cfg.metrics[j] at (snr, seed).
 
-    The MI/GMI items of one (scheme, snr, seed) share a unit; on fir_isi
-    those of every scheme at one (snr, seed) do, so one trellis pass
-    detects all their draws. Each coded item is a unit of its own. Units
-    are keyed by list positions, so a value repeated in the config gets
-    units of its own as it got items.
+    The MI/GMI metrics of all schemes come from one
+    estimate_rates_per_scheme call, one draw per scheme; the coded items
+    then run one after another.
     """
     rate_metrics = tuple(dict.fromkeys(m for m in cfg.metrics if m in METRICS))
-    stacked = cfg.taps is not None
-    items, units, index = [], [], {}
-    for i, scheme in enumerate(cfg.schemes):
-        for j, metric in enumerate(cfg.metrics):
-            shared = metric in METRICS
-            for k, snr in enumerate(cfg.snr_db):
-                for l, seed in enumerate(cfg.seeds):
-                    if not shared:
-                        key, unit = (i, j, k, l), ((scheme,), (metric,))
-                    elif stacked:
-                        key, unit = (None, None, k, l), (cfg.schemes, rate_metrics)
-                    else:
-                        key, unit = (i, None, k, l), ((scheme,), rate_metrics)
-                    if key not in index:
-                        index[key] = len(units)
-                        units.append(unit + (snr, seed))
-                    row = i if shared and stacked else 0
-                    items.append(((scheme, metric, snr, seed), index[key], row))
-    return items, units
+    ests = (estimate_rates_per_scheme(cfg.schemes, snr, rate_metrics,
+                                      cfg.num_symbols, seed, cfg.taps)
+            if rate_metrics else None)
+    # a RateEstimate's fields are the CSV columns, in order
+    return [[[_row(*astuple(ests[i][m]))] if m in METRICS
+             else _coded_rows(cfg, scheme, m, snr, seed)
+             for m in cfg.metrics]
+            for i, scheme in enumerate(cfg.schemes)]
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1,
                    progress=None) -> str:
-    """Run every work unit and return the full CSV text.
+    """Run every sweep point and return the full CSV text.
 
-    One unit estimates every MI/GMI metric of a (scheme, snr, seed) from
-    one draw; on fir_isi one unit does so for every scheme at an
-    (snr, seed), detecting their draws in one stacked trellis pass, so
-    threads share out only the (snr, seed) points there. Each coded item
-    is a unit of its own. Units run in the order their first item comes in
-    the config. Rows are written, and progress is called once per item
-    with (scheme, metric, snr, seed) and its rows, in config order
-    whatever the scheduling, so the bytes never depend on it: config order
-    puts the scheme and the metric outside the SNR, so a unit's later rows
-    are held until their turn. With threads > 1 the units run on a
-    pool of that many worker threads. One thread runs them on the caller's
-    thread, one after another, with progress called between units; run on
-    a single worker thread instead, a 1e6-symbol MI/GMI sweep of the three
-    schemes peaked about 4 MB higher in resident memory, 72 against 68 MB
-    (glibc malloc).
+    One work unit is one (snr, seed) point of the sweep: _eval_point
+    evaluates every scheme and metric there. Points are taken by list
+    position, so a value repeated in the config gets rows of its own as it
+    got items. Rows are written, and
+    progress is called once per item with (scheme, metric, snr, seed) and
+    its rows, in config order whatever the scheduling, so the bytes never
+    depend on it. Config order puts the scheme and the metric outside the
+    SNR, so the first (scheme, metric) pass runs the points and the later
+    items read their held rows. With threads > 1 the points run on a pool
+    of that many worker threads. One thread runs them on the caller's
+    thread, one after another, with progress called between points; run
+    on a single worker thread instead, a 1e6-symbol MI/GMI sweep of the
+    three schemes peaked about 4 MB higher in resident memory, 72 against
+    68 MB (glibc malloc).
     """
     if threads < 1:
         raise ValueError(f"threads: need at least 1 worker thread, got {threads}")
-    items, units = _plan(cfg)
+    points = [(snr, seed) for snr in cfg.snr_db for seed in cfg.seeds]
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
-    done = []  # per scheme {metric: rows} of each unit run so far
+    done = []  # the rows of each point run so far, as _eval_point gives them
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
         run = ex.map if threads > 1 else map
-        results = run(lambda u: _eval_unit(cfg, *u), units)
-        for item, u, r in items:
-            if u == len(done):
-                done.append(next(results))
-            rows = done[u][r][item[1]]
-            buf.writelines(row + "\n" for row in rows)
-            if progress:
-                progress(item, rows)
+        results = run(lambda p: _eval_point(cfg, *p), points)
+        for i, scheme in enumerate(cfg.schemes):
+            for j, metric in enumerate(cfg.metrics):
+                for p, (snr, seed) in enumerate(points):
+                    if p == len(done):
+                        done.append(next(results))
+                    rows = done[p][i][j]
+                    buf.writelines(row + "\n" for row in rows)
+                    if progress:
+                        progress((scheme, metric, snr, seed), rows)
     return buf.getvalue()

@@ -246,9 +246,9 @@ def rate_at_fer(
 
     Scans the grid from the top; each point runs until min_errors frame
     errors or max_frames frames (whichever first), so clearly failing
-    rates abort early. Returns (achieved_rate, [FerPoint...]); raises if
-    no grid rate meets the target. Each rate reported is the one a frame
-    carries, data bits over frame symbols.
+    rates abort early. Returns (achieved_rate, [FerPoint...]), with
+    achieved_rate nan when no grid rate meets the target. Each rate
+    reported is the one a frame carries, data bits over frame symbols.
     """
     points = []
     for rate in sorted(rate_grid, reverse=True):
@@ -260,6 +260,4 @@ def rate_at_fer(
                                frames=frames))
         if fer <= fer_target:
             return carried, points
-    raise ValueError(
-        f"no rate in {sorted(rate_grid)} meets FER {fer_target} for {scheme}"
-    )
+    return math.nan, points

@@ -1,4 +1,5 @@
 """Config parsing diagnostics and the sweep runner's output contract."""
+import math
 import threading
 
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pam6link import experiment
-from pam6link.cli import BUNDLED_CONFIGS, _resolve_config
+from pam6link.cli import BUNDLED_CONFIGS, _resolve_config, main
 from pam6link.experiment import (CSV_HEADER, CodecSpec, ConfigError,
                                  ExperimentConfig, parse_config, run_experiment)
 from pam6link.link import build_coded, coded_fer
-from pam6link.rates import estimate_gmi, estimate_mi, estimate_rates
+from pam6link.rates import estimate_rates
 from test_dsp import ISI_PINS
 
 MINIMAL = """
@@ -249,12 +250,13 @@ def test_run_experiment_needs_a_thread(threads):
 def test_one_thread_runs_items_on_the_caller_between_reports(monkeypatch):
     events, caller = [], threading.get_ident()
 
-    def fake_unit(cfg, schemes, metrics, snr, seed):
+    def fake_point(cfg, snr, seed):
         assert threading.get_ident() == caller
         events.append(("run", snr))
-        return [{m: [f"{scheme},{snr}"] for m in metrics} for scheme in schemes]
+        return [[[f"{scheme},{snr}"] for _ in cfg.metrics]
+                for scheme in cfg.schemes]
 
-    monkeypatch.setattr(experiment, "_eval_unit", fake_unit)
+    monkeypatch.setattr(experiment, "_eval_point", fake_point)
     cfg = parse_config(MINIMAL.replace("[20.0]", "[20.0, 21.0, 22.0]"))
     csv = run_experiment(cfg, threads=1,
                          progress=lambda item, rows: events.append(("seen", item[2])))
@@ -263,14 +265,17 @@ def test_one_thread_runs_items_on_the_caller_between_reports(monkeypatch):
     assert csv.splitlines()[1:] == ["dm_pam6,20.0", "dm_pam6,21.0", "dm_pam6,22.0"]
 
 
-def test_units_write_what_per_item_calls_give():
+@pytest.mark.parametrize("sweep", [
+    "schemes: [cross_qam32, dm_pam6]\nsnr_db: [21.0, 24.0]\nseeds: [3, 8]",
+    # repeated values: every list position gets rows of its own
+    "schemes: [dm_pam6, cross_qam32, dm_pam6]\nsnr_db: [24.0, 21.0, 24.0]\n"
+    "seeds: [8, 8]",
+], ids=["distinct", "repeated"])
+def test_units_write_what_per_item_calls_give(sweep):
     """Rate items sharing a draw and coded items between them write the
     rows separate per-item calls give, in config order, at any threads."""
-    cfg = parse_config("""
-schemes: [cross_qam32, dm_pam6]
+    cfg = parse_config(sweep + """
 metric: [bit_metric, fer, symbol_metric]
-snr_db: [21.0, 24.0]
-seeds: [3, 8]
 num_symbols: 10000
 codec: {family: ldpc, rate: 2.0}
 frame_symbols: 200
@@ -287,8 +292,8 @@ min_errors: 5
                             scheme, 2.0, snr, frame_symbols=200, max_frames=4,
                             min_errors=5, seed=seed)
                     else:
-                        est = (estimate_mi if metric == "symbol_metric"
-                               else estimate_gmi)(scheme, snr, 10000, seed)
+                        est = estimate_rates(scheme, snr, (metric,), 10000,
+                                             seed)[metric]
                         fer, hw, n = est.rate, est.half_width, est.num_symbols
                     want.append(",".join(
                         (scheme, metric, repr(snr), repr(fer), repr(hw),
@@ -376,12 +381,40 @@ min_errors: 11
     assert float(lines[2].split(",")[3]) == 0.0
 
 
-def test_rate_at_fer_raises_when_grid_exhausted():
+def test_rate_at_fer_is_nan_when_grid_exhausted():
     from pam6link.link import rate_at_fer
 
-    with pytest.raises(ValueError, match="no rate"):
-        rate_at_fer("framed_cross_qam32", 15.0, rate_grid=(1.9, 2.0),
-                    frame_symbols=200, max_frames=10, min_errors=2)
+    achieved, points = rate_at_fer("framed_cross_qam32", 15.0,
+                                   rate_grid=(1.9, 2.0), frame_symbols=200,
+                                   max_frames=10, min_errors=2)
+    assert math.isnan(achieved)
+    # every grid rate was probed, from the top
+    assert [p.rate for p in points] == [2.0, 1.9]
+    assert all(p.fer > 1e-2 for p in points)
+
+
+def test_rate_at_fer_sweep_writes_points_no_rate_meets(tmp_path):
+    # 18 dB meets no grid rate; the run still writes both points
+    config = tmp_path / "no_rate.yaml"
+    config.write_text("""
+scheme: cross_qam32
+metric: rate_at_fer
+snr_db: [18.0, 27.0]
+codec: {family: ldpc, rate_grid: [1.8, 2.0]}
+frame_symbols: 200
+max_frames: 20
+min_errors: 5
+""")
+    out = tmp_path / "no_rate.csv"
+    assert main(["run", "--config", str(config), "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    summary = [r for r in rows if r[1] == "rate_at_fer"]
+    assert [r[2] for r in summary] == ["18.0", "27.0"]
+    low = [r for r in rows if r[2] == "18.0"]
+    assert [r[1] for r in low] == ["rate_at_fer", "fer@2", "fer@1.8"]
+    assert low[0][3:5] == ["nan", "0.0"]
+    assert int(low[0][5]) == sum(int(r[5]) for r in low[1:])
+    assert float(summary[1][3]) in (1.8, 2.0)
 
 
 def test_progress_callback_sees_every_item():
