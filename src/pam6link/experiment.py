@@ -73,6 +73,8 @@ class ExperimentConfig:
         for s in self.schemes:
             if s not in SCHEMES:
                 raise ConfigError(f"scheme: {s!r} not one of {list(SCHEMES)}")
+        if not self.schemes:
+            raise ConfigError("scheme: need at least one")
         for m in self.metrics:
             if m not in RUN_METRICS:
                 raise ConfigError(
@@ -239,7 +241,7 @@ def parse_config(text: str) -> ExperimentConfig:
             spec["family"] = str(cd["family"])
         if "rate" in cd:
             spec["rate_bpcu"] = _float(cd["rate"], "codec.rate")
-        if cd.get("rate_grid") is not None:
+        if "rate_grid" in cd:
             spec["rate_grid"] = _floats(cd["rate_grid"], "codec.rate_grid")
         kw["codec"] = CodecSpec(**spec)
 
@@ -331,7 +333,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
     68 MB (glibc malloc).
     """
     if threads < 1:
-        raise ValueError(f"threads: need at least 1 worker thread, got {threads}")
+        raise ConfigError(f"threads: need at least 1 worker thread, got {threads}")
     points = [(snr, seed) for snr in cfg.snr_db for seed in cfg.seeds]
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")

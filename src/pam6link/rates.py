@@ -155,7 +155,9 @@ def _trellis_samples(app, idx, c, metrics):
 
     app holds the (T, Q) level log posteriors of the row. 2D formats score
     each point by the product of its two level posteriors (a mismatched
-    but achievable metric), for both metrics.
+    but achievable metric), for both metrics. The bit metric is demapped
+    over blocks of _BLOCK_POINTS points, as on AWGN; every step is per
+    point, so blocking changes no bit.
     """
     out = {}
     if "symbol_metric" in metrics:
@@ -163,7 +165,12 @@ def _trellis_samples(app, idx, c, metrics):
         lp = app[np.arange(lev_idx.size), lev_idx] / math.log(2.0)
         out["symbol_metric"] = lp.reshape(-1, c.dimension).sum(axis=1)
     if "bit_metric" in metrics:
-        out["bit_metric"] = _penalty(bit_llrs_from_levels(app, c), idx, c)
+        d = c.dimension
+        gmi = out["bit_metric"] = np.empty(idx.size)
+        for s in range(0, idx.size, _BLOCK_POINTS):
+            e = s + _BLOCK_POINTS
+            gmi[s:e] = _penalty(bit_llrs_from_levels(app[s * d:e * d], c),
+                                idx[s:e], c)
     return out
 
 

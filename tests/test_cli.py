@@ -118,17 +118,20 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert "seeds" in capsys.readouterr().err
     for threads in ("0", "-3"):
         assert main(["run", "--config", str(bad), "--threads", threads]) == 1
-        assert "--threads" in capsys.readouterr().err
-    for n in ("10001", "10000002"):
+        assert "threads: need at least 1" in capsys.readouterr().err
+    # rates flags are checked as the config fields they fill
+    for n in ("0", "10001", "10000002"):
         assert main(["rates", "--scheme", "cross_qam32", "--metric",
                      "bit_metric", "--snr", "22.0", "--num-symbols", n]) == 1
-        assert "--num-symbols" in capsys.readouterr().err
-    for flags, field in [(["--snr", "nan"], "--snr"),
-                         (["--snr", "22.0", "--seed", "-1"], "--seed"),
-                         (["--snr", "22.0", "--taps", "0", "1"], "--taps"),
-                         (["--snr", "22.0", "--taps", "1", "inf"], "--taps"),
+        assert "config error: num_symbols: " in capsys.readouterr().err
+    for flags, field in [(["--snr", "nan"], "snr_db: peak SNR nan dB"),
+                         (["--snr", "22.0", "--seed", "-1"], "seeds"),
+                         (["--snr", "22.0", "--taps", "0", "1"],
+                          "channel.taps"),
+                         (["--snr", "22.0", "--taps", "1", "inf"],
+                          "channel.taps"),
                          (["--snr", "22.0", "--num-symbols", "10000000",
-                           "--taps"] + ["1"] + ["0"] * 11, "--taps")]:
+                           "--taps"] + ["1"] + ["0"] * 11, "channel.taps")]:
         assert main(["rates", "--scheme", "cross_qam32", "--metric",
                      "bit_metric", "--num-symbols", "10000"] + flags) == 1
         assert field in capsys.readouterr().err
@@ -185,14 +188,26 @@ def test_tables_lists_all_points(capsys):
     assert out.count("# ") == 1 and len(out.strip().split("\n")) == 1 + 6
 
 
-def test_rates_single_point(capsys):
+@pytest.mark.parametrize("taps", (None, ("1", "0.35")), ids=("awgn", "isi"))
+def test_rates_single_point(tmp_path, capsys, taps):
+    flags = [] if taps is None else ["--taps", *taps]
     assert main(["rates", "--scheme", "cross_qam32", "--metric", "bit_metric",
-                 "--snr", "22.0", "--num-symbols", "10000", "--seed", "3"]) == 0
-    out = capsys.readouterr().out.strip().split("\n")
-    assert out[0] == "scheme,metric,snr_db,rate,half_width,N,seed"
-    cells = out[1].split(",")
+                 "--snr", "22.0", "--num-symbols", "10000", "--seed", "3",
+                 *flags]) == 0
+    out = capsys.readouterr().out
+    lines = out.strip().split("\n")
+    assert lines[0] == "scheme,metric,snr_db,rate,half_width,N,seed"
+    cells = lines[1].split(",")
     assert cells[:3] == ["cross_qam32", "bit_metric", "22.0"]
     assert cells[5:] == ["10000", "3"]
+    # the same bytes as run on the matching one-point config
+    cfg = tmp_path / "point.yaml"
+    cfg.write_text("scheme: cross_qam32\nmetric: bit_metric\nsnr_db: [22.0]\n"
+                   "num_symbols: 10000\nseeds: [3]\n"
+                   + ("" if taps is None else
+                      f"channel: {{kind: fir_isi, taps: [{', '.join(taps)}]}}\n"))
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_selfcheck_passes(capsys):

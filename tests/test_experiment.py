@@ -115,6 +115,10 @@ def test_syntax_error_reports_line():
      "codec: {family: ldpc}\nframe_symbols: 999", "frame_symbols: .*even"),
     ("scheme: framed_cross_qam32\nmetric: rate_at_fer\nsnr_db: [40]\n"
      "codec: {family: ldpc, rate_grid: []}", "codec.rate_grid: need at least"),
+    # a null grid is refused, not replaced by the default grid
+    ("scheme: dm_pam6\nmetric: rate_at_fer\nsnr_db: [27]\n"
+     "codec: {family: ldpc, rate_grid: null}",
+     "codec.rate_grid: expected numbers, got None"),
     ("scheme: framed_cross_qam32\nmetric: rate_at_fer\nsnr_db: [40]\n"
      "codec: {family: ldpc, rate_grid: [2.496]}",
      "codec.rate_grid: .*fewer than one lifted row"),
@@ -141,6 +145,8 @@ def test_syntax_error_reports_line():
      "seeds: [18446744073709551616]", "seeds: 18446744073709551616 outside"),
     ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\nseeds: []",
      "seeds: need at least one"),
+    ("schemes: []\nmetric: symbol_metric\nsnr_db: [20]",
+     "scheme: need at least one"),
     ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\nseeds: [.inf]",
      "seeds: expected integers"),
     ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\nseeds: [0.5]",
@@ -184,7 +190,7 @@ def test_config_error_is_value_error():
 
 def test_unset_fields_take_the_dataclass_defaults():
     cfg = parse_config("scheme: dm_pam6\nmetric: fer\nsnr_db: [27]\n"
-                       "channel: {}\ncodec: {rate_grid: null}\n")
+                       "channel: {}\ncodec: {}\n")
     assert cfg == ExperimentConfig(schemes=("dm_pam6",), metrics=("fer",),
                                    snr_db=(27.0,), codec=CodecSpec())
 
@@ -243,7 +249,7 @@ num_symbols: 10000
 
 @pytest.mark.parametrize("threads", [0, -2])
 def test_run_experiment_needs_a_thread(threads):
-    with pytest.raises(ValueError, match="threads"):
+    with pytest.raises(ConfigError, match="threads: need at least 1"):
         run_experiment(parse_config(MINIMAL), threads=threads)
 
 

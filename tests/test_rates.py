@@ -167,17 +167,17 @@ def _reference_gmi(scheme, snr_db, num_symbols, seed, taps=None):
 @pytest.mark.parametrize("blocks", ("one", "ragged", "isi"))
 def test_blocked_estimates_equal_unblocked(scheme, blocks, monkeypatch):
     """Streaming the demapper over point blocks moves no bit of a rate or
-    half width: one block holding every point, several blocks with a ragged
-    tail, and the unblocked trellis path with the shared bit penalty."""
+    half width: one block holding every point, and several blocks with a
+    ragged tail on AWGN and on the trellis path."""
     dim = 1 if scheme == "dm_pam6" else 2
     taps = None
     if blocks == "one":
         points = 10**4 // dim
         monkeypatch.setattr(rates, "_BLOCK_POINTS", points)
-    elif blocks == "ragged":
-        points = 3 * rates._BLOCK_POINTS + 17
     else:
-        points, taps = 10**4 // dim, (1.0, 0.35)
+        points = 3 * rates._BLOCK_POINTS + 17
+    if blocks == "isi":
+        taps = (1.0, 0.35)
     n = points * dim
     for got, want in ((estimate_mi, _reference_mi),
                       (estimate_gmi, _reference_gmi)):
