@@ -18,11 +18,16 @@ def check_seed(seed: int) -> None:
 
 
 def check_taps(taps) -> None:
-    """Raise ValueError unless taps are finite numbers led by a nonzero one."""
+    """Raise ValueError unless taps are finite numbers led by a nonzero one
+    whose absolute values have a finite sum, so the noiseless output of
+    amplitudes in [-1, 1] stays within float range."""
     if len(taps) == 0:
         raise ValueError("need at least one tap")
     if not all(math.isfinite(t) for t in taps):
         raise ValueError(f"taps must be finite, got {list(taps)}")
+    if not math.isfinite(sum(abs(t) for t in taps)):
+        raise ValueError(
+            f"sum of |taps| overflows float range: {list(taps)}")
     if taps[0] == 0:
         raise ValueError("leading FIR tap must be nonzero")
 

@@ -135,8 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--seed-override", type=int, default=None, metavar="N",
                     help="replace the config seed list with this single seed")
     pr.add_argument("--threads", type=int, default=1, metavar="N",
-                    help="worker threads across sweep points (default 1); "
-                         "pays off on AWGN MI/GMI sweeps, slows coded sweeps")
+                    help="worker threads for the sweep points' MI/GMI draws "
+                         "(default 1); coded items run on the caller")
     pr.add_argument("--verbose", action="store_true",
                     help="progress lines on stderr")
     pr.set_defaults(fn=_cmd_run)

@@ -3,9 +3,10 @@
 A config is a YAML mapping (nested key-value with lists) that names one or
 more schemes, one or more metrics, a channel, an SNR sweep, and seeds. The
 runner expands the cross product scheme x metric x snr x seed into work
-items, evaluates them in one unit per (snr, seed) point (every scheme and
-metric there; optionally points across threads), and emits CSV rows in
-config order so the output bytes are independent of scheduling.
+items and emits CSV rows in config order, so the output bytes are
+independent of scheduling. The MI/GMI items of one (snr, seed) point share
+one draw per scheme, optionally drawn on worker threads; coded items run
+on the caller's thread.
 
 CSV schema (header always present, one row per item):
 
@@ -288,65 +289,52 @@ def _coded_rows(cfg: ExperimentConfig, scheme: str, metric: str,
         min_errors=cfg.min_errors, seed=seed)
     rows = [_row(scheme, "rate_at_fer", snr, achieved, 0.0,
                  sum(p.frames for p in points), seed)]
-    for p in sorted(points, key=lambda p: -p.rate):
+    for p in points:
         rows.append(_row(scheme, f"fer@{p.rate:g}", snr, p.fer, p.half_width,
                          p.frames, seed))
     return rows
-
-
-def _eval_point(cfg: ExperimentConfig, snr: float, seed: int) -> list:
-    """The rows of every item at one sweep point: entry [i][j] lists the
-    rows of scheme cfg.schemes[i] and metric cfg.metrics[j] at (snr, seed).
-
-    The MI/GMI metrics of all schemes come from one
-    estimate_rates_per_scheme call, one draw per scheme; the coded items
-    then run one after another.
-    """
-    rate_metrics = tuple(dict.fromkeys(m for m in cfg.metrics if m in METRICS))
-    ests = (estimate_rates_per_scheme(cfg.schemes, snr, rate_metrics,
-                                      cfg.num_symbols, seed, cfg.taps)
-            if rate_metrics else None)
-    # a RateEstimate's fields are the CSV columns, in order
-    return [[[_row(*astuple(ests[i][m]))] if m in METRICS
-             else _coded_rows(cfg, scheme, m, snr, seed)
-             for m in cfg.metrics]
-            for i, scheme in enumerate(cfg.schemes)]
 
 
 def run_experiment(cfg: ExperimentConfig, threads: int = 1,
                    progress=None) -> str:
     """Run every sweep point and return the full CSV text.
 
-    One work unit is one (snr, seed) point of the sweep: _eval_point
-    evaluates every scheme and metric there. Points are taken by list
-    position, so a value repeated in the config gets rows of its own as it
-    got items. Rows are written, and
-    progress is called once per item with (scheme, metric, snr, seed) and
-    its rows, in config order whatever the scheduling, so the bytes never
-    depend on it. Config order puts the scheme and the metric outside the
-    SNR, so the first (scheme, metric) pass runs the points and the later
-    items read their held rows. With threads > 1 the points run on a pool
-    of that many worker threads. One thread runs them on the caller's
-    thread, one after another, with progress called between points; run
-    on a single worker thread instead, a 1e6-symbol MI/GMI sweep of the
-    three schemes peaked about 4 MB higher in resident memory, 72 against
-    68 MB (glibc malloc).
+    Rows are written, and progress is called once per item with (scheme,
+    metric, snr, seed) and its rows, in config order, so the bytes never
+    depend on scheduling. The MI/GMI items of every scheme at one
+    (snr, seed) point come from one estimate_rates_per_scheme call, taken
+    the first time an item of that point needs it and held for the later
+    ones; points are taken by list position, so a value repeated in the
+    config gets rows of its own. With threads > 1 those draws run on a pool
+    of that many worker threads; one thread runs them on the caller's
+    thread, with progress called between draws (run on a single worker
+    thread instead, a 1e6-symbol MI/GMI sweep of the three schemes peaked
+    about 4 MB higher in resident memory, 72 against 68 MB, glibc malloc).
+    The fer and rate_at_fer items always run on the caller's thread, at
+    their turn.
     """
     if threads < 1:
         raise ConfigError(f"threads: need at least 1 worker thread, got {threads}")
     points = [(snr, seed) for snr in cfg.snr_db for seed in cfg.seeds]
+    rate_metrics = tuple(dict.fromkeys(m for m in cfg.metrics if m in METRICS))
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
-    done = []  # the rows of each point run so far, as _eval_point gives them
+    held = []  # each point's estimates drawn so far, one dict per scheme
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
         run = ex.map if threads > 1 else map
-        results = run(lambda p: _eval_point(cfg, *p), points)
+        draws = run(lambda p: estimate_rates_per_scheme(
+            cfg.schemes, p[0], rate_metrics, cfg.num_symbols, p[1], cfg.taps),
+            points if rate_metrics else ())
         for i, scheme in enumerate(cfg.schemes):
-            for j, metric in enumerate(cfg.metrics):
+            for metric in cfg.metrics:
                 for p, (snr, seed) in enumerate(points):
-                    if p == len(done):
-                        done.append(next(results))
-                    rows = done[p][i][j]
+                    if metric in METRICS:
+                        if p == len(held):
+                            held.append(next(draws))
+                        # a RateEstimate's fields are the CSV columns, in order
+                        rows = [_row(*astuple(held[p][i][metric]))]
+                    else:
+                        rows = _coded_rows(cfg, scheme, metric, snr, seed)
                     buf.writelines(row + "\n" for row in rows)
                     if progress:
                         progress((scheme, metric, snr, seed), rows)

@@ -95,9 +95,9 @@ def _simulate(scheme: str, snr_db: float, num_symbols: int, seed: int, taps=None
 
     num_symbols counts 1D channel uses; 2D formats emit num_symbols/2
     points. With `taps` the link has residual ISI and detection must use a
-    trellis; otherwise the channel is memoryless AWGN.
+    trellis; otherwise the channel is memoryless AWGN. Callers check
+    num_symbols first (check_num_symbols).
     """
-    check_num_symbols(scheme, num_symbols, taps)
     c = constellation_for(scheme)
     nv = sigma_for_peak_snr(snr_db)
     groups = num_symbols // c.dimension
@@ -200,8 +200,8 @@ def estimate_rates(
     METRICS: "symbol_metric" is the MI, H(X) - E[-log2 P(x|y)];
     "bit_metric" the GMI, the bitwise-LLR decoding bound. Both come from
     the same symbols and noise, the same point weights on AWGN and the same
-    trellis pass with ISI taps, and each equals what estimate_mi or
-    estimate_gmi returns alone.
+    trellis pass with ISI taps, and each equals what a call asking for
+    that metric alone returns.
     """
     return estimate_rates_per_scheme((scheme,), snr_db, metrics, num_symbols,
                                      seed, taps)[0]

@@ -20,6 +20,8 @@ def test_transmit_validation():
     for taps in ((1.0, float("nan")), (1.0, float("inf")), (float("-inf"),)):
         with pytest.raises(ValueError, match="taps must be finite"):
             transmit(x, 0.01, seed=0, taps=taps)
+    with pytest.raises(ValueError, match="sum of \\|taps\\| overflows"):
+        transmit(x, 0.01, seed=0, taps=(1e308, 1e308))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),

@@ -130,6 +130,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
                           "channel.taps"),
                          (["--snr", "22.0", "--taps", "1", "inf"],
                           "channel.taps"),
+                         (["--snr", "22.0", "--taps", "1e308", "1e308"],
+                          "channel.taps: sum of |taps| overflows"),
                          (["--snr", "22.0", "--num-symbols", "10000000",
                            "--taps"] + ["1"] + ["0"] * 11, "channel.taps")]:
         assert main(["rates", "--scheme", "cross_qam32", "--metric",

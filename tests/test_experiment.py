@@ -12,7 +12,7 @@ from pam6link.cli import BUNDLED_CONFIGS, _resolve_config, main
 from pam6link.experiment import (CSV_HEADER, CodecSpec, ConfigError,
                                  ExperimentConfig, parse_config, run_experiment)
 from pam6link.link import build_coded, coded_fer
-from pam6link.rates import estimate_rates
+from pam6link.rates import RateEstimate, estimate_rates
 from test_dsp import ISI_PINS
 
 MINIMAL = """
@@ -165,6 +165,10 @@ def test_syntax_error_reports_line():
      "num_symbols: 10000000\n"
      "channel: {kind: fir_isi, taps: [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}",
      "channel.taps: .*branch metrics"),
+    # finite taps whose |sum| is not would overflow the noiseless output
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\n"
+     "channel: {kind: fir_isi, taps: [1e308, 1e308]}",
+     r"channel.taps: sum of \|taps\| overflows"),
 ])
 def test_schema_errors_name_the_field(text, field):
     with pytest.raises(ConfigError, match=field):
@@ -256,19 +260,59 @@ def test_run_experiment_needs_a_thread(threads):
 def test_one_thread_runs_items_on_the_caller_between_reports(monkeypatch):
     events, caller = [], threading.get_ident()
 
-    def fake_point(cfg, snr, seed):
+    def fake_draws(schemes, snr, metrics, num_symbols, seed, taps):
         assert threading.get_ident() == caller
         events.append(("run", snr))
-        return [[[f"{scheme},{snr}"] for _ in cfg.metrics]
-                for scheme in cfg.schemes]
+        return [{m: RateEstimate(s, m, snr, 1.0, 0.5, num_symbols, seed)
+                 for m in metrics} for s in schemes]
 
-    monkeypatch.setattr(experiment, "_eval_point", fake_point)
+    monkeypatch.setattr(experiment, "estimate_rates_per_scheme", fake_draws)
     cfg = parse_config(MINIMAL.replace("[20.0]", "[20.0, 21.0, 22.0]"))
     csv = run_experiment(cfg, threads=1,
                          progress=lambda item, rows: events.append(("seen", item[2])))
     assert events == [(kind, snr) for snr in (20.0, 21.0, 22.0)
                       for kind in ("run", "seen")]
-    assert csv.splitlines()[1:] == ["dm_pam6,20.0", "dm_pam6,21.0", "dm_pam6,22.0"]
+    assert csv.splitlines()[1:] == [
+        f"dm_pam6,symbol_metric,{snr},1.0,0.5,10000,0"
+        for snr in (20.0, 21.0, 22.0)]
+
+
+def test_coded_items_run_on_the_caller_at_any_threads(monkeypatch):
+    """With worker threads the MI/GMI draws go to the pool, while every
+    coded item runs on the caller's thread at its turn in config order."""
+    caller, coded_on, drawn_on = threading.get_ident(), [], []
+    real_fer = experiment.coded_fer
+    real_draws = experiment.estimate_rates_per_scheme
+
+    def fer(*args, **kw):
+        coded_on.append(threading.get_ident())
+        return real_fer(*args, **kw)
+
+    def draws(*args):
+        drawn_on.append(threading.get_ident())
+        return real_draws(*args)
+
+    monkeypatch.setattr(experiment, "coded_fer", fer)
+    monkeypatch.setattr(experiment, "estimate_rates_per_scheme", draws)
+    cfg = parse_config("""
+schemes: [dm_pam6, cross_qam32]
+metric: [fer, bit_metric]
+snr_db: [24.0, 27.0]
+seeds: [0, 3]
+num_symbols: 10000
+codec: {family: ldpc, rate: 2.0}
+frame_symbols: 200
+max_frames: 4
+min_errors: 5
+""")
+    seen = []
+    run_experiment(cfg, threads=2,
+                   progress=lambda item, rows: seen.append(item))
+    assert seen == [(scheme, metric, snr, seed) for scheme in cfg.schemes
+                    for metric in cfg.metrics for snr in cfg.snr_db
+                    for seed in cfg.seeds]
+    assert coded_on == [caller] * 8
+    assert len(drawn_on) == 4 and caller not in drawn_on
 
 
 @pytest.mark.parametrize("sweep", [
