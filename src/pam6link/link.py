@@ -199,10 +199,13 @@ def snr_at_fer(
 
     Bisection over SNR_BRACKET_DB with common random numbers; FER is
     monotone non-increasing in SNR for a fixed seed, so the crossing is
-    well defined up to the Monte Carlo resolution of `frames`. A probe
-    asks only whether errors / frames > fer_target, so it stops at the
-    smallest error count for which that holds: the verdicts, and so the
-    result, are those of probes that run all `frames`.
+    well defined up to the Monte Carlo resolution of `frames`; the result
+    is the midpoint of a bracket narrowed to under 0.02 dB. Raises
+    ValueError unless the FER exceeds fer_target at the bracket's low end
+    and does not at its high end. A probe asks only whether errors /
+    frames > fer_target, so it stops at the smallest error count for which
+    that holds: the verdicts, and so the result, are those of probes that
+    run all `frames`.
     """
     stop = next((e for e in range(1, frames + 1) if e / frames > fer_target),
                 frames + 1)
@@ -214,14 +217,7 @@ def snr_at_fer(
         )
         return errors / frames
 
-    lo_db, hi_db = SNR_BRACKET_DB
-    f_lo, f_hi = fer_at(lo_db), fer_at(hi_db)
-    if f_lo < fer_target:
-        raise ValueError(f"FER already below target at {lo_db} dB")
-    if f_hi > fer_target:
-        raise ValueError(f"FER above target even at {hi_db} dB")
-    _, lo, hi = bisect(lambda snr: fer_at(snr) > fer_target, lo_db, hi_db, 0.02)
-    return 0.5 * (lo + hi)
+    return bisect(lambda snr: fer_at(snr) > fer_target, *SNR_BRACKET_DB, 0.02)
 
 
 @dataclass(frozen=True)

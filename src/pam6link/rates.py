@@ -29,7 +29,6 @@ METRICS = ("symbol_metric", "bit_metric")
 MAX_RATE_1D = math.log2(6.0)
 SNR_CAP_DB = 60.0
 _SYMBOL_STREAM = 1000  # rng substream for data; noise uses stream 0
-_RATE_TOL_BPCU = 0.005  # snr_at_rate stops once a probe is this close
 _HW_FLOOR = 1e-12  # keeps reported confidence strictly positive when the
                    # per-sample information is constant (noise-free regime)
 MAX_NUM_SYMBOLS = 10**7  # largest MI/GMI sample
@@ -313,56 +312,43 @@ def snr_at_rate(
 ) -> float:
     """Peak SNR (dB) where the scheme's estimated rate meets target_rate.
 
-    Bisection with common random numbers (same seed at every SNR), bracket
-    auto-expansion capped at 60 dB. For dm_pam6 the target is feasibility
-    of the full shaped construction: the finite-length matcher redeems
-    k/n < log2(3) bits per amplitude, so the solver finds the SNR where
-    the ideal rate exceeds the target by that loss.
+    Bisection over [-5, SNR_CAP_DB] dB with common random numbers (same
+    seed at every SNR): the crossing is the midpoint of a bracket narrowed
+    to under 1e-3 dB. For dm_pam6 the target is feasibility of the full
+    shaped construction: the finite-length matcher redeems k/n < log2(3)
+    bits per amplitude, so the solver finds the SNR where the ideal rate
+    exceeds the target by that loss. Raises ValueError when the target is
+    met at -5 dB already or not met at SNR_CAP_DB.
     """
     want = target_rate
     if scheme == "dm_pam6":
         want += matcher_rate_loss()
 
-    def rate_at(snr):
-        return estimate_rates(scheme, snr, (metric,), num_symbols, seed,
-                              taps)[metric].rate
-
-    lo, hi = -5.0, 25.0
-    if rate_at(lo) >= want:
-        raise ValueError(f"target {target_rate} bpcu already met at {lo} dB")
-    while rate_at(hi) < want:
-        hi += 10.0
-        if hi > SNR_CAP_DB:
-            raise ValueError(
-                f"target {target_rate} bpcu unreachable for {scheme}/{metric} "
-                f"below {SNR_CAP_DB} dB"
-            )
-
     def below(snr):
-        r = rate_at(snr)
-        return None if abs(r - want) < _RATE_TOL_BPCU else r < want
+        return estimate_rates(scheme, snr, (metric,), num_symbols, seed,
+                              taps)[metric].rate < want
 
-    snr, _, _ = bisect(below, lo, hi, 1e-4)
-    return snr
+    return bisect(below, -5.0, SNR_CAP_DB, 1e-3)
 
 
-def bisect(below, lo: float, hi: float, width: float):
-    """Bisect [lo, hi] for the crossing of a monotone test.
+def bisect(below, lo: float, hi: float, width: float) -> float:
+    """Crossing of a monotone test, to within width / 2.
 
-    ``below(x)`` is True when the crossing lies above x (lo moves up to x),
-    False when it lies below (hi moves down to x), and None when x is
-    close enough to stop. Probes midpoints until ``below`` says stop or the
-    bracket is narrower than ``width``. Returns ``(x, lo, hi)``: the last
-    probe and the final bracket.
+    ``below(x)`` is True when the crossing lies above x and False when it
+    lies at or below x. Raises ValueError unless below(lo) is True and
+    below(hi) is False, so that [lo, hi] holds the crossing. Then halves
+    the bracket, keeping the half that holds the crossing, until it is
+    narrower than ``width``, and returns its midpoint.
     """
-    x = 0.5 * (lo + hi)
+    if not below(lo):
+        raise ValueError(
+            f"[{lo}, {hi}] holds no crossing: it lies at or below {lo}")
+    if below(hi):
+        raise ValueError(f"[{lo}, {hi}] holds no crossing: it lies above {hi}")
     while hi - lo >= width:
         x = 0.5 * (lo + hi)
-        side = below(x)
-        if side is None:
-            break
-        if side:
+        if below(x):
             lo = x
         else:
             hi = x
-    return x, lo, hi
+    return 0.5 * (lo + hi)

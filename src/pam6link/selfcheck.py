@@ -2,11 +2,11 @@
 
 Each check is small, seeded, and independent; together they catch the
 failure modes that silently corrupt results: a damaged base-graph file, a
-tampered label table, a demapper whose LLRs or posteriors drift from a
-log-sum-exp over every point, a broken matcher round trip, a shaped frame
-whose signs no longer carry (parity, extra data bits), or a detector that
-no longer agrees with exhaustive enumeration. Check names are stable so
-failures can be grepped and individual suites rerun.
+tampered label table, a demapper whose LLRs, posteriors or MI samples
+drift from a log-sum-exp over every point, a broken matcher round trip, a
+shaped frame whose signs no longer carry (parity, extra data bits), or a
+detector that no longer agrees with exhaustive enumeration. Check names
+are stable so failures can be grepped and individual suites rerun.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from . import constellation as cst
-from . import shaping
+from . import rates, shaping
 from .dsp import bcjr_app, make_trellis
 from .fec.ldpc import ldpc_build, ldpc_decode, ldpc_encode, load_basegraph
 
@@ -57,9 +57,10 @@ def _check_gray(name, expect_violations):
 
 
 def _check_demapper(name):
-    """Bit LLRs and posteriors of a seeded block against np.logaddexp.reduce
-    over every point. At this noise many LLRs exceed 40 nats, where forming
-    one label half as total minus the other would lose every digit."""
+    """Bit LLRs, posteriors and MI samples of a seeded block against
+    np.logaddexp.reduce over every point. At this noise many LLRs exceed 40
+    nats, where forming one label half as total minus the other would lose
+    every digit."""
     c = cst.build_constellation(name)
     nv = 1e-3
     rng = np.random.default_rng(12)
@@ -68,16 +69,22 @@ def _check_demapper(name):
         idx.size * c.dimension)
     d2 = ((y.reshape(-1, 1, c.dimension) - cst.normalize(c.points)) ** 2).sum(axis=-1)
     logm = -d2 / (2.0 * nv)
-    post = np.exp(logm - np.logaddexp.reduce(logm, axis=1, keepdims=True))
+    log_post = logm - np.logaddexp.reduce(logm, axis=1, keepdims=True)
     ref = np.stack([np.logaddexp.reduce(logm[:, c.labels[:, j] == 0], axis=1)
                     - np.logaddexp.reduce(logm[:, c.labels[:, j] == 1], axis=1)
                     for j in range(c.bits_per_point)], axis=1)
     llr = cst.bit_llrs(y, c, nv).reshape(ref.shape)
     llr_err = float(np.max(np.abs(llr - ref) / (1.0 + np.abs(ref))))
-    post_err = float(np.max(np.abs(cst.symbol_posteriors(y, c, nv) - post)))
-    ok = llr_err <= 1e-9 and post_err <= 1e-9
+    post_err = float(np.max(np.abs(cst.symbol_posteriors(y, c, nv)
+                                   - np.exp(log_post))))
+    # the samples the MI estimate averages: log2 of the sent point's posterior
+    mi = rates._awgn_samples(y, idx, c, nv, ("symbol_metric",))["symbol_metric"]
+    mi_err = float(np.max(np.abs(
+        mi - log_post[np.arange(idx.size), idx] / np.log(2.0))))
+    ok = llr_err <= 1e-9 and post_err <= 1e-9 and mi_err <= 1e-9
     return ok, (f"LLRs up to {np.max(np.abs(ref)):.0f} nats, max relative LLR "
-                f"error {llr_err:.1e}, max posterior error {post_err:.1e}")
+                f"error {llr_err:.1e}, max posterior error {post_err:.1e}, "
+                f"max MI sample error {mi_err:.1e}")
 
 
 def _check_ccdm():

@@ -21,10 +21,11 @@ from pam6link.constellation import build_constellation, check_unit_distance_gray
 from pam6link.dsp import bcjr_app, make_trellis
 from pam6link.fec import ldpc_build, ldpc_decode, ldpc_encode
 from pam6link.link import snr_at_fer
-from pam6link.rates import estimate_mi, snr_at_rate
+from pam6link.rates import estimate_mi, matcher_rate_loss, snr_at_rate
 
-GAP_SEED = 11  # crossings at N=1e6: C 22.6562/23.1250, FC 22.1875/22.3633,
-               # DM 22.1875/22.1875 (symbol/bit metric)
+GAP_SEED = 11  # crossings at N=1e6: C 22.6852/23.1246, FC 22.1883/22.3520,
+               # DM 22.1754/22.1833 (symbol/bit metric, each the midpoint
+               # of a bracket under 1e-3 dB wide)
 ORDER_SEED = 0  # coded ordering at 27.0 dB: DM 2.0, FC 2.0, C 1.9
 # sha256 of the bundled coded_ordering CSV (seed ORDER_SEED): a change that
 # moves any of its floats must update the digest and say why
@@ -69,6 +70,58 @@ def test_bit_metric_gaps_at_2bpcu(snr_crossings):
     _report("bit-metric SNR gaps at 2.0 bpcu", ok,
             f"cross-framed {g1:.4f} dB, cross-dm {g2:.4f} dB "
             f"(window 0.80 +/- 0.15)")
+
+
+def _lse(a, axis):
+    m = a.max(axis=axis, keepdims=True)
+    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+
+def _quadrature_rates(scheme, snr_db, nodes=32):
+    """(MI, GMI) per 1D use on peak-limited AWGN by Gauss-Hermite quadrature.
+
+    Each axis of the noise takes the nodes sqrt(2 nv) t_k with weights
+    w_k / sqrt(pi), a product rule over both axes for the 2D formats. The
+    log-sum-exps run over every point of the table, independent of the
+    library's demapper kernels.
+    """
+    c = build_constellation("pam6_label" if scheme == "dm_pam6" else scheme)
+    d, m = c.dimension, c.num_points
+    x = LEVELS[c.points]  # (M, d) amplitudes, peak 1
+    nv = 10.0 ** (-snr_db / 10.0)
+    t, w = np.polynomial.hermite.hermgauss(nodes)
+    noise = np.stack(np.meshgrid(*[t] * d, indexing="ij"), -1).reshape(-1, d)
+    noise *= math.sqrt(2.0 * nv)
+    wts = np.prod(np.stack(np.meshgrid(*[w] * d, indexing="ij"), -1)
+                  .reshape(-1, d), axis=1) / math.pi ** (d / 2)
+    # logm[i, k, j]: log-likelihood of point j for sent point i, noise node k
+    diff = x[:, None, None, :] + noise[None, :, None, :] - x[None, None, :, :]
+    logm = -(diff ** 2).sum(axis=-1) / (2.0 * nv)
+    total = _lse(logm, 2)
+    sent = logm[np.arange(m), :, np.arange(m)]
+    mi = math.log2(m) + (wts @ (sent - total).T).mean() / math.log(2.0)
+    penalty = 0.0
+    for b in range(c.bits_per_point):
+        same = c.labels[:, b][:, None] == c.labels[:, b][None, :]  # (i, j)
+        part = _lse(np.where(same[:, None, :], logm, -np.inf), 2)
+        penalty += (wts @ (total - part).T).mean() / math.log(2.0)
+    return mi / d, (math.log2(m) - penalty) / d
+
+
+def test_crossings_match_quadrature(snr_crossings):
+    # each rate rises with SNR, so a quadrature rate below the target 0.02 dB
+    # under the crossing and above it 0.02 dB over places the quadrature
+    # crossing within 0.02 dB of the Monte Carlo one
+    ok, rows = True, []
+    for (scheme, metric), x in snr_crossings.items():
+        want = 2.0 + (matcher_rate_loss() if scheme == "dm_pam6" else 0.0)
+        k = 0 if metric == "symbol_metric" else 1
+        lo = _quadrature_rates(scheme, x - 0.02)[k]
+        hi = _quadrature_rates(scheme, x + 0.02)[k]
+        ok &= lo < want < hi
+        rows.append(f"{scheme}/{metric} {x:.4f} dB: {lo:.4f} < {want:.4f} "
+                     f"< {hi:.4f}")
+    _report("crossings within 0.02 dB of quadrature", ok, "; ".join(rows))
 
 
 def test_saturation_rates_at_40db():

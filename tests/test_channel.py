@@ -22,6 +22,11 @@ def test_transmit_validation():
             transmit(x, 0.01, seed=0, taps=taps)
     with pytest.raises(ValueError, match="sum of \\|taps\\| overflows"):
         transmit(x, 0.01, seed=0, taps=(1e308, 1e308))
+    # a finite sum above MAX_TAP_SUM would overflow the trellis metrics
+    for taps in ((8.9e307, 8.9e307), (1e150, 1e150), (1.0, 2e100)):
+        with pytest.raises(ValueError, match="overflows the trellis"):
+            transmit(x, 0.01, seed=0, taps=taps)
+    assert transmit(x, 0.01, seed=0, taps=(1e100,)).shape == x.shape
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),

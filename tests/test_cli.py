@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from pam6link import constellation
+from pam6link import constellation, rates
 from pam6link.cli import main
 
 TINY = """
@@ -277,6 +277,18 @@ def test_selfcheck_detects_drifting_posteriors(monkeypatch, capsys):
     # demapper check and no other
     row_sum = constellation._row_sum
     monkeypatch.setattr(constellation, "_row_sum", lambda w: row_sum(w) * 1.001)
+    assert main(["selfcheck"]) == 3
+    out = capsys.readouterr().out
+    lines = [l for l in out.split("\n") if l.startswith("demapper_")]
+    assert len(lines) == 3 and all("FAIL" in l for l in lines)
+    assert "8/11 checks passed" in out
+
+
+def test_selfcheck_detects_drifting_mi_samples(monkeypatch, capsys):
+    # the MI estimate divides by its own _row_sum binding: a slightly wrong
+    # row sum there fails every demapper check and no other
+    row_sum = rates._row_sum
+    monkeypatch.setattr(rates, "_row_sum", lambda w: row_sum(w) * 1.001)
     assert main(["selfcheck"]) == 3
     out = capsys.readouterr().out
     lines = [l for l in out.split("\n") if l.startswith("demapper_")]

@@ -169,6 +169,10 @@ def test_syntax_error_reports_line():
     ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\n"
      "channel: {kind: fir_isi, taps: [1e308, 1e308]}",
      r"channel.taps: sum of \|taps\| overflows"),
+    # finite taps whose sum is would overflow the trellis's branch metrics
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\n"
+     "channel: {kind: fir_isi, taps: [8.9e307, 8.9e307]}",
+     r"channel.taps: sum of \|taps\| overflows the trellis"),
 ])
 def test_schema_errors_name_the_field(text, field):
     with pytest.raises(ConfigError, match=field):

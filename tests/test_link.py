@@ -229,6 +229,14 @@ def test_snr_at_fer_early_stop_keeps_the_crossing():
                       frame_symbols=500, frames=60, seed=1) == 25.595703125
 
 
+def test_snr_at_fer_rejects_a_target_met_at_the_low_end():
+    # no FER exceeds 1.0, so the crossing lies at or below 15 dB
+    with pytest.raises(ValueError, match=r"\[15.0, 35.0\] holds no crossing: "
+                       r"it lies at or below 15.0"):
+        snr_at_fer("framed_cross_qam32", 2.0, fer_target=1.0,
+                   frame_symbols=500, frames=5)
+
+
 def test_every_small_frame_builds_or_raises_value_error():
     # every data-bit count of every short frame, where the lift and parity
     # limits bind: a frame builds, carrying the bits its rate asks for, or

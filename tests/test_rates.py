@@ -91,20 +91,59 @@ def test_matcher_rate_loss_value():
     assert math.log2(3.0) - longer / 10000 < loss
 
 
-def test_snr_at_rate_brackets_measured_estimate():
-    snr = snr_at_rate("cross_qam32", "symbol_metric", 2.0,
-                      num_symbols=N_FAST, seed=3)
-    below = estimate_mi("cross_qam32", snr - 0.3, num_symbols=N_FAST, seed=3)
-    above = estimate_mi("cross_qam32", snr + 0.3, num_symbols=N_FAST, seed=3)
-    assert below.rate < 2.0 < above.rate
+@pytest.fixture(scope="module")
+def fast_crossings():
+    return {(scheme, metric): snr_at_rate(scheme, metric, 2.0,
+                                          num_symbols=N_FAST, seed=3)
+            for scheme, metric in (("cross_qam32", "symbol_metric"),
+                                   ("dm_pam6", "bit_metric"))}
 
 
-def test_snr_at_rate_dm_subtracts_matcher_loss():
+def test_snr_at_rate_brackets_measured_estimate(fast_crossings):
+    # the crossing is the midpoint of a bracket under 1e-3 dB wide, so the
+    # estimate at the same seed crosses the target within 1e-3 dB of it
+    for (scheme, metric), snr in fast_crossings.items():
+        want = 2.0 + (matcher_rate_loss() if scheme == "dm_pam6" else 0.0)
+        below, above = (
+            estimate_rates(scheme, s, (metric,), num_symbols=N_FAST,
+                           seed=3)[metric].rate for s in (snr - 1e-3, snr + 1e-3))
+        assert below < want <= above, (scheme, metric)
+
+
+def test_snr_at_rate_dm_subtracts_matcher_loss(fast_crossings):
     # the dm crossing is where the ideal rate covers the target plus the
     # finite-length matcher loss, so the coded system can carry the target
-    snr = snr_at_rate("dm_pam6", "bit_metric", 2.0, num_symbols=N_FAST, seed=3)
+    snr = fast_crossings["dm_pam6", "bit_metric"]
     gmi = estimate_gmi("dm_pam6", snr, num_symbols=N_FAST, seed=3)
-    assert abs(gmi.rate - (2.0 + matcher_rate_loss())) < rates._RATE_TOL_BPCU
+    assert abs(gmi.rate - (2.0 + matcher_rate_loss())) < 1e-3
+
+
+def test_snr_at_rate_rejects_targets_outside_the_bracket():
+    # above log2 6 no SNR reaches the target; a zero rate is met everywhere
+    with pytest.raises(ValueError, match=r"\[-5.0, 60.0\] holds no crossing: "
+                       r"it lies above 60.0"):
+        snr_at_rate("dm_pam6", "symbol_metric", 2.6, num_symbols=N_FAST)
+    with pytest.raises(ValueError, match=r"it lies at or below -5.0"):
+        snr_at_rate("cross_qam32", "bit_metric", 0.0, num_symbols=N_FAST)
+
+
+def test_bisect_halves_a_checked_bracket():
+    probes = []
+
+    def below(x):
+        probes.append(x)
+        return x < math.pi
+
+    x = rates.bisect(below, 0.0, 10.0, 1e-6)
+    assert abs(x - math.pi) <= 0.5e-6
+    # both ends, then one probe per halving until the bracket is under 1e-6
+    assert probes[:2] == [0.0, 10.0] and len(probes) == 2 + 24
+    with pytest.raises(ValueError, match=r"\[4.0, 10.0\] holds no crossing: "
+                       r"it lies at or below 4.0"):
+        rates.bisect(below, 4.0, 10.0, 1e-6)
+    with pytest.raises(ValueError, match=r"\[0.0, 3.0\] holds no crossing: "
+                       r"it lies above 3.0"):
+        rates.bisect(below, 0.0, 3.0, 1e-6)
 
 
 def test_trellis_size_is_checked_before_any_draw():
