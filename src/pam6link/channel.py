@@ -17,22 +17,25 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"{seed} outside [0, 2**64)")
 
 
-# largest sum|h|: the ISI trellis squares differences of up to 2 * sum|h|
-# and scales them by 0.5 / noise_var, so under it the branch metrics stay
-# finite through 200 dB peak SNR; taps summing to 1e150 overflow there
-MAX_TAP_SUM = 1e100
-
-
-def check_taps(taps) -> None:
+def check_taps(taps, noise_var: float) -> None:
     """Raise ValueError unless taps are finite numbers led by a nonzero one
-    whose absolute values sum to at most MAX_TAP_SUM."""
+    whose ISI trellis keeps its branch metrics finite at noise_var.
+
+    A branch metric squares the difference between a sample and a branch
+    mean and scales it by 0.5 / noise_var. For amplitudes in [0, 1] the
+    difference stays within sum|h|, noise aside, so the bound
+    (2 * sum|h|)**2 * 0.5 / noise_var is four times the largest metric:
+    the three metrics a posterior adds (forward state, branch and backward
+    state) stay finite too.
+    """
     if len(taps) == 0:
         raise ValueError("need at least one tap")
     if not all(math.isfinite(t) for t in taps):
         raise ValueError(f"taps must be finite, got {list(taps)}")
-    if not sum(abs(t) for t in taps) <= MAX_TAP_SUM:
-        raise ValueError(f"sum of |taps| overflows the trellis metrics "
-                         f"(over {MAX_TAP_SUM}): {list(taps)}")
+    span = 2 * sum(abs(t) for t in taps)
+    if not math.isfinite(span * span * 0.5 / noise_var):
+        raise ValueError(f"sum of |taps| overflows the trellis metrics at "
+                         f"noise variance {noise_var}: {list(taps)}")
     if taps[0] == 0:
         raise ValueError("leading FIR tap must be nonzero")
 
@@ -57,7 +60,7 @@ def transmit(amplitudes, noise_var: float, seed: int, stream: int = 0,
             f"noise variance must be positive and finite, got {noise_var}")
     x = np.asarray(amplitudes, dtype=np.float64).ravel()
     if taps is not None:
-        check_taps(taps)
+        check_taps(taps, noise_var)
         x = np.convolve(x, np.asarray(taps, dtype=np.float64))[: len(x)]
     noise = philox(seed, stream).normal(0.0, np.sqrt(noise_var), size=len(x))
     return x + noise

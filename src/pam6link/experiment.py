@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import io
-from dataclasses import astuple, dataclass
+from dataclasses import MISSING, astuple, dataclass, fields
 
 import yaml
 
@@ -96,7 +96,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"channel.taps: only allowed when kind is fir_isi, not {self.channel_kind!r}")
         if self.taps is not None:
-            _check(check_taps, "channel.taps", self.taps)
+            for snr in self.snr_db:
+                _check(check_taps, "channel.taps", self.taps,
+                       sigma_for_peak_snr(snr))
         needs_codec = set(self.metrics) & {"fer", "rate_at_fer"}
         if needs_codec and self.codec is None:
             raise ConfigError(f"codec: required for metric(s) {sorted(needs_codec)}")
@@ -149,33 +151,77 @@ def _check(fn, key, *args):
         raise ConfigError(f"{key}: {e}") from None
 
 
-_TOP_KEYS = {"scheme", "schemes", "metric", "snr_db", "seeds", "channel",
-             "num_symbols", "frame_symbols", "codec", "fer_target",
-             "max_frames", "min_errors", "output"}
-_CHANNEL_KEYS = {"kind", "taps"}
-_CODEC_KEYS = {"family", "rate", "rate_grid"}
+def _string(v):
+    """A YAML string. A null reads as 'None', which the field's own check
+    then refuses by name."""
+    if v is not None and not isinstance(v, str):
+        raise TypeError
+    return str(v)
 
 
-def _as_list(v, key):
-    if isinstance(v, (list, tuple)):
-        return list(v)
-    if isinstance(v, (int, float, str)):
-        return [v]
-    raise ConfigError(f"{key}: expected a scalar or list, got {type(v).__name__}")
+def _number(v):
+    """A YAML number or a numeric string (PyYAML reads 1e308, having no
+    point, as a string); booleans are refused."""
+    if isinstance(v, bool):
+        raise TypeError
+    return float(v)
 
 
-def _float(v, key):
-    try:
-        return float(v)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected a number, got {v!r}") from None
+def _integer(v):
+    """A YAML integer; booleans and strings are refused."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError
+    return v
 
 
-def _floats(v, key):
-    try:
-        return tuple(float(x) for x in _as_list(v, key))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key}: expected numbers, got {v!r}") from None
+# Each YAML field, nested ones dotted -> (the field it sets, of CodecSpec
+# under codec and of ExperimentConfig elsewhere; its reader; whether it
+# holds a list, where one item stands for a list of one; what the reader
+# expects, for its error).
+_FIELDS = {
+    "scheme": ("schemes", _string, True, "names"),
+    "schemes": ("schemes", _string, True, "names"),
+    "metric": ("metrics", _string, True, "names"),
+    "snr_db": ("snr_db", _number, True, "numbers"),
+    "seeds": ("seeds", _integer, True, "integers"),
+    "channel.kind": ("channel_kind", _string, False, "a name"),
+    "channel.taps": ("taps", _number, True, "numbers"),
+    "num_symbols": ("num_symbols", _integer, False, "an integer"),
+    "frame_symbols": ("frame_symbols", _integer, False, "an integer"),
+    "codec.family": ("family", _string, False, "a name"),
+    "codec.rate": ("rate_bpcu", _number, False, "a number"),
+    "codec.rate_grid": ("rate_grid", _number, True, "numbers"),
+    "fer_target": ("fer_target", _number, False, "a number"),
+    "max_frames": ("max_frames", _integer, False, "an integer"),
+    "min_errors": ("min_errors", _integer, False, "an integer"),
+    "output": ("output", _string, False, "a path"),
+}
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+
+
+def _refuse_unknown(where: str, unknown) -> None:
+    if unknown:
+        raise ConfigError(f"{where}: unknown field(s) {sorted(unknown, key=str)}")
+
+
+def _given(raw: dict) -> dict:
+    """The fields raw sets, nested ones dotted, each known and each section
+    a mapping. A top-level null sets nothing where the ExperimentConfig
+    field has no default (it is then reported missing) or a None one."""
+    _refuse_unknown("config", set(raw) - {key.split(".")[0] for key in _FIELDS})
+    given = {}
+    for key, v in raw.items():
+        target = _FIELDS[key][0] if key in _FIELDS else key
+        if v is None and _DEFAULTS.get(target, 0) in (None, MISSING):
+            continue
+        if key in _FIELDS:
+            given[key] = v
+            continue
+        if not isinstance(v, dict):
+            raise ConfigError(f"{key}: expected a mapping")
+        _refuse_unknown(key, {k for k in v if f"{key}.{k}" not in _FIELDS})
+        given.update((f"{key}.{k}", x) for k, x in v.items())
+    return given
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -192,73 +238,26 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"config syntax error at {where}: {e}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a top-level mapping")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"config: unknown field(s) {sorted(unknown)}")
-    if "scheme" in raw and "schemes" in raw:
-        raise ConfigError("config: give either 'scheme' or 'schemes', not both")
-
-    schemes = raw.get("schemes", raw.get("scheme"))
-    if schemes is None:
-        raise ConfigError("scheme: required")
-    schemes = tuple(str(s) for s in _as_list(schemes, "scheme"))
-
-    metrics = raw.get("metric")
-    if metrics is None:
-        raise ConfigError("metric: required")
-    metrics = tuple(str(m) for m in _as_list(metrics, "metric"))
-
-    if "snr_db" not in raw:
-        raise ConfigError("snr_db: required")
-    snr_db = _floats(raw["snr_db"], "snr_db")
-
-    kw = {"schemes": schemes, "metrics": metrics, "snr_db": snr_db}
-    if "seeds" in raw:
-        kw["seeds"] = tuple(_as_list(raw["seeds"], "seeds"))
-        if not all(isinstance(s, int) and not isinstance(s, bool)
-                   for s in kw["seeds"]):
-            raise ConfigError(f"seeds: expected integers, got {raw['seeds']!r}")
-
-    ch = raw.get("channel", {})
-    if not isinstance(ch, dict):
-        raise ConfigError("channel: expected a mapping")
-    unknown = set(ch) - _CHANNEL_KEYS
-    if unknown:
-        raise ConfigError(f"channel: unknown field(s) {sorted(unknown)}")
-    if "kind" in ch:
-        kw["channel_kind"] = str(ch["kind"])
-    if "taps" in ch:
-        kw["taps"] = _floats(ch["taps"], "channel.taps")
-
-    cd = raw.get("codec")
-    if cd is not None:
-        if not isinstance(cd, dict):
-            raise ConfigError("codec: expected a mapping")
-        unknown = set(cd) - _CODEC_KEYS
-        if unknown:
-            raise ConfigError(f"codec: unknown field(s) {sorted(unknown)}")
-        spec = {}
-        if "family" in cd:
-            spec["family"] = str(cd["family"])
-        if "rate" in cd:
-            spec["rate_bpcu"] = _float(cd["rate"], "codec.rate")
-        if "rate_grid" in cd:
-            spec["rate_grid"] = _floats(cd["rate_grid"], "codec.rate_grid")
-        kw["codec"] = CodecSpec(**spec)
-
-    for key in ("num_symbols", "frame_symbols", "max_frames", "min_errors"):
-        if key in raw:
-            v = raw[key]
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ConfigError(f"{key}: expected an integer, got {v!r}")
-            kw[key] = v
-    if "fer_target" in raw:
-        kw["fer_target"] = _float(raw["fer_target"], "fer_target")
-    out = raw.get("output")
-    if out is not None:
-        if not isinstance(out, str):
-            raise ConfigError(f"output: expected a path, got {out!r}")
-        kw["output"] = out
+    given = _given(raw)
+    kw, codec = {}, {}
+    for key, (target, read, many, what) in _FIELDS.items():
+        if key not in given:
+            continue
+        into = codec if key.startswith("codec.") else kw
+        if target in into:
+            first = next(k for k in _FIELDS if k in given and _FIELDS[k][0] == target)
+            raise ConfigError(f"config: give either {first!r} or {key!r}, not both")
+        v = given[key]
+        try:
+            into[target] = (tuple(map(read, v if isinstance(v, list) else [v]))
+                            if many else read(v))
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{key}: expected {what}, got {v!r}") from None
+    for key, (target, *_) in _FIELDS.items():
+        if _DEFAULTS.get(target) is MISSING and target not in kw:
+            raise ConfigError(f"{key}: required")
+    if isinstance(raw.get("codec"), dict):
+        kw["codec"] = CodecSpec(**codec)
     return ExperimentConfig(**kw)
 
 

@@ -12,12 +12,11 @@ Three formats share the PAM-6 wire alphabet:
   upper or lower half of the alphabet per symbol. Transmitted levels
   therefore carry the code's systematic AND parity bits positionally, so
   nothing is scrambled (bit flips would break the amplitude composition).
-  With no parity (gamma = 1) the code is None and every sign bit carries
-  data.
 
 The transmission rate grid is realizable exactly: for 2D formats
 rate * frame_symbols is the LDPC dimension; for dm_pam6 the sign-bit
-fraction gamma = rate - k/n must give an integer gamma * n.
+fraction gamma = rate - k/n must give an integer gamma * n in [0, n): at
+least one sign bit carries parity.
 `build_coded` is the one place that checks this, by building the frame.
 """
 from __future__ import annotations
@@ -78,8 +77,7 @@ def build_coded(
     2D formats: k = rate_bpcu * frame_symbols must be an integer in (0, n)
     for the n = 5 * frame_symbols / 2 coded bits.
     dm_pam6: the matcher's k_dm bits plus g = (rate_bpcu - k_dm / n) * n
-    data sign bits, g an integer in [0, n]; at g = n no parity is left and
-    the frame is uncoded (code None).
+    data sign bits, g an integer in [0, n), so that parity is left.
     Raises ValueError for anything a frame cannot realize, code limits
     included, and for any codec but "ldpc". Memoized, and the codes'
     arrays are read-only: call it with all four arguments positionally, so
@@ -100,11 +98,11 @@ def build_coded(
                 f"rate {rate_bpcu} bpcu not realizable: gamma*n = "
                 f"{gamma_exact * n} must be an integer"
             )
-        if not 0 <= g <= n:
+        if not 0 <= g < n:
             raise ValueError(
-                f"rate {rate_bpcu} bpcu needs gamma in [0, 1], got {g / n}"
+                f"rate {rate_bpcu} bpcu needs gamma in [0, 1), got {g / n}"
             )
-        ldpc = ldpc_build(3 * n, (2 * n + g) / (3 * n)) if g < n else None
+        ldpc = ldpc_build(3 * n, (2 * n + g) / (3 * n))
         return CodedScheme(scheme=scheme, constellation=constellation,
                            data_bits=k_dm + g, comp=comp, ldpc=ldpc)
     n_coded = frame_symbols // 2 * 5

@@ -195,15 +195,13 @@ def ccdm_decode(a, comp: Composition) -> np.ndarray:
 
 
 def _extra_bits(comp: Composition, code) -> int:
-    """Data bits g carried on signs: code.k - 2n, or every sign (n) uncoded.
+    """Data bits g carried on signs: code.k - 2n.
 
     The LDPC input is the 2n amplitude label bits plus g data bits, and its
     n - g parity bits fill the remaining signs, so the code must have length
     3n and a dimension in [2n, 3n).
     """
     n = comp.n
-    if code is None:
-        return n
     if code.n != 3 * n or not 2 * n <= code.k < 3 * n:
         raise ValueError(
             f"LDPC code (n={code.n}, k={code.k}) does not fit a {n}-symbol "
@@ -212,13 +210,12 @@ def _extra_bits(comp: Composition, code) -> int:
     return code.k - 2 * n
 
 
-def pas_encode(d, comp: Composition, code=None) -> np.ndarray:
+def pas_encode(d, comp: Composition, code) -> np.ndarray:
     """Source bits -> PAM-6 levels of one sign-bit shaped frame.
 
     The first ccdm_input_length(comp) bits pick the amplitudes. Their label
     pairs and the g remaining bits form the systematic input u of ``code``
-    (an LdpcCode); the signs carry (parity of u, the g extra bits). With
-    ``code`` None every sign carries a data bit and nothing is protected.
+    (an LdpcCode); the signs carry (parity of u, the g extra bits).
     """
     g = _extra_bits(comp, code)
     k = ccdm_input_length(comp)
@@ -227,23 +224,19 @@ def pas_encode(d, comp: Composition, code=None) -> np.ndarray:
         raise ValueError(f"source must provide {k + g} bits (k={k}, g={g}), got {len(d)}")
     # amplitude a is level a, whose label has sign bit 0
     pairs = _PAM6.labels[ccdm_encode(d[:k], comp), 1:]
-    if code is None:
-        s = d[k:]
-    else:
-        u = np.concatenate([pairs.ravel(), d[k:]])
-        s = np.concatenate([ldpc_encode(u, code)[code.k:], d[k:]])
+    u = np.concatenate([pairs.ravel(), d[k:]])
+    s = np.concatenate([ldpc_encode(u, code)[code.k:], d[k:]])
     return map_bits(np.column_stack([s, pairs]), _PAM6)
 
 
-def pas_decode(label_llrs, comp: Composition, code=None):
+def pas_decode(label_llrs, comp: Composition, code):
     """Recover source bits from per-symbol label LLRs via the frame inverse.
 
     ``label_llrs`` is (n, 3): LLR of (sign bit, pair bit 1, pair bit 2) per
     symbol, positive favoring 0. The codeword is min-sum decoded with
-    ``code``, or hard-thresholded when ``code`` is None. Returns
-    ``(d_hat, ok)``; ``ok`` is False when the decoder did not converge or
-    the decoded frame violates the shaping structure (a 00 pair or a
-    composition mismatch), and then d_hat may be None.
+    ``code``. Returns ``(d_hat, ok)``; ``ok`` is False when the decoder did
+    not converge or the decoded frame violates the shaping structure (a 00
+    pair or a composition mismatch), and then d_hat may be None.
     """
     n = comp.n
     g = _extra_bits(comp, code)
@@ -253,10 +246,7 @@ def pas_decode(label_llrs, comp: Composition, code=None):
     # codeword = (b, d_extra, p); signs carry (p, d_extra)
     sign_llrs = llrs[:, 0]
     cw_llrs = np.concatenate([llrs[:, 1:].reshape(-1), sign_llrs[n - g:], sign_llrs[:n - g]])
-    if code is None:
-        bits, converged = (cw_llrs < 0).astype(np.uint8), True
-    else:
-        bits, converged, _ = ldpc_decode(cw_llrs, code)
+    bits, converged, _ = ldpc_decode(cw_llrs, code)
     d_extra = bits[2 * n : 2 * n + g]
     try:
         # amplitudes are the levels labeled (0, pair); a 00 pair is no label

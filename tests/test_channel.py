@@ -22,11 +22,15 @@ def test_transmit_validation():
             transmit(x, 0.01, seed=0, taps=taps)
     with pytest.raises(ValueError, match="sum of \\|taps\\| overflows"):
         transmit(x, 0.01, seed=0, taps=(1e308, 1e308))
-    # a finite sum above MAX_TAP_SUM would overflow the trellis metrics
-    for taps in ((8.9e307, 8.9e307), (1e150, 1e150), (1.0, 2e100)):
+    # finite taps whose trellis metrics (2 sum|h|)**2 * 0.5 / noise_var
+    # overflow at the noise variance, then some at a larger one
+    for taps, noise_var in (((8.9e307, 8.9e307), 0.01), ((1e150, 1e150), 1e-10),
+                            ((1.0, 2e100), 1e-200), ((5e99, 5e99), 1e-200)):
         with pytest.raises(ValueError, match="overflows the trellis"):
-            transmit(x, 0.01, seed=0, taps=taps)
-    assert transmit(x, 0.01, seed=0, taps=(1e100,)).shape == x.shape
+            transmit(x, noise_var, seed=0, taps=taps)
+    for taps, noise_var in (((1e150, 1e150), 1e-7), ((1.0, 2e100), 0.01),
+                            ((5e99, 5e99), 1e-20)):
+        assert transmit(x, noise_var, seed=0, taps=taps).shape == x.shape
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),

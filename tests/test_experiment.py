@@ -173,6 +173,35 @@ def test_syntax_error_reports_line():
     ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\n"
      "channel: {kind: fir_isi, taps: [8.9e307, 8.9e307]}",
      r"channel.taps: sum of \|taps\| overflows the trellis"),
+    # the same bound holds at every swept SNR, however high
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [200.0, 2000.0]\n"
+     "num_symbols: 10000\nchannel: {kind: fir_isi, taps: [5e99, 5e99]}",
+     r"channel.taps: sum of \|taps\| overflows the trellis"),
+    # booleans are not numbers
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [true]",
+     "snr_db: expected numbers, got \\[True\\]"),
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\nfer_target: true",
+     "fer_target: expected a number, got True"),
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\n"
+     "channel: {kind: fir_isi, taps: [true, 0.35]}", "channel.taps: expected numbers"),
+    ("scheme: dm_pam6\nmetric: fer\nsnr_db: [27]\ncodec: {rate: true}",
+     "codec.rate: expected a number, got True"),
+    ("scheme: dm_pam6\nmetric: rate_at_fer\nsnr_db: [27]\n"
+     "codec: {rate_grid: [true, 2.0]}", "codec.rate_grid: expected numbers"),
+    # a null is unset only where the field may be; elsewhere it is refused
+    ("scheme: null\nmetric: symbol_metric\nsnr_db: [20]", "scheme: required"),
+    ("schemes: null\nmetric: symbol_metric\nsnr_db: [20]", "scheme: required"),
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\nchannel: null",
+     "channel: expected a mapping"),
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\nseeds: null",
+     "seeds: expected integers, got None"),
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\n"
+     "channel: {kind: fir_isi, taps: null}", "channel.taps: expected numbers"),
+    ("scheme: dm_pam6\nmetric: fer\nsnr_db: [27]\ncodec: {family: null}",
+     "codec.family: 'None' not one of"),
+    # every shaped frame keeps a parity bit for its LDPC code
+    ("scheme: dm_pam6\nmetric: fer\nsnr_db: [27]\ncodec: {rate: 2.574}",
+     r"codec.rate: .*gamma in \[0, 1\), got 1.0"),
 ])
 def test_schema_errors_name_the_field(text, field):
     with pytest.raises(ConfigError, match=field):
@@ -210,6 +239,20 @@ def test_codec_family_checked_by_the_config(metrics):
     with pytest.raises(ConfigError, match="codec.family: 'turbo' not one of"):
         ExperimentConfig(schemes=("cross_qam32",), metrics=metrics,
                          snr_db=(25.0,), codec=CodecSpec(family="turbo"))
+
+
+def test_nulls_and_numeric_strings():
+    cfg = parse_config(MINIMAL + "output: null\ncodec: null\nseeds: 3\n")
+    assert cfg.output is None and cfg.codec is None and cfg.seeds == (3,)
+    assert parse_config(MINIMAL.replace("[20.0]", "['2e1']")).snr_db == (20.0,)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_large_taps_run_clean_below_the_trellis_bound():
+    cfg = parse_config("scheme: dm_pam6\nmetric: symbol_metric\n"
+                       "snr_db: [200.0]\nnum_symbols: 10000\n"
+                       "channel: {kind: fir_isi, taps: [5e99, 5e99]}")
+    assert run_experiment(cfg).count("\n") == 2
 
 
 def test_two_taps_fit_the_largest_sample():

@@ -121,16 +121,11 @@ def test_grid_frames_round_trip_at_60db(scheme, rate):
     assert ok and np.array_equal(got, data)
 
 
-def test_uncoded_shaped_frame_round_trip():
-    # gamma = 1: every sign bit carries data, so no parity is left to code
+def test_shaped_frame_without_parity_is_refused():
+    # gamma = 1 would leave every sign bit to data and no parity to code
     k_dm = ccdm_input_length(Composition.near_uniform(200))
-    cs = build_coded("dm_pam6", (k_dm + 200) / 200, 200, "ldpc")
-    assert cs.ldpc is None and cs.data_bits == k_dm + 200
-    data = np.random.default_rng(1).integers(0, 2, cs.data_bits, dtype=np.uint8)
-    noise_var = sigma_for_peak_snr(60.0)
-    y = transmit(normalize(encode_frame(cs, data)), noise_var, 0, stream=0)
-    got, ok = decode_frame(cs, y, noise_var)
-    assert ok and np.array_equal(got, data)
+    with pytest.raises(ValueError, match=r"gamma in \[0, 1\), got 1.0"):
+        build_coded("dm_pam6", (k_dm + 200) / 200, 200, "ldpc")
 
 
 def test_dm_frame_symbol_composition():

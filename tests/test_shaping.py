@@ -206,11 +206,12 @@ def test_ccdm_and_pas_reject_non_binary_bits(pos, value):
     d[pos] = value
     with pytest.raises(ValueError, match="only 0 and 1"):
         ccdm_encode(d, comp)
-    # the extra bits pas_encode puts on the signs are checked too
-    d = np.zeros(k + comp.n, dtype=np.int64)
+    # the extra bits pas_encode puts on the signs are checked too: a length
+    # 75 code of dimension 60 leaves g = 10 of them
+    d = np.zeros(k + 10, dtype=np.int64)
     d[k + pos if pos >= 0 else pos] = value
     with pytest.raises(ValueError, match="only 0 and 1"):
-        pas_encode(d, comp)
+        pas_encode(d, comp, ldpc_build(75, 60 / 75))
 
 
 @pytest.mark.parametrize("value", [256, 0.7, -1])
@@ -265,40 +266,41 @@ def test_pas_encode_layout_and_noiseless_decode(gamma):
     assert ok and np.array_equal(got, d)
 
 
-def test_pas_gamma_one_needs_no_fec():
-    n = 120
-    comp = Composition.near_uniform(n)
-    k = ccdm_input_length(comp)
-    rng = np.random.default_rng(3)
-    d = rng.integers(0, 2, size=k + n).astype(np.uint8)
-    x = pas_encode(d, comp)
+def _small_frame(seed):
+    """A 120-symbol frame: its code of dimension 300 leaves g = 60 data bits
+    on the signs, and its source bits."""
+    comp = Composition.near_uniform(120)
+    code = ldpc_build(360, 300 / 360)
+    d = np.random.default_rng(seed).integers(0, 2, ccdm_input_length(comp) + 60)
+    return comp, code, d.astype(np.uint8)
+
+
+def test_pas_small_frame_round_trip():
+    comp, code, d = _small_frame(3)
+    x = pas_encode(d, comp, code)
     s, a = _sign_amp(x)
-    assert np.array_equal(s, d[k:])
-    assert np.array_equal(a, ccdm_encode(d[:k], comp))
+    assert np.array_equal(s[-60:], d[-60:])
+    assert np.array_equal(a, ccdm_encode(d[:-60], comp))
     llrs = (1.0 - 2.0 * _label_bits(x).astype(np.float64)) * 9.0
-    got, ok = pas_decode(llrs, comp)
+    got, ok = pas_decode(llrs, comp, code)
     assert ok and np.array_equal(got, d)
 
 
 def test_pas_decode_flags_invalid_pairs():
-    n = 120
-    comp = Composition.near_uniform(n)
-    k = ccdm_input_length(comp)
-    rng = np.random.default_rng(4)
-    d = rng.integers(0, 2, size=k + n).astype(np.uint8)
-    labels = _label_bits(pas_encode(d, comp))
+    comp, code, d = _small_frame(4)
+    labels = _label_bits(pas_encode(d, comp, code))
     # force one pair toward 00 with confident wrong LLRs
     llrs = (1.0 - 2.0 * labels.astype(np.float64)) * 9.0
     llrs[0, 1] = 50.0
     llrs[0, 2] = 50.0
-    got, ok = pas_decode(llrs, comp)
+    got, ok = pas_decode(llrs, comp, code)
     assert got is None and not ok
 
 
 def test_pas_encode_validates_data_length():
-    comp = Composition.near_uniform(120)
-    with pytest.raises(ValueError):
-        pas_encode(np.zeros(5, dtype=np.uint8), comp)
+    comp, code, _ = _small_frame(5)
+    with pytest.raises(ValueError, match="source must provide"):
+        pas_encode(np.zeros(5, dtype=np.uint8), comp, code)
 
 
 @pytest.mark.parametrize("length,dim", [
