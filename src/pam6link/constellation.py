@@ -33,15 +33,20 @@ order numpy gives the row-major one:
 
 ``symbol_posteriors`` returns the transposed view and ``bit_llrs`` a flat
 copy in label-bit order, so callers see the row-major shapes.
+``rate_samples`` streams the sent points in blocks through the one
+demapper, from AWGN samples or trellis level posteriors, into the per-point
+samples whose means are the MI and GMI estimates.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 LEVELS = (0, 1, 2, 3, 4, 5)
 PEAK_LEVEL = 5
+BLOCK_POINTS = 4096  # points per rate_samples block: keeps intermediates in cache
 
 # (x_{2i}, x_{2i+1}) -> 5-bit label; fixed grid, do not reorder.
 _CROSS_QAM32 = {
@@ -223,6 +228,13 @@ def _log_point_metrics(received, c, noise_var):
     return logm
 
 
+def _level_point_metrics(lp, c):
+    """Points-major log metrics from (num_uses, 6) level log posteriors: the
+    sum of each point's coordinates' (a product metric for 2D formats)."""
+    d = c.dimension
+    return _sum_over_axes([np.ascontiguousarray(lp[k::d].T) for k in range(d)], c)
+
+
 def _row_sum(w):
     """Sum of the rows of w, in the order np.sum adds a contiguous row of
     w.shape[0] <= 128 values: left to right below 8, else 8 running sums
@@ -282,19 +294,6 @@ def bit_llrs(received, c: Constellation, noise_var: float) -> np.ndarray:
                        c).ravel()
 
 
-def bit_llrs_from_levels(level_logposts, c: Constellation) -> np.ndarray:
-    """Bitwise LLRs, shape (num_groups, bits_per_point), from per-use level
-    log posteriors of shape (num_uses, 6), such as a trellis detector's.
-
-    Each point is scored by the sum of its coordinates' log posteriors (a
-    product metric for 2D formats).
-    """
-    lp = np.asarray(level_logposts, dtype=np.float64)
-    d = c.dimension
-    tables = [np.ascontiguousarray(lp[k::d].T) for k in range(d)]
-    return _label_llrs(_weights(_sum_over_axes(tables, c)), c)
-
-
 def symbol_posteriors(received, c: Constellation, noise_var: float) -> np.ndarray:
     """Posterior over equiprobable constellation points per received group.
 
@@ -303,3 +302,51 @@ def symbol_posteriors(received, c: Constellation, noise_var: float) -> np.ndarra
     post = _weights(_log_point_metrics(received, c, noise_var))
     post /= _row_sum(post)
     return post.T
+
+
+def rate_samples(idx, c: Constellation, metrics, received=None, noise_var=None,
+                 level_logposts=None) -> dict:
+    """{metric: per-point samples} for the sent points idx, whose means give
+    the MI ("symbol_metric": log2 of the sent point's posterior) and the
+    GMI ("bit_metric": sum_j log2(1 + exp(-(1 - 2 b_j) * LLR_j)) over the
+    sent label bits b_j).
+
+    Detection is from received samples at noise_var (AWGN) or from a
+    trellis detector's (num_uses, 6) level log posteriors, which score a 2D
+    point by the product of its levels' (mismatched but achievable). The
+    symbol metric is a point's AWGN weight over _row_sum, as
+    symbol_posteriors divides it, or its levels' log posteriors / ln 2
+    summed over the axes (the point table's sums round differently). Each
+    block of BLOCK_POINTS points is demapped once for both metrics, per
+    point, so blocking changes no bit.
+    """
+    if (received is None) == (level_logposts is None):
+        raise ValueError("need either received samples or level log posteriors")
+    if not set(metrics) <= {"symbol_metric", "bit_metric"}:
+        raise ValueError(f"metrics must be symbol_metric or bit_metric, got {metrics}")
+    d = c.dimension
+    out = {m: np.empty(idx.size) for m in metrics}
+    mi, gmi = out.get("symbol_metric"), out.get("bit_metric")
+    signs = 2.0 * c.labels - 1.0
+    for s in range(0, idx.size, BLOCK_POINTS):
+        e = s + BLOCK_POINTS
+        ib = idx[s:e]
+        if received is not None:
+            w = _weights(_log_point_metrics(received[s * d:e * d], c, noise_var))
+            if mi is not None:
+                p_true = w[ib, np.arange(ib.size)] / _row_sum(w)
+                mi[s:e] = np.log2(np.maximum(p_true, np.finfo(np.float64).tiny))
+        else:
+            lp = level_logposts[s * d:e * d]
+            if mi is not None:
+                lev = lp[np.arange(ib.size * d), c.points[ib].ravel()] / math.log(2.0)
+                mi[s:e] = lev.reshape(-1, d).sum(axis=1)
+            if gmi is not None:
+                w = _weights(_level_point_metrics(lp, c))
+        if gmi is not None:  # in place on one (points, bits) array
+            x = np.take(signs, ib, axis=0)
+            x *= _label_llrs(w, c)
+            np.logaddexp(0.0, x, out=x)
+            x /= math.log(2.0)
+            gmi[s:e] = x.sum(axis=1)
+    return out

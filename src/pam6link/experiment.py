@@ -224,6 +224,24 @@ def _given(raw: dict) -> dict:
     return given
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """SafeLoader refusing a scalar key written twice in one mapping, which
+    safe_load would silently resolve to the last value. Merged (<<) keys
+    may be overridden; unhashable keys are left to construct_mapping."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if (isinstance(key_node, yaml.ScalarNode)
+                    and key_node.tag != "tag:yaml.org,2002:merge"):
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise ConfigError(f"{key}: given twice in one mapping, again "
+                                      f"at line {key_node.start_mark.line + 1}")
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate YAML config text.
 
@@ -231,7 +249,7 @@ def parse_config(text: str) -> ExperimentConfig:
     field with a dotted path.
     """
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         where = f"line {mark.line + 1}" if mark is not None else "unknown line"

@@ -2,7 +2,7 @@
 
 The base graph has kb = 10 systematic block-columns and an accumulator-chain
 parity part, so encoding is forward substitution over the lifted blocks. Rate
-matching for a requested (codelength n, rate k/n):
+matching for K data bits in a codeword of n bits:
 
     Z       = ceil(K / kb)          lift size
     shorten = kb*Z - K              trailing systematic bits fixed to zero
@@ -59,6 +59,7 @@ degree the packaged graph produces.
 from __future__ import annotations
 
 import importlib.resources
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,13 +149,10 @@ def rate_match(bg: BaseGraph, codelength: int, k: int) -> tuple[int, int]:
     return z, m_use
 
 
-def ldpc_build(codelength: int, rate: float, basegraph: BaseGraph = None) -> LdpcCode:
-    """Rate-match the base graph to (codelength, rate) and lift it."""
+def ldpc_build(codelength: int, k: int, basegraph: BaseGraph = None) -> LdpcCode:
+    """Rate-match the base graph to k data bits in a codelength word and lift it."""
     bg = basegraph if basegraph is not None else load_basegraph()
-    k_exact = codelength * rate
-    k = int(round(k_exact))
-    if abs(k_exact - k) > 1e-6:
-        raise ValueError(f"rate {rate} * length {codelength} is not an integer")
+    k = operator.index(k)
     if not 0 < k < codelength:
         raise ValueError(f"need 0 < k < n, got k={k}, n={codelength}")
     z, m_use = rate_match(bg, codelength, k)

@@ -102,7 +102,7 @@ def build_coded(
             raise ValueError(
                 f"rate {rate_bpcu} bpcu needs gamma in [0, 1), got {g / n}"
             )
-        ldpc = ldpc_build(3 * n, (2 * n + g) / (3 * n))
+        ldpc = ldpc_build(3 * n, 2 * n + g)
         return CodedScheme(scheme=scheme, constellation=constellation,
                            data_bits=k_dm + g, comp=comp, ldpc=ldpc)
     n_coded = frame_symbols // 2 * 5
@@ -116,7 +116,7 @@ def build_coded(
     if not 0 < k < n_coded:
         raise ValueError(f"rate {rate_bpcu} bpcu outside (0, 2.5)")
     return CodedScheme(scheme=scheme, constellation=constellation,
-                       data_bits=k, ldpc=ldpc_build(n_coded, k / n_coded))
+                       data_bits=k, ldpc=ldpc_build(n_coded, k))
 
 
 def encode_frame(cs: CodedScheme, data: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ Symbol-metric rates are Monte Carlo mutual information estimates
 H(X) - E[-log2 P(x|y)]; bit-metric rates use the standard mismatched
 (bitwise) decoding bound [H(X) - sum_j E log2(1 + e^{-/+ LLR_j})]+, which
 for independent uniform label bits equals the familiar per-bit form
-sum_j (1 - E log2(1 + e^{-/+ LLR_j})).
+sum_j (1 - E log2(1 + e^{-/+ LLR_j})). The per-point samples of both
+come from constellation.rate_samples, on AWGN and after the trellis pass.
 """
 from __future__ import annotations
 
@@ -19,9 +20,7 @@ import numpy as np
 
 from . import shaping
 from .channel import philox, sigma_for_peak_snr, transmit
-from .constellation import (LEVELS, _label_llrs, _log_point_metrics, _row_sum,
-                            _weights, bit_llrs_from_levels, build_constellation,
-                            normalize)
+from .constellation import LEVELS, build_constellation, normalize, rate_samples
 from .dsp import bcjr_app, make_trellis, rows_per_call
 
 SCHEMES = ("cross_qam32", "framed_cross_qam32", "dm_pam6")
@@ -39,7 +38,6 @@ MAX_NUM_SYMBOLS = 10**7  # largest MI/GMI sample
 # num_symbols * (S*Q + 2S + Q) for S*Q = 6**len(taps). At MAX_NUM_SYMBOLS
 # that is 4.3 GB for two taps and would be 24 GB for three.
 MAX_BRANCH_METRICS = MAX_NUM_SYMBOLS * 6**2
-_BLOCK_POINTS = 4096  # points per demapper call: keeps intermediates in cache
 
 
 @dataclass(frozen=True)
@@ -110,72 +108,12 @@ def _trellis(taps):
     return make_trellis(np.asarray(taps, dtype=np.float64), normalize(LEVELS))
 
 
-def _penalty(llr, idx, c):
-    """Per-point sum over label bits of log2(1 + exp(-(1-2b) * llr)).
-
-    The signs 2b - 1 are gathered from the label table, so no per-point
-    label array is converted to float, and the steps after the gather work
-    in place on one (points, bits) array.
-    """
-    x = np.take(2.0 * c.labels - 1.0, idx, axis=0)
-    x *= llr
-    np.logaddexp(0.0, x, out=x)
-    x /= math.log(2.0)
-    return x.sum(axis=1)
-
-
-def _awgn_samples(y, idx, c, noise_var, metrics):
-    """Per-point samples of each metric over blocks of _BLOCK_POINTS points.
-
-    Each block forms its points-major weights once. The symbol metric takes
-    log2 of the true point's posterior, the weight divided by the block's
-    _row_sum exactly as symbol_posteriors divides it; the bit metric takes
-    the GMI penalty of the label LLRs of the same weights. Every step is
-    per group, so blocking changes no bit.
-    """
-    d = c.dimension
-    out = {m: np.empty(idx.size) for m in metrics}
-    mi, gmi = out.get("symbol_metric"), out.get("bit_metric")
-    tiny = np.finfo(np.float64).tiny
-    for s in range(0, idx.size, _BLOCK_POINTS):
-        e = s + _BLOCK_POINTS
-        ib = idx[s:e]
-        w = _weights(_log_point_metrics(y[s * d:e * d], c, noise_var))
-        if mi is not None:
-            p_true = w[ib, np.arange(ib.size)] / _row_sum(w)
-            mi[s:e] = np.log2(np.maximum(p_true, tiny))
-        if gmi is not None:
-            gmi[s:e] = _penalty(_label_llrs(w, c), ib, c)
-    return out
-
-
-def _trellis_samples(app, idx, c, metrics):
-    """Per-point samples of each metric from one row's trellis posteriors.
-
-    app holds the (T, Q) level log posteriors of the row. 2D formats score
-    each point by the product of its two level posteriors (a mismatched
-    but achievable metric), for both metrics. The bit metric is demapped
-    over blocks of _BLOCK_POINTS points, as on AWGN; every step is per
-    point, so blocking changes no bit.
-    """
-    out = {}
-    if "symbol_metric" in metrics:
-        lev_idx = c.points[idx].ravel()
-        lp = app[np.arange(lev_idx.size), lev_idx] / math.log(2.0)
-        out["symbol_metric"] = lp.reshape(-1, c.dimension).sum(axis=1)
-    if "bit_metric" in metrics:
-        d = c.dimension
-        gmi = out["bit_metric"] = np.empty(idx.size)
-        for s in range(0, idx.size, _BLOCK_POINTS):
-            e = s + _BLOCK_POINTS
-            gmi[s:e] = _penalty(bit_llrs_from_levels(app[s * d:e * d], c),
-                                idx[s:e], c)
-    return out
-
-
-def _estimate(scheme, metric, snr_db, c, info_point, samples, num_symbols, seed):
-    """RateEstimate from per-point information and its per-point samples."""
-    rate = max(0.0, info_point / c.dimension)
+def _estimate(scheme, metric, snr_db, c, samples, num_symbols, seed):
+    """RateEstimate of a metric from its per-point samples (rate_samples):
+    the MI adds their mean to log2 of the point count, the GMI subtracts it."""
+    mean = samples.mean()
+    info = math.log2(c.num_points) + (mean if metric == "symbol_metric" else -mean)
+    rate = max(0.0, info / c.dimension)
     hw = max(1.96 * samples.std(ddof=1) / math.sqrt(samples.size) / c.dimension,
              _HW_FLOOR)
     return RateEstimate(
@@ -244,26 +182,18 @@ def _estimate_rows(schemes, snr_db, metrics, num_symbols, seed, taps, trellis):
     draws = [_simulate(s, snr_db, num_symbols, seed, taps) for s in schemes]
     consts = [c for c, _, _, _ in draws]
     if trellis is None:
-        samples = [_awgn_samples(y, idx, c, nv, metrics)
+        samples = [rate_samples(idx, c, metrics, received=y, noise_var=nv)
                    for c, idx, y, nv in draws]
     else:
         app = bcjr_app(np.stack([y for _, _, y, _ in draws]), trellis,
                        [nv for _, _, _, nv in draws])
-        samples = [_trellis_samples(a, idx, c, metrics)
+        samples = [rate_samples(idx, c, metrics, level_logposts=a)
                    for a, (c, idx, _, _) in zip(app, draws)]
         del app
     # only the per-point vectors stay at full length for the moments
     del draws
-    out = []
-    for scheme, c, smp in zip(schemes, consts, samples):
-        info = math.log2(c.num_points)
-        est = {}
-        for m in metrics:
-            v = smp[m]
-            point = info + v.mean() if m == "symbol_metric" else info - v.mean()
-            est[m] = _estimate(scheme, m, snr_db, c, point, v, num_symbols, seed)
-        out.append(est)
-    return out
+    return [{m: _estimate(scheme, m, snr_db, c, smp[m], num_symbols, seed)
+             for m in metrics} for scheme, c, smp in zip(schemes, consts, samples)]
 
 
 def estimate_mi(

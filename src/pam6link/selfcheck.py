@@ -2,7 +2,7 @@
 
 Each check is small, seeded, and independent; together they catch the
 failure modes that silently corrupt results: a damaged base-graph file, a
-tampered label table, a demapper whose LLRs, posteriors or MI samples
+tampered label table, a demapper whose LLRs, posteriors or MI/GMI samples
 drift from a log-sum-exp over every point, a broken matcher round trip, a
 shaped frame whose signs no longer carry (parity, extra data bits), or a
 detector that no longer agrees with exhaustive enumeration. Check names
@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from . import constellation as cst
-from . import rates, shaping
+from . import shaping
 from .dsp import bcjr_app, make_trellis
 from .fec.ldpc import ldpc_build, ldpc_decode, ldpc_encode, load_basegraph
 
@@ -57,7 +57,7 @@ def _check_gray(name, expect_violations):
 
 
 def _check_demapper(name):
-    """Bit LLRs, posteriors and MI samples of a seeded block against
+    """Bit LLRs, posteriors and MI/GMI samples of a seeded block against
     np.logaddexp.reduce over every point. At this noise many LLRs exceed 40
     nats, where forming one label half as total minus the other would lose
     every digit."""
@@ -77,14 +77,17 @@ def _check_demapper(name):
     llr_err = float(np.max(np.abs(llr - ref) / (1.0 + np.abs(ref))))
     post_err = float(np.max(np.abs(cst.symbol_posteriors(y, c, nv)
                                    - np.exp(log_post))))
-    # the samples the MI estimate averages: log2 of the sent point's posterior
-    mi = rates._awgn_samples(y, idx, c, nv, ("symbol_metric",))["symbol_metric"]
+    # the samples the MI and GMI estimates average: log2 of the sent point's
+    # posterior, and the sent label's penalty over the log-sum-exp LLRs
+    smp = cst.rate_samples(idx, c, ("symbol_metric", "bit_metric"), y, nv)
     mi_err = float(np.max(np.abs(
-        mi - log_post[np.arange(idx.size), idx] / np.log(2.0))))
-    ok = llr_err <= 1e-9 and post_err <= 1e-9 and mi_err <= 1e-9
+        smp["symbol_metric"] - log_post[np.arange(idx.size), idx] / np.log(2.0))))
+    penalty = np.logaddexp(0.0, -(1.0 - 2.0 * c.labels[idx]) * ref) / np.log(2.0)
+    gmi_err = float(np.max(np.abs(smp["bit_metric"] - penalty.sum(axis=1))))
+    ok = max(llr_err, post_err, mi_err, gmi_err) <= 1e-9
     return ok, (f"LLRs up to {np.max(np.abs(ref)):.0f} nats, max relative LLR "
                 f"error {llr_err:.1e}, max posterior error {post_err:.1e}, "
-                f"max MI sample error {mi_err:.1e}")
+                f"max MI/GMI sample errors {mi_err:.1e}/{gmi_err:.1e}")
 
 
 def _check_ccdm():
@@ -129,7 +132,7 @@ def _check_bcjr():
 def _check_ldpc(basegraph_path=None):
     bg = load_basegraph(basegraph_path) if basegraph_path else None
     rng = np.random.default_rng(5)
-    code = ldpc_build(2500, 0.8, basegraph=bg)
+    code = ldpc_build(2500, 2000, basegraph=bg)
     u = rng.integers(0, 2, size=code.k).astype(np.uint8)
     cw = ldpc_encode(u, code)
     llrs = (1.0 - 2.0 * cw.astype(np.float64)) * 8.0
@@ -149,7 +152,7 @@ def _check_pas(basegraph_path=None):
     n, g = 1000, 426
     comp = shaping.Composition.near_uniform(n)
     k = shaping.ccdm_input_length(comp)
-    code = ldpc_build(3 * n, (2 * n + g) / (3 * n), basegraph=bg)
+    code = ldpc_build(3 * n, 2 * n + g, basegraph=bg)
     d = np.random.default_rng(6).integers(0, 2, size=k + g).astype(np.uint8)
     x = shaping.pas_encode(d, comp, code)
     if not np.array_equal(np.minimum(x, 5 - x), shaping.ccdm_encode(d[:k], comp)):

@@ -241,7 +241,7 @@ def test_codec_sanity():
     # noiseless LDPC identity on both committed geometries
     ldpc_ok = True
     for n, k in ((2500, 2000), (3000, 2426)):
-        code = ldpc_build(n, k / n)
+        code = ldpc_build(n, k)
         u = np.random.default_rng(0).integers(0, 2, size=k).astype(np.uint8)
         llr = (1.0 - 2.0 * ldpc_encode(u, code)) * 6.0
         got, conv, _ = ldpc_decode(llr, code)

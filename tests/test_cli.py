@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from pam6link import constellation, rates
+from pam6link import constellation
 from pam6link.cli import main
 
 TINY = """
@@ -109,6 +109,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
         (TINY.replace("10000", "10000000")
          + "channel: {kind: fir_isi, taps: [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}\n",
          "channel.taps"),
+        # a repeated key is refused, not resolved to its last value
+        (TINY + "seeds: [5]\n", "seeds: given twice"),
     ]:
         bad.write_text(text)
         assert main(["run", "--config", str(bad)]) == 1
@@ -273,8 +275,8 @@ def test_selfcheck_detects_tampered_2d_table(monkeypatch, capsys):
 
 
 def test_selfcheck_detects_drifting_posteriors(monkeypatch, capsys):
-    # posteriors normalized by a slightly wrong row sum fail every
-    # demapper check and no other
+    # posteriors and MI samples normalized by a slightly wrong row sum
+    # fail every demapper check and no other
     row_sum = constellation._row_sum
     monkeypatch.setattr(constellation, "_row_sum", lambda w: row_sum(w) * 1.001)
     assert main(["selfcheck"]) == 3
@@ -284,11 +286,17 @@ def test_selfcheck_detects_drifting_posteriors(monkeypatch, capsys):
     assert "8/11 checks passed" in out
 
 
-def test_selfcheck_detects_drifting_mi_samples(monkeypatch, capsys):
-    # the MI estimate divides by its own _row_sum binding: a slightly wrong
-    # row sum there fails every demapper check and no other
-    row_sum = rates._row_sum
-    monkeypatch.setattr(rates, "_row_sum", lambda w: row_sum(w) * 1.001)
+@pytest.mark.parametrize("metric", ("symbol_metric", "bit_metric"))
+def test_selfcheck_detects_drifting_rate_samples(monkeypatch, capsys, metric):
+    # MI or GMI samples 0.1% off fail every demapper check and no other
+    rate_samples = constellation.rate_samples
+
+    def drifting(*args, **kwargs):
+        out = rate_samples(*args, **kwargs)
+        out[metric] *= 1.001
+        return out
+
+    monkeypatch.setattr(constellation, "rate_samples", drifting)
     assert main(["selfcheck"]) == 3
     out = capsys.readouterr().out
     lines = [l for l in out.split("\n") if l.startswith("demapper_")]

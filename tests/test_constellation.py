@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 
 from pam6link import constellation
 from pam6link.constellation import (CONSTELLATION_NAMES, LEVELS, PEAK_LEVEL,
-                                    bit_llrs, bit_llrs_from_levels,
-                                    build_constellation,
+                                    bit_llrs, build_constellation,
                                     check_unit_distance_gray, map_bits,
-                                    normalize, symbol_posteriors)
+                                    normalize, rate_samples, symbol_posteriors)
 
 
 @pytest.fixture(params=CONSTELLATION_NAMES)
@@ -214,9 +213,21 @@ def test_points_major_demapper_equals_row_major(const, snr_db, groups):
         assert got.shape == want.shape and np.array_equal(got, want)
     # trellis-style level log posteriors: the product metric path
     lp = -rng.exponential(1.0 / nv, size=(groups * const.dimension, len(LEVELS)))
-    got = bit_llrs_from_levels(lp, const)
+    got = constellation._label_llrs(constellation._weights(
+        constellation._level_point_metrics(lp, const)), const)
     want = reference_bit_llrs_from_levels(lp, const)
     assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_rate_samples_takes_one_detection_and_known_metrics(const):
+    idx = np.zeros(4, dtype=np.int64)
+    y = normalize(const.points[idx].ravel())
+    lp = np.zeros((y.size, len(LEVELS)))
+    for kw in ({}, {"received": y, "noise_var": 0.1, "level_logposts": lp}):
+        with pytest.raises(ValueError, match="either received samples or level"):
+            rate_samples(idx, const, ("bit_metric",), **kw)
+    with pytest.raises(ValueError, match="symbol_metric or bit_metric, got"):
+        rate_samples(idx, const, ("fer",), received=y, noise_var=0.1)
 
 
 def test_row_sum_follows_numpy_order():

@@ -202,10 +202,28 @@ def test_syntax_error_reports_line():
     # every shaped frame keeps a parity bit for its LDPC code
     ("scheme: dm_pam6\nmetric: fer\nsnr_db: [27]\ncodec: {rate: 2.574}",
      r"codec.rate: .*gamma in \[0, 1\), got 1.0"),
+    # a key given twice in one mapping is refused, naming it and its line
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20.0]\nsnr_db: [30.0]",
+     "snr_db: given twice in one mapping, again at line 4"),
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\n"
+     "channel: {kind: awgn, kind: fir_isi, taps: [1.0, 0.35]}",
+     "kind: given twice in one mapping, again at line 4"),
+    ("scheme: dm_pam6\nmetric: fer\nsnr_db: [27]\n"
+     "codec:\n  rate: 2.0\n  family: ldpc\n  rate: 1.9",
+     "rate: given twice in one mapping, again at line 7"),
+    ("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\n'snr_db': [30]",
+     "snr_db: given twice"),
 ])
 def test_schema_errors_name_the_field(text, field):
     with pytest.raises(ConfigError, match=field):
         parse_config(text)
+
+
+def test_merged_keys_may_be_overridden():
+    # only keys written twice are refused: a key may override a merged one
+    cfg = parse_config("scheme: dm_pam6\nmetric: symbol_metric\nsnr_db: [20]\n"
+                       "channel: {<<: {kind: awgn}, kind: fir_isi, taps: [1.0, 0.35]}")
+    assert cfg.channel_kind == "fir_isi" and cfg.taps == (1.0, 0.35)
 
 
 def test_seed_override_is_validated():

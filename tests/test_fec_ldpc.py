@@ -133,31 +133,33 @@ def test_basegraph_rejects_corruption(tmp_path):
 
 def test_rate_matching_dimensions():
     kb = load_basegraph().kb
-    code = ldpc_build(2500, 0.8)
+    code = ldpc_build(2500, 2000)
     assert code.n == 2500 and code.k == 2000 and code.z == 200
     assert code.m_use == 3 and kb * code.z - code.k == 0  # nothing shortened
     assert code.n - code.k == 500
-    code = ldpc_build(3000, 2426 / 3000)
+    code = ldpc_build(3000, 2426)
     assert code.k == 2426 and code.z == 243
     assert kb * code.z - code.k == 10 * 243 - 2426
     assert code.n - code.k == 3000 - 2426
 
 
 def test_build_rejects_non_integer_k():
-    with pytest.raises(ValueError):
-        ldpc_build(2500, 0.8001)
+    # the dimension is a bit count: a rate or a float count is refused
+    for k in (0.8, 2000.0):
+        with pytest.raises(TypeError):
+            ldpc_build(2500, k)
 
 
-@pytest.mark.parametrize("n,rate,match", [
-    (30, 1 / 3, "lift size 1; the graph needs at least 2"),
-    (2100, 2000 / 2100, "100 parity bits, fewer than one lifted row of 200"),
-    (2500, 0.04, "needs 240 base rows, graph has 12"),
-    (100, 0.0, "need 0 < k < n"),
-    (100, 1.0, "need 0 < k < n"),
+@pytest.mark.parametrize("n,k,match", [
+    (30, 10, "lift size 1; the graph needs at least 2"),
+    (2100, 2000, "100 parity bits, fewer than one lifted row of 200"),
+    (2500, 100, "needs 240 base rows, graph has 12"),
+    (100, 0, "need 0 < k < n"),
+    (100, 100, "need 0 < k < n"),
 ])
-def test_build_rejects_what_the_graph_cannot_carry(n, rate, match):
+def test_build_rejects_what_the_graph_cannot_carry(n, k, match):
     with pytest.raises(ValueError, match=match):
-        ldpc_build(n, rate)
+        ldpc_build(n, k)
 
 
 @pytest.mark.parametrize("call,size,match", [
@@ -166,7 +168,7 @@ def test_build_rejects_what_the_graph_cannot_carry(n, rate, match):
     (lambda code, x: ldpc_decode(x, code), 501, "expected 500 channel LLRs, got 501"),
 ], ids=["encode", "syndrome", "decode"])
 def test_lengths_are_checked(call, size, match):
-    code = ldpc_build(500, 0.8)
+    code = ldpc_build(500, 400)
     with pytest.raises(ValueError, match=match):
         call(code, np.zeros(size))
 
@@ -176,7 +178,7 @@ def test_tables_follow_rate_matching(n, k):
     # the dense layout of the module docstring, at every code a 1000-symbol
     # frame of the rate grid uses
     bg = load_basegraph()
-    code = ldpc_build(n, k / n)
+    code = ldpc_build(n, k)
     assert (code.n, code.k, code.n_checks) == (n, k, n - k)
     assert code.z == -(-k // bg.kb) >= bg.zmin
     assert code.m_use == -(-(n - k) // code.z) <= bg.mb
@@ -201,7 +203,7 @@ def test_tables_follow_rate_matching(n, k):
 def test_lifts_from_zmin_have_no_four_cycles(n, k):
     # two checks share at most one variable, as the base graph's header
     # promises for every lift of at least zmin
-    code = ldpc_build(n, k / n)
+    code = ldpc_build(n, k)
     h = np.zeros((code.n_checks, n + 1))
     h[np.arange(code.n_checks), code.check_vars] = 1.0
     h = h[:, :n]
@@ -214,7 +216,7 @@ def test_lifts_from_zmin_have_no_four_cycles(n, k):
 def test_single_flips_on_multi_check_bits_are_corrected(n, k):
     # a hard error on a bit of two or more checks is outvoted in one or two
     # iterations; a bit of one check can only be detected, not located
-    code = ldpc_build(n, k / n)
+    code = ldpc_build(n, k)
     rng = np.random.default_rng(n + k)
     u = rng.integers(0, 2, size=code.k).astype(np.uint8)
     llr = (1.0 - 2.0 * ldpc_encode(u, code)) * 4.0
@@ -230,7 +232,7 @@ def test_single_flips_on_multi_check_bits_are_corrected(n, k):
 def test_every_single_erasure_is_filled(n, k):
     # an erased bit (LLR 0) is the parity of the other bits of any of its
     # checks, so one iteration fills it, at any lift
-    code = ldpc_build(n, k / n)
+    code = ldpc_build(n, k)
     rng = np.random.default_rng(k)
     u = rng.integers(0, 2, size=code.k).astype(np.uint8)
     llr = (1.0 - 2.0 * ldpc_encode(u, code)) * 4.0
@@ -244,7 +246,7 @@ def test_every_single_erasure_is_filled(n, k):
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_syndrome_zero_for_any_encode(seed):
-    code = ldpc_build(1250, 0.8)
+    code = ldpc_build(1250, 1000)
     rng = np.random.default_rng(seed)
     u = rng.integers(0, 2, size=code.k).astype(np.uint8)
     cw = ldpc_encode(u, code)
@@ -254,7 +256,7 @@ def test_syndrome_zero_for_any_encode(seed):
 
 @pytest.mark.parametrize("n,k", COMMITTED_CODES + [(1250, 1000), ALL_ROWS_CODE])
 def test_encode_equals_block_row_reference(n, k):
-    code = ldpc_build(n, k / n)
+    code = ldpc_build(n, k)
     rng = np.random.default_rng(n + k)
     for _ in range(20):
         u = rng.integers(0, 2, size=code.k).astype(np.uint8)
@@ -267,7 +269,7 @@ def test_encode_equals_block_row_reference(n, k):
 @pytest.mark.parametrize("n,k", COMMITTED_CODES + [ALL_ROWS_CODE])
 @pytest.mark.filterwarnings("ignore:invalid value encountered")  # inf - inf
 def test_decode_equals_edge_list_reference(n, k):
-    code = ldpc_build(n, k / n)
+    code = ldpc_build(n, k)
     cases = _llr_cases(code, np.random.default_rng(k))
     iters = []
     for llr in cases:
@@ -283,7 +285,7 @@ def test_decode_equals_edge_list_reference(n, k):
 
 def test_noiseless_decode_identity():
     for n, k in COMMITTED_CODES:
-        code = ldpc_build(n, k / n)
+        code = ldpc_build(n, k)
         rng = np.random.default_rng(10)
         u = rng.integers(0, 2, size=k).astype(np.uint8)
         cw = ldpc_encode(u, code)
@@ -293,7 +295,7 @@ def test_noiseless_decode_identity():
 
 
 def test_decode_recovers_small_noise():
-    code = ldpc_build(2500, 0.8)
+    code = ldpc_build(2500, 2000)
     rng = np.random.default_rng(11)
     u = rng.integers(0, 2, size=code.k).astype(np.uint8)
     cw = ldpc_encode(u, code)
@@ -306,7 +308,7 @@ def test_decode_recovers_small_noise():
 
 def test_ber_improves_as_noise_drops():
     # sweep oracle: post-decode errors must not increase when sigma shrinks
-    code = ldpc_build(1250, 0.8)
+    code = ldpc_build(1250, 1000)
     rng = np.random.default_rng(12)
     u = rng.integers(0, 2, size=code.k).astype(np.uint8)
     cw = ldpc_encode(u, code)
@@ -325,7 +327,7 @@ def test_parity_tail_removal_keeps_projected_code():
     # the transmitted-bit projection must be unchanged: every transmitted
     # codeword still satisfies every kept check, and kept checks never
     # reference a variable beyond the active range
-    code = ldpc_build(3000, 2426 / 3000)
+    code = ldpc_build(3000, 2426)
     check_idx, var_idx = _edge_list(code)[:2]
     assert code.n_checks == code.n - code.k < code.m_use * code.z
     assert var_idx.max() < code.n
@@ -333,7 +335,7 @@ def test_parity_tail_removal_keeps_projected_code():
 
 
 def test_alist_round_trip():
-    code = ldpc_build(1250, 0.8)
+    code = ldpc_build(1250, 1000)
     text = write_alist(code)
     nvar, ncheck, ci, vi = read_alist(text)
     assert nvar == code.n and ncheck == code.n_checks
@@ -343,7 +345,7 @@ def test_alist_round_trip():
 
 
 def test_read_alist_rejects_inconsistent_rows():
-    code = ldpc_build(400, 0.75)
+    code = ldpc_build(400, 300)
     lines = write_alist(code).splitlines()
     var0 = 4  # header, widths, variable degrees, check degrees, then rows
     last_check = var0 + code.n + code.n_checks - 1
@@ -369,7 +371,7 @@ def test_read_alist_rejects_inconsistent_rows():
 
 @pytest.mark.parametrize("n,k", COMMITTED_CODES + [ALL_ROWS_CODE])
 def test_alist_text_is_pinned(n, k):
-    text = write_alist(ldpc_build(n, k / n))
+    text = write_alist(ldpc_build(n, k))
     assert hashlib.sha256(text.encode()).hexdigest() == ALIST_SHA256[(n, k)]
 
 

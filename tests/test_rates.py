@@ -7,7 +7,7 @@ from test_constellation import (reference_bit_llrs,
                                 reference_bit_llrs_from_levels,
                                 reference_symbol_posteriors)
 
-from pam6link import rates, shaping
+from pam6link import constellation, rates, shaping
 from pam6link.dsp import bcjr_app
 from pam6link.rates import (MAX_RATE_1D, RateEstimate, estimate_gmi,
                             estimate_mi, estimate_rates, matcher_rate_loss,
@@ -179,8 +179,7 @@ def _reference_mi(scheme, snr_db, num_symbols, seed, taps=None):
         lev_idx = c.points[idx].ravel()
         lp = app[np.arange(lev_idx.size), lev_idx] / math.log(2.0)
         samples = lp.reshape(-1, c.dimension).sum(axis=1)
-    return rates._estimate(scheme, "symbol_metric", snr_db, c,
-                           math.log2(c.num_points) + samples.mean(), samples,
+    return rates._estimate(scheme, "symbol_metric", snr_db, c, samples,
                            num_symbols, seed)
 
 
@@ -197,9 +196,8 @@ def _reference_gmi(scheme, snr_db, num_symbols, seed, taps=None):
     signed = (1.0 - 2.0 * b) * llr
     penalties = np.logaddexp(0.0, -signed) / math.log(2.0)
     per_point = penalties.sum(axis=1)
-    return rates._estimate(scheme, "bit_metric", snr_db, c,
-                           math.log2(c.num_points) - per_point.mean(),
-                           per_point, num_symbols, seed)
+    return rates._estimate(scheme, "bit_metric", snr_db, c, per_point,
+                           num_symbols, seed)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -212,9 +210,9 @@ def test_blocked_estimates_equal_unblocked(scheme, blocks, monkeypatch):
     taps = None
     if blocks == "one":
         points = 10**4 // dim
-        monkeypatch.setattr(rates, "_BLOCK_POINTS", points)
+        monkeypatch.setattr(constellation, "BLOCK_POINTS", points)
     else:
-        points = 3 * rates._BLOCK_POINTS + 17
+        points = 3 * constellation.BLOCK_POINTS + 17
     if blocks == "isi":
         taps = (1.0, 0.35)
     n = points * dim
@@ -233,7 +231,7 @@ def test_blocked_estimates_equal_unblocked(scheme, blocks, monkeypatch):
 def test_joint_estimate_equals_separate_calls(scheme, taps, metrics):
     """One draw, one demapper pass and one trellis pass give every field
     of each estimate the separate estimators give, keyed in request order."""
-    n = 3 * rates._BLOCK_POINTS + 34 if taps is None else 10**4
+    n = 3 * constellation.BLOCK_POINTS + 34 if taps is None else 10**4
     got = estimate_rates(scheme, 22.5, metrics, num_symbols=n, seed=6,
                          taps=taps)
     assert tuple(got) == metrics

@@ -211,7 +211,7 @@ def test_ccdm_and_pas_reject_non_binary_bits(pos, value):
     d = np.zeros(k + 10, dtype=np.int64)
     d[k + pos if pos >= 0 else pos] = value
     with pytest.raises(ValueError, match="only 0 and 1"):
-        pas_encode(d, comp, ldpc_build(75, 60 / 75))
+        pas_encode(d, comp, ldpc_build(75, 60))
 
 
 @pytest.mark.parametrize("value", [256, 0.7, -1])
@@ -231,7 +231,7 @@ def test_shaped_levels_carry_their_labels():
     n, g = 1000, 426
     comp = Composition.near_uniform(n)
     k = ccdm_input_length(comp)
-    code = ldpc_build(3 * n, (2 * n + g) / (3 * n))
+    code = ldpc_build(3 * n, 2 * n + g)
     d = np.random.default_rng(5).integers(0, 2, size=k + g).astype(np.uint8)
     x = pas_encode(d, comp, code)
     pairs = _label_bits(ccdm_encode(d[:k], comp))[:, 1:]
@@ -246,7 +246,7 @@ def test_pas_encode_layout_and_noiseless_decode(gamma):
     comp = Composition.near_uniform(n)
     k = ccdm_input_length(comp)
     g = round(gamma * n)
-    code = ldpc_build(3 * n, (2 * n + g) / (3 * n))
+    code = ldpc_build(3 * n, 2 * n + g)
     rng = np.random.default_rng(1)
     d = rng.integers(0, 2, size=k + g).astype(np.uint8)
     x = pas_encode(d, comp, code)
@@ -270,7 +270,7 @@ def _small_frame(seed):
     """A 120-symbol frame: its code of dimension 300 leaves g = 60 data bits
     on the signs, and its source bits."""
     comp = Composition.near_uniform(120)
-    code = ldpc_build(360, 300 / 360)
+    code = ldpc_build(360, 300)
     d = np.random.default_rng(seed).integers(0, 2, ccdm_input_length(comp) + 60)
     return comp, code, d.astype(np.uint8)
 
@@ -309,7 +309,7 @@ def test_pas_encode_validates_data_length():
 ])
 def test_pas_rejects_code_that_does_not_fit_frame(length, dim):
     comp = Composition.near_uniform(120)
-    code = ldpc_build(length, dim / length)
+    code = ldpc_build(length, dim)
     d = np.zeros(ccdm_input_length(comp), dtype=np.uint8)
     with pytest.raises(ValueError, match="does not fit"):
         pas_encode(d, comp, code)
