@@ -2,7 +2,9 @@
 
 Noise comes from a counter-based Philox stream keyed by (seed, stream), so
 per-frame substreams are bit-reproducible no matter how calls are scheduled
-across threads.
+across threads. A Philox generator keeps its buffered words and its normal
+sampler's state, so drawing a sequence in chunks from one generator gives
+the bits of drawing it at once: transmit can send a draw block by block.
 """
 from __future__ import annotations
 
@@ -47,13 +49,14 @@ def philox(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def transmit(amplitudes, noise_var: float, seed: int, stream: int = 0,
+def transmit(amplitudes, noise_var: float, noise: np.random.Generator,
              taps=None) -> np.ndarray:
     """Send normalized amplitudes through the channel, returning noisy samples.
 
     y = x + n, or with FIR taps y = (h * x) + n truncated to the input
     length (zero-padded edges). Noise is i.i.d. Gaussian with variance
-    noise_var per sample, drawn from philox(seed, stream).
+    noise_var per sample, the next len(x) normals of the generator `noise`
+    (a philox stream).
     """
     if not 0 < noise_var < math.inf:
         raise ValueError(
@@ -62,8 +65,7 @@ def transmit(amplitudes, noise_var: float, seed: int, stream: int = 0,
     if taps is not None:
         check_taps(taps, noise_var)
         x = np.convolve(x, np.asarray(taps, dtype=np.float64))[: len(x)]
-    noise = philox(seed, stream).normal(0.0, np.sqrt(noise_var), size=len(x))
-    return x + noise
+    return x + noise.normal(0.0, np.sqrt(noise_var), size=len(x))
 
 
 def sigma_for_peak_snr(snr_db: float) -> float:

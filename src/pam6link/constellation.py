@@ -305,7 +305,7 @@ def symbol_posteriors(received, c: Constellation, noise_var: float) -> np.ndarra
 
 
 def rate_samples(idx, c: Constellation, metrics, received=None, noise_var=None,
-                 level_logposts=None) -> dict:
+                 level_logposts=None, out=None) -> dict:
     """{metric: per-point samples} for the sent points idx, whose means give
     the MI ("symbol_metric": log2 of the sent point's posterior) and the
     GMI ("bit_metric": sum_j log2(1 + exp(-(1 - 2 b_j) * LLR_j)) over the
@@ -318,14 +318,16 @@ def rate_samples(idx, c: Constellation, metrics, received=None, noise_var=None,
     symbol_posteriors divides it, or its levels' log posteriors / ln 2
     summed over the axes (the point table's sums round differently). Each
     block of BLOCK_POINTS points is demapped once for both metrics, per
-    point, so blocking changes no bit.
+    point, so blocking changes no bit. The samples go into `out`, {metric:
+    vector of idx.size}, when given, else into new vectors.
     """
     if (received is None) == (level_logposts is None):
         raise ValueError("need either received samples or level log posteriors")
     if not set(metrics) <= {"symbol_metric", "bit_metric"}:
         raise ValueError(f"metrics must be symbol_metric or bit_metric, got {metrics}")
     d = c.dimension
-    out = {m: np.empty(idx.size) for m in metrics}
+    if out is None:
+        out = {m: np.empty(idx.size) for m in metrics}
     mi, gmi = out.get("symbol_metric"), out.get("bit_metric")
     signs = 2.0 * c.labels - 1.0
     for s in range(0, idx.size, BLOCK_POINTS):

@@ -326,7 +326,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
     of that many worker threads; one thread runs them on the caller's
     thread, with progress called between draws (run on a single worker
     thread instead, a 1e6-symbol MI/GMI sweep of the three schemes peaked
-    about 4 MB higher in resident memory, 72 against 68 MB, glibc malloc).
+    about 1 MB higher in resident memory, 53 against 52 MB, glibc malloc).
     The fer and rate_at_fer items always run on the caller's thread, at
     their turn.
     """

@@ -169,7 +169,7 @@ def coded_fer(
     for i in range(max_frames):
         data = philox(seed, 2 * i + 1).integers(0, 2, cs.data_bits, dtype=np.uint8)
         levels = encode_frame(cs, data)
-        y = transmit(normalize(levels), noise_var, seed, stream=2 * i)
+        y = transmit(normalize(levels), noise_var, philox(seed, 2 * i))
         got, ok = decode_frame(cs, y, noise_var)
         frames += 1
         if not ok or got is None or not np.array_equal(

@@ -10,6 +10,12 @@ H(X) - E[-log2 P(x|y)]; bit-metric rates use the standard mismatched
 for independent uniform label bits equals the familiar per-bit form
 sum_j (1 - E log2(1 + e^{-/+ LLR_j})). The per-point samples of both
 come from constellation.rate_samples, on AWGN and after the trellis pass.
+
+On AWGN the draw is blocked: _awgn_samples draws, sends and demaps
+constellation.BLOCK_POINTS points at a time from two Philox generators made
+once per estimate, and only the per-metric sample vectors reach full length.
+With ISI taps each scheme's draw is sent whole, because bcjr_app detects
+whole rows. _estimate takes the moments in place on the sample vector.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import shaping
+from . import constellation, shaping
 from .channel import philox, sigma_for_peak_snr, transmit
 from .constellation import LEVELS, build_constellation, normalize, rate_samples
 from .dsp import bcjr_app, make_trellis, rows_per_call
@@ -87,20 +93,32 @@ def check_num_symbols(scheme: str, num_symbols: int, taps=None) -> None:
             f"{MAX_BRANCH_METRICS}")
 
 
-def _simulate(scheme: str, snr_db: float, num_symbols: int, seed: int, taps=None):
-    """Draw symbols, push them through the channel, return (const, idx, y, nv).
+def _send(c, noise_var, points, symbols, noise, taps=None):
+    """Draw `points` points of c from the generator `symbols` and send them
+    through the channel with noise from `noise`: (idx, received)."""
+    idx = symbols.integers(0, c.num_points, size=points)
+    amplitudes = np.take(normalize(c.points), idx, axis=0).ravel()
+    return idx, transmit(amplitudes, noise_var, noise, taps)
 
-    num_symbols counts 1D channel uses; 2D formats emit num_symbols/2
-    points. With `taps` the link has residual ISI and detection must use a
-    trellis; otherwise the channel is memoryless AWGN. Callers check
-    num_symbols first (check_num_symbols).
+
+def _awgn_samples(c, noise_var, metrics, num_symbols, seed):
+    """{metric: per-point samples} of an AWGN draw of num_symbols 1D uses.
+
+    The points are drawn, sent and demapped constellation.BLOCK_POINTS at
+    a time, each block taking the next points of philox(seed,
+    _SYMBOL_STREAM) and the next normals of philox(seed, 0). Chunked Philox
+    draws equal the one-shot draw, so blocking moves no bit, and only the
+    sample vectors are ever held at full length.
     """
-    c = constellation_for(scheme)
-    nv = sigma_for_peak_snr(snr_db)
-    groups = num_symbols // c.dimension
-    idx = philox(seed, _SYMBOL_STREAM).integers(0, c.num_points, size=groups)
-    y = transmit(normalize(c.points[idx].ravel()), nv, seed, taps=taps)
-    return c, idx, y, nv
+    points = num_symbols // c.dimension
+    block = constellation.BLOCK_POINTS
+    symbols, noise = philox(seed, _SYMBOL_STREAM), philox(seed, 0)
+    out = {m: np.empty(points) for m in metrics}
+    for s in range(0, points, block):
+        idx, y = _send(c, noise_var, min(block, points - s), symbols, noise)
+        rate_samples(idx, c, metrics, received=y, noise_var=noise_var,
+                     out={m: v[s:s + idx.size] for m, v in out.items()})
+    return out
 
 
 def _trellis(taps):
@@ -108,14 +126,26 @@ def _trellis(taps):
     return make_trellis(np.asarray(taps, dtype=np.float64), normalize(LEVELS))
 
 
-def _estimate(scheme, metric, snr_db, c, samples, num_symbols, seed):
-    """RateEstimate of a metric from its per-point samples (rate_samples):
-    the MI adds their mean to log2 of the point count, the GMI subtracts it."""
+def _moments(samples):
+    """(mean, std with ddof=1) of samples, equal to samples.mean() and
+    samples.std(ddof=1) bit for bit. The deviations are formed in place,
+    in the steps of numpy's _var (subtract the mean, square, sum, divide
+    by n - 1, square root), so samples is overwritten and no second
+    full-length vector is allocated."""
     mean = samples.mean()
+    np.subtract(samples, mean, out=samples)
+    np.square(samples, out=samples)
+    return mean, math.sqrt(samples.sum() / (samples.size - 1))
+
+
+def _estimate(scheme, metric, snr_db, c, samples, num_symbols, seed):
+    """RateEstimate of a metric from its per-point samples (rate_samples),
+    which it overwrites: the MI adds their mean to log2 of the point count,
+    the GMI subtracts it."""
+    mean, std = _moments(samples)
     info = math.log2(c.num_points) + (mean if metric == "symbol_metric" else -mean)
     rate = max(0.0, info / c.dimension)
-    hw = max(1.96 * samples.std(ddof=1) / math.sqrt(samples.size) / c.dimension,
-             _HW_FLOOR)
+    hw = max(1.96 * std / math.sqrt(samples.size) / c.dimension, _HW_FLOOR)
     return RateEstimate(
         scheme=scheme, metric=metric, snr_db=float(snr_db),
         rate=float(min(rate, MAX_RATE_1D)), half_width=float(hw),
@@ -177,21 +207,23 @@ def estimate_rates_per_scheme(
 
 
 def _estimate_rows(schemes, snr_db, metrics, num_symbols, seed, taps, trellis):
-    """{metric: RateEstimate} of each scheme, from one draw each and, with
-    a trellis, one bcjr_app call over all their draws."""
-    draws = [_simulate(s, snr_db, num_symbols, seed, taps) for s in schemes]
-    consts = [c for c, _, _, _ in draws]
+    """{metric: RateEstimate} of each scheme: on AWGN from its blocked
+    draw; with a trellis from whole rows, one bcjr_app call over all of
+    them."""
+    consts = [constellation_for(s) for s in schemes]
+    nv = sigma_for_peak_snr(snr_db)
     if trellis is None:
-        samples = [rate_samples(idx, c, metrics, received=y, noise_var=nv)
-                   for c, idx, y, nv in draws]
-    else:
-        app = bcjr_app(np.stack([y for _, _, y, _ in draws]), trellis,
-                       [nv for _, _, _, nv in draws])
+        samples = [_awgn_samples(c, nv, metrics, num_symbols, seed)
+                   for c in consts]
+    else:  # bcjr_app needs whole rows
+        draws = [_send(c, nv, num_symbols // c.dimension,
+                       philox(seed, _SYMBOL_STREAM), philox(seed, 0), taps)
+                 for c in consts]
+        app = bcjr_app(np.stack([y for _, y in draws]), trellis, nv)
         samples = [rate_samples(idx, c, metrics, level_logposts=a)
-                   for a, (c, idx, _, _) in zip(app, draws)]
-        del app
-    # only the per-point vectors stay at full length for the moments
-    del draws
+                   for a, c, (idx, _) in zip(app, consts, draws)]
+        # only the per-point vectors stay at full length for the moments
+        del app, draws
     return [{m: _estimate(scheme, m, snr_db, c, smp[m], num_symbols, seed)
              for m in metrics} for scheme, c, smp in zip(schemes, consts, samples)]
 

@@ -116,7 +116,7 @@ def test_grid_frames_round_trip_at_60db(scheme, rate):
     levels = encode_frame(cs, data)
     assert levels.size == 1000
     noise_var = sigma_for_peak_snr(60.0)
-    y = transmit(normalize(levels), noise_var, 0, stream=0)
+    y = transmit(normalize(levels), noise_var, philox(0, 0))
     got, ok = decode_frame(cs, y, noise_var)
     assert ok and np.array_equal(got, data)
 
@@ -196,8 +196,8 @@ def test_one_seed_drives_noise_and_data(scheme):
     for i in range(frames):
         data = philox(seed, 2 * i + 1).integers(0, 2, cs.data_bits,
                                                 dtype=np.uint8)
-        y = transmit(normalize(encode_frame(cs, data)), noise_var, seed,
-                     stream=2 * i)
+        y = transmit(normalize(encode_frame(cs, data)), noise_var,
+                     philox(seed, 2 * i))
         got, ok = decode_frame(cs, y, noise_var)
         by_hand += not ok or got is None or not np.array_equal(got, data)
     assert n == frames and errors == by_hand

@@ -1,5 +1,6 @@
 """Rate-estimate invariants: monotonicity, metric ordering, saturation."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from test_constellation import (reference_bit_llrs,
                                 reference_symbol_posteriors)
 
 from pam6link import constellation, rates, shaping
+from pam6link.channel import philox, sigma_for_peak_snr, transmit
 from pam6link.dsp import bcjr_app
 from pam6link.rates import (MAX_RATE_1D, RateEstimate, estimate_gmi,
                             estimate_mi, estimate_rates, matcher_rate_loss,
@@ -166,10 +168,32 @@ def test_isi_taps_cost_rate():
     assert isi.rate < flat.rate
 
 
+def _reference_draw(scheme, snr_db, num_symbols, seed, taps):
+    """The whole draw at once, on the streams an estimate keys: the points
+    from philox(seed, 1000), the noise from philox(seed, 0)."""
+    c = rates.constellation_for(scheme)
+    nv = sigma_for_peak_snr(snr_db)
+    idx = philox(seed, 1000).integers(0, c.num_points,
+                                      size=num_symbols // c.dimension)
+    y = transmit(constellation.normalize(c.points[idx].ravel()), nv,
+                 philox(seed, 0), taps)
+    return c, idx, y, nv
+
+
+def _reference_estimate(scheme, metric, snr_db, c, samples, num_symbols, seed):
+    """RateEstimate from numpy's mean() and std(ddof=1) of the samples."""
+    mean = samples.mean()
+    info = math.log2(c.num_points) + (mean if metric == "symbol_metric" else -mean)
+    hw = 1.96 * samples.std(ddof=1) / math.sqrt(samples.size) / c.dimension
+    return RateEstimate(scheme, metric, float(snr_db),
+                        float(min(max(0.0, info / c.dimension), MAX_RATE_1D)),
+                        float(max(hw, rates._HW_FLOOR)), num_symbols, seed)
+
+
 def _reference_mi(scheme, snr_db, num_symbols, seed, taps=None):
-    """estimate_mi computed in one unblocked pass over all points, with the
-    row-major reference demapper."""
-    c, idx, y, nv = rates._simulate(scheme, snr_db, num_symbols, seed, taps)
+    """estimate_mi computed in one unblocked pass over the whole draw, with
+    the row-major reference demapper."""
+    c, idx, y, nv = _reference_draw(scheme, snr_db, num_symbols, seed, taps)
     if taps is None:
         post = reference_symbol_posteriors(y, c, nv)
         p_true = post[np.arange(len(idx)), idx]
@@ -179,14 +203,14 @@ def _reference_mi(scheme, snr_db, num_symbols, seed, taps=None):
         lev_idx = c.points[idx].ravel()
         lp = app[np.arange(lev_idx.size), lev_idx] / math.log(2.0)
         samples = lp.reshape(-1, c.dimension).sum(axis=1)
-    return rates._estimate(scheme, "symbol_metric", snr_db, c, samples,
-                           num_symbols, seed)
+    return _reference_estimate(scheme, "symbol_metric", snr_db, c, samples,
+                               num_symbols, seed)
 
 
 def _reference_gmi(scheme, snr_db, num_symbols, seed, taps=None):
-    """estimate_gmi computed in one unblocked pass over all points, with the
-    row-major reference demapper."""
-    c, idx, y, nv = rates._simulate(scheme, snr_db, num_symbols, seed, taps)
+    """estimate_gmi computed in one unblocked pass over the whole draw, with
+    the row-major reference demapper."""
+    c, idx, y, nv = _reference_draw(scheme, snr_db, num_symbols, seed, taps)
     if taps is None:
         llr = reference_bit_llrs(y, c, nv).reshape(-1, c.bits_per_point)
     else:
@@ -196,16 +220,17 @@ def _reference_gmi(scheme, snr_db, num_symbols, seed, taps=None):
     signed = (1.0 - 2.0 * b) * llr
     penalties = np.logaddexp(0.0, -signed) / math.log(2.0)
     per_point = penalties.sum(axis=1)
-    return rates._estimate(scheme, "bit_metric", snr_db, c, per_point,
-                           num_symbols, seed)
+    return _reference_estimate(scheme, "bit_metric", snr_db, c, per_point,
+                               num_symbols, seed)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("blocks", ("one", "ragged", "isi"))
 def test_blocked_estimates_equal_unblocked(scheme, blocks, monkeypatch):
-    """Streaming the demapper over point blocks moves no bit of a rate or
-    half width: one block holding every point, and several blocks with a
-    ragged tail on AWGN and on the trellis path."""
+    """Drawing, sending and demapping in point blocks, and the in-place
+    moments, move no bit of a rate or half width: one block holding every
+    point, and several blocks with a ragged tail on AWGN and on the trellis
+    path."""
     dim = 1 if scheme == "dm_pam6" else 2
     taps = None
     if blocks == "one":
@@ -248,3 +273,39 @@ def test_estimate_rates_rejects_unknown_metrics():
                        num_symbols=N_FAST)
     with pytest.raises(ValueError, match="at least one metric"):
         estimate_rates("dm_pam6", 22.0, (), num_symbols=N_FAST)
+
+
+def test_awgn_estimate_holds_only_its_sample_vectors():
+    # 1e6 points of dm_pam6: two 8e6-byte sample vectors, one per metric,
+    # plus one block of BLOCK_POINTS points; the whole draw would add 16e6
+    # bytes more of indices, amplitudes, noise and received samples
+    estimate_rates("dm_pam6", 22.5, num_symbols=10**4)
+    tracemalloc.start()
+    try:
+        estimate_rates("dm_pam6", 22.5, num_symbols=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("samples", [
+    np.random.default_rng(k).normal(loc, scale, size=n)
+    for k, (n, loc, scale) in enumerate(((2, 0.0, 1.0), (3, -4.0, 1e-3),
+                                         (129, 1.5, 10.0), (4097, -0.2, 0.5),
+                                         (100003, 3.0, 1e5)))
+] + [np.full(5000, 0.1), np.full(2, -3.7), np.array([1e-300, 2.5])])
+def test_in_place_moments_equal_numpy(samples):
+    want = (samples.mean(), samples.std(ddof=1))
+    assert rates._moments(samples.copy()) == want
+
+
+def test_constant_samples_floor_the_half_width():
+    # the mean of 5000 copies of 0.1 rounds off 0.1, so the deviations are
+    # about 1e-17 rather than zero; either way the half width is the floor
+    samples = np.full(5000, 0.1)
+    est = rates._estimate("dm_pam6", "bit_metric", 40.0,
+                          rates.constellation_for("dm_pam6"), samples.copy(),
+                          5000, 0)
+    assert est.rate == math.log2(6.0) - samples.mean()
+    assert est.half_width == rates._HW_FLOOR
