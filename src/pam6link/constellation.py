@@ -12,6 +12,11 @@ Three alphabets are supported, all built on the six intensity levels
 Levels are normalized to amplitudes level/5 in [0, 1] (unipolar intensity,
 peak amplitude 1), so peak SNR is 1/sigma^2 for every scheme.
 
+``labels`` is the one definition of each mapping. A constellation derives
+two lookups from it once, on first use: packed label -> point index, which
+``map_bits`` reads, and per label bit the point rows with that bit 0 and
+with it 1, which the LLR marginalization sums.
+
 The soft demapper works points-major: the log metrics of a block of received
 groups form one (num_points, num_groups) array, so each reduction over the
 points adds whole contiguous rows instead of reducing thousands of short
@@ -39,6 +44,7 @@ samples whose means are the MI and GMI estimates.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,14 +128,29 @@ class Constellation:
     def bits_per_point(self) -> int:
         return self.labels.shape[1]
 
+    @functools.cached_property
+    def _point_of_label(self) -> np.ndarray:
+        """Point index of each packed label (``_pack``), -1 for a bit
+        pattern that is no label."""
+        table = np.full(2 ** self.bits_per_point, -1, dtype=np.intp)
+        table[_pack(self.labels)] = np.arange(self.num_points)
+        table.flags.writeable = False
+        return table
 
-def _row_index(rows, table):
-    """Index in `table` of each row of unsigned bits, -1 where absent."""
-    shape = (2,) * table.shape[1]
-    lut = np.full(2 ** table.shape[1], -1)
-    lut[np.ravel_multi_index(table.T, shape)] = np.arange(len(table))
-    inside = (rows < 2).all(axis=1)
-    return np.where(inside, lut[np.ravel_multi_index(np.minimum(rows, 1).T, shape)], -1)
+    @functools.cached_property
+    def _label_rows(self) -> tuple:
+        """Per label bit, (rows of the points whose bit is 0, rows of those
+        whose bit is 1), each ascending."""
+        rows = tuple((np.flatnonzero(bit == 0), np.flatnonzero(bit == 1))
+                     for bit in self.labels.T)
+        for r in rows:
+            r[0].flags.writeable = r[1].flags.writeable = False
+        return rows
+
+
+def _pack(rows):
+    """Rows of bits read as MSB-first integers."""
+    return rows @ (1 << np.arange(rows.shape[1] - 1, -1, -1))
 
 
 def _from_table(name, table, dimension):
@@ -162,12 +183,16 @@ def map_bits(bits, c: Constellation) -> np.ndarray:
     if len(bits) % L:
         raise ValueError(f"bit count {len(bits)} not divisible by {L}")
     groups = bits.reshape(-1, L)
-    idx = _row_index(groups, c.labels)
+    idx = np.take(c._point_of_label, _pack(np.minimum(groups, 1)))
+    if bits.max(initial=0) > 1:
+        # a group with an entry above 1 is no label, though it folds onto
+        # one above (00002 onto 00001)
+        idx[(groups > 1).any(axis=1)] = -1
     bad = np.flatnonzero(idx < 0)
     if bad.size:
         g = groups[bad[0]]
         raise ValueError(f"bit pattern {''.join(map(str, g))} is not a label of {c.name}")
-    return c.points[idx].ravel()
+    return np.take(c.points, idx, axis=0).ravel()
 
 
 def normalize(levels) -> np.ndarray:
@@ -275,10 +300,9 @@ def _label_llrs(w, c):
     """
     out = np.empty((c.bits_per_point, w.shape[1]), dtype=np.float64)
     tiny = np.finfo(np.float64).tiny
-    for j in range(c.bits_per_point):
-        mask0 = c.labels[:, j] == 0
-        s0 = w[mask0].sum(axis=0)
-        s1 = w[~mask0].sum(axis=0)
+    for j, (rows0, rows1) in enumerate(c._label_rows):
+        s0 = np.take(w, rows0, axis=0).sum(axis=0)
+        s1 = np.take(w, rows1, axis=0).sum(axis=0)
         out[j] = np.log(np.maximum(s0, tiny)) - np.log(np.maximum(s1, tiny))
     return out.T
 
@@ -341,7 +365,8 @@ def rate_samples(idx, c: Constellation, metrics, received=None, noise_var=None,
         else:
             lp = level_logposts[s * d:e * d]
             if mi is not None:
-                lev = lp[np.arange(ib.size * d), c.points[ib].ravel()] / math.log(2.0)
+                sent = np.take(c.points, ib, axis=0).ravel()
+                lev = lp[np.arange(ib.size * d), sent] / math.log(2.0)
                 mi[s:e] = lev.reshape(-1, d).sum(axis=1)
             if gmi is not None:
                 w = _weights(_level_point_metrics(lp, c))

@@ -144,7 +144,9 @@ def _check_ldpc(basegraph_path=None):
 def _check_pas(basegraph_path=None):
     """Noiseless gamma = 0.426 shaped frame against the definition of
     sign-bit shaping, and its round trip. Frames map through pam6_label, so
-    it must keep levels 0-2 on sign 0 and give v and 5 - v one pair."""
+    it must keep levels 0-2 on sign 0 and give v and 5 - v one pair. A
+    second frame is encoded before the first is decoded, so pas_decode
+    inverts the matcher rather than reading its record of the last frame."""
     labels = cst.build_constellation("pam6_label").labels
     if labels[:3, 0].any() or not np.array_equal(labels[:, 1:], labels[::-1, 1:]):
         return False, "pam6_label must put levels 0-2 on sign 0 and v, 5 - v on one pair"
@@ -153,7 +155,7 @@ def _check_pas(basegraph_path=None):
     comp = shaping.Composition.near_uniform(n)
     k = shaping.ccdm_input_length(comp)
     code = ldpc_build(3 * n, 2 * n + g, basegraph=bg)
-    d = np.random.default_rng(6).integers(0, 2, size=k + g).astype(np.uint8)
+    d, d_next = np.random.default_rng(6).integers(0, 2, size=(2, k + g)).astype(np.uint8)
     x = shaping.pas_encode(d, comp, code)
     if not np.array_equal(np.minimum(x, 5 - x), shaping.ccdm_encode(d[:k], comp)):
         return False, "levels do not fold onto the matcher's amplitudes"
@@ -162,6 +164,7 @@ def _check_pas(basegraph_path=None):
     if not (np.array_equal(s[: n - g], ldpc_encode(u, code)[code.k:])
             and np.array_equal(s[n - g:], d[k:])):
         return False, "signs are not (parity, extra data bits)"
+    shaping.pas_encode(d_next, comp, code)
     got, ok = shaping.pas_decode((1.0 - 2.0 * labels[x]) * 8.0, comp, code)
     ok = ok and np.array_equal(got, d)
     return ok, f"k={k} + g={g} bits, noiseless round trip" if ok else "decode mismatch"

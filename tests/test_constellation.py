@@ -89,6 +89,31 @@ def test_map_bits_rejects_non_label_pattern():
             map_bits(bits, c)
 
 
+def test_map_bits_refuses_non_binary_entry_that_packs_to_a_label():
+    # 0 0 0 0 2 would pack like 00010, the label of point (2, 1); the entry
+    # above 1 must still be refused, after a valid group
+    c = build_constellation("cross_qam32")
+    assert np.array_equal(map_bits([0, 0, 0, 1, 0], c), [2, 1])
+    bits = np.concatenate([c.labels[0], [0, 0, 0, 0, 2]])
+    with pytest.raises(ValueError,
+                       match="bit pattern 00002 is not a label of cross_qam32"):
+        map_bits(bits, c)
+
+
+def test_map_bits_accepts_exactly_the_labels(const):
+    # every bit pattern of the label width: a label sends its point, any
+    # other pattern is refused
+    L = const.bits_per_point
+    points = {tuple(lab): tuple(p) for lab, p in zip(const.labels, const.points)}
+    for v in range(2 ** L):
+        pattern = tuple((v >> (L - 1 - j)) & 1 for j in range(L))
+        if pattern in points:
+            assert tuple(map_bits(pattern, const)) == points[pattern]
+        else:
+            with pytest.raises(ValueError, match="is not a label"):
+                map_bits(pattern, const)
+
+
 def test_normalize_peak():
     amps = normalize([0, 5, 3])
     assert amps.max() == 1.0 and amps.min() == 0.0

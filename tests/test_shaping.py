@@ -1,11 +1,14 @@
 """Matcher round trips, composition bookkeeping, and the PAS frame layout."""
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pam6link import shaping
 from pam6link.constellation import build_constellation
 from pam6link.fec.ldpc import ldpc_build, ldpc_encode
 from pam6link.shaping import (Composition, _leaf_size, ccdm_decode, ccdm_encode,
@@ -284,6 +287,104 @@ def test_pas_small_frame_round_trip():
     llrs = (1.0 - 2.0 * _label_bits(x).astype(np.float64)) * 9.0
     got, ok = pas_decode(llrs, comp, code)
     assert ok and np.array_equal(got, d)
+
+
+def _noiseless_llrs(x):
+    return (1.0 - 2.0 * _label_bits(x).astype(np.float64)) * 9.0
+
+
+@pytest.fixture
+def matcher_calls(monkeypatch):
+    """Counts the ccdm_decode calls pas_decode makes."""
+    calls = []
+
+    def counted(a, comp):
+        calls.append(1)
+        return ccdm_decode(a, comp)
+
+    monkeypatch.setattr(shaping, "ccdm_decode", counted)
+    return calls
+
+
+def test_pas_decode_of_an_earlier_frame_runs_the_matcher_inverse(matcher_calls):
+    comp, code, d_a = _small_frame(6)
+    _, _, d_b = _small_frame(7)
+    x_a = pas_encode(d_a, comp, code)
+    x_b = pas_encode(d_b, comp, code)
+    got, ok = pas_decode(_noiseless_llrs(x_a), comp, code)
+    assert ok and np.array_equal(got, d_a) and len(matcher_calls) == 1
+    # the frame encoded last is read from the record, with the same bits
+    got, ok = pas_decode(_noiseless_llrs(x_b), comp, code)
+    assert ok and np.array_equal(got, d_b) and len(matcher_calls) == 1
+
+
+def test_other_amplitudes_never_return_the_recorded_bits():
+    comp, code, d = _small_frame(8)
+    assert comp.counts == (40, 40, 40)
+    pas_encode(d, comp, code)
+    k = ccdm_input_length(comp)
+    a = ccdm_encode(d[:k], comp)
+    i, j = np.flatnonzero(a == 0)[0], np.flatnonzero(a == 2)[0]
+    swapped = a.copy()
+    swapped[[i, j]] = swapped[[j, i]]
+    # another sequence of the class, a shorter one, and the recorded one
+    # read under another composition decode as the matcher inverse says
+    others = [(swapped, comp), (np.roll(a, 1), comp), (a[1:], comp),
+              (a, Composition((41, 40, 39)))]
+    for seq, c in others:
+        want = _decode_outcome(ccdm_decode, seq, c)
+        got = _decode_outcome(shaping._unmatch, seq, c)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert np.array_equal(got, want) and not np.array_equal(got, d[:k])
+
+
+def test_changing_decoded_bits_leaves_the_next_decode_alone():
+    comp, code, d = _small_frame(9)
+    source = d.copy()
+    x = pas_encode(source, comp, code)
+    source ^= 1
+    got, ok = pas_decode(_noiseless_llrs(x), comp, code)
+    assert ok and np.array_equal(got, d)
+    got ^= 1
+    again, ok = pas_decode(_noiseless_llrs(x), comp, code)
+    assert ok and np.array_equal(again, d)
+    # the matcher inverse itself hands out a copy of the recorded bits
+    k = ccdm_input_length(comp)
+    a = np.minimum(x, 5 - x)
+    head = shaping._unmatch(a, comp)
+    head ^= 1
+    assert np.array_equal(shaping._unmatch(a, comp), d[:k])
+
+
+def test_threads_decode_their_own_frames():
+    # with more threads than cores and a short switch interval, the record
+    # the matcher inverse reads often belongs to another thread's frame,
+    # or is replaced while it is read; every thread must still get back
+    # its own frame's bits
+    comp, code, _ = _small_frame(0)
+    k = ccdm_input_length(comp)
+
+    def wrong_frames(seed):
+        frames = [_small_frame(seed + i)[2] for i in (0, 100)]
+        wrong = 0
+        for i in range(100):
+            d = frames[i % 2]
+            x = pas_encode(d, comp, code)
+            head = shaping._unmatch(np.minimum(x, 5 - x), comp)
+            wrong += not np.array_equal(head, d[:k])
+        got, ok = pas_decode(_noiseless_llrs(x), comp, code)
+        return wrong + (not (ok and np.array_equal(got, d)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            wrong = list(pool.map(wrong_frames, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == [0] * 8
 
 
 def test_pas_decode_flags_invalid_pairs():
