@@ -12,6 +12,12 @@ import math
 
 import numpy as np
 
+# largest |peak SNR| in dB, so noise variances stay in [1e-300, 1e300]. A
+# sample 5.5 sigma from a level squares to about 30 variances: 3e301 at
+# 1e300, far below the float maximum, which -3080 dB (variance 1e308)
+# overflows. At 1e-300 a unit distance scales to a metric of 5e299.
+MAX_SNR_DB = 3000.0
+
 
 def check_seed(seed: int) -> None:
     """Raise ValueError unless seed fits the 64-bit Philox key word."""
@@ -71,15 +77,12 @@ def transmit(amplitudes, noise_var: float, noise: np.random.Generator,
 def sigma_for_peak_snr(snr_db: float) -> float:
     """Noise variance giving the requested peak SNR, (peak amplitude 1)^2 / sigma^2.
 
-    Raises ValueError unless that variance is positive and finite (a NaN or
-    infinite SNR, or one beyond the float range, has none).
+    Raises ValueError unless |snr_db| <= MAX_SNR_DB (a NaN or infinite SNR
+    is outside too).
     """
-    try:
-        noise_var = 10.0 ** (-snr_db / 10.0)
-    except OverflowError:
-        noise_var = math.inf
-    if not 0 < noise_var < math.inf:
+    if not abs(snr_db) <= MAX_SNR_DB:
         raise ValueError(
-            f"peak SNR {snr_db} dB gives noise variance {noise_var}; "
-            "need a positive finite one")
-    return noise_var
+            f"peak SNR {snr_db} dB outside [-{MAX_SNR_DB}, {MAX_SNR_DB}] dB, "
+            "where the noise variance is positive finite and every metric "
+            "of a received sample stays finite")
+    return 10.0 ** (-snr_db / 10.0)

@@ -80,7 +80,7 @@ def _cmd_run(args) -> int:
 def _cmd_selfcheck(args) -> int:
     from .selfcheck import run_selfcheck
 
-    results = run_selfcheck(basegraph_path=args.basegraph)
+    results = run_selfcheck()
     width = max(len(name) for name, _, _ in results)
     for name, ok, detail in results:
         line = f"{name:<{width}}  {'PASS' if ok else 'FAIL'}"
@@ -142,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(fn=_cmd_run)
 
     ps = sub.add_parser("selfcheck", help="run the built-in oracle suite")
-    ps.add_argument("--basegraph", default=None, metavar="PATH",
-                    help="check this base-graph file instead of the packaged one")
     ps.add_argument("--verbose", action="store_true",
                     help="print detail for passing checks too")
     ps.set_defaults(fn=_cmd_selfcheck)

@@ -1,8 +1,8 @@
 """Receiver DSP: symbol-wise BCJR detection over a known ISI trellis.
 
 Links with residual inter-symbol interference (the ``fir_isi`` channel)
-are detected by an exact log-domain BCJR over the channel taps; its
-per-symbol level posteriors feed the rate estimators.
+are detected by an exact log-domain BCJR over the channel taps and the
+PAM-6 levels; its per-symbol level posteriors feed the rate estimators.
 
 Cost of one ``bcjr_app`` call on B rows of T observations over S states
 and Q symbols: O(T) Python steps of one stacked (B, 2, Q, S) log-sum-exp
@@ -21,10 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constellation import LEVELS, normalize
+
 
 @dataclass(frozen=True)
 class Trellis:
-    """Branch means of a 6-ary (or general Q-ary) ISI trellis.
+    """Branch means of the ISI trellis over the Q = 6 PAM-6 levels.
 
     A state holds the last len(taps) - 1 symbol indices base Q; branch
     b = prev_state*Q + symbol leads to state (Q*prev_state + symbol) mod
@@ -37,9 +39,10 @@ class Trellis:
     branch_mean: np.ndarray = field(repr=False)
 
 
-def make_trellis(taps: np.ndarray, levels: np.ndarray) -> Trellis:
+def make_trellis(taps) -> Trellis:
+    """The trellis of FIR taps over the normalized levels normalize(LEVELS)."""
     taps = np.asarray(taps, dtype=np.float64).ravel()
-    levels = np.asarray(levels, dtype=np.float64).ravel()
+    levels = normalize(LEVELS)
     q = levels.size
     n_states = q**(taps.size - 1)
     b = np.arange(n_states * q)
@@ -85,27 +88,27 @@ def rows_per_call(trellis: Trellis) -> int:
     return (s * q + 2 * s + q) // (2 * s + q)
 
 
-def _branch_metrics(y: np.ndarray, trellis: Trellis, scale: np.ndarray,
+def _branch_metrics(y: np.ndarray, trellis: Trellis, scale: float,
                     out: np.ndarray) -> None:
     """Write the gaussian branch log-likelihoods of y to out.
 
-    y is (n, B), time-major; scale holds -0.5/noise_var per row; out is
-    (n, B, S*Q). Every element is formed by the same three operations
-    whatever the block, so forming a step twice gives the same floats.
+    y is (n, B), time-major; scale is -0.5/noise_var; out is (n, B, S*Q).
+    Every element is formed by the same three operations whatever the
+    block, so forming a step twice gives the same floats.
     """
     np.subtract(y[:, :, None], trellis.branch_mean, out=out)
     np.square(out, out=out)
-    np.multiply(out, scale[:, None], out=out)
+    np.multiply(out, scale, out=out)
 
 
-def bcjr_app(y: np.ndarray, trellis: Trellis, noise_var):
+def bcjr_app(y: np.ndarray, trellis: Trellis, noise_var: float):
     """Exact symbol-wise log-APPs over an ISI trellis (log-domain BCJR).
 
     y is (B, T): B independent observation sequences of T uses each,
-    detected together; noise_var is the white-noise variance of each row
-    (a scalar applies to every row). Symbols are equiprobable. Returns a
-    (B, T, Q) array of log posteriors normalized per symbol; row r equals
-    what a call on y[r:r + 1] alone returns, bit for bit.
+    detected together at the one white-noise variance noise_var. Symbols
+    are equiprobable. Returns a (B, T, Q) array of log posteriors
+    normalized per symbol; row r equals what a call on y[r:r + 1] alone
+    returns, bit for bit.
 
     Branch b = p*Q + s (state p, symbol s) leads to state
     Q*(p mod L) + s with L = S/Q (1 without memory). One loop of T steps
@@ -124,7 +127,7 @@ def bcjr_app(y: np.ndarray, trellis: Trellis, noise_var):
     if y.ndim != 2:
         raise ValueError(f"y must be (rows, uses), got shape {y.shape}")
     rows, t_len = y.shape
-    scale = -0.5 / np.broadcast_to(np.asarray(noise_var, dtype=np.float64), (rows,))
+    scale = -0.5 / float(noise_var)
     q = trellis.levels.size
     ns = trellis.n_states
     lead = max(ns // q, 1)

@@ -1,4 +1,4 @@
-"""Quasi-cyclic LDPC codes lifted from a plain-text base graph.
+"""Quasi-cyclic LDPC codes lifted from the packaged base graph data/basegraph_v1.txt.
 
 The base graph has kb = 10 systematic block-columns and an accumulator-chain
 parity part, so encoding is forward substitution over the lifted blocks. Rate
@@ -78,7 +78,7 @@ class BaseGraph:
 
 
 def load_basegraph(path=None) -> BaseGraph:
-    """Parse a base-graph file; default is the packaged basegraph_v1.txt."""
+    """Parse a base-graph file; default is the packaged one, which ldpc_build lifts."""
     if path is None:
         ref = importlib.resources.files("pam6link.fec") / "data/basegraph_v1.txt"
         text = ref.read_text()
@@ -149,9 +149,9 @@ def rate_match(bg: BaseGraph, codelength: int, k: int) -> tuple[int, int]:
     return z, m_use
 
 
-def ldpc_build(codelength: int, k: int, basegraph: BaseGraph = None) -> LdpcCode:
-    """Rate-match the base graph to k data bits in a codelength word and lift it."""
-    bg = basegraph if basegraph is not None else load_basegraph()
+def ldpc_build(codelength: int, k: int) -> LdpcCode:
+    """Rate-match the packaged base graph to k data bits in a codelength word, lift it."""
+    bg = load_basegraph()
     k = operator.index(k)
     if not 0 < k < codelength:
         raise ValueError(f"need 0 < k < n, got k={k}, n={codelength}")

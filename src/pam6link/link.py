@@ -34,7 +34,6 @@ from .fec import ldpc_build, ldpc_decode, ldpc_encode
 from .fec.scramble import adapt_llrs, scramble
 from .rates import bisect, constellation_for
 
-SCRAMBLE_SEED = 0xC0DEC
 CODECS = ("ldpc",)
 SNR_BRACKET_DB = (15.0, 35.0)  # peak SNRs snr_at_fer searches between
 MAX_FRAME_SYMBOLS = 10**5  # largest frame; the dm_pam6 matcher size grows
@@ -65,12 +64,8 @@ def check_frame_symbols(scheme: str, frame_symbols: int) -> None:
 
 
 @functools.lru_cache(maxsize=16)
-def build_coded(
-    scheme: str,
-    rate_bpcu: float,
-    frame_symbols: int = 1000,
-    codec: str = "ldpc",
-) -> CodedScheme:
+def build_coded(scheme: str, rate_bpcu: float, frame_symbols: int, codec: str,
+                /) -> CodedScheme:
     """Resolve a (scheme, rate) request into the LDPC-coded frame it sends:
     the one place that decides what a frame carries.
 
@@ -80,8 +75,7 @@ def build_coded(
     data sign bits, g an integer in [0, n), so that parity is left.
     Raises ValueError for anything a frame cannot realize, code limits
     included, and for any codec but "ldpc". Memoized, and the codes'
-    arrays are read-only: call it with all four arguments positionally, so
-    that every caller hits the same entry.
+    arrays are read-only.
     """
     if codec not in CODECS:
         raise ValueError(f"unknown codec {codec!r}; expected one of {CODECS}")
@@ -120,14 +114,15 @@ def build_coded(
 
 
 def encode_frame(cs: CodedScheme, data: np.ndarray) -> np.ndarray:
-    """Source bits -> PAM-6 levels for one frame."""
-    data = np.asarray(data, dtype=np.uint8).ravel()
+    """Source bits -> PAM-6 levels for one frame. Raises ValueError unless
+    data holds cs.data_bits entries, each 0 or 1."""
+    data = shaping.as_bits(data, "frame data")
     if data.size != cs.data_bits:
         raise ValueError(f"expected {cs.data_bits} data bits, got {data.size}")
     if cs.scheme == "dm_pam6":
         return shaping.pas_encode(data, cs.comp, cs.ldpc)
     coded = ldpc_encode(data, cs.ldpc)
-    return map_bits(scramble(coded, SCRAMBLE_SEED), cs.constellation)
+    return map_bits(scramble(coded), cs.constellation)
 
 
 def decode_frame(cs: CodedScheme, received: np.ndarray, noise_var: float):
@@ -136,7 +131,7 @@ def decode_frame(cs: CodedScheme, received: np.ndarray, noise_var: float):
     if cs.scheme == "dm_pam6":
         llrs = bit_llrs(y, cs.constellation, noise_var).reshape(-1, 3)
         return shaping.pas_decode(llrs, cs.comp, cs.ldpc)
-    llr = adapt_llrs(bit_llrs(y, cs.constellation, noise_var), SCRAMBLE_SEED)
+    llr = adapt_llrs(bit_llrs(y, cs.constellation, noise_var))
     bits, converged, _ = ldpc_decode(llr, cs.ldpc)
     return bits, bool(converged)
 

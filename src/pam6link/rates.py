@@ -26,7 +26,7 @@ import numpy as np
 
 from . import constellation, shaping
 from .channel import philox, sigma_for_peak_snr, transmit
-from .constellation import LEVELS, build_constellation, normalize, rate_samples
+from .constellation import build_constellation, normalize, rate_samples
 from .dsp import bcjr_app, make_trellis, rows_per_call
 
 SCHEMES = ("cross_qam32", "framed_cross_qam32", "dm_pam6")
@@ -121,11 +121,6 @@ def _awgn_samples(c, noise_var, metrics, num_symbols, seed):
     return out
 
 
-def _trellis(taps):
-    """The exact ISI trellis over the six normalized levels."""
-    return make_trellis(np.asarray(taps, dtype=np.float64), normalize(LEVELS))
-
-
 def _moments(samples):
     """(mean, std with ddof=1) of samples, equal to samples.mean() and
     samples.std(ddof=1) bit for bit. The deviations are formed in place,
@@ -197,7 +192,7 @@ def estimate_rates_per_scheme(
             raise ValueError(f"unknown metric {m!r}; expected one of {METRICS}")
     for s in schemes:  # first: the trellis of too many taps would not fit
         check_num_symbols(s, num_symbols, taps)
-    trellis = None if taps is None else _trellis(taps)
+    trellis = None if taps is None else make_trellis(taps)
     rows = 1 if trellis is None else rows_per_call(trellis)
     out = []
     for s0 in range(0, len(schemes), rows):

@@ -1,8 +1,8 @@
 """Built-in oracle suite behind the ``selfcheck`` CLI subcommand.
 
 Each check is small, seeded, and independent; together they catch the
-failure modes that silently corrupt results: a damaged base-graph file, a
-tampered label table, a demapper whose LLRs, posteriors or MI/GMI samples
+failure modes that silently corrupt results: a damaged packaged base graph,
+a tampered label table, a demapper whose LLRs, posteriors or MI/GMI samples
 drift from a log-sum-exp over every point, a broken matcher round trip, a
 shaped frame whose signs no longer carry (parity, extra data bits), or a
 detector that no longer agrees with exhaustive enumeration. Check names
@@ -20,11 +20,11 @@ from .dsp import bcjr_app, make_trellis
 from .fec.ldpc import ldpc_build, ldpc_decode, ldpc_encode, load_basegraph
 
 
-def _check_basegraph(basegraph_path=None):
-    """Parse the base-graph file and re-verify its structural contract."""
-    where = basegraph_path if basegraph_path is not None else "packaged basegraph_v1.txt"
+def _check_basegraph():
+    """Parse the packaged base-graph file and re-verify its structural contract."""
+    where = "packaged basegraph_v1.txt"
     try:
-        bg = load_basegraph(basegraph_path)
+        bg = load_basegraph()
     except (ValueError, OSError) as e:
         return False, f"{where}: {e}"
     s = bg.shifts
@@ -110,7 +110,7 @@ def _check_ccdm():
 def _check_bcjr():
     rng = np.random.default_rng(7)
     taps = np.array([1.0, 0.35])
-    tr = make_trellis(taps, np.arange(6) / 5.0)
+    tr = make_trellis(taps)
     nv = 0.05
     x = rng.integers(0, 6, size=6)
     y = np.convolve(x / 5.0, taps)[: len(x)] + 0.1 * rng.standard_normal(len(x))
@@ -129,10 +129,9 @@ def _check_bcjr():
     return ok, f"max |posterior - enumeration| = {err:.2e}"
 
 
-def _check_ldpc(basegraph_path=None):
-    bg = load_basegraph(basegraph_path) if basegraph_path else None
+def _check_ldpc():
     rng = np.random.default_rng(5)
-    code = ldpc_build(2500, 2000, basegraph=bg)
+    code = ldpc_build(2500, 2000)
     u = rng.integers(0, 2, size=code.k).astype(np.uint8)
     cw = ldpc_encode(u, code)
     llrs = (1.0 - 2.0 * cw.astype(np.float64)) * 8.0
@@ -141,7 +140,7 @@ def _check_ldpc(basegraph_path=None):
     return ok, "noiseless encode/decode identity" if ok else "decode mismatch"
 
 
-def _check_pas(basegraph_path=None):
+def _check_pas():
     """Noiseless gamma = 0.426 shaped frame against the definition of
     sign-bit shaping, and its round trip. Frames map through pam6_label, so
     it must keep levels 0-2 on sign 0 and give v and 5 - v one pair. A
@@ -150,11 +149,10 @@ def _check_pas(basegraph_path=None):
     labels = cst.build_constellation("pam6_label").labels
     if labels[:3, 0].any() or not np.array_equal(labels[:, 1:], labels[::-1, 1:]):
         return False, "pam6_label must put levels 0-2 on sign 0 and v, 5 - v on one pair"
-    bg = load_basegraph(basegraph_path) if basegraph_path else None
     n, g = 1000, 426
     comp = shaping.Composition.near_uniform(n)
     k = shaping.ccdm_input_length(comp)
-    code = ldpc_build(3 * n, 2 * n + g, basegraph=bg)
+    code = ldpc_build(3 * n, 2 * n + g)
     d, d_next = np.random.default_rng(6).integers(0, 2, size=(2, k + g)).astype(np.uint8)
     x = shaping.pas_encode(d, comp, code)
     if not np.array_equal(np.minimum(x, 5 - x), shaping.ccdm_encode(d[:k], comp)):
@@ -171,31 +169,30 @@ def _check_pas(basegraph_path=None):
 
 
 CHECKS = (
-    ("basegraph_file", _check_basegraph, True),
-    ("gray_framed_cross_qam32", lambda: _check_gray("framed_cross_qam32", False), False),
-    ("gray_pam6", lambda: _check_gray("pam6_label", False), False),
-    ("gray_cross_qam32_violations", lambda: _check_gray("cross_qam32", True), False),
-    ("demapper_cross_qam32", lambda: _check_demapper("cross_qam32"), False),
-    ("demapper_framed_cross_qam32",
-     lambda: _check_demapper("framed_cross_qam32"), False),
-    ("demapper_pam6", lambda: _check_demapper("pam6_label"), False),
-    ("ccdm_round_trip", _check_ccdm, False),
-    ("bcjr_brute_force", _check_bcjr, False),
-    ("ldpc_round_trip", _check_ldpc, True),
-    ("pas_round_trip", _check_pas, True),
+    ("basegraph_file", _check_basegraph),
+    ("gray_framed_cross_qam32", lambda: _check_gray("framed_cross_qam32", False)),
+    ("gray_pam6", lambda: _check_gray("pam6_label", False)),
+    ("gray_cross_qam32_violations", lambda: _check_gray("cross_qam32", True)),
+    ("demapper_cross_qam32", lambda: _check_demapper("cross_qam32")),
+    ("demapper_framed_cross_qam32", lambda: _check_demapper("framed_cross_qam32")),
+    ("demapper_pam6", lambda: _check_demapper("pam6_label")),
+    ("ccdm_round_trip", _check_ccdm),
+    ("bcjr_brute_force", _check_bcjr),
+    ("ldpc_round_trip", _check_ldpc),
+    ("pas_round_trip", _check_pas),
 )
 
 
-def run_selfcheck(basegraph_path=None):
+def run_selfcheck():
     """Run every check; returns [(name, ok, detail)].
 
     A check that raises is reported as failed with the exception text, so
     one broken table cannot take down the whole report.
     """
     results = []
-    for name, fn, takes_path in CHECKS:
+    for name, fn in CHECKS:
         try:
-            ok, detail = fn(basegraph_path) if takes_path else fn()
+            ok, detail = fn()
         except Exception as e:  # noqa: BLE001 -- report, never crash the suite
             ok, detail = False, f"{type(e).__name__}: {e}"
         results.append((name, bool(ok), detail))

@@ -82,7 +82,7 @@ def ccdm_input_length(comp: Composition) -> int:
     return comp.multinomial().bit_length() - 1
 
 
-def _as_bits(data, what: str) -> np.ndarray:
+def as_bits(data, what: str) -> np.ndarray:
     """Flat uint8 copy of a 0/1 array; any other entry raises ValueError."""
     data = np.asarray(data).ravel()
     if not np.all((data == 0) | (data == 1)):
@@ -98,7 +98,7 @@ def ccdm_encode(data, comp: Composition) -> np.ndarray:
     remaining sequence counts is subdivided proportionally to the remaining
     symbol counts at every position.
     """
-    data = _as_bits(data, "matcher input")
+    data = as_bits(data, "matcher input")
     k = ccdm_input_length(comp)
     if len(data) != k:
         raise ValueError(f"matcher input must be {k} bits, got {len(data)}")
@@ -226,7 +226,7 @@ def pas_encode(d, comp: Composition, code) -> np.ndarray:
     """
     g = _extra_bits(comp, code)
     k = ccdm_input_length(comp)
-    d = _as_bits(d, "source")
+    d = as_bits(d, "source")
     if len(d) != k + g:
         raise ValueError(f"source must provide {k + g} bits (k={k}, g={g}), got {len(d)}")
     global _last_match

@@ -186,7 +186,7 @@ def test_trellis_posteriors_match_enumeration():
         clean = np.convolve(LEVELS[sym], taps)[:t_len]
         nv = float(rng.uniform(0.02, 0.3)) ** 2
         y = clean + math.sqrt(nv) * rng.standard_normal(t_len)
-        got = bcjr_app(y[None], make_trellis(taps, LEVELS), nv)[0]
+        got = bcjr_app(y[None], make_trellis(taps), nv)[0]
         ref = _enumerated_app(y, taps, nv)
         worst = max(worst, float(np.max(np.abs(got - ref))))
     ok = worst <= 1e-9

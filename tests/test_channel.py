@@ -67,7 +67,7 @@ def test_philox_rejects_seed_outside_key_word(seed):
 
 
 @pytest.mark.parametrize("snr", [float("nan"), float("inf"), float("-inf"),
-                                 4000.0, -4000.0])
+                                 4000.0, -4000.0, 3200.0, -3080.0, 3000.001])
 def test_sigma_for_peak_snr_rejects_snr_without_noise_variance(snr):
     with pytest.raises(ValueError, match="positive finite"):
         sigma_for_peak_snr(snr)
@@ -76,7 +76,7 @@ def test_sigma_for_peak_snr_rejects_snr_without_noise_variance(snr):
 def test_peak_snr_round_trip():
     # unit peak amplitude with noise_var 0.01 is 20 dB
     assert sigma_for_peak_snr(20.0) == pytest.approx(1e-2, rel=1e-15)
-    for snr in [10.0, 21.5, 40.0]:
+    for snr in [10.0, 21.5, 40.0, -3000.0, 3000.0]:
         assert -10.0 * np.log10(sigma_for_peak_snr(snr)) == \
             pytest.approx(snr, abs=1e-12)
 

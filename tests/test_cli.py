@@ -4,8 +4,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from pam6link import constellation
+from pam6link import constellation, selfcheck
 from pam6link.cli import main
+from pam6link.fec.ldpc import load_basegraph
 
 TINY = """
 scheme: dm_pam6
@@ -144,6 +145,22 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert main(["bogus-command"]) == 1
 
 
+@pytest.mark.parametrize("snr", ["-3080", "3200"])
+@pytest.mark.parametrize("scheme,metric", [("dm_pam6", "symbol_metric"),
+                                           ("cross_qam32", "bit_metric")])
+def test_snr_beyond_the_metric_range_exits_1(tmp_path, capsys, snr, scheme, metric):
+    # -3080 dB overflowed a squared distance, 3200 dB a scaled one
+    err = f"config error: snr_db: peak SNR {float(snr)} dB outside"
+    cfg = tmp_path / "extreme.yaml"
+    cfg.write_text(f"scheme: {scheme}\nmetric: {metric}\nsnr_db: [{snr}]\n"
+                   "num_symbols: 10000\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert err in capsys.readouterr().err
+    assert main(["rates", "--scheme", scheme, "--metric", metric,
+                 f"--snr={snr}", "--num-symbols", "10000"]) == 1
+    assert err in capsys.readouterr().err
+
+
 def test_runtime_errors_exit_2(tmp_path, capsys):
     cfg = tmp_path / "tiny.yaml"
     cfg.write_text(TINY)
@@ -228,7 +245,7 @@ def test_selfcheck_passes(capsys):
     assert "FAIL" not in out
 
 
-def test_selfcheck_detects_corrupt_basegraph(tmp_path, capsys):
+def test_selfcheck_detects_corrupt_basegraph(tmp_path, monkeypatch, capsys):
     import importlib.resources
 
     good = (importlib.resources.files("pam6link")
@@ -243,11 +260,15 @@ def test_selfcheck_detects_corrupt_basegraph(tmp_path, capsys):
         lines[i] = " ".join(row)
     bad = tmp_path / "tampered.txt"
     bad.write_text("\n".join(lines) + "\n")
-    assert main(["selfcheck", "--basegraph", str(bad)]) == 3
+    # the file still parses: only the structural check can catch the cycle
+    tampered = load_basegraph(bad)
+    monkeypatch.setattr(selfcheck, "load_basegraph", lambda: tampered)
+    assert main(["selfcheck"]) == 3
     out = capsys.readouterr().out
     line = next(l for l in out.split("\n") if l.startswith("basegraph_file"))
-    assert "FAIL" in line and "tampered.txt" in out
-    assert "rows 0,1 cols 0,1 close a 4-cycle (shift sum 0)" in out
+    assert "FAIL" in line
+    assert "rows 0,1 cols 0,1 close a 4-cycle (shift sum 0)" in line
+    assert "10/11 checks passed" in out
 
 
 def test_selfcheck_detects_tampered_labels(monkeypatch, capsys):

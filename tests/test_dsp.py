@@ -14,7 +14,8 @@ LEVELS = np.arange(6) / 5.0
 
 
 def test_trellis_structure():
-    tr = make_trellis(np.array([1.0, 0.4]), LEVELS)
+    tr = make_trellis([1.0, 0.4])
+    assert np.array_equal(tr.levels, LEVELS)
     assert tr.n_states == 6
     assert tr.branch_mean.size == 36
     # branch (prev_state=2, symbol=5): mean = 1.0*levels[5] + 0.4*levels[2]
@@ -43,7 +44,7 @@ def _brute_force_app(y, taps, noise_var):
 def test_bcjr_matches_exhaustive_map():
     rng = np.random.default_rng(6)
     taps = np.array([1.0, 0.35, -0.12])
-    tr = make_trellis(taps, LEVELS)
+    tr = make_trellis(taps)
     sym = rng.integers(0, 6, size=6)
     x = np.convolve(LEVELS[sym], taps)[:6]
     y = x + 0.15 * rng.standard_normal(6)
@@ -58,7 +59,7 @@ def test_bcjr_memoryless_matches_pointwise_at_block_edges(length):
     # the posteriors are formed in blocks of steps: lengths around the block
     # size check that every step is written, across block boundaries
     rng = np.random.default_rng(length)
-    tr = make_trellis(np.array([1.0]), LEVELS)
+    tr = make_trellis([1.0])
     y = rng.uniform(-0.2, 1.2, size=length)
     ll = -0.5 * (y[:, None] - LEVELS[None, :]) ** 2 / 0.05
     got = bcjr_app(y[None], tr, noise_var=0.05)[0]
@@ -114,7 +115,7 @@ def test_bcjr_equals_per_step_reference(taps):
     # have the two directions cross mid-loop, and the posteriors are formed
     # in blocks after it
     rng = np.random.default_rng(len(taps))
-    tr = make_trellis(np.array(taps), LEVELS)
+    tr = make_trellis(taps)
     for length in (1, 2, 3, 5, POSTERIOR_BLOCK, POSTERIOR_BLOCK + 1,
                    2 * POSTERIOR_BLOCK + 3):
         sym = rng.integers(0, 6, size=length)
@@ -127,29 +128,32 @@ def test_bcjr_equals_per_step_reference(taps):
                                   (1.0, 0.3, 0.2, 0.1)])
 def test_stacked_rows_equal_single_row_calls(taps):
     # rows advance in one loop over a (B, 2, Q, S) buffer and share each
-    # block of branch metrics; each must still be the one-row result
+    # block of branch metrics; each must still be the one-row result, at
+    # any noise variance
     rng = np.random.default_rng(10 + len(taps))
-    tr = make_trellis(np.array(taps), LEVELS)
-    nvs = np.array([1e-4, 0.0049, 0.1])
-    for length in (1, 3, 5, POSTERIOR_BLOCK - 1, POSTERIOR_BLOCK + 1, 1000):
+    tr = make_trellis(taps)
+    for length, nv in zip((1, 3, 5, POSTERIOR_BLOCK - 1, POSTERIOR_BLOCK + 1, 1000),
+                          (1e-4, 0.0049, 0.1) * 2):
         y = np.stack([
             np.convolve(LEVELS[rng.integers(0, 6, size=length)], taps)[:length]
-            + np.sqrt(nv) * rng.standard_normal(length) for nv in nvs])
-        got = bcjr_app(y, tr, nvs)
+            + np.sqrt(nv) * rng.standard_normal(length) for _ in range(3)])
+        got = bcjr_app(y, tr, nv)
         assert got.shape == (3, length, 6)
         for r in range(3):
-            assert np.array_equal(got[r], bcjr_app(y[r:r + 1], tr, nvs[r])[0])
+            assert np.array_equal(got[r], bcjr_app(y[r:r + 1], tr, nv)[0])
     with pytest.raises(ValueError, match="rows, uses"):
-        bcjr_app(y[0], tr, nvs[0])
+        bcjr_app(y[0], tr, nv)
+    with pytest.raises(TypeError):  # one variance for all rows
+        bcjr_app(y, tr, np.full(3, nv))
 
 
 def test_stacked_call_holds_no_more_than_one_rows_branch_metrics():
     # rows_per_call rows of 1e4 uses at two taps stay below what the
     # branch metrics of those uses alone would take, 3 * T * S * Q floats
-    tr = make_trellis(np.array([1.0, 0.35]), LEVELS)
+    tr = make_trellis([1.0, 0.35])
     rows, t_len = rows_per_call(tr), 10**4
     assert rows == 3
-    assert rows_per_call(make_trellis(np.array([1.0]), LEVELS)) == 1
+    assert rows_per_call(make_trellis([1.0])) == 1
     y = np.random.default_rng(3).uniform(-0.2, 1.5, size=(rows, t_len))
     tracemalloc.start()
     try:
@@ -183,7 +187,7 @@ def test_isi_rates_pinned_exactly(scheme):
 @settings(max_examples=20, deadline=None)
 def test_bcjr_memoryless_reduces_to_pointwise_posterior(seed):
     rng = np.random.default_rng(seed)
-    tr = make_trellis(np.array([1.0]), LEVELS)
+    tr = make_trellis([1.0])
     y = rng.uniform(-0.2, 1.2, size=8)
     got = bcjr_app(y[None], tr, noise_var=0.05)[0]
     ll = -0.5 * (y[:, None] - LEVELS[None, :]) ** 2 / 0.05
@@ -194,7 +198,7 @@ def test_bcjr_memoryless_reduces_to_pointwise_posterior(seed):
 def test_bcjr_high_snr_recovers_sequence():
     rng = np.random.default_rng(8)
     taps = np.array([1.0, 0.45, 0.1])
-    tr = make_trellis(taps, LEVELS)
+    tr = make_trellis(taps)
     sym = rng.integers(0, 6, size=400)
     x = np.convolve(LEVELS[sym], taps)[:400]
     y = x + 0.01 * rng.standard_normal(400)

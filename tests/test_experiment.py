@@ -555,9 +555,9 @@ FIELDS = ("schemes", "metric", "snr_db", "seeds", "channel", "channel.kind",
           "codec.family", "codec.rate", "codec.rate_grid", "fer_target",
           "max_frames", "min_errors", "output")
 DROP, AS_LIST, AS_MAPPING = object(), object(), object()
-EDGES = (-1, 0, 1, 2, 3, 7, 0.5, 2.496, 1e308, float("nan"), float("inf"),
-         float("-inf"), True, "", "x", "fir_isi", "bch", "none", [], [0.0, 1.0],
-         [1.0, float("nan")], [2.0], {}, None)
+EDGES = (-1, 0, 1, 2, 3, 7, 0.5, 2.496, 1e308, -3080.0, 3200.0, 1e-320, 1e307,
+         float("nan"), float("inf"), float("-inf"), True, "", "x", "fir_isi",
+         "bch", "none", [], [0.0, 1.0], [1.0, float("nan")], [2.0], {}, None)
 
 
 def _mutate(raw, path, op):

@@ -15,13 +15,13 @@ ALL_SCHEMES = ("cross_qam32", "framed_cross_qam32", "dm_pam6")
 
 
 def test_build_qam_ldpc_bookkeeping():
-    cs = build_coded("cross_qam32", 2.0, frame_symbols=1000)
+    cs = build_coded("cross_qam32", 2.0, 1000, "ldpc")
     assert cs.data_bits == 2000
     assert cs.ldpc.n == 2500 and cs.ldpc.k == 2000
 
 
 def test_build_dm_ldpc_bookkeeping():
-    cs = build_coded("dm_pam6", 2.0, frame_symbols=1000)
+    cs = build_coded("dm_pam6", 2.0, 1000, "ldpc")
     assert cs.comp.n == 1000
     assert ccdm_input_length(cs.comp) == 1574
     # 2000 data bits: 1574 through the matcher, 426 on the sign bits
@@ -31,16 +31,16 @@ def test_build_dm_ldpc_bookkeeping():
 
 def test_build_rejects_unrealizable_rates():
     with pytest.raises(ValueError, match="not realizable"):
-        build_coded("cross_qam32", 2.0005, frame_symbols=1000)
+        build_coded("cross_qam32", 2.0005, 1000, "ldpc")
     with pytest.raises(ValueError, match="not realizable"):
-        build_coded("dm_pam6", 2.0001, frame_symbols=1000)
+        build_coded("dm_pam6", 2.0001, 1000, "ldpc")
     with pytest.raises(ValueError, match="even number"):
-        build_coded("cross_qam32", 2.0, frame_symbols=999)
+        build_coded("cross_qam32", 2.0, 999, "ldpc")
     for codec in ("turbo", "bch", "none"):
         with pytest.raises(ValueError, match="unknown codec"):
             build_coded("cross_qam32", 2.0, 200, codec)
     with pytest.raises(ValueError, match="unknown scheme"):
-        build_coded("pam8", 2.0)
+        build_coded("pam8", 2.0, 1000, "ldpc")
 
 
 def test_built_frames_carry_their_rate():
@@ -75,6 +75,15 @@ def test_threads_share_built_frames():
     finally:
         sys.setswitchinterval(interval)
     assert threaded == serial
+
+
+def test_build_coded_takes_one_call_form():
+    # positional arguments only and no defaults: the memo cannot hold one
+    # frame under two keys
+    with pytest.raises(TypeError):
+        build_coded("cross_qam32", 2.0, frame_symbols=200, codec="ldpc")
+    with pytest.raises(TypeError):
+        build_coded("cross_qam32", 2.0)
 
 
 def test_built_codes_are_shared_and_read_only():
@@ -129,7 +138,7 @@ def test_shaped_frame_without_parity_is_refused():
 
 
 def test_dm_frame_symbol_composition():
-    cs = build_coded("dm_pam6", 2.0, frame_symbols=1000)
+    cs = build_coded("dm_pam6", 2.0, 1000, "ldpc")
     data = np.random.default_rng(2).integers(0, 2, size=cs.data_bits)
     levels = encode_frame(cs, data.astype(np.uint8))
     # folding x -> 5-x restores the matcher's fixed amplitude composition
@@ -139,9 +148,20 @@ def test_dm_frame_symbol_composition():
 
 
 def test_encode_frame_length_check():
-    cs = build_coded("cross_qam32", 2.0, frame_symbols=200)
+    cs = build_coded("cross_qam32", 2.0, 200, "ldpc")
     with pytest.raises(ValueError, match="data bits"):
         encode_frame(cs, np.zeros(7, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_encode_frame_refuses_non_bits(scheme):
+    cs = build_coded(scheme, 2.0, 200, "ldpc")
+    # a uint8 cast would read 256 and -256 as 0 and 0.7 as 0
+    for bad in (2, 256, -256, 0.7):
+        data = np.zeros(cs.data_bits, dtype=np.asarray(bad).dtype)
+        data[5] = bad
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            encode_frame(cs, data)
 
 
 def test_fer_extremes():
@@ -190,7 +210,7 @@ def test_one_seed_drives_noise_and_data(scheme):
     _, _, n, errors = coded_fer(scheme, 2.0, snr_db, frame_symbols=200,
                                 max_frames=frames, min_errors=frames + 1,
                                 seed=seed)
-    cs = build_coded(scheme, 2.0, frame_symbols=200)
+    cs = build_coded(scheme, 2.0, 200, "ldpc")
     noise_var = sigma_for_peak_snr(snr_db)
     by_hand = 0
     for i in range(frames):

@@ -10,7 +10,7 @@ from test_constellation import (reference_bit_llrs,
 
 from pam6link import constellation, rates, shaping
 from pam6link.channel import philox, sigma_for_peak_snr, transmit
-from pam6link.dsp import bcjr_app
+from pam6link.dsp import bcjr_app, make_trellis
 from pam6link.rates import (MAX_RATE_1D, RateEstimate, estimate_gmi,
                             estimate_mi, estimate_rates, matcher_rate_loss,
                             snr_at_rate)
@@ -199,7 +199,7 @@ def _reference_mi(scheme, snr_db, num_symbols, seed, taps=None):
         p_true = post[np.arange(len(idx)), idx]
         samples = np.log2(np.maximum(p_true, np.finfo(np.float64).tiny))
     else:
-        app = bcjr_app(y[None], rates._trellis(taps), nv)[0]
+        app = bcjr_app(y[None], make_trellis(taps), nv)[0]
         lev_idx = c.points[idx].ravel()
         lp = app[np.arange(lev_idx.size), lev_idx] / math.log(2.0)
         samples = lp.reshape(-1, c.dimension).sum(axis=1)
@@ -215,7 +215,7 @@ def _reference_gmi(scheme, snr_db, num_symbols, seed, taps=None):
         llr = reference_bit_llrs(y, c, nv).reshape(-1, c.bits_per_point)
     else:
         llr = reference_bit_llrs_from_levels(
-            bcjr_app(y[None], rates._trellis(taps), nv)[0], c)
+            bcjr_app(y[None], make_trellis(taps), nv)[0], c)
     b = c.labels[idx].astype(np.float64)
     signed = (1.0 - 2.0 * b) * llr
     penalties = np.logaddexp(0.0, -signed) / math.log(2.0)
