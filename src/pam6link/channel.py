@@ -25,6 +25,15 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"{seed} outside [0, 2**64)")
 
 
+def check_noise_var(noise_var: float) -> None:
+    """Raise ValueError unless noise_var is positive and finite (a NaN is
+    neither). The channel, the demapper and the trellis detector all check
+    here, so no variance reaches a metric that one of them would refuse."""
+    if not 0 < noise_var < math.inf:
+        raise ValueError(
+            f"noise variance must be positive and finite, got {noise_var}")
+
+
 def check_taps(taps, noise_var: float) -> None:
     """Raise ValueError unless taps are finite numbers led by a nonzero one
     whose ISI trellis keeps its branch metrics finite at noise_var.
@@ -64,9 +73,7 @@ def transmit(amplitudes, noise_var: float, noise: np.random.Generator,
     noise_var per sample, the next len(x) normals of the generator `noise`
     (a philox stream).
     """
-    if not 0 < noise_var < math.inf:
-        raise ValueError(
-            f"noise variance must be positive and finite, got {noise_var}")
+    check_noise_var(noise_var)
     x = np.asarray(amplitudes, dtype=np.float64).ravel()
     if taps is not None:
         check_taps(taps, noise_var)

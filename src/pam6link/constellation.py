@@ -50,6 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import check_noise_var
+
 LEVELS = (0, 1, 2, 3, 4, 5)
 PEAK_LEVEL = 5
 BLOCK_POINTS = 4096  # points per rate_samples block: keeps intermediates in cache
@@ -236,8 +238,7 @@ def _sum_over_axes(tables, c):
 
 def _log_point_metrics(received, c, noise_var):
     """log p(y|point) + const per received group, shape (num_points, num_groups)."""
-    if noise_var <= 0:
-        raise ValueError(f"noise variance must be positive, got {noise_var}")
+    check_noise_var(noise_var)
     y = np.asarray(received, dtype=np.float64).ravel()
     d = c.dimension
     if len(y) % d:
@@ -296,15 +297,16 @@ def _label_llrs(w, c):
 
     Both label halves are summed explicitly: taking s1 as total - s0
     cancels catastrophically once one half dominates. Each half is gathered
-    on its own (16 rows for a 32-point format) to keep the block in cache.
+    on its own (16 rows for a 32-point format) to keep the block in cache;
+    the logs of all halves are then taken at once.
     """
-    out = np.empty((c.bits_per_point, w.shape[1]), dtype=np.float64)
-    tiny = np.finfo(np.float64).tiny
-    for j, (rows0, rows1) in enumerate(c._label_rows):
-        s0 = np.take(w, rows0, axis=0).sum(axis=0)
-        s1 = np.take(w, rows1, axis=0).sum(axis=0)
-        out[j] = np.log(np.maximum(s0, tiny)) - np.log(np.maximum(s1, tiny))
-    return out.T
+    halves = np.empty((2, c.bits_per_point, w.shape[1]), dtype=np.float64)
+    for j, rows in enumerate(c._label_rows):
+        for h in (0, 1):
+            np.add.reduce(w.take(rows[h], axis=0), axis=0, out=halves[h, j])
+    np.maximum(halves, np.finfo(np.float64).tiny, out=halves)
+    np.log(halves, out=halves)
+    return (halves[0] - halves[1]).T
 
 
 def bit_llrs(received, c: Constellation, noise_var: float) -> np.ndarray:

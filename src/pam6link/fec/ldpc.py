@@ -241,10 +241,13 @@ def ldpc_decode(llrs: np.ndarray, code: LdpcCode, max_iter: int = DEFAULT_MAX_IT
 
     LLRs follow log(P(bit=0)/P(bit=1)). Returns (data_bits, converged,
     iterations); iterations counts message-passing rounds actually run.
+    An LLR may be +/-inf; a NaN raises ValueError.
     """
     channel = np.asarray(llrs, dtype=np.float64).ravel()
     if channel.size != code.n:
         raise ValueError(f"expected {code.n} channel LLRs, got {channel.size}")
+    if np.isnan(channel).any():  # NaN < 0 is False: it would pass every check
+        raise ValueError("channel LLRs must not be NaN")
     check_vars = code.check_vars
     # totals, then the +inf slot padded check edges read
     total = np.append(channel, np.inf)

@@ -9,13 +9,16 @@ H(X) - E[-log2 P(x|y)]; bit-metric rates use the standard mismatched
 (bitwise) decoding bound [H(X) - sum_j E log2(1 + e^{-/+ LLR_j})]+, which
 for independent uniform label bits equals the familiar per-bit form
 sum_j (1 - E log2(1 + e^{-/+ LLR_j})). The per-point samples of both
-come from constellation.rate_samples, on AWGN and after the trellis pass.
+come from constellation.rate_samples, on AWGN and from the trellis pass.
 
 On AWGN the draw is blocked: _awgn_samples draws, sends and demaps
 constellation.BLOCK_POINTS points at a time from two Philox generators made
 once per estimate, and only the per-metric sample vectors reach full length.
-With ISI taps each scheme's draw is sent whole, because bcjr_app detects
-whole rows. _estimate takes the moments in place on the sample vector.
+With ISI taps each scheme's draw is sent whole into one stack of rows,
+because bcjr_app detects whole rows; it hands each block of level
+posteriors straight to rate_samples at that block's points, so no
+posterior array of a whole row is ever held. _estimate takes the moments
+in place on the sample vector.
 """
 from __future__ import annotations
 
@@ -38,11 +41,10 @@ _HW_FLOOR = 1e-12  # keeps reported confidence strictly positive when the
                    # per-sample information is constant (noise-free regime)
 MAX_NUM_SYMBOLS = 10**7  # largest MI/GMI sample
 # largest trellis a sample may span, num_symbols * 6**len(taps) (one
-# branch metric per use, state and symbol). bcjr_app stacks
-# dsp.rows_per_call rows per call, so beside its fixed blocks a call holds
-# no more floats than one row holding all its branch metrics would:
-# num_symbols * (S*Q + 2S + Q) for S*Q = 6**len(taps). At MAX_NUM_SYMBOLS
-# that is 4.3 GB for two taps and would be 24 GB for three.
+# branch metric per use, state and symbol): two taps. bcjr_app holds
+# num_symbols * S floats of states per row beside its fixed blocks, and
+# stacks dsp.rows_per_call rows per call, so at MAX_NUM_SYMBOLS three rows
+# hold 1.4 GB of states at two taps and would hold 8.6 GB at three.
 MAX_BRANCH_METRICS = MAX_NUM_SYMBOLS * 6**2
 
 
@@ -204,21 +206,33 @@ def estimate_rates_per_scheme(
 def _estimate_rows(schemes, snr_db, metrics, num_symbols, seed, taps, trellis):
     """{metric: RateEstimate} of each scheme: on AWGN from its blocked
     draw; with a trellis from whole rows, one bcjr_app call over all of
-    them."""
+    them that streams each block of level posteriors into the rate
+    samples of its points."""
     consts = [constellation_for(s) for s in schemes]
     nv = sigma_for_peak_snr(snr_db)
     if trellis is None:
         samples = [_awgn_samples(c, nv, metrics, num_symbols, seed)
                    for c in consts]
-    else:  # bcjr_app needs whole rows
-        draws = [_send(c, nv, num_symbols // c.dimension,
-                       philox(seed, _SYMBOL_STREAM), philox(seed, 0), taps)
-                 for c in consts]
-        app = bcjr_app(np.stack([y for _, y in draws]), trellis, nv)
-        samples = [rate_samples(idx, c, metrics, level_logposts=a)
-                   for a, c, (idx, _) in zip(app, consts, draws)]
+    else:  # bcjr_app needs whole rows, sent into one stack
+        received = np.empty((len(consts), num_symbols))
+        sent = []
+        for c, row in zip(consts, received):
+            idx, row[:] = _send(c, nv, num_symbols // c.dimension,
+                                philox(seed, _SYMBOL_STREAM), philox(seed, 0),
+                                taps)
+            sent.append(idx.astype(np.uint8))  # point indices fit a byte
+        samples = [{m: np.empty(idx.size) for m in metrics} for idx in sent]
+
+        def consume(t0, post):
+            # block bounds are even, so a block holds whole 2D points
+            for c, idx, smp, lp in zip(consts, sent, samples, post):
+                p0, p1 = t0 // c.dimension, (t0 + len(lp)) // c.dimension
+                rate_samples(idx[p0:p1], c, metrics, level_logposts=lp,
+                             out={m: v[p0:p1] for m, v in smp.items()})
+
+        bcjr_app(received, trellis, nv, consume)
         # only the per-point vectors stay at full length for the moments
-        del app, draws
+        del received, sent
     return [{m: _estimate(scheme, m, snr_db, c, smp[m], num_symbols, seed)
              for m in metrics} for scheme, c, smp in zip(schemes, consts, samples)]
 

@@ -114,7 +114,12 @@ def _check_bcjr():
     nv = 0.05
     x = rng.integers(0, 6, size=6)
     y = np.convolve(x / 5.0, taps)[: len(x)] + 0.1 * rng.standard_normal(len(x))
-    app = bcjr_app(y[None], tr, nv)[0]
+    app = np.empty((len(x), 6))
+
+    def gather(t0, post):
+        app[t0:t0 + post.shape[1]] = post[0]
+
+    bcjr_app(y[None], tr, nv, gather)
     # exhaustive-enumeration posterior with the same level-0 history start
     logp = np.full((len(x), 6), -np.inf)
     for seq in itertools.product(range(6), repeat=len(x)):

@@ -14,11 +14,12 @@ import math
 
 import numpy as np
 import pytest
+from test_dsp import gathered_app
 
 from pam6link import shaping
 from pam6link.cli import main
 from pam6link.constellation import build_constellation, check_unit_distance_gray
-from pam6link.dsp import bcjr_app, make_trellis
+from pam6link.dsp import make_trellis
 from pam6link.fec import ldpc_build, ldpc_decode, ldpc_encode
 from pam6link.link import snr_at_fer
 from pam6link.rates import estimate_mi, matcher_rate_loss, snr_at_rate
@@ -186,7 +187,7 @@ def test_trellis_posteriors_match_enumeration():
         clean = np.convolve(LEVELS[sym], taps)[:t_len]
         nv = float(rng.uniform(0.02, 0.3)) ** 2
         y = clean + math.sqrt(nv) * rng.standard_normal(t_len)
-        got = bcjr_app(y[None], make_trellis(taps), nv)[0]
+        got = gathered_app(y[None], make_trellis(taps), nv)[0]
         ref = _enumerated_app(y, taps, nv)
         worst = max(worst, float(np.max(np.abs(got - ref))))
     ok = worst <= 1e-9

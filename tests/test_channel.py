@@ -5,6 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pam6link.channel import philox, sigma_for_peak_snr, transmit
+from pam6link.constellation import (bit_llrs, build_constellation,
+                                    rate_samples, symbol_posteriors)
+from pam6link.dsp import bcjr_app, make_trellis
 
 
 def test_transmit_validation():
@@ -31,6 +34,30 @@ def test_transmit_validation():
     for taps, noise_var in (((1e150, 1e150), 1e-7), ((1.0, 2e100), 0.01),
                             ((5e99, 5e99), 1e-20)):
         assert transmit(x, noise_var, philox(0, 0), taps=taps).shape == x.shape
+
+
+_Y = np.full(8, 0.4)
+_CROSS = build_constellation("cross_qam32")
+# every entry point that takes a noise variance, called at variance nv
+NOISE_VAR_ENTRIES = {
+    "transmit": lambda nv: transmit(_Y, nv, philox(0, 0)),
+    "transmit_isi": lambda nv: transmit(_Y, nv, philox(0, 0), taps=(1.0, 0.35)),
+    "bit_llrs": lambda nv: bit_llrs(_Y, _CROSS, nv),
+    "symbol_posteriors": lambda nv: symbol_posteriors(_Y, _CROSS, nv),
+    "rate_samples": lambda nv: rate_samples(
+        np.zeros(4, dtype=int), _CROSS, ("symbol_metric", "bit_metric"),
+        received=_Y, noise_var=nv),
+    "bcjr_app": lambda nv: bcjr_app(_Y[None], make_trellis([1.0, 0.35]), nv,
+                                    lambda t0, post: None),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NOISE_VAR_ENTRIES))
+@pytest.mark.parametrize("noise_var", [float("nan"), float("inf"),
+                                       float("-inf"), 0.0, -0.01])
+def test_every_entry_point_refuses_a_variance_not_positive_finite(entry, noise_var):
+    with pytest.raises(ValueError, match="positive and finite"):
+        NOISE_VAR_ENTRIES[entry](noise_var)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1),

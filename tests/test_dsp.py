@@ -7,10 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pam6link.dsp import POSTERIOR_BLOCK, bcjr_app, make_trellis, rows_per_call
+from pam6link.dsp import (HAND_OVER, POSTERIOR_BLOCK, bcjr_app, make_trellis,
+                          rows_per_call)
 from pam6link.rates import estimate_gmi, estimate_mi
 
 LEVELS = np.arange(6) / 5.0
+
+
+def gathered_app(y, tr, noise_var):
+    """The (B, T, 6) log posteriors of bcjr_app, gathered from its blocks."""
+    y = np.asarray(y, dtype=np.float64)
+    out = np.full(y.shape + (6,), np.nan)
+
+    def consume(t0, post):
+        out[:, t0:t0 + post.shape[1]] = post
+
+    bcjr_app(y, tr, noise_var, consume)
+    return out
 
 
 def test_trellis_structure():
@@ -21,6 +34,11 @@ def test_trellis_structure():
     # branch (prev_state=2, symbol=5): mean = 1.0*levels[5] + 0.4*levels[2]
     b = 2 * 6 + 5
     assert tr.branch_mean[b] == pytest.approx(LEVELS[5] + 0.4 * LEVELS[2])
+
+
+def test_trellis_needs_a_tap():
+    with pytest.raises(ValueError, match=r"at least one tap, got taps \[\]"):
+        make_trellis([])
 
 
 def _brute_force_app(y, taps, noise_var):
@@ -48,7 +66,7 @@ def test_bcjr_matches_exhaustive_map():
     sym = rng.integers(0, 6, size=6)
     x = np.convolve(LEVELS[sym], taps)[:6]
     y = x + 0.15 * rng.standard_normal(6)
-    got = bcjr_app(y[None], tr, noise_var=0.15**2)[0]
+    got = gathered_app(y[None], tr, 0.15**2)[0]
     ref = _brute_force_app(y, taps, 0.15**2)
     assert float(np.max(np.abs(got - ref))) < 1e-9
 
@@ -57,12 +75,12 @@ def test_bcjr_matches_exhaustive_map():
                                     POSTERIOR_BLOCK + 1, 3 * POSTERIOR_BLOCK + 7])
 def test_bcjr_memoryless_matches_pointwise_at_block_edges(length):
     # the posteriors are formed in blocks of steps: lengths around the block
-    # size check that every step is written, across block boundaries
+    # size check that every step is handed over, across block boundaries
     rng = np.random.default_rng(length)
     tr = make_trellis([1.0])
     y = rng.uniform(-0.2, 1.2, size=length)
     ll = -0.5 * (y[:, None] - LEVELS[None, :]) ** 2 / 0.05
-    got = bcjr_app(y[None], tr, noise_var=0.05)[0]
+    got = gathered_app(y[None], tr, 0.05)[0]
     assert got.shape == (length, 6)
     ref = ll - np.logaddexp.reduce(ll, axis=1, keepdims=True)
     assert float(np.max(np.abs(got - ref))) < 1e-12
@@ -111,16 +129,18 @@ def _per_step_app(y, tr, noise_var):
                                   (1.0, 0.3, 0.2, 0.1)])
 def test_bcjr_equals_per_step_reference(taps):
     # one loop runs both recursions, the backward one on a transposed view
-    # split as (S/L, L): memory 3 (L = 36) checks that split, odd lengths
-    # have the two directions cross mid-loop, and the posteriors are formed
-    # in blocks after it
+    # split as (S/L, L): memory 3 (L = 36) checks that split; the two
+    # directions meet mid-loop, odd lengths and lengths of 2 mod 4 with a
+    # few uses between them, and past the meeting the posteriors of both
+    # sides are formed from live and stored states, over several blocks of
+    # steps and of hand-overs at the longest length
     rng = np.random.default_rng(len(taps))
     tr = make_trellis(taps)
-    for length in (1, 2, 3, 5, POSTERIOR_BLOCK, POSTERIOR_BLOCK + 1,
-                   2 * POSTERIOR_BLOCK + 3):
+    for length in (1, 2, 3, 5, 6, POSTERIOR_BLOCK, POSTERIOR_BLOCK + 1,
+                   2 * POSTERIOR_BLOCK + 3, 4 * HAND_OVER + 6):
         sym = rng.integers(0, 6, size=length)
         y = np.convolve(LEVELS[sym], taps)[:length] + 0.07 * rng.standard_normal(length)
-        got = bcjr_app(y[None], tr, 0.0049)[0]
+        got = gathered_app(y[None], tr, 0.0049)[0]
         assert np.array_equal(got, _per_step_app(y, tr, 0.0049))
 
 
@@ -137,19 +157,21 @@ def test_stacked_rows_equal_single_row_calls(taps):
         y = np.stack([
             np.convolve(LEVELS[rng.integers(0, 6, size=length)], taps)[:length]
             + np.sqrt(nv) * rng.standard_normal(length) for _ in range(3)])
-        got = bcjr_app(y, tr, nv)
+        got = gathered_app(y, tr, nv)
         assert got.shape == (3, length, 6)
         for r in range(3):
-            assert np.array_equal(got[r], bcjr_app(y[r:r + 1], tr, nv)[0])
+            assert np.array_equal(got[r], gathered_app(y[r:r + 1], tr, nv)[0])
     with pytest.raises(ValueError, match="rows, uses"):
-        bcjr_app(y[0], tr, nv)
+        gathered_app(y[0], tr, nv)
     with pytest.raises(TypeError):  # one variance for all rows
-        bcjr_app(y, tr, np.full(3, nv))
+        gathered_app(y, tr, np.full(3, nv))
 
 
 def test_stacked_call_holds_no_more_than_one_rows_branch_metrics():
-    # rows_per_call rows of 1e4 uses at two taps stay below what the
-    # branch metrics of those uses alone would take, 3 * T * S * Q floats
+    # rows_per_call rows of 1e4 uses at two taps hold the stored half of
+    # both recursions, S floats per use and row, plus blocks whose size does
+    # not depend on T: never the 3 * T * S * Q floats of the uses' branch
+    # metrics, nor a (B, T, Q) posterior array
     tr = make_trellis([1.0, 0.35])
     rows, t_len = rows_per_call(tr), 10**4
     assert rows == 3
@@ -157,11 +179,41 @@ def test_stacked_call_holds_no_more_than_one_rows_branch_metrics():
     y = np.random.default_rng(3).uniform(-0.2, 1.5, size=(rows, t_len))
     tracemalloc.start()
     try:
-        bcjr_app(y, tr, 0.0056)
+        bcjr_app(y, tr, 0.0056, lambda t0, post: None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < rows * t_len * tr.n_states * 6 * 8
+    states = rows * t_len * tr.n_states * 8
+    # one block of branch metrics per direction, and at most as much again
+    # for the smaller blocks of rolling states and posteriors
+    metric_blocks = 2 * POSTERIOR_BLOCK * rows * tr.n_states * 6 * 8
+    assert peak < states + 2 * metric_blocks
+
+
+@pytest.mark.parametrize("taps", [(1.0,), (1.0, 0.35), (1.0, 0.4, 0.2),
+                                  (1.0, 0.3, 0.2, 0.1)])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_blocks_cover_every_use_once_at_even_bounds(taps, rows):
+    # lengths around the meeting step, the steps' blocks and the blocks
+    # handed over; an even T must split no 2D point
+    tr = make_trellis(taps)
+    rng = np.random.default_rng(len(taps) + rows)
+    for t_len in (0, 1, 2, 3, 255, 256, 257, 513, 775):
+        y = rng.uniform(-0.2, 1.5, size=(rows, t_len))
+        seen = np.zeros(t_len, dtype=int)
+        bounds = []
+
+        def consume(t0, post):
+            assert post.shape == (rows, post.shape[1], 6)
+            assert post.shape[1] > 0
+            seen[t0:t0 + post.shape[1]] += 1
+            bounds.append((t0, t0 + post.shape[1]))
+
+        bcjr_app(y, tr, 0.01, consume)
+        assert np.all(seen == 1), (t_len, bounds)
+        assert all(0 <= a < e <= t_len for a, e in bounds)
+        if t_len % 2 == 0:
+            assert all(a % 2 == 0 and e % 2 == 0 for a, e in bounds), bounds
 
 
 # MI/GMI on the ISI link, read from the per-step BCJR this kernel replaced:
@@ -189,7 +241,7 @@ def test_bcjr_memoryless_reduces_to_pointwise_posterior(seed):
     rng = np.random.default_rng(seed)
     tr = make_trellis([1.0])
     y = rng.uniform(-0.2, 1.2, size=8)
-    got = bcjr_app(y[None], tr, noise_var=0.05)[0]
+    got = gathered_app(y[None], tr, 0.05)[0]
     ll = -0.5 * (y[:, None] - LEVELS[None, :]) ** 2 / 0.05
     ref = ll - np.logaddexp.reduce(ll, axis=1, keepdims=True)
     assert np.allclose(got, ref, atol=1e-12)
@@ -202,5 +254,5 @@ def test_bcjr_high_snr_recovers_sequence():
     sym = rng.integers(0, 6, size=400)
     x = np.convolve(LEVELS[sym], taps)[:400]
     y = x + 0.01 * rng.standard_normal(400)
-    post = bcjr_app(y[None], tr, noise_var=1e-4)[0]
+    post = gathered_app(y[None], tr, 1e-4)[0]
     assert np.array_equal(np.argmax(post, axis=1), sym)

@@ -114,6 +114,22 @@ def _llr_cases(code, rng):
     return cases
 
 
+@pytest.mark.parametrize("where", ["all", "one"])
+def test_decode_refuses_nan_llrs(where):
+    # NaN < 0 is False, so a word of NaNs would pass every parity check and
+    # read as a decoded all-zero word; +-inf LLRs stay valid
+    code = ldpc_build(*COMMITTED_CODES[0])
+    llr = np.full(code.n, 3.0)
+    if where == "all":
+        llr[:] = np.nan
+    else:
+        llr[code.n // 2] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        ldpc_decode(llr, code)
+    bits, ok, _ = ldpc_decode(np.full(code.n, np.inf), code)
+    assert ok and not bits.any()
+
+
 def test_basegraph_loads_and_validates():
     bg = load_basegraph()
     assert bg.kb == 10 and bg.mb == 12 and bg.zmin >= 2

@@ -7,10 +7,11 @@ import pytest
 from test_constellation import (reference_bit_llrs,
                                 reference_bit_llrs_from_levels,
                                 reference_symbol_posteriors)
+from test_dsp import gathered_app
 
 from pam6link import constellation, rates, shaping
 from pam6link.channel import philox, sigma_for_peak_snr, transmit
-from pam6link.dsp import bcjr_app, make_trellis
+from pam6link.dsp import make_trellis
 from pam6link.rates import (MAX_RATE_1D, RateEstimate, estimate_gmi,
                             estimate_mi, estimate_rates, matcher_rate_loss,
                             snr_at_rate)
@@ -199,7 +200,7 @@ def _reference_mi(scheme, snr_db, num_symbols, seed, taps=None):
         p_true = post[np.arange(len(idx)), idx]
         samples = np.log2(np.maximum(p_true, np.finfo(np.float64).tiny))
     else:
-        app = bcjr_app(y[None], make_trellis(taps), nv)[0]
+        app = gathered_app(y[None], make_trellis(taps), nv)[0]
         lev_idx = c.points[idx].ravel()
         lp = app[np.arange(lev_idx.size), lev_idx] / math.log(2.0)
         samples = lp.reshape(-1, c.dimension).sum(axis=1)
@@ -215,7 +216,7 @@ def _reference_gmi(scheme, snr_db, num_symbols, seed, taps=None):
         llr = reference_bit_llrs(y, c, nv).reshape(-1, c.bits_per_point)
     else:
         llr = reference_bit_llrs_from_levels(
-            bcjr_app(y[None], make_trellis(taps), nv)[0], c)
+            gathered_app(y[None], make_trellis(taps), nv)[0], c)
     b = c.labels[idx].astype(np.float64)
     signed = (1.0 - 2.0 * b) * llr
     penalties = np.logaddexp(0.0, -signed) / math.log(2.0)
@@ -287,6 +288,22 @@ def test_awgn_estimate_holds_only_its_sample_vectors():
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20
+
+
+def test_isi_estimate_holds_no_posterior_array():
+    # three schemes of 4e4 symbols at two taps, one stacked trellis pass:
+    # its stored states, S = 6 floats per use and row, dominate; a (B, T, 6)
+    # posterior array beside them would break the bound, as would the
+    # states of both recursions at every use
+    taps, n, rows, s = (1.0, 0.35), 4 * 10**4, 3, 6
+    rates.estimate_rates_per_scheme(SCHEMES, 22.5, num_symbols=10**4, taps=taps)
+    tracemalloc.start()
+    try:
+        rates.estimate_rates_per_scheme(SCHEMES, 22.5, num_symbols=n, taps=taps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * n * (s + 6) * 8
 
 
 @pytest.mark.parametrize("samples", [
