@@ -9,8 +9,10 @@ rates      one-point MI/GMI sweep; prints the CSV that run prints
 
 Exit codes: 0 ok, 1 config error, 2 runtime failure, 3 selfcheck failure.
 Bundled configs (awgn_gaps, loopback, coded_ordering, waterfall) can be
-named in place of a path. All randomness flows from config seeds; two runs
-with the same seeds write byte-identical CSV regardless of --threads.
+named in place of a path. `run --threads N` runs the sweep's units (each
+coded item, each point's MI/GMI draw) on N worker processes. All
+randomness flows from config seeds; two runs with the same seeds write
+byte-identical CSV regardless of --threads.
 """
 from __future__ import annotations
 
@@ -22,8 +24,8 @@ import time
 
 from . import __version__
 from .constellation import CONSTELLATION_NAMES, build_constellation
-from .experiment import (ConfigError, ExperimentConfig, parse_config,
-                         run_experiment)
+from .experiment import (MAX_WORKERS, ConfigError, ExperimentConfig,
+                         parse_config, run_experiment)
 from .rates import METRICS, SCHEMES
 
 BUNDLED_CONFIGS = ("awgn_gaps", "loopback", "coded_ordering", "waterfall")
@@ -135,8 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--seed-override", type=int, default=None, metavar="N",
                     help="replace the config seed list with this single seed")
     pr.add_argument("--threads", type=int, default=1, metavar="N",
-                    help="worker threads for the sweep points' MI/GMI draws "
-                         "(default 1); coded items run on the caller")
+                    help="worker processes for the sweep's units, each "
+                         "coded item and each point's MI/GMI draw (default 1, "
+                         f"no pool; at most {MAX_WORKERS})")
     pr.add_argument("--verbose", action="store_true",
                     help="progress lines on stderr")
     pr.set_defaults(fn=_cmd_run)

@@ -345,7 +345,8 @@ def rate_samples(idx, c: Constellation, metrics, received=None, noise_var=None,
     summed over the axes (the point table's sums round differently). Each
     block of BLOCK_POINTS points is demapped once for both metrics, per
     point, so blocking changes no bit. The samples go into `out`, {metric:
-    vector of idx.size}, when given, else into new vectors.
+    vector of idx.size} with one key per metric, when given, else into new
+    vectors.
     """
     if (received is None) == (level_logposts is None):
         raise ValueError("need either received samples or level log posteriors")
@@ -354,6 +355,8 @@ def rate_samples(idx, c: Constellation, metrics, received=None, noise_var=None,
     d = c.dimension
     if out is None:
         out = {m: np.empty(idx.size) for m in metrics}
+    elif set(out) != set(metrics):
+        raise ValueError(f"out holds {sorted(out)}, need the metrics {sorted(metrics)}")
     mi, gmi = out.get("symbol_metric"), out.get("bit_metric")
     signs = 2.0 * c.labels - 1.0
     for s in range(0, idx.size, BLOCK_POINTS):

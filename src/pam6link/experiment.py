@@ -5,8 +5,8 @@ more schemes, one or more metrics, a channel, an SNR sweep, and seeds. The
 runner expands the cross product scheme x metric x snr x seed into work
 items and emits CSV rows in config order, so the output bytes are
 independent of scheduling. The MI/GMI items of one (snr, seed) point share
-one draw per scheme, optionally drawn on worker threads; coded items run
-on the caller's thread.
+one draw per scheme. Each coded item and each point's draw is one unit of
+work, run on the caller or on a pool of worker processes.
 
 CSV schema (header always present, one row per item):
 
@@ -23,7 +23,7 @@ Floats are written with repr so parsing them back loses nothing.
 """
 from __future__ import annotations
 
-import concurrent.futures
+import functools
 import io
 from dataclasses import MISSING, astuple, dataclass, fields
 
@@ -38,6 +38,8 @@ from .rates import (SCHEMES, METRICS, check_num_symbols,
 RUN_METRICS = METRICS + ("fer", "rate_at_fer")
 CHANNEL_KINDS = ("awgn", "fir_isi")
 CSV_HEADER = "scheme,metric,snr_db,rate,half_width,N,seed"
+# fork starts every worker of a pool at once, so --threads has a ceiling
+MAX_WORKERS = 64
 
 
 class ConfigError(ValueError):
@@ -312,47 +314,67 @@ def _coded_rows(cfg: ExperimentConfig, scheme: str, metric: str,
     return rows
 
 
+def _run_unit(cfg: ExperimentConfig, unit: tuple):
+    """Run unit = (scheme, metric, snr, seed): that coded item's rows, or,
+    with scheme None and metric a tuple of MI/GMI metrics, every scheme's
+    estimates at the point."""
+    scheme, metric, snr, seed = unit
+    if scheme is None:
+        return estimate_rates_per_scheme(cfg.schemes, snr, metric,
+                                         cfg.num_symbols, seed, cfg.taps)
+    return _coded_rows(cfg, scheme, metric, snr, seed)
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1,
                    progress=None) -> str:
     """Run every sweep point and return the full CSV text.
 
     Rows are written, and progress is called once per item with (scheme,
     metric, snr, seed) and its rows, in config order, so the bytes never
-    depend on scheduling. The MI/GMI items of every scheme at one
-    (snr, seed) point come from one estimate_rates_per_scheme call, taken
-    the first time an item of that point needs it and held for the later
-    ones; points are taken by list position, so a value repeated in the
-    config gets rows of its own. With threads > 1 those draws run on a pool
-    of that many worker threads; one thread runs them on the caller's
-    thread, with progress called between draws (run on a single worker
-    thread instead, a 1e6-symbol MI/GMI sweep of the three schemes peaked
-    about 1 MB higher in resident memory, 53 against 52 MB, glibc malloc).
-    The fer and rate_at_fer items always run on the caller's thread, at
-    their turn.
+    depend on scheduling. Each fer or rate_at_fer item is one unit of work
+    (_run_unit), and so is each (snr, seed) point, taken by list position,
+    for the MI/GMI items of every scheme there. Units run in the order of
+    their first item: on the caller at that item's turn when threads is 1,
+    else on a pool of min(threads, units) worker processes, forked so that
+    they inherit the imported modules and the memoized codes.
     """
-    if threads < 1:
-        raise ConfigError(f"threads: need at least 1 worker thread, got {threads}")
+    if not 1 <= threads <= MAX_WORKERS:
+        raise ConfigError(f"threads: need at least 1 and at most {MAX_WORKERS} "
+                          f"worker processes, got {threads}")
     points = [(snr, seed) for snr in cfg.snr_db for seed in cfg.seeds]
     rate_metrics = tuple(dict.fromkeys(m for m in cfg.metrics if m in METRICS))
+    units, draws = [], [(None, rate_metrics, snr, seed) for snr, seed in points]
+    for scheme in cfg.schemes:
+        for metric in cfg.metrics:
+            if metric in METRICS:
+                units, draws = units + draws, []
+            else:
+                units += [(scheme, metric, snr, seed) for snr, seed in points]
+    pool = None
+    if threads > 1:  # imported here: a one-process run loads no pool
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+        pool = ProcessPoolExecutor(min(threads, len(units)), get_context("fork"))
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
     held = []  # each point's estimates drawn so far, one dict per scheme
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-        run = ex.map if threads > 1 else map
-        draws = run(lambda p: estimate_rates_per_scheme(
-            cfg.schemes, p[0], rate_metrics, cfg.num_symbols, p[1], cfg.taps),
-            points if rate_metrics else ())
+    try:
+        results = (pool.map if pool else map)(
+            functools.partial(_run_unit, cfg), units)
         for i, scheme in enumerate(cfg.schemes):
             for metric in cfg.metrics:
                 for p, (snr, seed) in enumerate(points):
                     if metric in METRICS:
                         if p == len(held):
-                            held.append(next(draws))
+                            held.append(next(results))
                         # a RateEstimate's fields are the CSV columns, in order
                         rows = [_row(*astuple(held[p][i][metric]))]
                     else:
-                        rows = _coded_rows(cfg, scheme, metric, snr, seed)
+                        rows = next(results)
                     buf.writelines(row + "\n" for row in rows)
                     if progress:
                         progress((scheme, metric, snr, seed), rows)
+    finally:
+        if pool is not None:  # on an error, units not yet started never run
+            pool.shutdown(cancel_futures=True)
     return buf.getvalue()

@@ -208,10 +208,12 @@ def test_label_tables_gray_properties():
 
 @pytest.fixture(scope="module")
 def coded_rates(tmp_path_factory):
-    # the bundled coded_ordering sweep, run once: its achieved rates are
-    # its rate_at_fer rows
+    # the bundled coded_ordering sweep, run once on two worker processes,
+    # which the pinned digest holds to the bytes of one: its achieved rates
+    # are its rate_at_fer rows
     out = tmp_path_factory.mktemp("coded") / "coded_ordering.csv"
-    assert main(["run", "--config", "coded_ordering", "--output", str(out)]) == 0
+    assert main(["run", "--config", "coded_ordering", "--output", str(out),
+                 "--threads", "2"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CODED_ORDERING_SHA256
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     return {scheme: float(rate)

@@ -255,6 +255,21 @@ def test_rate_samples_takes_one_detection_and_known_metrics(const):
         rate_samples(idx, const, ("fer",), received=y, noise_var=0.1)
 
 
+@pytest.mark.parametrize("metrics,keys", [
+    (("symbol_metric",), ("symbol_metric", "bit_metric")),
+    (("symbol_metric", "bit_metric"), ("symbol_metric",)),
+])
+def test_rate_samples_out_holds_the_metrics_asked(const, metrics, keys):
+    # an out with other keys would have the GMI vector overwritten unasked,
+    # or a metric asked for silently dropped
+    idx = np.zeros(4, dtype=np.int64)
+    y = normalize(const.points[idx].ravel())
+    out = {m: np.full(idx.size, 7.0) for m in keys}
+    with pytest.raises(ValueError, match="out holds"):
+        rate_samples(idx, const, metrics, received=y, noise_var=0.1, out=out)
+    assert all((v == 7.0).all() for v in out.values())
+
+
 def test_row_sum_follows_numpy_order():
     # exp of a wide uniform spreads the values over ~17 orders of magnitude,
     # so almost any other association rounds some column differently

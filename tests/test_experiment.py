@@ -1,6 +1,10 @@
 """Config parsing diagnostics and the sweep runner's output contract."""
+import concurrent.futures
 import math
+import multiprocessing
+import os
 import threading
+import time
 
 import pytest
 import yaml
@@ -342,24 +346,7 @@ def test_one_thread_runs_items_on_the_caller_between_reports(monkeypatch):
         for snr in (20.0, 21.0, 22.0)]
 
 
-def test_coded_items_run_on_the_caller_at_any_threads(monkeypatch):
-    """With worker threads the MI/GMI draws go to the pool, while every
-    coded item runs on the caller's thread at its turn in config order."""
-    caller, coded_on, drawn_on = threading.get_ident(), [], []
-    real_fer = experiment.coded_fer
-    real_draws = experiment.estimate_rates_per_scheme
-
-    def fer(*args, **kw):
-        coded_on.append(threading.get_ident())
-        return real_fer(*args, **kw)
-
-    def draws(*args):
-        drawn_on.append(threading.get_ident())
-        return real_draws(*args)
-
-    monkeypatch.setattr(experiment, "coded_fer", fer)
-    monkeypatch.setattr(experiment, "estimate_rates_per_scheme", draws)
-    cfg = parse_config("""
+MIXED = """
 schemes: [dm_pam6, cross_qam32]
 metric: [fer, bit_metric]
 snr_db: [24.0, 27.0]
@@ -369,15 +356,120 @@ codec: {family: ldpc, rate: 2.0}
 frame_symbols: 200
 max_frames: 4
 min_errors: 5
-""")
-    seen = []
-    run_experiment(cfg, threads=2,
-                   progress=lambda item, rows: seen.append(item))
-    assert seen == [(scheme, metric, snr, seed) for scheme in cfg.schemes
-                    for metric in cfg.metrics for snr in cfg.snr_db
-                    for seed in cfg.seeds]
-    assert coded_on == [caller] * 8
-    assert len(drawn_on) == 4 and caller not in drawn_on
+"""
+
+
+def test_every_unit_runs_on_a_worker_process(monkeypatch, tmp_path):
+    """With two workers each unit of both kinds, the 8 coded items and the
+    4 points' draws, runs in a process other than the caller's, and the
+    rows and progress calls are those of one process, in config order."""
+    log, caller = tmp_path / "pids", os.getpid()
+    real_fer, real_draws = experiment.coded_fer, experiment.estimate_rates_per_scheme
+
+    def record(kind, fn):
+        def wrapper(*args, **kw):
+            with open(log, "a") as fh:
+                fh.write(f"{kind} {os.getpid()}\n")
+            return fn(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(experiment, "coded_fer", record("fer", real_fer))
+    monkeypatch.setattr(experiment, "estimate_rates_per_scheme",
+                        record("draw", real_draws))
+    cfg = parse_config(MIXED)
+    runs = {}
+    for threads in (1, 2):
+        log.write_text("")
+        seen = []
+        csv = run_experiment(cfg, threads=threads,
+                             progress=lambda item, rows: seen.append((item, rows)))
+        runs[threads] = csv, seen, [line.split() for line in log.read_text().splitlines()]
+    assert runs[2][:2] == runs[1][:2]
+    assert [item for item, _ in runs[2][1]] == [
+        (scheme, metric, snr, seed) for scheme in cfg.schemes
+        for metric in cfg.metrics for snr in cfg.snr_db for seed in cfg.seeds]
+    assert sorted(kind for kind, _ in runs[2][2]) == ["draw"] * 4 + ["fer"] * 8
+    assert {int(pid) for _, pid in runs[1][2]} == {caller}
+    assert caller not in {int(pid) for _, pid in runs[2][2]}
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("error,code,says", [
+    (ValueError("noise variance must be positive"), 2,
+     "error: ValueError: noise variance must be positive"),
+    (ConfigError("codec.rate: no frame"), 1, "config error: codec.rate: no frame"),
+])
+def test_a_unit_failing_on_a_worker_fails_the_run_as_on_the_caller(
+        monkeypatch, tmp_path, capsys, error, code, says):
+    real_fer = experiment.coded_fer
+
+    def fer(scheme, rate, snr, **kw):
+        if scheme == "cross_qam32" and snr == 27.0:
+            raise error
+        return real_fer(scheme, rate, snr, **kw)
+
+    monkeypatch.setattr(experiment, "coded_fer", fer)
+    cfg = tmp_path / "mixed.yaml"
+    cfg.write_text(MIXED)
+    errs = []
+    for threads in ("1", "2"):
+        assert main(["run", "--config", str(cfg), "--threads", threads]) == code
+        errs.append(capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
+    assert errs[0] == errs[1] == says + "\n"
+
+
+@pytest.mark.parametrize("where", ["unit", "progress"])
+def test_an_error_cancels_the_units_not_started(monkeypatch, tmp_path, where):
+    """The first of 16 coded units, or the progress call after it, fails
+    while the other units take 0.5 s each: the units still queued are
+    cancelled, not run to the end."""
+    log = tmp_path / "ran"
+    log.write_text("")
+
+    def rows(cfg, scheme, metric, snr, seed):
+        if snr == 10.0 and where == "unit":
+            raise ValueError("run failed")
+        with open(log, "a") as fh:
+            fh.write(f"{snr}\n")
+        time.sleep(0.5 * (snr > 10.0))
+        return []
+
+    def progress(item, rows):
+        raise ValueError("run failed")
+
+    monkeypatch.setattr(experiment, "_coded_rows", rows)
+    cfg = parse_config(MINIMAL.replace("symbol_metric", "fer").replace(
+        "[20.0]", str([10.0 + k for k in range(16)])) + "codec: {rate: 2.0}\n")
+    with pytest.raises(ValueError, match="run failed"):
+        run_experiment(cfg, threads=2, progress=progress)
+    assert multiprocessing.active_children() == []
+    assert len(log.read_text().split()) <= 8
+
+
+@pytest.mark.parametrize("threads,workers", [(65, None), (100000, None),
+                                             (64, 1), (2, 1), (3, 3)])
+def test_the_pool_is_bounded_before_any_process_starts(
+        monkeypatch, capsys, tmp_path, threads, workers):
+    """threads above MAX_WORKERS exits 1 naming threads, and a pool has no
+    more workers than units; no process is started to find either out."""
+    sizes = []
+
+    def pool(max_workers, mp_context):
+        sizes.append(max_workers)
+        raise RuntimeError("no pool in this test")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    cfg = tmp_path / "sweep.yaml"
+    cfg.write_text(MINIMAL.replace("[20.0]", "[20.0, 21.0, 22.0]"
+                                   if workers == 3 else "[20.0]"))
+    got = main(["run", "--config", str(cfg), "--threads", str(threads)])
+    if workers is None:
+        assert got == 1 and sizes == []
+        assert f"threads: need at least 1 and at most 64 worker processes, " \
+               f"got {threads}" in capsys.readouterr().err
+    else:
+        assert got == 2 and sizes == [workers]
 
 
 @pytest.mark.parametrize("sweep", [

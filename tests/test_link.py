@@ -57,7 +57,7 @@ def test_built_frames_carry_their_rate():
 
 
 def test_threads_share_built_frames():
-    # a run's worker threads share the memoized frames: with more threads
+    # a library caller's threads share the memoized frames: with more threads
     # than cores and a short switch interval, each FER equals a serial run
     jobs = [(scheme, seed) for scheme in ALL_SCHEMES for seed in range(4)]
 
