@@ -57,6 +57,15 @@ def check_taps(taps, noise_var: float) -> None:
         raise ValueError("leading FIR tap must be nonzero")
 
 
+def as_bits(data, what: str) -> np.ndarray:
+    """Flat uint8 copy of a 0/1 array; any other entry raises ValueError
+    naming what. The LDPC coder, the matcher and the link check bits here."""
+    data = np.asarray(data).ravel()
+    if not np.all((data == 0) | (data == 1)):
+        raise ValueError(f"{what} must hold only 0 and 1")
+    return data.astype(np.uint8)
+
+
 def philox(seed: int, stream: int) -> np.random.Generator:
     """Philox generator keyed by (seed, stream); same key -> same bits."""
     check_seed(seed)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import importlib.resources
+import os
 import sys
 import time
 
@@ -50,12 +51,30 @@ def _resolve_config(name: str):
             f"{list(BUNDLED_CONFIGS)} nor a readable file ({e})") from None
 
 
+def _check_output(path: str) -> None:
+    """ConfigError unless a run can write its CSV to path. Checked before
+    the sweep so that a bad path loses no rows; the file itself is opened
+    only once the CSV is complete, so a failed run leaves it as it was."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.basename(path) or os.path.isdir(path):
+        why = "not a file name"
+    elif not os.path.isdir(folder):
+        why = f"no directory {folder!r}"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        why = "not writable"
+    else:
+        return
+    raise ConfigError(f"output: cannot write the CSV to {path!r}: {why}")
+
+
 def _cmd_run(args) -> int:
     text, origin = _resolve_config(args.config)
     cfg = parse_config(text)
     if args.seed_override is not None:
         cfg = dataclasses.replace(cfg, seeds=(args.seed_override,))
     out_path = args.output if args.output is not None else cfg.output
+    if out_path is not None:
+        _check_output(out_path)
 
     progress = None
     if args.verbose:

@@ -64,6 +64,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..channel import as_bits
+
 NORM_FACTOR = 0.75
 DEFAULT_MAX_ITER = 50
 
@@ -213,13 +215,13 @@ def ldpc_encode(data: np.ndarray, code: LdpcCode) -> np.ndarray:
     with parity bits t of rows r and r - 1 (all parity shifts are zero), so
     the parity rows are the running XOR of the partial-syndrome rows.
     """
-    data = np.asarray(data, dtype=np.uint8).ravel()
+    data = as_bits(data, "data")
     if data.size != code.k:
         raise ValueError(f"expected {code.k} data bits, got {data.size}")
     word = np.zeros(code.n, dtype=np.uint8)
     word[: code.k] = data
     partial = np.zeros(code.m_use * code.z, dtype=np.uint8)
-    partial[: code.n_checks] = ldpc_syndrome(word, code)
+    partial[: code.n_checks] = _parity(word, code)
     parity = np.bitwise_xor.accumulate(partial.reshape(code.m_use, code.z))
     # the chain tail beyond n_checks was removed from the graph
     word[code.k:] = parity.ravel()[: code.n_checks]
@@ -227,12 +229,18 @@ def ldpc_encode(data: np.ndarray, code: LdpcCode) -> np.ndarray:
 
 
 def ldpc_syndrome(codeword: np.ndarray, code: LdpcCode) -> np.ndarray:
-    """Per-check parity of a codeword."""
-    cw = np.asarray(codeword, dtype=np.uint8).ravel()
+    """Per-check parity of a codeword; raises ValueError unless it holds
+    code.n entries, each 0 or 1."""
+    cw = as_bits(codeword, "codeword")
     if cw.size != code.n:
         raise ValueError(f"expected {code.n} bits, got {cw.size}")
+    return _parity(cw, code)
+
+
+def _parity(word: np.ndarray, code: LdpcCode) -> np.ndarray:
+    """Per-check parity of a 0/1 word (uint8 or bool) of code.n bits, unchecked."""
     # padded edges read the appended zero; a plain 0 would promote to int64
-    bits = np.append(cw, np.uint8(0))[code.check_vars]
+    bits = np.append(word, np.uint8(0))[code.check_vars]
     return np.bitwise_xor.reduce(bits, axis=0)
 
 
@@ -283,7 +291,7 @@ def ldpc_decode(llrs: np.ndarray, code: LdpcCode, max_iter: int = DEFAULT_MAX_IT
         incoming += msgs[0]
         np.add(channel, incoming, out=total[:-1])
     else:
-        converged = not ldpc_syndrome(total[:-1] < 0, code).any()
+        converged = not _parity(total[:-1] < 0, code).any()
     return (total[: code.k] < 0).astype(np.uint8), converged, iters
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import shaping
-from .channel import philox, sigma_for_peak_snr, transmit
+from .channel import as_bits, philox, sigma_for_peak_snr, transmit
 from .constellation import Constellation, bit_llrs, map_bits, normalize
 from .fec import ldpc_build, ldpc_decode, ldpc_encode
 from .fec.scramble import adapt_llrs, scramble
@@ -116,7 +116,7 @@ def build_coded(scheme: str, rate_bpcu: float, frame_symbols: int, codec: str,
 def encode_frame(cs: CodedScheme, data: np.ndarray) -> np.ndarray:
     """Source bits -> PAM-6 levels for one frame. Raises ValueError unless
     data holds cs.data_bits entries, each 0 or 1."""
-    data = shaping.as_bits(data, "frame data")
+    data = as_bits(data, "frame data")
     if data.size != cs.data_bits:
         raise ValueError(f"expected {cs.data_bits} data bits, got {data.size}")
     if cs.scheme == "dm_pam6":

@@ -5,11 +5,9 @@ composition by exact integer interval subdivision (enumerative arithmetic
 coding), so encode/decode round-trip exactly with no floating point.
 
 Cost of one block of n amplitudes carrying k bits, with exact integers
-throughout: ``ccdm_encode`` is O(n) Python steps of one k-bit division by a
-small int each; ``ccdm_decode`` forms per-position counts with numpy, folds
-them into int64 leaves of L positions (L = 3 at n = 1000, see _leaf_size)
-and then takes O(n/L) Python steps of two k-bit multiply-and-divides by
-one-digit ints each. Memory is O(n) either way. ``pas_encode`` records its
+throughout: ``ccdm_encode`` and ``ccdm_decode`` walk the same subdivision,
+O(n) Python steps of one k-bit division by a small int and two k-bit
+multiplies by small ints each, in O(n) memory. ``pas_encode`` records its
 last matcher call, so ``pas_decode`` of a frame whose decoded amplitudes
 are that call's output costs one O(n) comparison and a copy instead of
 ``ccdm_decode``: in a frame loop, every intact frame.
@@ -26,11 +24,11 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import as_bits
 from .constellation import build_constellation, map_bits
 from .fec.ldpc import ldpc_decode, ldpc_encode
 
@@ -82,14 +80,6 @@ def ccdm_input_length(comp: Composition) -> int:
     return comp.multinomial().bit_length() - 1
 
 
-def as_bits(data, what: str) -> np.ndarray:
-    """Flat uint8 copy of a 0/1 array; any other entry raises ValueError."""
-    data = np.asarray(data).ravel()
-    if not np.all((data == 0) | (data == 1)):
-        raise ValueError(f"{what} must hold only 0 and 1")
-    return data.astype(np.uint8)
-
-
 def ccdm_encode(data, comp: Composition) -> np.ndarray:
     """Map k = ccdm_input_length(comp) bits to a sequence with composition comp.
 
@@ -134,30 +124,12 @@ def ccdm_encode(data, comp: Composition) -> np.ndarray:
     return np.frombuffer(out, dtype=np.int8)
 
 
-def _leaf_size(n: int) -> int:
-    """Positions per leaf of the rank fold: the largest L <= n with n**L below
-    one CPython int digit.
-
-    Every per-position factor (c, l, m) is at most n, so a leaf's products
-    stay below n**L and its partial rank below L*n**L, well inside int64,
-    and each exact division by a leaf's m product is a one-digit division.
-    """
-    size = 1
-    while size < n and n ** (size + 1) < 2 ** sys.int_info.bits_per_digit:
-        size += 1
-    return size
-
-
 def ccdm_decode(a, comp: Composition) -> np.ndarray:
     """Recover the matcher input bits from a sequence in the encoder image.
 
-    At position j let R_j be the size of the class of the remaining
-    composition, c_j the remaining count of the symbol placed, l_j that of
-    the lower symbols and m_j = n - j. The rank is sum_j R_j l_j / m_j with
-    R_{j+1} = R_j c_j / m_j. numpy folds L consecutive positions into one
-    leaf (S, Pc, Pm) = (sum_j l_j prod_{i<j} c_i prod_{i>j} m_i, prod c_j,
-    prod m_j), so the Python loop takes n/L exact steps
-    rank += R S / Pm, R = R Pc / Pm.
+    Retraces ccdm_encode's subdivision: each position splits the remaining
+    class at the same thresholds t0 and t1, and the symbol placed adds the
+    sequences of the lower symbols (0, t0 or t1) to the rank.
     """
     a = np.asarray(a).ravel()
     # checked before the cast, which would read 256 or 0.7 as amplitude 0
@@ -167,34 +139,30 @@ def ccdm_decode(a, comp: Composition) -> np.ndarray:
     n = comp.n
     if len(a) != n:
         raise ValueError(f"sequence length {len(a)} != composition length {n}")
-    # placed[j, s]: occurrences of symbol s in a[:j+1]
-    placed = np.cumsum(a[:, None] == np.arange(3), axis=0)
-    observed = tuple(placed[-1].tolist())
+    observed = tuple(np.bincount(a, minlength=3).tolist())
     if observed != tuple(comp.counts):
         raise ValueError(f"composition mismatch: got {observed}, expected {comp.counts}")
     k = ccdm_input_length(comp)
-    after = np.asarray(comp.counts) - placed
-    size = _leaf_size(n)
-    total = -(-n // size) * size
-    # positions past n (c = m = 1, l = 0) leave their leaf unchanged
-    c = np.ones(total, dtype=np.int64)
-    low = np.zeros(total, dtype=np.int64)
-    c[:n] = after[np.arange(n), a] + 1
-    low[:n] = np.where(a > 0, after[:, 0], 0) + np.where(a > 1, after[:, 1], 0)
-    m = np.maximum(np.arange(n, n - total, -1), 1)
-    c, low, m = (v.reshape(-1, size) for v in (c, low, m))
-    s = np.zeros(len(c), dtype=np.int64)
-    pc = np.ones(len(c), dtype=np.int64)
-    pm = np.ones(len(c), dtype=np.int64)
-    for j in range(size):
-        s = s * m[:, j] + pc * low[:, j]
-        pc *= c[:, j]
-        pm *= m[:, j]
-    index = 0
+    c0, c1, _ = comp.counts
     remaining = comp.multinomial()
-    for sj, cj, mj in zip(s.tolist(), pc.tolist(), pm.tolist()):
-        index += remaining * sj // mj
-        remaining = remaining * cj // mj
+    index = 0
+    for pos, sym in enumerate(a.tolist()):
+        m = n - pos
+        q, r = divmod(remaining, m)
+        t0 = q * c0 + r * c0 // m
+        if sym == 0:
+            remaining = t0
+            c0 -= 1
+            continue
+        c01 = c0 + c1
+        t1 = q * c01 + r * c01 // m
+        if sym == 1:
+            index += t0
+            remaining = t1 - t0
+            c1 -= 1
+        else:
+            index += t1
+            remaining -= t1
     if index >> k:
         raise ValueError("sequence is not in the matcher image")
     raw = np.frombuffer((index << (-k % 8)).to_bytes(-(-k // 8), "big"), dtype=np.uint8)

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from pam6link import constellation, selfcheck
+from pam6link import cli, constellation, experiment, selfcheck
 from pam6link.cli import main
 from pam6link.fec.ldpc import load_basegraph
 
@@ -161,12 +161,38 @@ def test_snr_beyond_the_metric_range_exits_1(tmp_path, capsys, snr, scheme, metr
     assert err in capsys.readouterr().err
 
 
-def test_runtime_errors_exit_2(tmp_path, capsys):
+def test_runtime_errors_exit_2(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise ValueError("draw failed")
+
+    monkeypatch.setattr(experiment, "estimate_rates_per_scheme", fail)
     cfg = tmp_path / "tiny.yaml"
     cfg.write_text(TINY)
-    assert main(["run", "--config", str(cfg),
-                 "--output", str(tmp_path / "no" / "dir" / "x.csv")]) == 2
-    assert "error:" in capsys.readouterr().err
+    out = tmp_path / "out.csv"
+    out.write_text("earlier rows\n")
+    assert main(["run", "--config", str(cfg), "--output", str(out)]) == 2
+    assert "error: ValueError: draw failed" in capsys.readouterr().err
+    # the failed run leaves an existing output file as it was
+    assert out.read_text() == "earlier rows\n"
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("path", ["no/dir/x.csv", "", "."])
+def test_unwritable_output_exits_1_before_the_run(tmp_path, capsys, monkeypatch,
+                                                 where, path):
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **kw: runs.append(a))
+    target = str(tmp_path / path) if path else path
+    cfg = tmp_path / "tiny.yaml"
+    argv = ["run", "--config", str(cfg)]
+    if where == "flag":
+        cfg.write_text(TINY)
+        argv += ["--output", target]
+    else:
+        cfg.write_text(TINY + f"output: {target!r}\n")
+    assert main(argv) == 1
+    assert "config error: output: cannot write" in capsys.readouterr().err
+    assert runs == []
 
 
 # sha256 of the bundled configs' CSVs: a change that moves any float of

@@ -190,6 +190,21 @@ def test_lengths_are_checked(call, size, match):
         call(code, np.zeros(size))
 
 
+@pytest.mark.parametrize("value", [2, 0.7, -1, 256])
+def test_entries_that_are_not_bits_are_refused(value):
+    # a plain cast to uint8 would let 2 and -1 (as 255) into the word, whose
+    # syndrome then reads zero, and read 0.7 and 256 as 0
+    code = ldpc_build(250, 200)
+    data = np.zeros(code.k)
+    data[7] = value
+    with pytest.raises(ValueError, match="data must hold only 0 and 1"):
+        ldpc_encode(data, code)
+    word = ldpc_encode(np.zeros(code.k), code).astype(np.float64)
+    word[-3] = value
+    with pytest.raises(ValueError, match="codeword must hold only 0 and 1"):
+        ldpc_syndrome(word, code)
+
+
 @pytest.mark.parametrize("n,k", GRID_CODES)
 def test_tables_follow_rate_matching(n, k):
     # the dense layout of the module docstring, at every code a 1000-symbol

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from pam6link import shaping
 from pam6link.constellation import build_constellation
 from pam6link.fec.ldpc import ldpc_build, ldpc_encode
-from pam6link.shaping import (Composition, _leaf_size, ccdm_decode, ccdm_encode,
+from pam6link.shaping import (Composition, ccdm_decode, ccdm_encode,
                               ccdm_input_length, pas_decode, pas_encode)
 
 PAM6 = build_constellation("pam6_label")
 
-# uniform, a zero count in each place, one-symbol classes (k = 0), and the
-# length-1000 blocks whose rank fold ends in a padded leaf
+# uniform, a zero count in each place, one-symbol classes (k = 0), and
+# length-1000 blocks
 REFERENCE_COMPOSITIONS = [Composition.near_uniform(1000).counts, (5, 0, 3),
                           (1, 1, 1), (400, 300, 300), (0, 0, 7), (1, 0, 0),
                           (0, 5, 0)]
@@ -32,6 +32,12 @@ def _reference_encode(data, comp):
     index = 0
     for bit in data:
         index = (index << 1) | int(bit)
+    return _sequence_of_rank(index, comp)
+
+
+def _sequence_of_rank(index, comp):
+    """The index-th lexicographic sequence of the composition class, for any
+    index below the class size, not only those below 2**k."""
     counts = list(comp.counts)
     n = comp.n
     remaining = comp.multinomial()
@@ -191,14 +197,28 @@ def test_matcher_equals_per_position_reference(counts):
     _check_against_reference(comp, words, rng)
 
 
-def test_matcher_equals_reference_with_smaller_leaves():
+def test_matcher_equals_reference_at_20000():
     comp = Composition.near_uniform(20000)
-    assert _leaf_size(comp.n) < _leaf_size(1000)
     k = ccdm_input_length(comp)
     rng = np.random.default_rng(20000)
     words = [np.zeros(k, dtype=np.uint8), np.ones(k, dtype=np.uint8),
              rng.integers(0, 2, size=k).astype(np.uint8)]
     _check_against_reference(comp, words, rng)
+
+
+@pytest.mark.parametrize("counts", [Composition.near_uniform(1000).counts, (9, 8, 8)])
+def test_matcher_image_ends_below_rank_2_to_the_k(counts):
+    comp = Composition(counts)
+    k = ccdm_input_length(comp)
+    assert 2**k < comp.multinomial()
+    last = _sequence_of_rank(2**k - 1, comp)
+    assert np.array_equal(ccdm_encode(np.ones(k, dtype=np.uint8), comp), last)
+    assert np.array_equal(ccdm_decode(last, comp), np.ones(k, dtype=np.uint8))
+    # the next sequence of the class has the composition but no input
+    beyond = _sequence_of_rank(2**k, comp)
+    assert tuple(np.bincount(beyond, minlength=3)) == comp.counts
+    with pytest.raises(ValueError, match="not in the matcher image"):
+        ccdm_decode(beyond, comp)
 
 
 @pytest.mark.parametrize("pos,value", [(0, 2), (-1, 255), (3, -1)])
