@@ -53,18 +53,18 @@ def _resolve_config(name: str):
 
 def _check_output(path: str) -> None:
     """ConfigError unless a run can write its CSV to path. Checked before
-    the sweep so that a bad path loses no rows; the file itself is opened
-    only once the CSV is complete, so a failed run leaves it as it was."""
-    folder = os.path.dirname(path) or "."
-    if not os.path.basename(path) or os.path.isdir(path):
-        why = "not a file name"
-    elif not os.path.isdir(folder):
-        why = f"no directory {folder!r}"
-    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
-        why = "not writable"
-    else:
-        return
-    raise ConfigError(f"output: cannot write the CSV to {path!r}: {why}")
+    the sweep so that a bad path loses no rows, by opening the path for
+    appending, which truncates nothing; a file this check made is removed
+    again. The CSV is written only once complete, so a failed run leaves
+    the path as it was."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as e:
+        raise ConfigError(f"output: cannot write the CSV to {path!r}: "
+                          f"{e.strerror or e}") from None
+    if not existed:
+        os.remove(path)
 
 
 def _cmd_run(args) -> int:

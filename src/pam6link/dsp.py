@@ -38,7 +38,6 @@ class Trellis:
     the burst, so the initial state is 0; the terminal distribution is left
     uniform.
     """
-    levels: np.ndarray
     n_states: int
     branch_mean: np.ndarray = field(repr=False)
 
@@ -57,7 +56,7 @@ def make_trellis(taps) -> Trellis:
     for tap in taps[1:]:
         mean = mean + tap * levels[digits % q]
         digits = digits // q
-    return Trellis(levels=levels, n_states=n_states, branch_mean=mean)
+    return Trellis(n_states=n_states, branch_mean=mean)
 
 
 POSTERIOR_BLOCK = 256  # steps per block of branch metrics and of states
@@ -81,20 +80,6 @@ def _logsumexp(x: np.ndarray, axis: int, out: np.ndarray, mx: np.ndarray) -> Non
     np.add.reduce(x, axis, out=out, keepdims=True)
     np.log(out, out=out)
     np.add(mx, out, out=out)
-
-
-def rows_per_call(trellis: Trellis) -> int:
-    """Rows one bcjr_app call may stack: 3 at two or more taps (S >= Q),
-    1 at a single tap (S = 1).
-
-    The count is (S*Q + 2S + Q) // (2S + Q), the most rows whose states of
-    both recursions and posteriors, B*(2S + Q) floats per use, would fit
-    where one row holding all its branch metrics would, S*Q + 2S + Q. A
-    call holds less than that: beside its fixed blocks, B*S floats per
-    use, the stored states of both recursions for half the uses.
-    """
-    s, q = trellis.n_states, trellis.levels.size
-    return (s * q + 2 * s + q) // (2 * s + q)
 
 
 def _branch_metrics(y: np.ndarray, trellis: Trellis, scale: float,
@@ -182,7 +167,7 @@ def bcjr_app(y: np.ndarray, trellis: Trellis, noise_var: float, consume) -> None
     check_noise_var(noise_var)
     rows, t_len = y.shape
     scale = -0.5 / noise_var
-    q = trellis.levels.size
+    q = len(LEVELS)
     ns = trellis.n_states
     lead = max(ns // q, 1)
     by_next, beta_view = (ns // lead, lead, q), (lead, ns // lead)

@@ -342,7 +342,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
         raise ConfigError(f"threads: need at least 1 and at most {MAX_WORKERS} "
                           f"worker processes, got {threads}")
     points = [(snr, seed) for snr in cfg.snr_db for seed in cfg.seeds]
-    rate_metrics = tuple(dict.fromkeys(m for m in cfg.metrics if m in METRICS))
+    rate_metrics = tuple(m for m in cfg.metrics if m in METRICS)
     units, draws = [], [(None, rate_metrics, snr, seed) for snr, seed in points]
     for scheme in cfg.schemes:
         for metric in cfg.metrics:

@@ -11,14 +11,16 @@ for independent uniform label bits equals the familiar per-bit form
 sum_j (1 - E log2(1 + e^{-/+ LLR_j})). The per-point samples of both
 come from constellation.rate_samples, on AWGN and from the trellis pass.
 
+estimate_rates_per_scheme plans every draw: each distinct scheme of a
+(SNR, seed) point is drawn once and each distinct metric estimated once.
 On AWGN the draw is blocked: _awgn_samples draws, sends and demaps
 constellation.BLOCK_POINTS points at a time from two Philox generators made
-once per estimate, and only the per-metric sample vectors reach full length.
-With ISI taps each scheme's draw is sent whole into one stack of rows,
-because bcjr_app detects whole rows; it hands each block of level
-posteriors straight to rate_samples at that block's points, so no
-posterior array of a whole row is ever held. _estimate takes the moments
-in place on the sample vector.
+once per scheme, and only the per-metric sample vectors reach full length,
+those of one scheme at a time. With ISI taps every distinct scheme's draw
+is sent whole into one stack of rows, because bcjr_app detects whole rows,
+and one call hands each block of level posteriors straight to
+rate_samples at that block's points, so no posterior array of a whole row
+is ever held. _estimate takes the moments in place on the sample vector.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ import numpy as np
 from . import constellation, shaping
 from .channel import philox, sigma_for_peak_snr, transmit
 from .constellation import build_constellation, normalize, rate_samples
-from .dsp import bcjr_app, make_trellis, rows_per_call
+from .dsp import bcjr_app, make_trellis
 
 SCHEMES = ("cross_qam32", "framed_cross_qam32", "dm_pam6")
 METRICS = ("symbol_metric", "bit_metric")
@@ -42,9 +44,9 @@ _HW_FLOOR = 1e-12  # keeps reported confidence strictly positive when the
 MAX_NUM_SYMBOLS = 10**7  # largest MI/GMI sample
 # largest trellis a sample may span, num_symbols * 6**len(taps) (one
 # branch metric per use, state and symbol): two taps. bcjr_app holds
-# num_symbols * S floats of states per row beside its fixed blocks, and
-# stacks dsp.rows_per_call rows per call, so at MAX_NUM_SYMBOLS three rows
-# hold 1.4 GB of states at two taps and would hold 8.6 GB at three.
+# num_symbols * S floats of states per row beside its fixed blocks, with
+# one row per distinct scheme, at most len(SCHEMES), so at MAX_NUM_SYMBOLS
+# three rows hold 1.4 GB of states at two taps and would hold 8.6 GB at three.
 MAX_BRANCH_METRICS = MAX_NUM_SYMBOLS * 6**2
 
 
@@ -181,39 +183,29 @@ def estimate_rates_per_scheme(
 ) -> list:
     """estimate_rates of each of `schemes` at one SNR and seed, in order.
 
-    Each scheme is drawn on the Philox streams it uses alone, so each dict
-    equals estimate_rates(scheme, ...). With ISI taps the draws of up to
-    dsp.rows_per_call schemes at a time go through one stacked trellis
-    pass; on AWGN each scheme is demapped on its own.
+    The one plan of a point's draw. Each distinct scheme is drawn once on
+    the Philox streams it uses alone, and each distinct metric is estimated
+    once from that draw, so a scheme or metric listed twice gets the same
+    estimates and each dict equals estimate_rates(scheme, ...). With ISI
+    taps every distinct scheme is a row of one stacked trellis pass; on
+    AWGN each scheme's samples become estimates before the next is drawn.
     """
-    metrics = tuple(metrics)
+    metrics = tuple(dict.fromkeys(metrics))
     if not metrics:
         raise ValueError(f"need at least one metric of {METRICS}")
     for m in metrics:
         if m not in METRICS:
             raise ValueError(f"unknown metric {m!r}; expected one of {METRICS}")
-    for s in schemes:  # first: the trellis of too many taps would not fit
+    distinct = tuple(dict.fromkeys(schemes))
+    for s in distinct:  # first: the trellis of too many taps would not fit
         check_num_symbols(s, num_symbols, taps)
-    trellis = None if taps is None else make_trellis(taps)
-    rows = 1 if trellis is None else rows_per_call(trellis)
-    out = []
-    for s0 in range(0, len(schemes), rows):
-        out += _estimate_rows(schemes[s0:s0 + rows], snr_db, metrics,
-                              num_symbols, seed, taps, trellis)
-    return out
-
-
-def _estimate_rows(schemes, snr_db, metrics, num_symbols, seed, taps, trellis):
-    """{metric: RateEstimate} of each scheme: on AWGN from its blocked
-    draw; with a trellis from whole rows, one bcjr_app call over all of
-    them that streams each block of level posteriors into the rate
-    samples of its points."""
-    consts = [constellation_for(s) for s in schemes]
+    consts = [constellation_for(s) for s in distinct]
     nv = sigma_for_peak_snr(snr_db)
-    if trellis is None:
-        samples = [_awgn_samples(c, nv, metrics, num_symbols, seed)
-                   for c in consts]
+    if taps is None:  # drawn lazily, one scheme at a time
+        samples = (_awgn_samples(c, nv, metrics, num_symbols, seed)
+                   for c in consts)
     else:  # bcjr_app needs whole rows, sent into one stack
+        trellis = make_trellis(taps)
         received = np.empty((len(consts), num_symbols))
         sent = []
         for c, row in zip(consts, received):
@@ -231,10 +223,12 @@ def _estimate_rows(schemes, snr_db, metrics, num_symbols, seed, taps, trellis):
                              out={m: v[p0:p1] for m, v in smp.items()})
 
         bcjr_app(received, trellis, nv, consume)
-        # only the per-point vectors stay at full length for the moments
-        del received, sent
-    return [{m: _estimate(scheme, m, snr_db, c, smp[m], num_symbols, seed)
-             for m in metrics} for scheme, c, smp in zip(schemes, consts, samples)]
+    # each vector is popped as its moments are taken and freed with them,
+    # so on AWGN no scheme's samples outlive the next scheme's draw
+    est = {s: {m: _estimate(s, m, snr_db, c, smp.pop(m), num_symbols, seed)
+               for m in metrics}
+           for s, c, smp in zip(distinct, consts, samples)}
+    return [est[s] for s in schemes]
 
 
 def estimate_mi(
@@ -306,11 +300,14 @@ def bisect(below, lo: float, hi: float, width: float) -> float:
     """Crossing of a monotone test, to within width / 2.
 
     ``below(x)`` is True when the crossing lies above x and False when it
-    lies at or below x. Raises ValueError unless below(lo) is True and
-    below(hi) is False, so that [lo, hi] holds the crossing. Then halves
-    the bracket, keeping the half that holds the crossing, until it is
-    narrower than ``width``, and returns its midpoint.
+    lies at or below x. Raises ValueError unless width > 0, below(lo) is
+    True and below(hi) is False, so that [lo, hi] holds the crossing. Then
+    halves the bracket, keeping the half that holds the crossing, until it
+    is narrower than ``width`` or its ends are adjacent floats, and
+    returns its midpoint.
     """
+    if not width > 0:  # refuses NaN too
+        raise ValueError(f"width must be positive, got {width}")
     if not below(lo):
         raise ValueError(
             f"[{lo}, {hi}] holds no crossing: it lies at or below {lo}")
@@ -318,6 +315,8 @@ def bisect(below, lo: float, hi: float, width: float) -> float:
         raise ValueError(f"[{lo}, {hi}] holds no crossing: it lies above {hi}")
     while hi - lo >= width:
         x = 0.5 * (lo + hi)
+        if not lo < x < hi:  # adjacent floats: no narrower bracket exists
+            break
         if below(x):
             lo = x
         else:

@@ -172,12 +172,17 @@ def test_runtime_errors_exit_2(tmp_path, capsys, monkeypatch):
     out.write_text("earlier rows\n")
     assert main(["run", "--config", str(cfg), "--output", str(out)]) == 2
     assert "error: ValueError: draw failed" in capsys.readouterr().err
-    # the failed run leaves an existing output file as it was
+    # the failed run leaves an existing output file as it was, and makes
+    # no new one
     assert out.read_text() == "earlier rows\n"
+    new = tmp_path / "new.csv"
+    assert main(["run", "--config", str(cfg), "--output", str(new)]) == 2
+    assert not new.exists()
 
 
 @pytest.mark.parametrize("where", ["flag", "config"])
-@pytest.mark.parametrize("path", ["no/dir/x.csv", "", "."])
+@pytest.mark.parametrize("path", ["no/dir/x.csv", "", ".", "x" * 300 + ".csv"],
+                         ids=lambda p: "too_long" if len(p) > 255 else None)
 def test_unwritable_output_exits_1_before_the_run(tmp_path, capsys, monkeypatch,
                                                  where, path):
     runs = []

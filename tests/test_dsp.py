@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pam6link.dsp import (HAND_OVER, POSTERIOR_BLOCK, bcjr_app, make_trellis,
-                          rows_per_call)
-from pam6link.rates import estimate_gmi, estimate_mi
+from pam6link.dsp import HAND_OVER, POSTERIOR_BLOCK, bcjr_app, make_trellis
+from pam6link.rates import SCHEMES, estimate_gmi, estimate_mi
 
 LEVELS = np.arange(6) / 5.0
 
@@ -28,12 +27,12 @@ def gathered_app(y, tr, noise_var):
 
 def test_trellis_structure():
     tr = make_trellis([1.0, 0.4])
-    assert np.array_equal(tr.levels, LEVELS)
     assert tr.n_states == 6
     assert tr.branch_mean.size == 36
-    # branch (prev_state=2, symbol=5): mean = 1.0*levels[5] + 0.4*levels[2]
-    b = 2 * 6 + 5
-    assert tr.branch_mean[b] == pytest.approx(LEVELS[5] + 0.4 * LEVELS[2])
+    # branch b = prev_state*6 + symbol: mean = 1.0*levels[symbol]
+    # + 0.4*levels[prev_state], over the normalized levels
+    for prev, sym in itertools.product(range(6), repeat=2):
+        assert tr.branch_mean[prev * 6 + sym] == LEVELS[sym] + 0.4 * LEVELS[prev]
 
 
 def test_trellis_needs_a_tap():
@@ -94,7 +93,7 @@ def _per_step_app(y, tr, noise_var):
     first forward steps reach states no branch has entered yet, so their
     groups are all -inf.
     """
-    t_len, q, ns = y.size, tr.levels.size, tr.n_states
+    t_len, q, ns = y.size, LEVELS.size, tr.n_states
     prev, sym = np.divmod(np.arange(ns * q), q)
     next_state = (q * prev + sym) % ns
     mean = tr.branch_mean
@@ -168,14 +167,13 @@ def test_stacked_rows_equal_single_row_calls(taps):
 
 
 def test_stacked_call_holds_no_more_than_one_rows_branch_metrics():
-    # rows_per_call rows of 1e4 uses at two taps hold the stored half of
+    # the rate estimators stack one row per distinct scheme, at most
+    # len(SCHEMES): rows of 1e4 uses at two taps hold the stored half of
     # both recursions, S floats per use and row, plus blocks whose size does
     # not depend on T: never the 3 * T * S * Q floats of the uses' branch
     # metrics, nor a (B, T, Q) posterior array
     tr = make_trellis([1.0, 0.35])
-    rows, t_len = rows_per_call(tr), 10**4
-    assert rows == 3
-    assert rows_per_call(make_trellis([1.0])) == 1
+    rows, t_len = len(SCHEMES), 10**4
     y = np.random.default_rng(3).uniform(-0.2, 1.5, size=(rows, t_len))
     tracemalloc.start()
     try:

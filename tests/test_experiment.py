@@ -515,21 +515,26 @@ min_errors: 5
         assert seen == items
 
 
-def test_isi_units_write_what_per_scheme_calls_give():
+@pytest.mark.parametrize("sweep", [
+    "schemes: [cross_qam32, framed_cross_qam32, dm_pam6]\n"
+    "metric: [symbol_metric, bit_metric]\nsnr_db: [19.0, 23.0]\n"
+    "seeds: [0, 5]\nchannel: {kind: fir_isi, taps: [1.0, 0.35]}\n"
+    "num_symbols: 10000",
+    # one tap, one state per row; a scheme and a metric listed twice
+    "schemes: [cross_qam32, framed_cross_qam32, dm_pam6, cross_qam32]\n"
+    "metric: [symbol_metric, bit_metric, symbol_metric]\n"
+    "snr_db: [20.0, 23.0]\nseeds: [0, 3]\n"
+    "channel: {kind: fir_isi, taps: [0.9]}\nnum_symbols: 20000",
+], ids=["two_taps", "one_tap_repeated"])
+def test_isi_units_write_what_per_scheme_calls_give(sweep):
     """On fir_isi the rate items of every scheme at one (snr, seed) share a
     stacked trellis pass, yet write the rows per-scheme calls give, in
     config order, at any threads."""
-    cfg = parse_config("""
-schemes: [cross_qam32, framed_cross_qam32, dm_pam6]
-metric: [symbol_metric, bit_metric]
-snr_db: [19.0, 23.0]
-seeds: [0, 5]
-channel: {kind: fir_isi, taps: [1.0, 0.35]}
-num_symbols: 10000
-""")
+    cfg = parse_config(sweep)
     want, items = [CSV_HEADER], []
     for scheme in cfg.schemes:
-        ests = {(snr, seed): estimate_rates(scheme, snr, num_symbols=10000,
+        ests = {(snr, seed): estimate_rates(scheme, snr,
+                                            num_symbols=cfg.num_symbols,
                                             seed=seed, taps=cfg.taps)
                 for snr in cfg.snr_db for seed in cfg.seeds}
         for metric in cfg.metrics:
@@ -538,7 +543,8 @@ num_symbols: 10000
                     est = ests[snr, seed][metric]
                     want.append(",".join(
                         (scheme, metric, repr(snr), repr(est.rate),
-                         repr(est.half_width), "10000", str(seed))))
+                         repr(est.half_width), str(cfg.num_symbols),
+                         str(seed))))
                     items.append((scheme, metric, snr, seed))
     want = "\n".join(want) + "\n"
     for threads in (1, 2):

@@ -149,6 +149,23 @@ def test_bisect_halves_a_checked_bracket():
         rates.bisect(below, 0.0, 3.0, 1e-6)
 
 
+@pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
+def test_bisect_refuses_a_width_it_cannot_narrow_to(width):
+    # a bracket never gets narrower than 0, so these would halve forever,
+    # and NaN would return the first midpoint unbisected; no probe is made
+    probes = []
+    with pytest.raises(ValueError, match="width must be positive"):
+        rates.bisect(lambda x: probes.append(x) or x < 0.3, 0.0, 1.0, width)
+    assert probes == []
+
+
+def test_bisect_stops_at_adjacent_floats():
+    # a positive width below the spacing of floats at the crossing ends
+    # when no float lies between the bracket's ends
+    x = rates.bisect(lambda x: x < 0.3, 0.0, 1.0, 1e-300)
+    assert abs(x - 0.3) <= math.ulp(0.3)
+
+
 def test_trellis_size_is_checked_before_any_draw():
     # two taps at the largest sample fit; more would not: twelve taps span
     # a trellis of 10**7 * 6**12 branch metrics, and building it alone
@@ -268,6 +285,57 @@ def test_joint_estimate_equals_separate_calls(scheme, taps, metrics):
         assert got[m].metric == m
 
 
+@pytest.mark.parametrize("taps", (None, (1.0, 0.35)))
+def test_a_metric_asked_twice_is_estimated_once(taps):
+    """A repeated metric gets the estimate of asking it once: the moments
+    are taken in place, so estimating one vector twice would read used-up
+    samples."""
+    once = estimate_rates("dm_pam6", 22.0, ("bit_metric",), 10**4, 0, taps)
+    twice = estimate_rates("dm_pam6", 22.0, ("bit_metric", "bit_metric"),
+                           10**4, 0, taps)
+    assert twice == once
+    both = estimate_rates("dm_pam6", 22.0, ("symbol_metric", "bit_metric",
+                                            "symbol_metric"), 10**4, 0, taps)
+    assert tuple(both) == rates.METRICS
+    assert both["bit_metric"] == once["bit_metric"]
+
+
+def _counting(monkeypatch, name):
+    """Wrap rates.<name> so that each call appends its first argument."""
+    calls, fn = [], getattr(rates, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(rates, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("taps", (None, (1.0, 0.35)))
+def test_a_scheme_listed_twice_is_drawn_once(monkeypatch, taps):
+    calls = _counting(monkeypatch, "transmit")
+    once = rates.estimate_rates_per_scheme(("dm_pam6",), 22.0,
+                                           num_symbols=10**4, taps=taps)
+    n_once = len(calls)
+    twice = rates.estimate_rates_per_scheme(("dm_pam6", "dm_pam6"), 22.0,
+                                            num_symbols=10**4, taps=taps)
+    assert len(calls) == 2 * n_once
+    assert twice == once * 2
+
+
+def test_one_tap_point_is_one_trellis_pass(monkeypatch):
+    # every distinct scheme is a row of one bcjr_app call, also at one tap
+    # (one state), where each row's states are fewest
+    calls = _counting(monkeypatch, "bcjr_app")
+    got = rates.estimate_rates_per_scheme(
+        SCHEMES + ("dm_pam6",), 22.0, num_symbols=10**4, taps=(0.9,))
+    assert [y.shape for y in calls] == [(3, 10**4)]
+    for scheme, est in zip(SCHEMES + ("dm_pam6",), got):
+        assert est == estimate_rates(scheme, 22.0, num_symbols=10**4,
+                                     taps=(0.9,))
+
+
 def test_estimate_rates_rejects_unknown_metrics():
     with pytest.raises(ValueError, match="unknown metric 'fer'"):
         estimate_rates("dm_pam6", 22.0, ("symbol_metric", "fer"),
@@ -279,15 +347,18 @@ def test_estimate_rates_rejects_unknown_metrics():
 def test_awgn_estimate_holds_only_its_sample_vectors():
     # 1e6 points of dm_pam6: two 8e6-byte sample vectors, one per metric,
     # plus one block of BLOCK_POINTS points; the whole draw would add 16e6
-    # bytes more of indices, amplitudes, noise and received samples
+    # bytes more of indices, amplitudes, noise and received samples. Three
+    # schemes at one point hold one scheme's vectors at a time: the 2D
+    # schemes' would add 16e6 bytes if held beside dm_pam6's
     estimate_rates("dm_pam6", 22.5, num_symbols=10**4)
-    tracemalloc.start()
-    try:
-        estimate_rates("dm_pam6", 22.5, num_symbols=10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * 2**20
+    for schemes in (("dm_pam6",), SCHEMES):
+        tracemalloc.start()
+        try:
+            rates.estimate_rates_per_scheme(schemes, 22.5, num_symbols=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20, schemes
 
 
 def test_isi_estimate_holds_no_posterior_array():
