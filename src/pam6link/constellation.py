@@ -15,7 +15,7 @@ peak amplitude 1), so peak SNR is 1/sigma^2 for every scheme.
 ``labels`` is the one definition of each mapping. A constellation derives
 two lookups from it once, on first use: packed label -> point index, which
 ``map_bits`` reads, and per label bit the point rows with that bit 0 and
-with it 1, which the LLR marginalization sums.
+with it 1, whose weights sum to the two label halves' masses.
 
 The soft demapper works points-major: the log metrics of a block of received
 groups form one (num_points, num_groups) array, so each reduction over the
@@ -40,7 +40,10 @@ order numpy gives the row-major one:
 copy in label-bit order, so callers see the row-major shapes.
 ``rate_samples`` streams the sent points in blocks through the one
 demapper, from AWGN samples or trellis level posteriors, into the per-point
-samples whose means are the MI and GMI estimates.
+samples whose means are the MI and GMI estimates. A GMI sample reads the
+label halves straight, with no LLR: per label bit j, log2(1 + h_other /
+h_sent), where h_sent is the mass of the points whose bit j equals the sent
+bit and h_other that of the rest.
 """
 from __future__ import annotations
 
@@ -291,20 +294,27 @@ def _weights(logm):
     return np.exp(logm, out=logm)
 
 
-def _label_llrs(w, c):
-    """Bitwise LLRs, shape (num_groups, bits_per_point), from points-major
-    weights.
+def _label_halves(w, c):
+    """Masses of the label halves, shape (2, bits_per_point, num_groups),
+    from points-major weights: [h, j] sums the weights of the points whose
+    label bit j is h, clamped at tiny.
 
-    Both label halves are summed explicitly: taking s1 as total - s0
-    cancels catastrophically once one half dominates. Each half is gathered
-    on its own (16 rows for a 32-point format) to keep the block in cache;
-    the logs of all halves are then taken at once.
+    Both halves are summed explicitly: taking one as total - other cancels
+    catastrophically once one half dominates. Each half is gathered on its
+    own (16 rows for a 32-point format) to keep the block in cache.
     """
     halves = np.empty((2, c.bits_per_point, w.shape[1]), dtype=np.float64)
     for j, rows in enumerate(c._label_rows):
         for h in (0, 1):
             np.add.reduce(w.take(rows[h], axis=0), axis=0, out=halves[h, j])
-    np.maximum(halves, np.finfo(np.float64).tiny, out=halves)
+    return np.maximum(halves, np.finfo(np.float64).tiny, out=halves)
+
+
+def _label_llrs(w, c):
+    """Bitwise LLRs, shape (num_groups, bits_per_point), from points-major
+    weights: the log of each label half's mass (_label_halves), bit 0's
+    minus bit 1's."""
+    halves = _label_halves(w, c)
     np.log(halves, out=halves)
     return (halves[0] - halves[1]).T
 
@@ -334,19 +344,22 @@ def rate_samples(idx, c: Constellation, metrics, received=None, noise_var=None,
                  level_logposts=None, out=None) -> dict:
     """{metric: per-point samples} for the sent points idx, whose means give
     the MI ("symbol_metric": log2 of the sent point's posterior) and the
-    GMI ("bit_metric": sum_j log2(1 + exp(-(1 - 2 b_j) * LLR_j)) over the
-    sent label bits b_j).
+    GMI ("bit_metric": sum_j log2(1 + h_other_j / h_sent_j) over the label
+    bits, h_sent_j the mass of the label half holding the sent bit b_j and
+    h_other_j the other's; in LLRs, log2(1 + exp(-(1 - 2 b_j) * LLR_j))).
 
     Detection is from received samples at noise_var (AWGN) or from a
     trellis detector's (num_uses, 6) level log posteriors, which score a 2D
     point by the product of its levels' (mismatched but achievable). The
     symbol metric is a point's AWGN weight over _row_sum, as
     symbol_posteriors divides it, or its levels' log posteriors / ln 2
-    summed over the axes (the point table's sums round differently). Each
-    block of BLOCK_POINTS points is demapped once for both metrics, per
-    point, so blocking changes no bit. The samples go into `out`, {metric:
-    vector of idx.size} with one key per metric, when given, else into new
-    vectors.
+    summed over the axes (the point table's sums round differently). The
+    bit metric takes log1p of each ratio, or the difference of the halves'
+    logs where h_sent sits at the tiny floor and the ratio would overflow,
+    and adds the bits' terms in label-bit order. Each block of
+    BLOCK_POINTS points is demapped once for both metrics, per point, so
+    blocking changes no bit. The samples go into `out`, {metric: vector of
+    idx.size} with one key per metric, when given, else into new vectors.
     """
     if (received is None) == (level_logposts is None):
         raise ValueError("need either received samples or level log posteriors")
@@ -358,7 +371,7 @@ def rate_samples(idx, c: Constellation, metrics, received=None, noise_var=None,
     elif set(out) != set(metrics):
         raise ValueError(f"out holds {sorted(out)}, need the metrics {sorted(metrics)}")
     mi, gmi = out.get("symbol_metric"), out.get("bit_metric")
-    signs = 2.0 * c.labels - 1.0
+    sent_bits = c.labels.T.astype(bool)
     for s in range(0, idx.size, BLOCK_POINTS):
         e = s + BLOCK_POINTS
         ib = idx[s:e]
@@ -375,10 +388,17 @@ def rate_samples(idx, c: Constellation, metrics, received=None, noise_var=None,
                 mi[s:e] = lev.reshape(-1, d).sum(axis=1)
             if gmi is not None:
                 w = _weights(_level_point_metrics(lp, c))
-        if gmi is not None:  # in place on one (points, bits) array
-            x = np.take(signs, ib, axis=0)
-            x *= _label_llrs(w, c)
-            np.logaddexp(0.0, x, out=x)
+        if gmi is not None:  # points-major on (bits, points) arrays
+            halves = _label_halves(w, c)
+            b = np.take(sent_bits, ib, axis=1)
+            h_sent = np.where(b, halves[1], halves[0])
+            h_other = np.where(b, halves[0], halves[1])
+            with np.errstate(over="ignore"):  # h_sent at the tiny floor
+                x = np.divide(h_other, h_sent)
+            np.log1p(x, out=x)
+            over = np.isinf(x)
+            if over.any():  # log1p(r) rounds to log(r) beyond the largest float
+                x[over] = np.log(h_other[over]) - np.log(h_sent[over])
             x /= math.log(2.0)
-            gmi[s:e] = x.sum(axis=1)
+            np.add.reduce(x, axis=0, out=gmi[s:e])
     return out

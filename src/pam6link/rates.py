@@ -6,10 +6,13 @@ Peak SNR is 1/noise_var since the peak amplitude is normalized to 1.
 
 Symbol-metric rates are Monte Carlo mutual information estimates
 H(X) - E[-log2 P(x|y)]; bit-metric rates use the standard mismatched
-(bitwise) decoding bound [H(X) - sum_j E log2(1 + e^{-/+ LLR_j})]+, which
-for independent uniform label bits equals the familiar per-bit form
-sum_j (1 - E log2(1 + e^{-/+ LLR_j})). The per-point samples of both
-come from constellation.rate_samples, on AWGN and from the trellis pass.
+(bitwise) decoding bound [H(X) - sum_j E log2(1 + h_other_j / h_sent_j)]+,
+where h_sent_j is the posterior mass of the label half holding the sent
+bit j and h_other_j the other half's. In LLRs the penalty is
+log2(1 + e^{-/+ LLR_j}), and for independent uniform label bits the bound
+equals the familiar per-bit form sum_j (1 - E log2(1 + e^{-/+ LLR_j})).
+The per-point samples of both come from constellation.rate_samples, on
+AWGN and from the trellis pass.
 
 estimate_rates_per_scheme plans every draw: each distinct scheme of a
 (SNR, seed) point is drawn once and each distinct metric estimated once.

@@ -7,6 +7,7 @@ import pytest
 from pam6link import cli, constellation, experiment, selfcheck
 from pam6link.cli import main
 from pam6link.fec.ldpc import load_basegraph
+from pinned_dispatch import at_pinned_dispatch
 
 TINY = """
 scheme: dm_pam6
@@ -200,10 +201,11 @@ def test_unwritable_output_exits_1_before_the_run(tmp_path, capsys, monkeypatch,
     assert runs == []
 
 
-# sha256 of the bundled configs' CSVs: a change that moves any float of
-# these results must update the digest and say why
+# sha256 of the bundled configs' CSVs at the pinned dispatch level
+# (pinned_dispatch.py): a change that moves any float of these results must
+# update the digest and say why
 BUNDLED_SHA256 = {
-    "awgn_gaps": "0deb2984e7bb94e3285f35a8154540a12a4c39d4ae27a31b07f6da64aa63fb20",
+    "awgn_gaps": "563076cef9f5fe5dc02773a7186c446d7e805d636db126b80ffaa51245ac5d51",
     "loopback": "2fcac1a921bf5a29fb7a2eb68d8906417451fbe33cab423dbd64fb5e20048e1b",
 }
 
@@ -211,7 +213,10 @@ BUNDLED_SHA256 = {
 @pytest.mark.parametrize("name", sorted(BUNDLED_SHA256))
 def test_bundled_config_csv_digest(tmp_path, name):
     out = tmp_path / f"{name}.csv"
-    assert main(["run", "--config", name, "--output", str(out)]) == 0
+    assert at_pinned_dispatch(f"""
+        from pam6link.cli import main
+        result = main(["run", "--config", {name!r}, "--output", {str(out)!r}])
+        """) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BUNDLED_SHA256[name]
 
 

@@ -5,10 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pam6link import constellation
+from pam6link.channel import transmit
 from pam6link.constellation import (CONSTELLATION_NAMES, LEVELS, PEAK_LEVEL,
                                     bit_llrs, build_constellation,
                                     check_unit_distance_gray, map_bits,
                                     normalize, rate_samples, symbol_posteriors)
+from pam6link.dsp import make_trellis
+from pinned_dispatch import at_pinned_dispatch
+from test_dsp import gathered_app
 
 
 @pytest.fixture(params=CONSTELLATION_NAMES)
@@ -193,17 +197,32 @@ def _reference_log_point_metrics(received, c, noise_var):
     return logm
 
 
-def _reference_marginalize_bits(logm, c):
+def _reference_label_halves(logm, c):
+    """(num_groups, bits_per_point, 2): [g, j, h] is the mass of group g's
+    points whose label bit j is h, clamped at tiny."""
     logm -= logm.max(axis=1, keepdims=True)
     w = np.exp(logm, out=logm)
-    out = np.empty((w.shape[0], c.bits_per_point), dtype=np.float64)
-    tiny = np.finfo(np.float64).tiny
+    out = np.empty((w.shape[0], c.bits_per_point, 2), dtype=np.float64)
     for j in range(c.bits_per_point):
         mask0 = c.labels[:, j] == 0
-        s0 = w[:, mask0].sum(axis=1)
-        s1 = w[:, ~mask0].sum(axis=1)
-        out[:, j] = np.log(np.maximum(s0, tiny)) - np.log(np.maximum(s1, tiny))
-    return out
+        out[:, j, 0] = w[:, mask0].sum(axis=1)
+        out[:, j, 1] = w[:, ~mask0].sum(axis=1)
+    return np.maximum(out, np.finfo(np.float64).tiny, out=out)
+
+
+def _reference_marginalize_bits(logm, c):
+    halves = np.log(_reference_label_halves(logm, c))
+    return halves[..., 0] - halves[..., 1]
+
+
+def reference_label_halves(received, c, noise_var):
+    return _reference_label_halves(
+        _reference_log_point_metrics(received, c, noise_var), c)
+
+
+def reference_label_halves_from_levels(level_logposts, c):
+    return _reference_label_halves(
+        _reference_sum_over_axes(np.asarray(level_logposts, dtype=np.float64), c), c)
 
 
 def reference_bit_llrs(received, c, noise_var):
@@ -242,6 +261,70 @@ def test_points_major_demapper_equals_row_major(const, snr_db, groups):
         constellation._level_point_metrics(lp, const)), const)
     want = reference_bit_llrs_from_levels(lp, const)
     assert got.shape == want.shape and np.array_equal(got, want)
+
+
+# sha256 of bit_llrs on a seeded block at the pinned dispatch level
+# (pinned_dispatch.py): the coded path decodes from these LLRs, so a change
+# that moves any of them must update the digest and say why
+BIT_LLRS_SHA256 = "cbd570c358fcd433f9a28d5c45f82abdda1e0dd692a0f8815f52668f83437f6c"
+
+
+def test_bit_llrs_bytes_are_pinned():
+    assert at_pinned_dispatch("""
+        import hashlib
+        import numpy as np
+        from pam6link.constellation import (CONSTELLATION_NAMES, bit_llrs,
+                                            build_constellation, normalize)
+        rng = np.random.default_rng(0)
+        digest = hashlib.sha256()
+        for name in CONSTELLATION_NAMES:
+            c = build_constellation(name)
+            for nv in (10 ** -1.5, 10 ** -3.0):
+                idx = rng.integers(0, c.num_points, size=5000)
+                y = normalize(c.points[idx].ravel()) + np.sqrt(nv) * (
+                    rng.standard_normal(idx.size * c.dimension))
+                digest.update(bit_llrs(y, c, nv).tobytes())
+        result = digest.hexdigest()
+        """) == BIT_LLRS_SHA256
+
+
+@pytest.mark.parametrize("snr_db,taps", [(15.0, None), (22.5, None),
+                                         (30.0, None), (22.5, (1.0, 0.35))])
+def test_gmi_samples_equal_the_llr_form(const, snr_db, taps):
+    # sum_j log2(1 + h_other / h_sent) over the label bits is
+    # sum_j log2(1 + exp(-/+ LLR_j)), here with the demapper's own LLRs, on
+    # AWGN and on trellis level posteriors
+    rng = np.random.default_rng(7)
+    idx = rng.integers(0, const.num_points, size=constellation.BLOCK_POINTS)
+    nv = 10.0 ** (-snr_db / 10.0)
+    y = transmit(normalize(const.points[idx].ravel()), nv, rng, taps)
+    if taps is None:
+        got = rate_samples(idx, const, ("bit_metric",), received=y, noise_var=nv)
+        llr = bit_llrs(y, const, nv).reshape(-1, const.bits_per_point)
+    else:
+        lp = gathered_app(y[None], make_trellis(taps), nv)[0]
+        got = rate_samples(idx, const, ("bit_metric",), level_logposts=lp)
+        llr = constellation._label_llrs(constellation._weights(
+            constellation._level_point_metrics(lp, const)), const)
+    signed = (1.0 - 2.0 * const.labels[idx]) * llr
+    want = (np.logaddexp(0.0, -signed) / np.log(2.0)).sum(axis=1)
+    assert np.allclose(got["bit_metric"], want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gmi_sample_stays_finite_at_the_tiny_floor():
+    # levels 0-2 of the first use get log posterior -1e4, so every point
+    # with its first coordinate there weighs 0. Sending (1, 2), label bit
+    # 0's sent half sits at the tiny floor while its other half holds 16
+    # points of weight 1: h_other / h_sent overflows, its log does not.
+    # That bit gives log2(16 / tiny) = 1026 bits; each other bit splits
+    # the 16 points evenly and gives 1
+    c = build_constellation("cross_qam32")
+    sent = np.flatnonzero((c.points == (1, 2)).all(axis=1))
+    lp = np.zeros((2, len(LEVELS)))
+    lp[0, :3] = -1e4
+    got = rate_samples(sent, c, ("bit_metric",), level_logposts=lp)
+    assert got["bit_metric"] == pytest.approx([1030.0], rel=1e-12)
 
 
 def test_rate_samples_takes_one_detection_and_known_metrics(const):

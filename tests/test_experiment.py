@@ -17,6 +17,7 @@ from pam6link.experiment import (CSV_HEADER, CodecSpec, ConfigError,
                                  ExperimentConfig, parse_config, run_experiment)
 from pam6link.link import build_coded, coded_fer
 from pam6link.rates import RateEstimate, estimate_rates
+from pinned_dispatch import at_pinned_dispatch
 from test_dsp import ISI_PINS
 
 MINIMAL = """
@@ -556,17 +557,20 @@ def test_isi_units_write_what_per_scheme_calls_give(sweep):
 
 
 def test_isi_rates_sweep_reproduces_the_pins():
-    # the isi_rates benchmark sweep at seed 0: the stacked unit's rows are
-    # the pinned single-scheme estimates
-    cfg = parse_config("""
-schemes: [cross_qam32, framed_cross_qam32, dm_pam6]
-metric: [symbol_metric, bit_metric]
-snr_db: [22.5]
-seeds: [0]
-channel: {kind: fir_isi, taps: [1.0, 0.35]}
-num_symbols: 10000
-""")
-    rows = [line.split(",") for line in run_experiment(cfg).splitlines()[1:]]
+    # the isi_rates benchmark sweep at seed 0, at the pins' dispatch level:
+    # the stacked unit's rows are the pinned single-scheme estimates
+    csv = at_pinned_dispatch('''
+        from pam6link.experiment import parse_config, run_experiment
+        result = run_experiment(parse_config("""
+        schemes: [cross_qam32, framed_cross_qam32, dm_pam6]
+        metric: [symbol_metric, bit_metric]
+        snr_db: [22.5]
+        seeds: [0]
+        channel: {kind: fir_isi, taps: [1.0, 0.35]}
+        num_symbols: 10000
+        """))
+        ''')
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
     got = {}
     for scheme, _, _, rate, hw, _, _ in rows:
         got.setdefault(scheme, []).append((float(rate), float(hw)))

@@ -4,8 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_constellation import (reference_bit_llrs,
-                                reference_bit_llrs_from_levels,
+from test_constellation import (reference_label_halves,
+                                reference_label_halves_from_levels,
                                 reference_symbol_posteriors)
 from test_dsp import gathered_app
 
@@ -227,16 +227,18 @@ def _reference_mi(scheme, snr_db, num_symbols, seed, taps=None):
 
 def _reference_gmi(scheme, snr_db, num_symbols, seed, taps=None):
     """estimate_gmi computed in one unblocked pass over the whole draw, with
-    the row-major reference demapper."""
+    the row-major reference demapper: per point sum_j log2(1 + h_other /
+    h_sent) over the label halves of the sent bits."""
     c, idx, y, nv = _reference_draw(scheme, snr_db, num_symbols, seed, taps)
     if taps is None:
-        llr = reference_bit_llrs(y, c, nv).reshape(-1, c.bits_per_point)
+        halves = reference_label_halves(y, c, nv)
     else:
-        llr = reference_bit_llrs_from_levels(
+        halves = reference_label_halves_from_levels(
             gathered_app(y[None], make_trellis(taps), nv)[0], c)
-    b = c.labels[idx].astype(np.float64)
-    signed = (1.0 - 2.0 * b) * llr
-    penalties = np.logaddexp(0.0, -signed) / math.log(2.0)
+    b = c.labels[idx].astype(bool)
+    h_sent = np.where(b, halves[..., 1], halves[..., 0])
+    h_other = np.where(b, halves[..., 0], halves[..., 1])
+    penalties = np.log1p(h_other / h_sent) / math.log(2.0)
     per_point = penalties.sum(axis=1)
     return _reference_estimate(scheme, "bit_metric", snr_db, c, per_point,
                                num_symbols, seed)
