@@ -6,11 +6,14 @@ tests fix their seeds, so outcomes are reproducible bit for bit; the
 committed numbers are recorded next to each window.
 
 Expensive measurements (the 1e6-symbol SNR crossings and the coded-rate
-ordering) are shared through module-scoped fixtures.
+ordering) are shared through module-scoped fixtures, and independent
+pieces of work run on two worker processes.
 """
+import functools
 import hashlib
-import itertools
 import math
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from pam6link.dsp import make_trellis
 from pam6link.fec import ldpc_build, ldpc_decode, ldpc_encode
 from pam6link.link import snr_at_fer
 from pam6link.rates import estimate_mi, matcher_rate_loss, snr_at_rate
+from pam6link.selfcheck import enumerated_app
 
 GAP_SEED = 11  # crossings at N=1e6: C 22.6852/23.1246, FC 22.1883/22.3520,
                # DM 22.1754/22.1833 (symbol/bit metric, each the midpoint
@@ -41,14 +45,24 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
+def _on_two_workers(fn, *arg_lists):
+    """list(map(fn, *arg_lists)), run on two worker processes, forked as
+    the sweep runner's are, so that they inherit the memoized codes."""
+    pool = ProcessPoolExecutor(2, get_context("fork"))
+    try:
+        return list(pool.map(fn, *arg_lists))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 @pytest.fixture(scope="module")
 def snr_crossings():
-    out = {}
-    for metric in ("symbol_metric", "bit_metric"):
-        for scheme in ("cross_qam32", "framed_cross_qam32", "dm_pam6"):
-            out[scheme, metric] = snr_at_rate(
-                scheme, metric, 2.0, num_symbols=N_GAP, seed=GAP_SEED)
-    return out
+    keys = [(scheme, metric) for metric in ("symbol_metric", "bit_metric")
+            for scheme in ("cross_qam32", "framed_cross_qam32", "dm_pam6")]
+    crossings = _on_two_workers(
+        functools.partial(snr_at_rate, target_rate=2.0, num_symbols=N_GAP,
+                          seed=GAP_SEED), *zip(*keys))
+    return dict(zip(keys, crossings))
 
 
 def test_symbol_metric_gaps_at_2bpcu(snr_crossings):
@@ -137,43 +151,35 @@ def test_saturation_rates_at_40db():
             f"{vals['dm_pam6']:.4f} (2.585 +/- 0.01)")
 
 
+def _failed_round_trips(comp, k, skip, count):
+    """Matcher round-trip failures over words skip .. skip + count - 1 of
+    the GAP_SEED stream of k-bit words."""
+    rng = np.random.default_rng(GAP_SEED)
+    for _ in range(skip):
+        rng.integers(0, 2, size=k)
+    bad = 0
+    for _ in range(count):
+        d = rng.integers(0, 2, size=k).astype(np.uint8)
+        a = shaping.ccdm_encode(d, comp)
+        if not np.array_equal(shaping.ccdm_decode(a, comp), d):
+            bad += 1
+    return bad
+
+
 def test_matcher_rate_and_exact_round_trips():
     comp = shaping.Composition.near_uniform(1000)
     assert comp.counts == (334, 333, 333)
     k = shaping.ccdm_input_length(comp)
     assert k == comp.multinomial().bit_length() - 1
     rate = k / comp.n
-    rng = np.random.default_rng(GAP_SEED)
-    bad = 0
-    for _ in range(10**4):
-        d = rng.integers(0, 2, size=k).astype(np.uint8)
-        a = shaping.ccdm_encode(d, comp)
-        if not np.array_equal(shaping.ccdm_decode(a, comp), d):
-            bad += 1
+    # the same 1e4 words as one pass over the stream, in two halves
+    half = 10**4 // 2
+    bad = sum(_on_two_workers(functools.partial(_failed_round_trips, comp, k),
+                              (0, half), (half, half)))
     ok = 1.565 <= rate <= 1.585 and bad == 0
     _report("matcher rate and round trips", ok,
             f"k/n = {rate} (window [1.565, 1.585]), "
             f"{10**4 - bad}/10000 exact round trips")
-
-
-def _enumerated_app(y, taps, noise_var):
-    """Posterior oracle by summing the likelihood of every symbol sequence."""
-    t_len = y.size
-    q = 6
-    memory = len(taps) - 1
-    seqs = np.array(list(itertools.product(range(q), repeat=t_len)), dtype=np.int64)
-    padded = np.hstack([np.zeros((seqs.shape[0], memory), dtype=np.int64), seqs])
-    means = np.zeros((seqs.shape[0], t_len))
-    for i in range(memory + 1):
-        means += taps[i] * LEVELS[padded[:, memory - i : memory - i + t_len]]
-    ll = (-0.5 / noise_var) * ((y[None, :] - means) ** 2).sum(axis=1)
-    out = np.full((t_len, q), -np.inf)
-    for t in range(t_len):
-        for s in range(q):
-            sel = ll[seqs[:, t] == s]
-            m = sel.max()
-            out[t, s] = m + np.log(np.exp(sel - m).sum())
-    return out - np.logaddexp.reduce(out, axis=1, keepdims=True)
 
 
 def test_trellis_posteriors_match_enumeration():
@@ -188,7 +194,7 @@ def test_trellis_posteriors_match_enumeration():
         nv = float(rng.uniform(0.02, 0.3)) ** 2
         y = clean + math.sqrt(nv) * rng.standard_normal(t_len)
         got = gathered_app(y[None], make_trellis(taps), nv)[0]
-        ref = _enumerated_app(y, taps, nv)
+        ref = enumerated_app(y, taps, nv)
         worst = max(worst, float(np.max(np.abs(got - ref))))
     ok = worst <= 1e-9
     _report("trellis posteriors vs enumeration", ok,
@@ -230,10 +236,10 @@ def test_coded_rate_ordering_at_fer_1e2(coded_rates):
 
 
 def test_framed_vs_cross_coded_snr_gap():
-    fc = snr_at_fer("framed_cross_qam32", 2.0, fer_target=1e-2,
-                    frame_symbols=1000, frames=1000, seed=ORDER_SEED)
-    c = snr_at_fer("cross_qam32", 2.0, fer_target=1e-2,
-                   frame_symbols=1000, frames=1000, seed=ORDER_SEED)
+    fc, c = _on_two_workers(
+        functools.partial(snr_at_fer, rate_bpcu=2.0, fer_target=1e-2,
+                          frame_symbols=1000, frames=1000, seed=ORDER_SEED),
+        ("framed_cross_qam32", "cross_qam32"))
     gap = c - fc
     ok = 0.15 <= gap <= 0.9
     _report("coded SNR gap framed vs cross at 2.0 bpcu", ok,

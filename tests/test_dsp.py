@@ -1,5 +1,4 @@
 """BCJR detector tests."""
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 
 from pam6link.dsp import HAND_OVER, POSTERIOR_BLOCK, bcjr_app, make_trellis
 from pam6link.rates import SCHEMES
+from pam6link.selfcheck import enumerated_app
 from pinned_dispatch import at_pinned_dispatch
 
 LEVELS = np.arange(6) / 5.0
@@ -32,31 +32,13 @@ def test_trellis_structure():
     assert tr.branch_mean.size == 36
     # branch b = prev_state*6 + symbol: mean = 1.0*levels[symbol]
     # + 0.4*levels[prev_state], over the normalized levels
-    for prev, sym in itertools.product(range(6), repeat=2):
-        assert tr.branch_mean[prev * 6 + sym] == LEVELS[sym] + 0.4 * LEVELS[prev]
+    prev, sym = np.divmod(np.arange(36), 6)
+    assert np.array_equal(tr.branch_mean, LEVELS[sym] + 0.4 * LEVELS[prev])
 
 
 def test_trellis_needs_a_tap():
     with pytest.raises(ValueError, match=r"at least one tap, got taps \[\]"):
         make_trellis([])
-
-
-def _brute_force_app(y, taps, noise_var):
-    """Exhaustive MAP posteriors for a short burst starting from level 0."""
-    t_len = y.size
-    q = LEVELS.size
-    memory = len(taps) - 1
-    logp = np.full((t_len, q), -np.inf)
-    for seq in itertools.product(range(q), repeat=t_len):
-        padded = [0] * memory + list(seq)
-        ll = 0.0
-        for t in range(t_len):
-            mean = sum(taps[i] * LEVELS[padded[memory + t - i]]
-                       for i in range(memory + 1))
-            ll += -0.5 * (y[t] - mean) ** 2 / noise_var
-        for t in range(t_len):
-            logp[t, seq[t]] = np.logaddexp(logp[t, seq[t]], ll)
-    return logp - np.logaddexp.reduce(logp, axis=1, keepdims=True)
 
 
 def test_bcjr_matches_exhaustive_map():
@@ -67,8 +49,20 @@ def test_bcjr_matches_exhaustive_map():
     x = np.convolve(LEVELS[sym], taps)[:6]
     y = x + 0.15 * rng.standard_normal(6)
     got = gathered_app(y[None], tr, 0.15**2)[0]
-    ref = _brute_force_app(y, taps, 0.15**2)
+    ref = enumerated_app(y, taps, 0.15**2)
     assert float(np.max(np.abs(got - ref))) < 1e-9
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5])
+def test_enumeration_oracle_memoryless_is_pointwise(length):
+    # with one tap the uses are independent, so the oracle's sum over every
+    # sequence must collapse to each use's own normalized likelihoods
+    y = np.random.default_rng(length).uniform(-0.2, 1.2, size=length)
+    ll = -0.5 * (y[:, None] - LEVELS[None, :]) ** 2 / 0.05
+    ref = ll - np.logaddexp.reduce(ll, axis=1, keepdims=True)
+    got = enumerated_app(y, [1.0], 0.05)
+    assert got.shape == (length, 6)
+    assert float(np.max(np.abs(got - ref))) < 1e-12
 
 
 @pytest.mark.parametrize("length", [1, POSTERIOR_BLOCK - 1, POSTERIOR_BLOCK,

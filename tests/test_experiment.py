@@ -1,8 +1,11 @@
 """Config parsing diagnostics and the sweep runner's output contract."""
 import concurrent.futures
+import contextlib
+import io
 import math
 import multiprocessing
 import os
+import tempfile
 import threading
 import time
 
@@ -679,11 +682,17 @@ def _mutate(raw, path, op):
         node[key] = op
 
 
-@given(st.sampled_from(BUNDLED_CONFIGS),
-       st.lists(st.tuples(st.sampled_from(FIELDS),
-                          st.sampled_from((DROP, AS_LIST, AS_MAPPING) + EDGES)),
-                min_size=1, max_size=2))
-@settings(max_examples=300, deadline=None, derandomize=True)
+# a bundled config and one or two mutations of its fields
+MUTANTS = given(st.sampled_from(BUNDLED_CONFIGS),
+                st.lists(st.tuples(st.sampled_from(FIELDS),
+                                   st.sampled_from((DROP, AS_LIST, AS_MAPPING)
+                                                   + EDGES)),
+                         min_size=1, max_size=2))
+MUTANT_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@MUTANTS
+@MUTANT_SETTINGS
 def test_config_mutants_fail_at_parse_or_build(name, mutations):
     # a mutant of a bundled config is rejected naming a field, or every
     # code its coded metrics ask for builds: nothing can fail mid-run
@@ -703,3 +712,24 @@ def test_config_mutants_fail_at_parse_or_build(name, mutations):
     for scheme in cfg.schemes:
         for rate in rates:
             build_coded(scheme, rate, cfg.frame_symbols, cfg.codec.family)
+
+
+@MUTANTS
+@MUTANT_SETTINGS
+def test_config_mutants_fail_at_parse_or_run(name, mutations):
+    # a mutant of a bundled config, cut beforehand to 1e4 symbols, frames of
+    # 200 symbols, at most 3 frames per item and 2 SNR points, either is
+    # refused (exit 1) or runs to the end (exit 0): never a runtime error
+    raw = yaml.safe_load(_bundled_text(name))
+    raw.update(num_symbols=10**4, frame_symbols=200, max_frames=3,
+               snr_db=raw["snr_db"][:2])
+    for path, op in mutations:
+        _mutate(raw, path, op)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        config = os.path.join(tmp, "mutant.yaml")
+        with open(config, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(raw, fh)
+        code = main(["run", "--config", config,
+                     "--output", os.path.join(tmp, "out.csv")])
+    assert code in (0, 1), err.getvalue()
