@@ -113,10 +113,12 @@ def enumerated_app(y, taps, noise_var):
     bcjr_app starts, and returns the (T, 6) normalized log posteriors of
     each use's level: a max-shifted log-sum-exp, per use and level, over
     the sequences that send that level there. Time and memory grow as
-    6**T, so T stays below about 8.
+    6**T, so T stays below about 8. The amplitudes 0, 0.2, ..., 1 are held
+    here rather than read from constellation's tables, so an edited level
+    table moves the detector but not its oracle and fails loudly.
     """
     y = np.asarray(y, dtype=np.float64)
-    levels = cst.normalize(cst.LEVELS)
+    levels = np.arange(6) / 5.0
     q, t_len = levels.size, y.size
     # sequences are the cells of a (q,) * t_len grid, whose axis t is the
     # level of use t: amps[t] is that level's amplitude, broadcast over it

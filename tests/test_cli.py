@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from pam6link import cli, constellation, experiment, selfcheck
+from pam6link import cli, constellation, dsp, experiment, selfcheck
 from pam6link.cli import main
 from pam6link.fec.ldpc import load_basegraph
 from pinned_dispatch import at_pinned_dispatch
@@ -359,6 +359,24 @@ def test_selfcheck_detects_drifting_rate_samples(monkeypatch, capsys, metric):
     lines = [l for l in out.split("\n") if l.startswith("demapper_")]
     assert len(lines) == 3 and all("FAIL" in l for l in lines)
     assert "8/11 checks passed" in out
+
+
+@pytest.mark.parametrize("edits, passed", (
+    ([(constellation, "PEAK_LEVEL", 6)], 10),
+    # the demappers read constellation.LEVELS too, and fail with it
+    ([(constellation, "LEVELS", (5, 4, 3, 2, 1, 0)),
+      (dsp, "LEVELS", (5, 4, 3, 2, 1, 0))], 7),
+), ids=("peak_level", "reordered_levels"))
+def test_selfcheck_detects_edited_level_table(monkeypatch, capsys, edits, passed):
+    # the enumeration oracle holds its own amplitudes, so an edited level
+    # table cannot move the detector and its oracle together
+    for module, name, value in edits:
+        monkeypatch.setattr(module, name, value)
+    assert main(["selfcheck"]) == 3
+    out = capsys.readouterr().out
+    line = next(l for l in out.split("\n") if l.startswith("bcjr_brute_force"))
+    assert "FAIL" in line
+    assert f"{passed}/11 checks passed" in out
 
 
 def test_version_flag(capsys):
