@@ -6,6 +6,8 @@ run        execute a sweep config and emit CSV (see experiment module)
 selfcheck  run the built-in oracle suite and print a pass/fail table
 tables     dump the constellation label tables
 rates      one-point MI/GMI sweep; prints the CSV that run prints
+gaps       peak-SNR crossings of the three formats at a target rate on
+           AWGN and their gaps against cross_qam32, per metric
 
 Exit codes: 0 ok, 1 config error, 2 runtime failure, 3 selfcheck failure.
 Bundled configs (awgn_gaps, loopback, coded_ordering, waterfall) can be
@@ -24,10 +26,11 @@ import sys
 import time
 
 from . import __version__
+from .channel import check_seed
 from .constellation import CONSTELLATION_NAMES, build_constellation
 from .experiment import (MAX_WORKERS, ConfigError, ExperimentConfig,
-                         parse_config, run_experiment)
-from .rates import METRICS, SCHEMES
+                         check_field, parse_config, run_experiment)
+from .rates import METRICS, SCHEMES, check_num_symbols, snr_at_rate
 
 BUNDLED_CONFIGS = ("awgn_gaps", "loopback", "coded_ordering", "waterfall")
 
@@ -142,6 +145,24 @@ def _cmd_rates(args) -> int:
     return EXIT_OK
 
 
+def _cmd_gaps(args) -> int:
+    # every crossing is found before a row is printed, so a failure leaves
+    # stdout empty; with num_symbols and seed checked first, a ValueError of
+    # snr_at_rate is its bracket check: no crossing in [-5, 60] dB
+    for scheme in SCHEMES:
+        check_field(check_num_symbols, "num_symbols", scheme, args.num_symbols)
+    check_field(check_seed, "seed", args.seed)
+    metrics = (args.metric,) if args.metric else METRICS
+    crossings = {(m, s): check_field(snr_at_rate, f"rate: {s} {m}", s, m,
+                                     args.rate, args.num_symbols, args.seed)
+                 for m in metrics for s in SCHEMES}
+    print("metric,scheme,snr_crossing_db,gap_vs_cross_db")
+    for (metric, scheme), snr in crossings.items():
+        gap = crossings[metric, "cross_qam32"] - snr
+        print(f"{metric},{scheme},{snr:.4f},{gap:.4f}")
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="pam6link", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -181,6 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--taps", type=float, nargs="+", default=None,
                     help="FIR taps for a residual-ISI link")
     pe.set_defaults(fn=_cmd_rates)
+
+    pg = sub.add_parser("gaps", help="SNR crossings at a rate and their gaps")
+    pg.add_argument("--rate", type=float, default=2.0,
+                    help="target rate in bits per 1D use (default 2.0)")
+    pg.add_argument("--num-symbols", type=int, default=10**6)
+    pg.add_argument("--seed", type=int, default=11)
+    pg.add_argument("--metric", choices=METRICS, default=None,
+                    help="restrict to one metric (default: both)")
+    pg.set_defaults(fn=_cmd_gaps)
     return p
 
 

@@ -38,12 +38,13 @@ order numpy gives the row-major one:
 
 ``symbol_posteriors`` returns the transposed view and ``bit_llrs`` a flat
 copy in label-bit order, so callers see the row-major shapes.
-``rate_samples`` streams the sent points in blocks through the one
-demapper, from AWGN samples or trellis level posteriors, into the per-point
-samples whose means are the MI and GMI estimates. A GMI sample reads the
-label halves straight, with no LLR: per label bit j, log2(1 + h_other /
-h_sent), where h_sent is the mass of the points whose bit j equals the sent
-bit and h_other that of the rest.
+``rate_samples`` runs one block of sent points (the rates module sizes
+and loops the blocks) through the one demapper, from AWGN samples or
+trellis level posteriors, into the per-point samples whose means are the
+MI and GMI estimates. A GMI sample reads the label halves straight, with
+no LLR: per label bit j, log2(1 + h_other / h_sent), where h_sent is the
+mass of the points whose bit j equals the sent bit and h_other that of the
+rest.
 """
 from __future__ import annotations
 
@@ -57,7 +58,6 @@ from .channel import check_noise_var
 
 LEVELS = (0, 1, 2, 3, 4, 5)
 PEAK_LEVEL = 5
-BLOCK_POINTS = 4096  # points per rate_samples block: keeps intermediates in cache
 
 # (x_{2i}, x_{2i+1}) -> 5-bit label; fixed grid, do not reorder.
 _CROSS_QAM32 = {
@@ -341,7 +341,7 @@ def symbol_posteriors(received, c: Constellation, noise_var: float) -> np.ndarra
 
 
 def rate_samples(idx, c: Constellation, metrics, received=None, noise_var=None,
-                 level_logposts=None, out=None) -> dict:
+                 level_logposts=None) -> dict:
     """{metric: per-point samples} for the sent points idx, whose means give
     the MI ("symbol_metric": log2 of the sent point's posterior) and the
     GMI ("bit_metric": sum_j log2(1 + h_other_j / h_sent_j) over the label
@@ -356,49 +356,41 @@ def rate_samples(idx, c: Constellation, metrics, received=None, noise_var=None,
     summed over the axes (the point table's sums round differently). The
     bit metric takes log1p of each ratio, or the difference of the halves'
     logs where h_sent sits at the tiny floor and the ratio would overflow,
-    and adds the bits' terms in label-bit order. Each block of
-    BLOCK_POINTS points is demapped once for both metrics, per point, so
-    blocking changes no bit. The samples go into `out`, {metric: vector of
-    idx.size} with one key per metric, when given, else into new vectors.
+    and adds the bits' terms in label-bit order. The points are one block,
+    demapped at once for both metrics and per point, so the caller's
+    blocking changes no bit; its block size bounds the (num_points,
+    idx.size) intermediates.
     """
     if (received is None) == (level_logposts is None):
         raise ValueError("need either received samples or level log posteriors")
     if not set(metrics) <= {"symbol_metric", "bit_metric"}:
         raise ValueError(f"metrics must be symbol_metric or bit_metric, got {metrics}")
     d = c.dimension
-    if out is None:
-        out = {m: np.empty(idx.size) for m in metrics}
-    elif set(out) != set(metrics):
-        raise ValueError(f"out holds {sorted(out)}, need the metrics {sorted(metrics)}")
-    mi, gmi = out.get("symbol_metric"), out.get("bit_metric")
-    sent_bits = c.labels.T.astype(bool)
-    for s in range(0, idx.size, BLOCK_POINTS):
-        e = s + BLOCK_POINTS
-        ib = idx[s:e]
-        if received is not None:
-            w = _weights(_log_point_metrics(received[s * d:e * d], c, noise_var))
-            if mi is not None:
-                p_true = w[ib, np.arange(ib.size)] / _row_sum(w)
-                mi[s:e] = np.log2(np.maximum(p_true, np.finfo(np.float64).tiny))
-        else:
-            lp = level_logposts[s * d:e * d]
-            if mi is not None:
-                sent = np.take(c.points, ib, axis=0).ravel()
-                lev = lp[np.arange(ib.size * d), sent] / math.log(2.0)
-                mi[s:e] = lev.reshape(-1, d).sum(axis=1)
-            if gmi is not None:
-                w = _weights(_level_point_metrics(lp, c))
-        if gmi is not None:  # points-major on (bits, points) arrays
-            halves = _label_halves(w, c)
-            b = np.take(sent_bits, ib, axis=1)
-            h_sent = np.where(b, halves[1], halves[0])
-            h_other = np.where(b, halves[0], halves[1])
-            with np.errstate(over="ignore"):  # h_sent at the tiny floor
-                x = np.divide(h_other, h_sent)
-            np.log1p(x, out=x)
-            over = np.isinf(x)
-            if over.any():  # log1p(r) rounds to log(r) beyond the largest float
-                x[over] = np.log(h_other[over]) - np.log(h_sent[over])
-            x /= math.log(2.0)
-            np.add.reduce(x, axis=0, out=gmi[s:e])
+    out = {}
+    if received is not None:
+        w = _weights(_log_point_metrics(received, c, noise_var))
+        if "symbol_metric" in metrics:
+            p_true = w[idx, np.arange(idx.size)] / _row_sum(w)
+            out["symbol_metric"] = np.log2(
+                np.maximum(p_true, np.finfo(np.float64).tiny))
+    else:
+        if "symbol_metric" in metrics:
+            sent = np.take(c.points, idx, axis=0).ravel()
+            lev = level_logposts[np.arange(idx.size * d), sent] / math.log(2.0)
+            out["symbol_metric"] = lev.reshape(-1, d).sum(axis=1)
+        if "bit_metric" in metrics:
+            w = _weights(_level_point_metrics(level_logposts, c))
+    if "bit_metric" in metrics:  # points-major on (bits, points) arrays
+        halves = _label_halves(w, c)
+        b = np.take(c.labels.T.astype(bool), idx, axis=1)
+        h_sent = np.where(b, halves[1], halves[0])
+        h_other = np.where(b, halves[0], halves[1])
+        with np.errstate(over="ignore"):  # h_sent at the tiny floor
+            x = np.divide(h_other, h_sent)
+        np.log1p(x, out=x)
+        over = np.isinf(x)
+        if over.any():  # log1p(r) rounds to log(r) beyond the largest float
+            x[over] = np.log(h_other[over]) - np.log(h_sent[over])
+        x /= math.log(2.0)
+        out["bit_metric"] = np.add.reduce(x, axis=0)
     return out

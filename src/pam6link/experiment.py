@@ -87,7 +87,7 @@ class ExperimentConfig:
         if not self.snr_db:
             raise ConfigError("snr_db: need at least one sweep point")
         for snr in self.snr_db:
-            _check(sigma_for_peak_snr, "snr_db", snr)
+            check_field(sigma_for_peak_snr, "snr_db", snr)
         if self.channel_kind not in CHANNEL_KINDS:
             raise ConfigError(
                 f"channel.kind: {self.channel_kind!r} not one of {list(CHANNEL_KINDS)}")
@@ -99,8 +99,8 @@ class ExperimentConfig:
                 f"channel.taps: only allowed when kind is fir_isi, not {self.channel_kind!r}")
         if self.taps is not None:
             for snr in self.snr_db:
-                _check(check_taps, "channel.taps", self.taps,
-                       sigma_for_peak_snr(snr))
+                check_field(check_taps, "channel.taps", self.taps,
+                            sigma_for_peak_snr(snr))
         needs_codec = set(self.metrics) & {"fer", "rate_at_fer"}
         if needs_codec and self.codec is None:
             raise ConfigError(f"codec: required for metric(s) {sorted(needs_codec)}")
@@ -111,17 +111,18 @@ class ExperimentConfig:
         if not self.seeds:
             raise ConfigError("seeds: need at least one")
         for seed in self.seeds:
-            _check(check_seed, "seeds", seed)
+            check_field(check_seed, "seeds", seed)
         if not 0 <= self.fer_target <= 1:
             raise ConfigError(f"fer_target: need a number in [0, 1], got {self.fer_target}")
         for key in ("frame_symbols", "max_frames", "min_errors"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key}: need at least 1, got {getattr(self, key)}")
         for scheme in self.schemes:
-            _check(check_num_symbols, "num_symbols", scheme, self.num_symbols)
+            check_field(check_num_symbols, "num_symbols", scheme,
+                        self.num_symbols)
             if self.taps is not None:
-                _check(check_num_symbols, "channel.taps", scheme,
-                       self.num_symbols, self.taps)
+                check_field(check_num_symbols, "channel.taps", scheme,
+                            self.num_symbols, self.taps)
         if needs_codec:
             self._check_frames()
 
@@ -137,18 +138,19 @@ class ExperimentConfig:
                 raise ConfigError("codec.rate_grid: need at least one rate")
             rates += [("codec.rate_grid", r) for r in self.codec.rate_grid]
         for scheme in self.schemes:
-            _check(check_frame_symbols, "frame_symbols", scheme,
-                   self.frame_symbols)
+            check_field(check_frame_symbols, "frame_symbols", scheme,
+                        self.frame_symbols)
             for key, rate in rates:
-                _check(build_coded, key, scheme, rate, self.frame_symbols,
-                       self.codec.family)
+                check_field(build_coded, key, scheme, rate,
+                            self.frame_symbols, self.codec.family)
 
 
-def _check(fn, key, *args):
+def check_field(fn, key, *args):
     """Call a library check, turning its ValueError (or the OverflowError
-    of a value beyond float or int range) into one naming key."""
+    of a value beyond float or int range) into one naming key; returns
+    what fn returns."""
     try:
-        fn(*args)
+        return fn(*args)
     except (ValueError, OverflowError) as e:
         raise ConfigError(f"{key}: {e}") from None
 

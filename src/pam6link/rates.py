@@ -12,18 +12,21 @@ bit j and h_other_j the other half's. In LLRs the penalty is
 log2(1 + e^{-/+ LLR_j}), and for independent uniform label bits the bound
 equals the familiar per-bit form sum_j (1 - E log2(1 + e^{-/+ LLR_j})).
 The per-point samples of both come from constellation.rate_samples, on
-AWGN and from the trellis pass.
+AWGN and from the trellis pass, one block of at most BLOCK_POINTS points
+per call; this module sizes the blocks and owns the full-length vectors.
 
 estimate_rates_per_scheme plans every draw: each distinct scheme of a
 (SNR, seed) point is drawn once and each distinct metric estimated once.
 On AWGN the draw is blocked: _awgn_samples draws, sends and demaps
-constellation.BLOCK_POINTS points at a time from two Philox generators made
-once per scheme, and only the per-metric sample vectors reach full length,
-those of one scheme at a time. With ISI taps every distinct scheme's draw
-is sent whole into one stack of rows, because bcjr_app detects whole rows,
-and one call hands each block of level posteriors straight to
-rate_samples at that block's points, so no posterior array of a whole row
-is ever held. _estimate takes the moments in place on the sample vector.
+BLOCK_POINTS points at a time from two Philox generators made once per
+scheme, and only the per-metric sample vectors reach full length, those of
+one scheme at a time. With ISI taps every distinct scheme's draw is sent
+whole into one stack of rows, because bcjr_app detects whole rows, and one
+call hands each block of level posteriors (at most dsp.HAND_OVER uses,
+fewer than BLOCK_POINTS points) straight to rate_samples at that block's
+points, so no posterior array of a whole row is ever held. Each block's
+samples are copied into the vectors at its points. _estimate takes the
+moments in place on the sample vector.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import constellation, shaping
+from . import shaping
 from .channel import philox, sigma_for_peak_snr, transmit
 from .constellation import build_constellation, normalize, rate_samples
 from .dsp import bcjr_app, make_trellis
@@ -45,6 +48,7 @@ _SYMBOL_STREAM = 1000  # rng substream for data; noise uses stream 0
 _HW_FLOOR = 1e-12  # keeps reported confidence strictly positive when the
                    # per-sample information is constant (noise-free regime)
 MAX_NUM_SYMBOLS = 10**7  # largest MI/GMI sample
+BLOCK_POINTS = 4096  # points per rate_samples call: keeps intermediates in cache
 # largest trellis a sample may span, num_symbols * 6**len(taps) (one
 # branch metric per use, state and symbol): two taps. bcjr_app holds
 # num_symbols * S floats of states per row beside its fixed blocks, with
@@ -111,20 +115,21 @@ def _send(c, noise_var, points, symbols, noise, taps=None):
 def _awgn_samples(c, noise_var, metrics, num_symbols, seed):
     """{metric: per-point samples} of an AWGN draw of num_symbols 1D uses.
 
-    The points are drawn, sent and demapped constellation.BLOCK_POINTS at
-    a time, each block taking the next points of philox(seed,
-    _SYMBOL_STREAM) and the next normals of philox(seed, 0). Chunked Philox
-    draws equal the one-shot draw, so blocking moves no bit, and only the
-    sample vectors are ever held at full length.
+    The points are drawn, sent and demapped BLOCK_POINTS at a time, each
+    block taking the next points of philox(seed, _SYMBOL_STREAM) and the
+    next normals of philox(seed, 0), and its samples are copied into the
+    vectors. Chunked Philox draws equal the one-shot draw, so blocking
+    moves no bit, and only the sample vectors are ever held at full length.
     """
     points = num_symbols // c.dimension
-    block = constellation.BLOCK_POINTS
     symbols, noise = philox(seed, _SYMBOL_STREAM), philox(seed, 0)
     out = {m: np.empty(points) for m in metrics}
-    for s in range(0, points, block):
-        idx, y = _send(c, noise_var, min(block, points - s), symbols, noise)
-        rate_samples(idx, c, metrics, received=y, noise_var=noise_var,
-                     out={m: v[s:s + idx.size] for m, v in out.items()})
+    for s in range(0, points, BLOCK_POINTS):
+        idx, y = _send(c, noise_var, min(BLOCK_POINTS, points - s), symbols,
+                       noise)
+        smp = rate_samples(idx, c, metrics, received=y, noise_var=noise_var)
+        for m, v in out.items():
+            v[s:s + idx.size] = smp[m]
     return out
 
 
@@ -222,8 +227,10 @@ def estimate_rates_per_scheme(
             # block bounds are even, so a block holds whole 2D points
             for c, idx, smp, lp in zip(consts, sent, samples, post):
                 p0, p1 = t0 // c.dimension, (t0 + len(lp)) // c.dimension
-                rate_samples(idx[p0:p1], c, metrics, level_logposts=lp,
-                             out={m: v[p0:p1] for m, v in smp.items()})
+                block = rate_samples(idx[p0:p1], c, metrics,
+                                     level_logposts=lp)
+                for m, v in smp.items():
+                    v[p0:p1] = block[m]
 
         bcjr_app(received, trellis, nv, consume)
     # each vector is popped as its moments are taken and freed with them,

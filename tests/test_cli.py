@@ -7,6 +7,7 @@ import pytest
 from pam6link import cli, constellation, dsp, experiment, selfcheck
 from pam6link.cli import main
 from pam6link.fec.ldpc import load_basegraph
+from pam6link.rates import SCHEMES, snr_at_rate
 from pinned_dispatch import at_pinned_dispatch
 
 TINY = """
@@ -265,6 +266,41 @@ def test_rates_single_point(tmp_path, capsys, taps):
                       f"channel: {{kind: fir_isi, taps: [{', '.join(taps)}]}}\n"))
     assert main(["run", "--config", str(cfg)]) == 0
     assert capsys.readouterr().out == out
+
+
+GAPS_HEADER = "metric,scheme,snr_crossing_db,gap_vs_cross_db"
+
+
+def test_gaps_prints_each_crossing_and_its_gap(capsys):
+    # each crossing is snr_at_rate's and each gap is taken against
+    # cross_qam32 at the same metric, to 4 decimals
+    assert main(["gaps", "--num-symbols", "10000", "--seed", "11",
+                 "--metric", "symbol_metric"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    snr = {s: snr_at_rate(s, "symbol_metric", 2.0, 10**4, 11) for s in SCHEMES}
+    assert lines == [GAPS_HEADER] + [
+        f"symbol_metric,{s},{snr[s]:.4f},{snr['cross_qam32'] - snr[s]:.4f}"
+        for s in SCHEMES]
+    assert lines[1].endswith(",0.0000")
+    # without --metric, both metrics: the symbol metric's rows, then the
+    # bit metric's
+    assert main(["gaps", "--num-symbols", "10000", "--seed", "11"]) == 0
+    both = capsys.readouterr().out.strip().split("\n")
+    assert both[:4] == lines
+    assert [l.split(",")[:2] for l in both[4:]] == [
+        ["bit_metric", s] for s in SCHEMES]
+
+
+@pytest.mark.parametrize("flags,field", [(["--num-symbols", "5"], "num_symbols"),
+                                         (["--seed", "-1"], "seed"),
+                                         (["--rate", "3.0"], "rate")])
+def test_gaps_bad_flag_exits_1_before_any_row(capsys, flags, field):
+    # the size and seed are checked before the first bisection, and a rate
+    # no format reaches in [-5, 60] dB fails its bracket check
+    assert main(["gaps", "--num-symbols", "10000", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
 
 
 def test_selfcheck_passes(capsys):

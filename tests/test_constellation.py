@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pam6link import constellation
+from pam6link import constellation, rates
 from pam6link.channel import transmit
 from pam6link.constellation import (CONSTELLATION_NAMES, LEVELS, PEAK_LEVEL,
                                     bit_llrs, build_constellation,
@@ -295,7 +295,7 @@ def test_gmi_samples_equal_the_llr_form(const, snr_db, taps):
     # sum_j log2(1 + exp(-/+ LLR_j)), here with the demapper's own LLRs, on
     # AWGN and on trellis level posteriors
     rng = np.random.default_rng(7)
-    idx = rng.integers(0, const.num_points, size=constellation.BLOCK_POINTS)
+    idx = rng.integers(0, const.num_points, size=rates.BLOCK_POINTS)
     nv = 10.0 ** (-snr_db / 10.0)
     y = transmit(normalize(const.points[idx].ravel()), nv, rng, taps)
     if taps is None:
@@ -336,21 +336,6 @@ def test_rate_samples_takes_one_detection_and_known_metrics(const):
             rate_samples(idx, const, ("bit_metric",), **kw)
     with pytest.raises(ValueError, match="symbol_metric or bit_metric, got"):
         rate_samples(idx, const, ("fer",), received=y, noise_var=0.1)
-
-
-@pytest.mark.parametrize("metrics,keys", [
-    (("symbol_metric",), ("symbol_metric", "bit_metric")),
-    (("symbol_metric", "bit_metric"), ("symbol_metric",)),
-])
-def test_rate_samples_out_holds_the_metrics_asked(const, metrics, keys):
-    # an out with other keys would have the GMI vector overwritten unasked,
-    # or a metric asked for silently dropped
-    idx = np.zeros(4, dtype=np.int64)
-    y = normalize(const.points[idx].ravel())
-    out = {m: np.full(idx.size, 7.0) for m in keys}
-    with pytest.raises(ValueError, match="out holds"):
-        rate_samples(idx, const, metrics, received=y, noise_var=0.1, out=out)
-    assert all((v == 7.0).all() for v in out.values())
 
 
 def test_row_sum_follows_numpy_order():

@@ -255,9 +255,9 @@ def test_blocked_estimates_equal_unblocked(scheme, blocks, monkeypatch):
     taps = None
     if blocks == "one":
         points = 10**4 // dim
-        monkeypatch.setattr(constellation, "BLOCK_POINTS", points)
+        monkeypatch.setattr(rates, "BLOCK_POINTS", points)
     else:
-        points = 3 * constellation.BLOCK_POINTS + 17
+        points = 3 * rates.BLOCK_POINTS + 17
     if blocks == "isi":
         taps = (1.0, 0.35)
     n = points * dim
@@ -276,7 +276,7 @@ def test_blocked_estimates_equal_unblocked(scheme, blocks, monkeypatch):
 def test_joint_estimate_equals_separate_calls(scheme, taps, metrics):
     """One draw, one demapper pass and one trellis pass give every field
     of each estimate the separate estimators give, keyed in request order."""
-    n = 3 * constellation.BLOCK_POINTS + 34 if taps is None else 10**4
+    n = 3 * rates.BLOCK_POINTS + 34 if taps is None else 10**4
     got = estimate_rates(scheme, 22.5, metrics, num_symbols=n, seed=6,
                          taps=taps)
     assert tuple(got) == metrics

@@ -28,18 +28,6 @@ def test_gen_basegraph_reproduces_the_committed_file(tmp_path):
     assert out.read_bytes() == committed.read_bytes()
 
 
-def test_awgn_gap_study_prints_one_row_per_scheme():
-    out = _run_script("awgn_gap_study.py", "--num-symbols", "10000",
-                      "--seed", "11", "--metric", "symbol_metric")
-    lines = out.strip().split("\n")
-    assert lines[0] == "metric,scheme,snr_crossing_db,gap_vs_cross_db"
-    rows = [line.split(",") for line in lines[1:]]
-    assert [r[:2] for r in rows] == [["symbol_metric", s] for s in
-                                     ("cross_qam32", "framed_cross_qam32",
-                                      "dm_pam6")]
-    assert rows[0][3] == "0.0000"
-
-
 def _load_perfbench(name, monkeypatch):
     path = ROOT / "perfbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
