@@ -99,8 +99,7 @@ class ExperimentConfig:
                 f"channel.taps: only allowed when kind is fir_isi, not {self.channel_kind!r}")
         if self.taps is not None:
             for snr in self.snr_db:
-                check_field(check_taps, "channel.taps", self.taps,
-                            sigma_for_peak_snr(snr))
+                check_field(check_taps, "channel.taps", self.taps, sigma_for_peak_snr(snr))
         needs_codec = set(self.metrics) & {"fer", "rate_at_fer"}
         if needs_codec and self.codec is None:
             raise ConfigError(f"codec: required for metric(s) {sorted(needs_codec)}")
@@ -118,8 +117,7 @@ class ExperimentConfig:
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key}: need at least 1, got {getattr(self, key)}")
         for scheme in self.schemes:
-            check_field(check_num_symbols, "num_symbols", scheme,
-                        self.num_symbols)
+            check_field(check_num_symbols, "num_symbols", scheme, self.num_symbols)
             if self.taps is not None:
                 check_field(check_num_symbols, "channel.taps", scheme,
                             self.num_symbols, self.taps)
@@ -138,8 +136,7 @@ class ExperimentConfig:
                 raise ConfigError("codec.rate_grid: need at least one rate")
             rates += [("codec.rate_grid", r) for r in self.codec.rate_grid]
         for scheme in self.schemes:
-            check_field(check_frame_symbols, "frame_symbols", scheme,
-                        self.frame_symbols)
+            check_field(check_frame_symbols, "frame_symbols", scheme, self.frame_symbols)
             for key, rate in rates:
                 check_field(build_coded, key, scheme, rate,
                             self.frame_symbols, self.codec.family)

@@ -125,8 +125,7 @@ def _awgn_samples(c, noise_var, metrics, num_symbols, seed):
     symbols, noise = philox(seed, _SYMBOL_STREAM), philox(seed, 0)
     out = {m: np.empty(points) for m in metrics}
     for s in range(0, points, BLOCK_POINTS):
-        idx, y = _send(c, noise_var, min(BLOCK_POINTS, points - s), symbols,
-                       noise)
+        idx, y = _send(c, noise_var, min(BLOCK_POINTS, points - s), symbols, noise)
         smp = rate_samples(idx, c, metrics, received=y, noise_var=noise_var)
         for m, v in out.items():
             v[s:s + idx.size] = smp[m]
@@ -227,8 +226,7 @@ def estimate_rates_per_scheme(
             # block bounds are even, so a block holds whole 2D points
             for c, idx, smp, lp in zip(consts, sent, samples, post):
                 p0, p1 = t0 // c.dimension, (t0 + len(lp)) // c.dimension
-                block = rate_samples(idx[p0:p1], c, metrics,
-                                     level_logposts=lp)
+                block = rate_samples(idx[p0:p1], c, metrics, level_logposts=lp)
                 for m, v in smp.items():
                     v[p0:p1] = block[m]
 

@@ -282,8 +282,7 @@ def test_gaps_prints_each_crossing_and_its_gap(capsys):
         f"symbol_metric,{s},{snr[s]:.4f},{snr['cross_qam32'] - snr[s]:.4f}"
         for s in SCHEMES]
     assert lines[1].endswith(",0.0000")
-    # without --metric, both metrics: the symbol metric's rows, then the
-    # bit metric's
+    # without --metric, the symbol metric's rows, then the bit metric's
     assert main(["gaps", "--num-symbols", "10000", "--seed", "11"]) == 0
     both = capsys.readouterr().out.strip().split("\n")
     assert both[:4] == lines

@@ -338,6 +338,21 @@ def test_rate_samples_takes_one_detection_and_known_metrics(const):
         rate_samples(idx, const, ("fer",), received=y, noise_var=0.1)
 
 
+@pytest.mark.parametrize("trellis", [False, True])
+@pytest.mark.parametrize("metric", ["symbol_metric", "bit_metric"])
+def test_rate_samples_returns_the_metrics_asked(const, metric, trellis):
+    # a metric asked alone comes back alone, bit for bit as asked with both
+    rng = np.random.default_rng(3)
+    idx = rng.integers(0, const.num_points, size=64)
+    lp = np.log(rng.dirichlet(np.ones(len(LEVELS)), size=64 * const.dimension))
+    y = normalize(const.points[idx].ravel()) + 0.2 * rng.standard_normal(len(lp))
+    kw = {"level_logposts": lp} if trellis else {"received": y, "noise_var": 0.04}
+    alone = rate_samples(idx, const, (metric,), **kw)
+    both = rate_samples(idx, const, ("symbol_metric", "bit_metric"), **kw)
+    assert list(alone) == [metric] and alone[metric].shape == (idx.size,)
+    np.testing.assert_array_equal(alone[metric], both[metric])
+
+
 def test_row_sum_follows_numpy_order():
     # exp of a wide uniform spreads the values over ~17 orders of magnitude,
     # so almost any other association rounds some column differently

@@ -11,19 +11,14 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def _run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout
-
-
 def test_gen_basegraph_reproduces_the_committed_file(tmp_path):
     out = tmp_path / "basegraph.txt"
-    _run_script("gen_basegraph.py", "--out", str(out))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "gen_basegraph.py"),
+                           "--out", str(out)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
     committed = ROOT / "src" / "pam6link" / "fec" / "data" / "basegraph_v1.txt"
     assert out.read_bytes() == committed.read_bytes()
 
