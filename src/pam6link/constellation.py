@@ -24,17 +24,11 @@ rows one by one. Per axis, a C-contiguous (6, num_groups) table holds the
 squared distance of each use to each level; the point metrics take rows
 from it by the points' coordinates, add the axes and divide by -2 sigma^2
 once. The ISI path transposes its per-use level log posteriors into the
-same per-axis tables. Every output equals that of a row-major
-(num_groups, num_points) demapper bit for bit, because each sum keeps the
-order numpy gives the row-major one:
-
-* the max over the points is exact in any order;
-* a label half's mass adds its rows left to right, the order of the strided
-  column sum w[:, mask].sum(axis=1);
-* a posterior's normalizer (``_row_sum``) follows np.sum along a contiguous
-  row, numpy's pairwise sum for up to 128 values: left to right below 8,
-  else 8 running sums over blocks of 8 folded as
-  ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the remainder left to right.
+same per-axis tables. Every sum over the points adds them in point order,
+whatever the block's shape (``_point_sum``), and a max is exact in any
+order, so every output equals that of a row-major (num_groups, num_points)
+demapper that adds each row left to right, bit for bit, and a group
+demapped alone gets the bits it gets inside a block.
 
 ``symbol_posteriors`` returns the transposed view and ``bit_llrs`` a flat
 copy in label-bit order, so callers see the row-major shapes.
@@ -264,24 +258,18 @@ def _level_point_metrics(lp, c):
     return _sum_over_axes([np.ascontiguousarray(lp[k::d].T) for k in range(d)], c)
 
 
-def _row_sum(w):
-    """Sum of the rows of w, in the order np.sum adds a contiguous row of
-    w.shape[0] <= 128 values: left to right below 8, else 8 running sums
-    folded pairwise, then the remainder left to right."""
-    n = len(w)
-    if n < 8:
-        s = w[0].copy()
-        for i in range(1, n):
-            s += w[i]
-        return s
-    m = n - n % 8
-    r = w[0:8].copy()
-    for i in range(8, m, 8):
-        r += w[i:i + 8]
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(m, n):
-        s += w[i]
-    return s
+def _point_sum(w, out=None):
+    """Sum over the points of points-major w, shape (num_points, n), added
+    in point order: np.add.reduce adds two or more columns row by row, but
+    one column as a contiguous vector, pairwise from 8 rows up."""
+    if w.shape[1] != 1:
+        return np.add.reduce(w, axis=0, out=out)
+    if out is None:
+        out = np.empty(1)
+    out[:] = w[0]
+    for row in w[1:]:
+        out += row
+    return out
 
 
 def _weights(logm):
@@ -306,7 +294,7 @@ def _label_halves(w, c):
     halves = np.empty((2, c.bits_per_point, w.shape[1]), dtype=np.float64)
     for j, rows in enumerate(c._label_rows):
         for h in (0, 1):
-            np.add.reduce(w.take(rows[h], axis=0), axis=0, out=halves[h, j])
+            _point_sum(w.take(rows[h], axis=0), out=halves[h, j])
     return np.maximum(halves, np.finfo(np.float64).tiny, out=halves)
 
 
@@ -336,7 +324,7 @@ def symbol_posteriors(received, c: Constellation, noise_var: float) -> np.ndarra
     Shape (num_groups, num_points); each row sums to 1.
     """
     post = _weights(_log_point_metrics(received, c, noise_var))
-    post /= _row_sum(post)
+    post /= _point_sum(post)
     return post.T
 
 
@@ -351,15 +339,15 @@ def rate_samples(idx, c: Constellation, metrics, received=None, noise_var=None,
     Detection is from received samples at noise_var (AWGN) or from a
     trellis detector's (num_uses, 6) level log posteriors, which score a 2D
     point by the product of its levels' (mismatched but achievable). The
-    symbol metric is a point's AWGN weight over _row_sum, as
+    symbol metric is a point's AWGN weight over the sum of the weights, as
     symbol_posteriors divides it, or its levels' log posteriors / ln 2
     summed over the axes (the point table's sums round differently). The
     bit metric takes log1p of each ratio, or the difference of the halves'
     logs where h_sent sits at the tiny floor and the ratio would overflow,
     and adds the bits' terms in label-bit order. The points are one block,
-    demapped at once for both metrics and per point, so the caller's
-    blocking changes no bit; its block size bounds the (num_points,
-    idx.size) intermediates.
+    demapped at once for both metrics, and each sum runs over one point's
+    terms in a fixed order, so the caller's blocking changes no bit; its
+    block size bounds the (num_points, idx.size) intermediates.
     """
     if (received is None) == (level_logposts is None):
         raise ValueError("need either received samples or level log posteriors")
@@ -370,7 +358,7 @@ def rate_samples(idx, c: Constellation, metrics, received=None, noise_var=None,
     if received is not None:
         w = _weights(_log_point_metrics(received, c, noise_var))
         if "symbol_metric" in metrics:
-            p_true = w[idx, np.arange(idx.size)] / _row_sum(w)
+            p_true = w[idx, np.arange(idx.size)] / _point_sum(w)
             out["symbol_metric"] = np.log2(
                 np.maximum(p_true, np.finfo(np.float64).tiny))
     else:

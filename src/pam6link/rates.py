@@ -290,9 +290,12 @@ def snr_at_rate(
     to under 1e-3 dB. For dm_pam6 the target is feasibility of the full
     shaped construction: the finite-length matcher redeems k/n < log2(3)
     bits per amplitude, so the solver finds the SNR where the ideal rate
-    exceeds the target by that loss. Raises ValueError when the target is
+    exceeds the target by that loss. Raises ValueError, before any draw,
+    when the target is NaN (no rate is below it or at it), and when it is
     met at -5 dB already or not met at SNR_CAP_DB.
     """
+    if math.isnan(target_rate):
+        raise ValueError(f"target rate must be a number, got {target_rate}")
     want = target_rate
     if scheme == "dm_pam6":
         want += matcher_rate_loss()

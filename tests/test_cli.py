@@ -1,10 +1,11 @@
 """CLI exit codes, bundled configs, and selfcheck mutation behavior."""
 import hashlib
+import pathlib
 
 import numpy as np
 import pytest
 
-from pam6link import cli, constellation, dsp, experiment, selfcheck
+from pam6link import cli, constellation, dsp, experiment, rates, selfcheck
 from pam6link.cli import main
 from pam6link.fec.ldpc import load_basegraph
 from pam6link.rates import SCHEMES, snr_at_rate
@@ -290,16 +291,24 @@ def test_gaps_prints_each_crossing_and_its_gap(capsys):
         ["bit_metric", s] for s in SCHEMES]
 
 
-@pytest.mark.parametrize("flags,field", [(["--num-symbols", "5"], "num_symbols"),
-                                         (["--seed", "-1"], "seed"),
-                                         (["--rate", "3.0"], "rate")])
-def test_gaps_bad_flag_exits_1_before_any_row(capsys, flags, field):
-    # the size and seed are checked before the first bisection, and a rate
-    # no format reaches in [-5, 60] dB fails its bracket check
+@pytest.mark.parametrize("flags,error", [
+    (["--num-symbols", "5"], "num_symbols: "),
+    (["--seed", "-1"], "seed: "),
+    (["--rate", "nan"], "rate: cross_qam32 symbol_metric: target rate must be a "
+                        "number, got nan\n"),
+    (["--rate", "3.0"], "rate: ")])
+def test_gaps_bad_flag_exits_1_before_any_row(monkeypatch, capsys, flags, error):
+    # the size, the seed and a NaN rate are refused before any estimate, and
+    # a rate no format reaches in [-5, 60] dB fails its bracket check
+    estimates = []
+    estimate_rates = rates.estimate_rates
+    monkeypatch.setattr(rates, "estimate_rates",
+                        lambda *a: estimates.append(a) or estimate_rates(*a))
     assert main(["gaps", "--num-symbols", "10000", *flags]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+    assert err.startswith(f"config error: {error}") and err.count("\n") == 1
+    assert bool(estimates) == (flags == ["--rate", "3.0"])
 
 
 def test_selfcheck_passes(capsys):
@@ -367,10 +376,11 @@ def test_selfcheck_detects_tampered_2d_table(monkeypatch, capsys):
 
 
 def test_selfcheck_detects_drifting_posteriors(monkeypatch, capsys):
-    # posteriors and MI samples normalized by a slightly wrong row sum
+    # posteriors, MI samples and label halves from a point sum 0.1% high
     # fail every demapper check and no other
-    row_sum = constellation._row_sum
-    monkeypatch.setattr(constellation, "_row_sum", lambda w: row_sum(w) * 1.001)
+    point_sum = constellation._point_sum
+    monkeypatch.setattr(constellation, "_point_sum", lambda w, out=None: np.multiply(
+        point_sum(w, out), 1.001, out=out))
     assert main(["selfcheck"]) == 3
     out = capsys.readouterr().out
     lines = [l for l in out.split("\n") if l.startswith("demapper_")]
@@ -397,7 +407,8 @@ def test_selfcheck_detects_drifting_rate_samples(monkeypatch, capsys, metric):
 
 
 @pytest.mark.parametrize("edits, passed", (
-    ([(constellation, "PEAK_LEVEL", 6)], 10),
+    # the demapper check holds its own amplitudes too, so its three fail
+    ([(constellation, "PEAK_LEVEL", 6)], 7),
     # the demappers read constellation.LEVELS too, and fail with it
     ([(constellation, "LEVELS", (5, 4, 3, 2, 1, 0)),
       (dsp, "LEVELS", (5, 4, 3, 2, 1, 0))], 7),
@@ -418,3 +429,14 @@ def test_version_flag(capsys):
     assert main(["--version"]) == 0
     import pam6link
     assert pam6link.__version__ in capsys.readouterr().out
+
+
+def test_version_is_written_once():
+    # pyproject.toml reads the package's version rather than repeating it
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    config = tomllib.loads((root / "pyproject.toml").read_text())
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "pam6link.__version__"}

@@ -179,6 +179,7 @@ def test_llrs_match_logsumexp_at_high_snr(const):
 
 # Row-major demapper, (num_groups, num_points), kept as the exact reference
 # for the points-major one: every LLR and posterior must match it bit for bit.
+# Each sum over the points adds them left to right, as a cumulative sum does.
 
 def _reference_sum_over_axes(axis_terms, c):
     d = c.dimension
@@ -205,8 +206,8 @@ def _reference_label_halves(logm, c):
     out = np.empty((w.shape[0], c.bits_per_point, 2), dtype=np.float64)
     for j in range(c.bits_per_point):
         mask0 = c.labels[:, j] == 0
-        out[:, j, 0] = w[:, mask0].sum(axis=1)
-        out[:, j, 1] = w[:, ~mask0].sum(axis=1)
+        out[:, j, 0] = np.cumsum(w[:, mask0], axis=1)[:, -1]
+        out[:, j, 1] = np.cumsum(w[:, ~mask0], axis=1)[:, -1]
     return np.maximum(out, np.finfo(np.float64).tiny, out=out)
 
 
@@ -239,7 +240,7 @@ def reference_symbol_posteriors(received, c, noise_var):
     logm = _reference_log_point_metrics(received, c, noise_var)
     logm -= logm.max(axis=1, keepdims=True)
     post = np.exp(logm, out=logm)
-    post /= post.sum(axis=1, keepdims=True)
+    post /= np.cumsum(post, axis=1)[:, -1:]
     return post
 
 
@@ -353,11 +354,31 @@ def test_rate_samples_returns_the_metrics_asked(const, metric, trellis):
     np.testing.assert_array_equal(alone[metric], both[metric])
 
 
-def test_row_sum_follows_numpy_order():
-    # exp of a wide uniform spreads the values over ~17 orders of magnitude,
-    # so almost any other association rounds some column differently
-    rng = np.random.default_rng(0)
-    for rows in range(1, 41):
-        w = np.exp(rng.uniform(-20.0, 20.0, size=(rows, 2000)))
-        want = np.ascontiguousarray(w.T).sum(axis=1)
-        assert np.array_equal(constellation._row_sum(w), want), rows
+@pytest.mark.parametrize("trellis", [False, True])
+def test_one_point_blocks_give_what_a_block_gives(const, trellis):
+    # one group is summed over the points in the order a block sums it, so
+    # demapping point by point moves no sample, LLR or posterior bit
+    rng = np.random.default_rng(5)
+    n, d = 64, const.dimension
+    idx = rng.integers(0, const.num_points, size=n)
+    lp = np.log(rng.dirichlet(np.ones(len(LEVELS)), size=n * d))
+    y = normalize(const.points[idx].ravel()) + 0.2 * rng.standard_normal(n * d)
+    metrics = ("symbol_metric", "bit_metric")
+
+    def demap(points, uses):
+        if trellis:
+            w = constellation._weights(
+                constellation._level_point_metrics(lp[uses], const))
+            return (rate_samples(idx[points], const, metrics, level_logposts=lp[uses]),
+                    [constellation._label_llrs(w, const)])
+        return (rate_samples(idx[points], const, metrics, received=y[uses],
+                             noise_var=0.04),
+                [bit_llrs(y[uses], const, 0.04), symbol_posteriors(y[uses], const, 0.04)])
+
+    block = demap(slice(None), slice(None))
+    ones = [demap(slice(i, i + 1), slice(i * d, (i + 1) * d)) for i in range(n)]
+    for m in metrics:
+        np.testing.assert_array_equal(np.concatenate([s[m] for s, _ in ones]),
+                                      block[0][m], err_msg=m)
+    for k, want in enumerate(block[1]):
+        np.testing.assert_array_equal(np.concatenate([o[k] for _, o in ones]), want)
