@@ -12,11 +12,15 @@ length-4 cycle for any lift size Z >= ZMIN: the alternating shift sum of
 every candidate cycle is nonzero with magnitude < ZMIN.
 
 Deterministic; rerunning reproduces the committed file byte for byte.
+The final check shares selfcheck's 4-cycle test, so pam6link must be
+importable (installed, or src/ on PYTHONPATH).
 """
 import argparse
 import pathlib
 
 import numpy as np
+
+from pam6link.selfcheck import first_four_cycle
 
 KB = 10
 MB = 12
@@ -44,19 +48,10 @@ ROW_COLS = [
 
 def four_cycle_free(shifts, r, c, s):
     """True if setting shifts[r][c] = s closes no 4-cycle for any Z >= ZMIN."""
-    ncols = KB + MB
-    for r2 in range(MB):
-        if r2 == r or shifts[r2][c] < 0:
-            continue
-        for c2 in range(ncols):
-            if c2 == c:
-                continue
-            if shifts[r][c2] < 0 or shifts[r2][c2] < 0:
-                continue
-            delta = s - shifts[r][c2] + shifts[r2][c2] - shifts[r2][c]
-            if delta == 0:
-                return False
-    return True
+    row = list(shifts[r])
+    row[c] = s
+    return all(first_four_cycle([row, other], ZMIN) is None
+               for r2, other in enumerate(shifts) if r2 != r)
 
 
 def build():
@@ -82,23 +77,8 @@ def build():
 
 
 def verify(shifts):
-    ncols = KB + MB
-    for r1 in range(MB):
-        for r2 in range(r1 + 1, MB):
-            for c1 in range(ncols):
-                if shifts[r1][c1] < 0 or shifts[r2][c1] < 0:
-                    continue
-                for c2 in range(c1 + 1, ncols):
-                    if shifts[r1][c2] < 0 or shifts[r2][c2] < 0:
-                        continue
-                    delta = (
-                        shifts[r1][c1]
-                        - shifts[r1][c2]
-                        + shifts[r2][c2]
-                        - shifts[r2][c1]
-                    )
-                    assert delta != 0, f"4-cycle at rows {r1},{r2} cols {c1},{c2}"
-                    assert abs(delta) < ZMIN
+    cycle = first_four_cycle(shifts, ZMIN)
+    assert cycle is None, cycle
     # coverage: any >= 3-row prefix keeps every systematic column degree >= 3,
     # and from 5 rows on degree >= 4
     for m in range(3, MB + 1):

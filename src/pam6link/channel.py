@@ -20,7 +20,9 @@ MAX_SNR_DB = 3000.0
 
 
 def check_seed(seed: int) -> None:
-    """Raise ValueError unless seed fits the 64-bit Philox key word."""
+    """Raise ValueError unless seed is a non-bool integer in [0, 2**64), a Philox key."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"{seed} outside [0, 2**64)")
 
@@ -57,11 +59,18 @@ def check_taps(taps, noise_var: float) -> None:
         raise ValueError("leading FIR tap must be nonzero")
 
 
+def is_bits(data: np.ndarray) -> bool:
+    """True when every entry is 0 or 1; an unsigned or bool array needs only its max."""
+    if data.dtype.kind in "bu":
+        return data.max(initial=0) <= 1
+    return np.all((data == 0) | (data == 1))
+
+
 def as_bits(data, what: str) -> np.ndarray:
     """Flat uint8 copy of a 0/1 array; any other entry raises ValueError
-    naming what. The LDPC coder, the matcher and the link check bits here."""
+    naming what. The coder, scrambler, matcher and link check bits here."""
     data = np.asarray(data).ravel()
-    if not np.all((data == 0) | (data == 1)):
+    if not is_bits(data):
         raise ValueError(f"{what} must hold only 0 and 1")
     return data.astype(np.uint8)
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import check_noise_var
+from .channel import check_noise_var, is_bits
 
 LEVELS = (0, 1, 2, 3, 4, 5)
 PEAK_LEVEL = 5
@@ -175,22 +175,23 @@ def map_bits(bits, c: Constellation) -> np.ndarray:
     """Map a bit sequence onto consecutive PAM-6 levels.
 
     Each group of ``c.bits_per_point`` bits selects one constellation point,
-    emitted as ``c.dimension`` consecutive levels.
+    emitted as ``c.dimension`` consecutive levels. Raises ValueError naming
+    the first group, as given, that is no label (00002 is none, though a
+    cast would fold it onto 00010).
     """
-    bits = np.asarray(bits, dtype=np.uint8).ravel()
+    bits = np.asarray(bits).ravel()
     L = c.bits_per_point
     if len(bits) % L:
         raise ValueError(f"bit count {len(bits)} not divisible by {L}")
     groups = bits.reshape(-1, L)
-    idx = np.take(c._point_of_label, _pack(np.minimum(groups, 1)))
-    if bits.max(initial=0) > 1:
-        # a group with an entry above 1 is no label, though it folds onto
-        # one above (00002 onto 00001)
-        idx[(groups > 1).any(axis=1)] = -1
+    idx = np.take(c._point_of_label, _pack(groups == 1))
+    if not is_bits(bits):
+        idx[~((groups == 0) | (groups == 1)).all(axis=1)] = -1
     bad = np.flatnonzero(idx < 0)
     if bad.size:
-        g = groups[bad[0]]
-        raise ValueError(f"bit pattern {''.join(map(str, g))} is not a label of {c.name}")
+        g = groups[bad[0]].tolist()  # floats as a list, others as a label reads
+        shown = str(g) if groups.dtype.kind == "f" else "".join(str(int(v)) for v in g)
+        raise ValueError(f"bit pattern {shown} is not a label of {c.name}")
     return np.take(c.points, idx, axis=0).ravel()
 
 

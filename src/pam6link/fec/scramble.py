@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from ..channel import philox
+from ..channel import as_bits, philox
 
 _SEED, _STREAM = 0xC0DEC, 0x5C12A
 
@@ -26,8 +26,9 @@ def _prbs(n: int) -> np.ndarray:
 
 
 def scramble(bits: np.ndarray) -> np.ndarray:
-    """XOR with the scramble sequence; self-inverse, so it also descrambles."""
-    bits = np.asarray(bits, dtype=np.uint8).ravel()
+    """XOR with the scramble sequence; self-inverse, so it also descrambles.
+    Raises ValueError unless every entry is 0 or 1."""
+    bits = as_bits(bits, "scrambler input")
     return bits ^ _prbs(bits.size)
 
 

@@ -10,12 +10,27 @@ are stable so failures can be grepped and individual suites rerun.
 """
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import constellation as cst
 from . import shaping
 from .dsp import bcjr_app, make_trellis
 from .fec.ldpc import ldpc_build, ldpc_decode, ldpc_encode, load_basegraph
+
+
+def first_four_cycle(shifts, zmin):
+    """The first two rows and columns of a shift table (-1 = no block) that
+    close a 4-cycle at some lift >= zmin (a shift sum of 0 or of magnitude
+    >= zmin), named with their sum; None when no quad does."""
+    for (r1, a), (r2, b) in itertools.combinations(enumerate(shifts), 2):
+        both = [c for c in range(len(a)) if a[c] >= 0 and b[c] >= 0]
+        for c1, c2 in itertools.combinations(both, 2):
+            delta = int(a[c1] - a[c2] + b[c2] - b[c1])
+            if delta == 0 or abs(delta) >= zmin:
+                return f"rows {r1},{r2} cols {c1},{c2} close a 4-cycle (shift sum {delta})"
+    return None
 
 
 def _check_basegraph():
@@ -25,18 +40,9 @@ def _check_basegraph():
         bg = load_basegraph()
     except (ValueError, OSError) as e:
         return False, f"{where}: {e}"
-    s = bg.shifts
-    ncols = bg.kb + bg.mb
-    for r1 in range(bg.mb):
-        for r2 in range(r1 + 1, bg.mb):
-            both = [c for c in range(ncols) if s[r1, c] >= 0 and s[r2, c] >= 0]
-            for i, c1 in enumerate(both):
-                for c2 in both[i + 1:]:
-                    delta = int(s[r1, c1] - s[r1, c2] + s[r2, c2] - s[r2, c1])
-                    if delta == 0 or abs(delta) >= bg.zmin:
-                        return False, (
-                            f"{where}: rows {r1},{r2} cols {c1},{c2} close a "
-                            f"4-cycle (shift sum {delta}) for lifts >= {bg.zmin}")
+    cycle = first_four_cycle(bg.shifts, bg.zmin)
+    if cycle:
+        return False, f"{where}: {cycle} for lifts >= {bg.zmin}"
     return True, f"kb={bg.kb} mb={bg.mb} zmin={bg.zmin} v{bg.version}, 4-cycle free"
 
 
@@ -54,34 +60,49 @@ def _check_gray(name, expect_violations):
     return False, f"{len(viol)} violations, first at points {p1} / {p2}"
 
 
+def pointwise_app(y, c, noise_var):
+    """Demapper oracle: the (groups, points) log posteriors and (groups,
+    bits) LLRs of y's groups of c.dimension samples, each label half summed
+    on its own by np.logaddexp.reduce over every point. The amplitudes
+    c.points / 5 are held here, as enumerated_app holds its levels."""
+    amps = c.points / 5.0
+    y = np.asarray(y, dtype=np.float64).reshape(-1, c.dimension)
+    # logm[j, g]: log-likelihood of point j for group g
+    logm = -((y - amps[:, None]) ** 2).sum(axis=-1) / (2.0 * noise_var)
+    log_post = logm - np.logaddexp.reduce(logm, axis=0)
+    llrs = np.stack([np.logaddexp.reduce(logm[c.labels[:, j] == 0], axis=0)
+                     - np.logaddexp.reduce(logm[c.labels[:, j] == 1], axis=0)
+                     for j in range(c.bits_per_point)], axis=1)
+    return log_post.T, llrs
+
+
+def pointwise_rate_samples(idx, c, log_post, llrs):
+    """(MI, GMI) samples of sent points idx from pointwise_app's output:
+    log2 of the sent point's posterior, and the sent label's penalty
+    sum_j logaddexp(0, -(1 - 2 b_j) LLR_j) / ln 2."""
+    mi = log_post[np.arange(len(idx)), idx] / np.log(2.0)
+    penalty = np.logaddexp(0.0, -(1.0 - 2.0 * c.labels[idx]) * llrs) / np.log(2.0)
+    return mi, penalty.sum(axis=1)
+
+
 def _check_demapper(name):
     """Bit LLRs, posteriors and MI/GMI samples of a seeded block against
-    np.logaddexp.reduce over every point. At this noise many LLRs exceed 40
-    nats, where forming one label half as total minus the other would lose
-    every digit."""
+    pointwise_app, at a noise where many LLRs exceed 40 nats."""
     c = cst.build_constellation(name)
-    amps = c.points / 5.0  # held here, as enumerated_app holds its levels
     nv = 1e-3
     rng = np.random.default_rng(12)
     idx = rng.integers(0, c.num_points, size=64)
-    y = amps[idx].ravel() + np.sqrt(nv) * rng.standard_normal(idx.size * c.dimension)
-    d2 = ((y.reshape(-1, 1, c.dimension) - amps) ** 2).sum(axis=-1)
-    logm = -d2 / (2.0 * nv)
-    log_post = logm - np.logaddexp.reduce(logm, axis=1, keepdims=True)
-    ref = np.stack([np.logaddexp.reduce(logm[:, c.labels[:, j] == 0], axis=1)
-                    - np.logaddexp.reduce(logm[:, c.labels[:, j] == 1], axis=1)
-                    for j in range(c.bits_per_point)], axis=1)
+    y = (c.points / 5.0)[idx].ravel() + np.sqrt(nv) * rng.standard_normal(
+        idx.size * c.dimension)
+    log_post, ref = pointwise_app(y, c, nv)
     llr = cst.bit_llrs(y, c, nv).reshape(ref.shape)
     llr_err = float(np.max(np.abs(llr - ref) / (1.0 + np.abs(ref))))
     post_err = float(np.max(np.abs(cst.symbol_posteriors(y, c, nv)
                                    - np.exp(log_post))))
-    # the samples the MI and GMI estimates average: log2 of the sent point's
-    # posterior, and the sent label's penalty over the log-sum-exp LLRs
     smp = cst.rate_samples(idx, c, ("symbol_metric", "bit_metric"), y, nv)
-    mi_err = float(np.max(np.abs(
-        smp["symbol_metric"] - log_post[np.arange(idx.size), idx] / np.log(2.0))))
-    penalty = np.logaddexp(0.0, -(1.0 - 2.0 * c.labels[idx]) * ref) / np.log(2.0)
-    gmi_err = float(np.max(np.abs(smp["bit_metric"] - penalty.sum(axis=1))))
+    mi_ref, gmi_ref = pointwise_rate_samples(idx, c, log_post, ref)
+    mi_err = float(np.max(np.abs(smp["symbol_metric"] - mi_ref)))
+    gmi_err = float(np.max(np.abs(smp["bit_metric"] - gmi_ref)))
     ok = max(llr_err, post_err, mi_err, gmi_err) <= 1e-9
     return ok, (f"LLRs up to {np.max(np.abs(ref)):.0f} nats, max relative LLR "
                 f"error {llr_err:.1e}, max posterior error {post_err:.1e}, "
@@ -136,18 +157,25 @@ def enumerated_app(y, taps, noise_var):
     return out - np.logaddexp.reduce(out, axis=1, keepdims=True)
 
 
+def gathered_app(y, tr, noise_var):
+    """The (B, T, 6) log posteriors of bcjr_app on the (B, T) samples y,
+    gathered from the blocks it hands over."""
+    out = np.full(np.shape(y) + (6,), np.nan)
+
+    def consume(t0, post):
+        out[:, t0:t0 + post.shape[1]] = post
+
+    bcjr_app(y, tr, noise_var, consume)
+    return out
+
+
 def _check_bcjr():
     rng = np.random.default_rng(7)
     taps = np.array([1.0, 0.35])
     nv = 0.05
     x = rng.integers(0, 6, size=6)
     y = np.convolve(x / 5.0, taps)[: len(x)] + 0.1 * rng.standard_normal(len(x))
-    app = np.empty((len(x), 6))
-
-    def gather(t0, post):
-        app[t0:t0 + post.shape[1]] = post[0]
-
-    bcjr_app(y[None], make_trellis(taps), nv, gather)
+    app = gathered_app(y[None], make_trellis(taps), nv)[0]
     err = float(np.max(np.abs(np.exp(app) - np.exp(enumerated_app(y, taps, nv)))))
     ok = err < 1e-9
     return ok, f"max |posterior - enumeration| = {err:.2e}"

@@ -17,7 +17,6 @@ from multiprocessing import get_context
 
 import numpy as np
 import pytest
-from test_dsp import gathered_app
 
 from pam6link import shaping
 from pam6link.cli import main
@@ -26,7 +25,8 @@ from pam6link.dsp import make_trellis
 from pam6link.fec import ldpc_build, ldpc_decode, ldpc_encode
 from pam6link.link import snr_at_fer
 from pam6link.rates import estimate_mi, matcher_rate_loss, snr_at_rate
-from pam6link.selfcheck import enumerated_app
+from pam6link.selfcheck import (enumerated_app, gathered_app, pointwise_app,
+                                pointwise_rate_samples)
 
 GAP_SEED = 11  # crossings at N=1e6: C 22.6852/23.1246, FC 22.1883/22.3520,
                # DM 22.1754/22.1833 (symbol/bit metric, each the midpoint
@@ -87,40 +87,28 @@ def test_bit_metric_gaps_at_2bpcu(snr_crossings):
             f"(window 0.80 +/- 0.15)")
 
 
-def _lse(a, axis):
-    m = a.max(axis=axis, keepdims=True)
-    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
-
-
 def _quadrature_rates(scheme, snr_db, nodes=32):
     """(MI, GMI) per 1D use on peak-limited AWGN by Gauss-Hermite quadrature.
 
     Each axis of the noise takes the nodes sqrt(2 nv) t_k with weights
-    w_k / sqrt(pi), a product rule over both axes for the 2D formats. The
-    log-sum-exps run over every point of the table, independent of the
-    library's demapper kernels.
+    w_k / sqrt(pi), a product rule over both axes for the 2D formats, over
+    selfcheck's pointwise MI/GMI samples of every point sent at every node:
+    log-sum-exps over every point, independent of the library's kernels.
     """
     c = build_constellation("pam6_label" if scheme == "dm_pam6" else scheme)
     d, m = c.dimension, c.num_points
-    x = LEVELS[c.points]  # (M, d) amplitudes, peak 1
     nv = 10.0 ** (-snr_db / 10.0)
     t, w = np.polynomial.hermite.hermgauss(nodes)
     noise = np.stack(np.meshgrid(*[t] * d, indexing="ij"), -1).reshape(-1, d)
     noise *= math.sqrt(2.0 * nv)
     wts = np.prod(np.stack(np.meshgrid(*[w] * d, indexing="ij"), -1)
                   .reshape(-1, d), axis=1) / math.pi ** (d / 2)
-    # logm[i, k, j]: log-likelihood of point j for sent point i, noise node k
-    diff = x[:, None, None, :] + noise[None, :, None, :] - x[None, None, :, :]
-    logm = -(diff ** 2).sum(axis=-1) / (2.0 * nv)
-    total = _lse(logm, 2)
-    sent = logm[np.arange(m), :, np.arange(m)]
-    mi = math.log2(m) + (wts @ (sent - total).T).mean() / math.log(2.0)
-    penalty = 0.0
-    for b in range(c.bits_per_point):
-        same = c.labels[:, b][:, None] == c.labels[:, b][None, :]  # (i, j)
-        part = _lse(np.where(same[:, None, :], logm, -np.inf), 2)
-        penalty += (wts @ (total - part).T).mean() / math.log(2.0)
-    return mi / d, (math.log2(m) - penalty) / d
+    # y[i, k]: point i (amplitudes peak 1) sent through noise node k
+    y = LEVELS[c.points][:, None, :] + noise[None, :, :]
+    idx = np.repeat(np.arange(m), wts.size)
+    mi, gmi = ((s.reshape(m, -1) @ wts).mean()
+               for s in pointwise_rate_samples(idx, c, *pointwise_app(y, c, nv)))
+    return (math.log2(m) + mi) / d, (math.log2(m) - gmi) / d
 
 
 def test_crossings_match_quadrature(snr_crossings):

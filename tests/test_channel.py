@@ -93,6 +93,15 @@ def test_philox_rejects_seed_outside_key_word(seed):
     philox(2**64 - 1, 0)
 
 
+@pytest.mark.parametrize("seed", [1.9, 0.5, True, np.float64(2.0), "1"])
+def test_philox_rejects_seed_that_is_not_an_integer(seed):
+    # a cast would draw seed 1 for 1.9, yet report seed 1.9
+    with pytest.raises(ValueError) as err:
+        philox(seed, 0)
+    assert str(err.value) == f"seed must be an integer, got {seed!r}"
+    assert philox(np.int64(3), 0).random() == philox(3, 0).random()
+
+
 @pytest.mark.parametrize("snr", [float("nan"), float("inf"), float("-inf"),
                                  4000.0, -4000.0, 3200.0, -3080.0, 3000.001])
 def test_sigma_for_peak_snr_rejects_snr_without_noise_variance(snr):

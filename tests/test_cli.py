@@ -325,6 +325,13 @@ def test_selfcheck_passes(capsys):
     assert "FAIL" not in out
 
 
+def _failing_selfcheck(capsys, prefix):
+    """Run selfcheck, which must exit 3: its output and its lines starting with prefix."""
+    assert main(["selfcheck"]) == 3
+    out = capsys.readouterr().out
+    return out, [l for l in out.split("\n") if l.startswith(prefix)]
+
+
 def test_selfcheck_detects_corrupt_basegraph(tmp_path, monkeypatch, capsys):
     import importlib.resources
 
@@ -343,9 +350,7 @@ def test_selfcheck_detects_corrupt_basegraph(tmp_path, monkeypatch, capsys):
     # the file still parses: only the structural check can catch the cycle
     tampered = load_basegraph(bad)
     monkeypatch.setattr(selfcheck, "load_basegraph", lambda: tampered)
-    assert main(["selfcheck"]) == 3
-    out = capsys.readouterr().out
-    line = next(l for l in out.split("\n") if l.startswith("basegraph_file"))
+    out, (line,) = _failing_selfcheck(capsys, "basegraph_file")
     assert "FAIL" in line
     assert "rows 0,1 cols 0,1 close a 4-cycle (shift sum 0)" in line
     assert "10/11 checks passed" in out
@@ -357,10 +362,7 @@ def test_selfcheck_detects_tampered_labels(monkeypatch, capsys):
     tampered = dict(constellation._PAM6_LABELS)
     tampered[2], tampered[3] = tampered[3], tampered[2]
     monkeypatch.setattr(constellation, "_PAM6_LABELS", tampered)
-    assert main(["selfcheck"]) == 3
-    out = capsys.readouterr().out
-    assert "gray_pam6" in out
-    lines = [l for l in out.split("\n") if l.startswith("gray_pam6")]
+    _, lines = _failing_selfcheck(capsys, "gray_pam6")
     assert lines and "FAIL" in lines[0]
 
 
@@ -369,9 +371,7 @@ def test_selfcheck_detects_tampered_2d_table(monkeypatch, capsys):
     keys = list(tampered)
     tampered[keys[0]], tampered[keys[1]] = tampered[keys[1]], tampered[keys[0]]
     monkeypatch.setattr(constellation, "_FRAMED_CROSS_QAM32", tampered)
-    assert main(["selfcheck"]) == 3
-    out = capsys.readouterr().out
-    lines = [l for l in out.split("\n") if l.startswith("gray_framed")]
+    _, lines = _failing_selfcheck(capsys, "gray_framed")
     assert lines and "FAIL" in lines[0]
 
 
@@ -381,9 +381,7 @@ def test_selfcheck_detects_drifting_posteriors(monkeypatch, capsys):
     point_sum = constellation._point_sum
     monkeypatch.setattr(constellation, "_point_sum", lambda w, out=None: np.multiply(
         point_sum(w, out), 1.001, out=out))
-    assert main(["selfcheck"]) == 3
-    out = capsys.readouterr().out
-    lines = [l for l in out.split("\n") if l.startswith("demapper_")]
+    out, lines = _failing_selfcheck(capsys, "demapper_")
     assert len(lines) == 3 and all("FAIL" in l for l in lines)
     assert "8/11 checks passed" in out
 
@@ -399,9 +397,7 @@ def test_selfcheck_detects_drifting_rate_samples(monkeypatch, capsys, metric):
         return out
 
     monkeypatch.setattr(constellation, "rate_samples", drifting)
-    assert main(["selfcheck"]) == 3
-    out = capsys.readouterr().out
-    lines = [l for l in out.split("\n") if l.startswith("demapper_")]
+    out, lines = _failing_selfcheck(capsys, "demapper_")
     assert len(lines) == 3 and all("FAIL" in l for l in lines)
     assert "8/11 checks passed" in out
 
@@ -418,9 +414,7 @@ def test_selfcheck_detects_edited_level_table(monkeypatch, capsys, edits, passed
     # table cannot move the detector and its oracle together
     for module, name, value in edits:
         monkeypatch.setattr(module, name, value)
-    assert main(["selfcheck"]) == 3
-    out = capsys.readouterr().out
-    line = next(l for l in out.split("\n") if l.startswith("bcjr_brute_force"))
+    out, (line,) = _failing_selfcheck(capsys, "bcjr_brute_force")
     assert "FAIL" in line
     assert f"{passed}/11 checks passed" in out
 

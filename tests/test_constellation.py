@@ -11,8 +11,8 @@ from pam6link.constellation import (CONSTELLATION_NAMES, LEVELS, PEAK_LEVEL,
                                     check_unit_distance_gray, map_bits,
                                     normalize, rate_samples, symbol_posteriors)
 from pam6link.dsp import make_trellis
+from pam6link.selfcheck import gathered_app, pointwise_app
 from pinned_dispatch import at_pinned_dispatch
-from test_dsp import gathered_app
 
 
 @pytest.fixture(params=CONSTELLATION_NAMES)
@@ -162,13 +162,7 @@ def test_llrs_match_logsumexp_at_high_snr(const):
     y = normalize(const.points[idx].ravel()) + 0.01 * rng.standard_normal(
         idx.size * const.dimension)
     llr = bit_llrs(y, const, nv).reshape(-1, const.bits_per_point)
-    pts = const.points / PEAK_LEVEL
-    d2 = ((y.reshape(-1, 1, const.dimension) - pts[None]) ** 2).sum(axis=-1)
-    logm = -d2 / (2.0 * nv)
-    for b in range(const.bits_per_point):
-        mask0 = const.labels[:, b] == 0
-        ref = (np.logaddexp.reduce(logm[:, mask0], axis=1)
-               - np.logaddexp.reduce(logm[:, ~mask0], axis=1))
+    for b, ref in enumerate(pointwise_app(y, const, nv)[1].T):
         # beyond ~708 nats the smaller half underflows and the LLR saturates
         exact = np.abs(ref) < 700.0
         assert np.count_nonzero(exact & (ref > 50.0)) > 20

@@ -6,24 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pam6link.constellation import build_constellation
 from pam6link.dsp import HAND_OVER, POSTERIOR_BLOCK, bcjr_app, make_trellis
 from pam6link.rates import SCHEMES
-from pam6link.selfcheck import enumerated_app
+from pam6link.selfcheck import enumerated_app, gathered_app, pointwise_app
 from pinned_dispatch import at_pinned_dispatch
 
 LEVELS = np.arange(6) / 5.0
-
-
-def gathered_app(y, tr, noise_var):
-    """The (B, T, 6) log posteriors of bcjr_app, gathered from its blocks."""
-    y = np.asarray(y, dtype=np.float64)
-    out = np.full(y.shape + (6,), np.nan)
-
-    def consume(t0, post):
-        out[:, t0:t0 + post.shape[1]] = post
-
-    bcjr_app(y, tr, noise_var, consume)
-    return out
+PAM6 = build_constellation("pam6_label")  # its points are the six levels in order
 
 
 def test_trellis_structure():
@@ -58,11 +48,9 @@ def test_enumeration_oracle_memoryless_is_pointwise(length):
     # with one tap the uses are independent, so the oracle's sum over every
     # sequence must collapse to each use's own normalized likelihoods
     y = np.random.default_rng(length).uniform(-0.2, 1.2, size=length)
-    ll = -0.5 * (y[:, None] - LEVELS[None, :]) ** 2 / 0.05
-    ref = ll - np.logaddexp.reduce(ll, axis=1, keepdims=True)
     got = enumerated_app(y, [1.0], 0.05)
     assert got.shape == (length, 6)
-    assert float(np.max(np.abs(got - ref))) < 1e-12
+    assert float(np.max(np.abs(got - pointwise_app(y, PAM6, 0.05)[0]))) < 1e-12
 
 
 @pytest.mark.parametrize("length", [1, POSTERIOR_BLOCK - 1, POSTERIOR_BLOCK,
@@ -73,11 +61,9 @@ def test_bcjr_memoryless_matches_pointwise_at_block_edges(length):
     rng = np.random.default_rng(length)
     tr = make_trellis([1.0])
     y = rng.uniform(-0.2, 1.2, size=length)
-    ll = -0.5 * (y[:, None] - LEVELS[None, :]) ** 2 / 0.05
     got = gathered_app(y[None], tr, 0.05)[0]
     assert got.shape == (length, 6)
-    ref = ll - np.logaddexp.reduce(ll, axis=1, keepdims=True)
-    assert float(np.max(np.abs(got - ref))) < 1e-12
+    assert float(np.max(np.abs(got - pointwise_app(y, PAM6, 0.05)[0]))) < 1e-12
 
 
 def _per_step_app(y, tr, noise_var):
@@ -242,9 +228,7 @@ def test_bcjr_memoryless_reduces_to_pointwise_posterior(seed):
     tr = make_trellis([1.0])
     y = rng.uniform(-0.2, 1.2, size=8)
     got = gathered_app(y[None], tr, 0.05)[0]
-    ll = -0.5 * (y[:, None] - LEVELS[None, :]) ** 2 / 0.05
-    ref = ll - np.logaddexp.reduce(ll, axis=1, keepdims=True)
-    assert np.allclose(got, ref, atol=1e-12)
+    assert np.allclose(got, pointwise_app(y, PAM6, 0.05)[0], atol=1e-12)
 
 
 def test_bcjr_high_snr_recovers_sequence():

@@ -1,5 +1,6 @@
 """QC-LDPC rate matching, encode/decode, alist I/O, and the scrambler."""
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pam6link.channel import philox
+from pam6link.constellation import build_constellation, map_bits
 from pam6link.fec.ldpc import (ldpc_build, ldpc_decode, ldpc_encode,
                                ldpc_syndrome, load_basegraph, read_alist,
                                write_alist)
@@ -193,7 +195,8 @@ def test_lengths_are_checked(call, size, match):
 @pytest.mark.parametrize("value", [2, 0.7, -1, 256])
 def test_entries_that_are_not_bits_are_refused(value):
     # a plain cast to uint8 would let 2 and -1 (as 255) into the word, whose
-    # syndrome then reads zero, and read 0.7 and 256 as 0
+    # syndrome then reads zero, and read 0.7 and 256 as 0; the mapper and
+    # the scrambler refuse them too, the mapper naming the group as given
     code = ldpc_build(250, 200)
     data = np.zeros(code.k)
     data[7] = value
@@ -203,6 +206,12 @@ def test_entries_that_are_not_bits_are_refused(value):
     word[-3] = value
     with pytest.raises(ValueError, match="codeword must hold only 0 and 1"):
         ldpc_syndrome(word, code)
+    with pytest.raises(ValueError, match="scrambler input must hold only 0 and 1"):
+        scramble([0, 1, value, 0])
+    shown = {2: "00102", 0.7: "[0.0, 0.0, 1.0, 0.0, 0.7]", -1: "0010-1",
+             256: "0010256"}[value]
+    with pytest.raises(ValueError, match=re.escape(f"bit pattern {shown} is not a label")):
+        map_bits([0, 0, 1, 0, value], build_constellation("cross_qam32"))
 
 
 @pytest.mark.parametrize("n,k", GRID_CODES)

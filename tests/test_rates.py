@@ -7,7 +7,6 @@ import pytest
 from test_constellation import (reference_label_halves,
                                 reference_label_halves_from_levels,
                                 reference_symbol_posteriors)
-from test_dsp import gathered_app
 
 from pam6link import constellation, rates, shaping
 from pam6link.channel import philox, sigma_for_peak_snr, transmit
@@ -15,6 +14,7 @@ from pam6link.dsp import make_trellis
 from pam6link.rates import (MAX_RATE_1D, RateEstimate, estimate_gmi,
                             estimate_mi, estimate_rates, matcher_rate_loss,
                             snr_at_rate)
+from pam6link.selfcheck import gathered_app
 
 SCHEMES = ("cross_qam32", "framed_cross_qam32", "dm_pam6")
 SWEEP = np.linspace(14.0, 32.0, 10)
