@@ -56,9 +56,9 @@ python3 -m pam6link.cli gaps --num-symbols 10000 --seed 11 > "$out/gaps.csv"
 cd "$out"
 sha256sum -c <<'EOF'
 563076cef9f5fe5dc02773a7186c446d7e805d636db126b80ffaa51245ac5d51  awgn_gaps_t1.csv
-2fcac1a921bf5a29fb7a2eb68d8906417451fbe33cab423dbd64fb5e20048e1b  loopback_t1.csv
-3d7bf8572aa50884066e779821c7a6ddc242cebeb294bf4eeae656c8499caa91  coded_ordering_t1.csv
-ba32f34f5a68cb78b0119b86c6ebd2c4342f9cd8dee051d9ab3bb11416a9b170  waterfall_t1.csv
+cae9c36ee7f8e2e6046c491e7840d22727987e40d6bb18a9d1c191a3d5c6f06c  loopback_t1.csv
+23db7dd0d0e213d21fa37f2b9051337b28132f99573f606472c92fbdc866eb41  coded_ordering_t1.csv
+d400a05424303089d38dfb31c04852c7f9e1639db3219c5ac4f72f42d6c76bcd  waterfall_t1.csv
 08d11b7148c882c63b1879e6c1e4060865064f10be9d2c81a662db7356beb2b9  isi_t1.csv
 ea9909da795c7ba961cd0e31bd121f11845615b50513b710c56309fd04013c03  tap1_t1.csv
 7c737faa4ff5c97e61abfa0bd56254f4bbc44256de5206315f990766572d9036  gaps.csv

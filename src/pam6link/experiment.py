@@ -23,6 +23,7 @@ Floats are written with repr so parsing them back loses nothing.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 from dataclasses import MISSING, astuple, dataclass, fields
@@ -324,6 +325,27 @@ def _run_unit(cfg: ExperimentConfig, unit: tuple):
     return _coded_rows(cfg, scheme, metric, snr, seed)
 
 
+def map_ordered(fn, *iterables, threads: int = 1):
+    """Yield fn over the iterables' items in input order, as map does: on
+    the caller when threads is 1, else on min(threads, items) worker
+    processes, forked so that they inherit the imported modules and the
+    memoized codes. An error in fn, or closing the iterator, cancels the
+    items not yet started; the workers are gone once the iterator is
+    exhausted or closed."""
+    if threads == 1:  # a one-process run loads no pool
+        yield from map(fn, *iterables)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+    columns = [list(items) for items in iterables]
+    pool = ProcessPoolExecutor(min(threads, *map(len, columns)),
+                               get_context("fork"))
+    try:
+        yield from pool.map(fn, *columns)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1,
                    progress=None) -> str:
     """Run every sweep point and return the full CSV text.
@@ -333,9 +355,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
     depend on scheduling. Each fer or rate_at_fer item is one unit of work
     (_run_unit), and so is each (snr, seed) point, taken by list position,
     for the MI/GMI items of every scheme there. Units run in the order of
-    their first item: on the caller at that item's turn when threads is 1,
-    else on a pool of min(threads, units) worker processes, forked so that
-    they inherit the imported modules and the memoized codes.
+    their first item, through map_ordered: on the caller at that item's
+    turn when threads is 1, else on min(threads, units) worker processes.
     """
     if not 1 <= threads <= MAX_WORKERS:
         raise ConfigError(f"threads: need at least 1 and at most {MAX_WORKERS} "
@@ -349,17 +370,12 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
                 units, draws = units + draws, []
             else:
                 units += [(scheme, metric, snr, seed) for snr, seed in points]
-    pool = None
-    if threads > 1:  # imported here: a one-process run loads no pool
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-        pool = ProcessPoolExecutor(min(threads, len(units)), get_context("fork"))
     buf = io.StringIO()
     buf.write(CSV_HEADER + "\n")
     held = []  # each point's estimates drawn so far, one dict per scheme
-    try:
-        results = (pool.map if pool else map)(
-            functools.partial(_run_unit, cfg), units)
+    # closed here, not when collected: a traceback keeps this frame alive
+    with contextlib.closing(map_ordered(functools.partial(_run_unit, cfg),
+                                        units, threads=threads)) as results:
         for i, scheme in enumerate(cfg.schemes):
             for metric in cfg.metrics:
                 for p, (snr, seed) in enumerate(points):
@@ -373,7 +389,4 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1,
                     buf.writelines(row + "\n" for row in rows)
                     if progress:
                         progress((scheme, metric, snr, seed), rows)
-    finally:
-        if pool is not None:  # on an error, units not yet started never run
-            pool.shutdown(cancel_futures=True)
     return buf.getvalue()

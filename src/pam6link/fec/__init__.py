@@ -6,13 +6,11 @@ from .ldpc import (
     ldpc_encode,
     ldpc_syndrome,
     load_basegraph,
-    read_alist,
-    write_alist,
 )
 from .scramble import adapt_llrs, scramble
 
 __all__ = [
     "BaseGraph", "LdpcCode", "ldpc_build", "ldpc_decode",
-    "ldpc_encode", "ldpc_syndrome", "load_basegraph", "read_alist",
-    "write_alist", "adapt_llrs", "scramble",
+    "ldpc_encode", "ldpc_syndrome", "load_basegraph", "adapt_llrs",
+    "scramble",
 ]

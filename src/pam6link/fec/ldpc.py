@@ -32,7 +32,7 @@ the lifted edge list fills:
 The syndrome is a gather through check_vars (padded edges read an extra
 zero bit) and an XOR down the columns. The encoder takes the syndrome of
 (data, 0) as the partial syndrome and accumulates it down the block rows of
-the parity chain. The alist export writes the columns of both tables.
+the parity chain.
 
 Decoding is normalized min-sum (factor 0.75) with early stop on a zero
 syndrome (Chen & Fossorier, IEEE Trans. Commun. 2002) on the same tables:
@@ -293,74 +293,3 @@ def ldpc_decode(llrs: np.ndarray, code: LdpcCode, max_iter: int = DEFAULT_MAX_IT
     else:
         converged = not _parity(total[:-1] < 0, code).any()
     return (total[: code.k] < 0).astype(np.uint8), converged, iters
-
-
-def _text_rows(rows) -> list:
-    """Lines of space-separated integers, one per row."""
-    return list(map(" ".join, np.asarray(rows).astype(str).tolist()))
-
-
-def write_alist(code: LdpcCode) -> str:
-    """Serialize the rate-matched parity-check matrix in alist text format.
-
-    The rows are the columns of the dense tables: each variable's checks in
-    check order, each check's variables in variable order, 1-based, with
-    pads written as 0 and the table heights as the row widths.
-    """
-    var_rows = np.where(code.var_slots < code.check_vars.size,
-                        code.var_slots % code.n_checks + 1, 0).T
-    check_rows = np.where(code.check_vars < code.n, code.check_vars + 1, 0).T
-    lines = _text_rows([[code.n, code.n_checks],
-                        [var_rows.shape[1], check_rows.shape[1]]])
-    lines += _text_rows([np.count_nonzero(var_rows, axis=1)])
-    lines += _text_rows([np.count_nonzero(check_rows, axis=1)])
-    lines += _text_rows(var_rows) + _text_rows(check_rows)
-    return "\n".join(lines) + "\n"
-
-
-def read_alist(text: str):
-    """Parse alist text; returns (n_var, n_check, check_idx, var_idx) sorted
-    by (check, var) for comparison against a built code.
-
-    Raises ValueError naming the row when a row's degree is wrong, when an
-    index lies outside [1, n_check] (variable rows) or [1, n_var] (check
-    rows), or when a check row lists other variables than the variable rows
-    give it.
-    """
-    toks = text.split()
-    pos = 0
-
-    def take(count):
-        nonlocal pos
-        vals = [int(t) for t in toks[pos : pos + count]]
-        if len(vals) != count:
-            raise ValueError("alist truncated")
-        pos += count
-        return vals
-
-    def row(what, width, degree, limit):
-        got = [x for x in take(width) if x != 0]
-        if len(got) != degree:
-            raise ValueError(f"alist {what}: degree mismatch")
-        for x in got:
-            if not 1 <= x <= limit:
-                raise ValueError(f"alist {what}: index {x} outside [1, {limit}]")
-        return got
-
-    nvar, ncheck = take(2)
-    max_v, max_c = take(2)
-    vdeg = take(nvar)
-    cdeg = take(ncheck)
-    check_vars = [[] for _ in range(ncheck)]  # as the variable rows give them
-    for v in range(nvar):
-        for c in row(f"variable {v}", max_v, vdeg[v], ncheck):
-            check_vars[c - 1].append(v)
-    for c in range(ncheck):
-        got = sorted(x - 1 for x in row(f"check {c}", max_c, cdeg[c], nvar))
-        if got != check_vars[c]:
-            raise ValueError(f"alist check {c}: variables {got} but the "
-                             f"variable rows give {check_vars[c]}")
-    check_idx = np.repeat(np.arange(ncheck, dtype=np.int64),
-                          [len(vs) for vs in check_vars])
-    var_idx = np.array([v for vs in check_vars for v in vs], dtype=np.int64)
-    return nvar, ncheck, check_idx, var_idx

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import shaping
-from .channel import as_bits, philox, sigma_for_peak_snr, transmit
+from .channel import philox, sigma_for_peak_snr, transmit
 from .constellation import Constellation, bit_llrs, map_bits, normalize
 from .fec import ldpc_build, ldpc_decode, ldpc_encode
 from .fec.scramble import adapt_llrs, scramble
@@ -115,10 +115,8 @@ def build_coded(scheme: str, rate_bpcu: float, frame_symbols: int, codec: str,
 
 def encode_frame(cs: CodedScheme, data: np.ndarray) -> np.ndarray:
     """Source bits -> PAM-6 levels for one frame. Raises ValueError unless
-    data holds cs.data_bits entries, each 0 or 1."""
-    data = as_bits(data, "frame data")
-    if data.size != cs.data_bits:
-        raise ValueError(f"expected {cs.data_bits} data bits, got {data.size}")
+    data holds cs.data_bits entries, each 0 or 1: pas_encode or ldpc_encode
+    checks them."""
     if cs.scheme == "dm_pam6":
         return shaping.pas_encode(data, cs.comp, cs.ldpc)
     coded = ldpc_encode(data, cs.ldpc)
@@ -150,8 +148,9 @@ def coded_fer(
     Frame i draws its noise from Philox stream 2i and its data from stream
     2i + 1, both keyed by seed, so a run is reproducible regardless of
     scheduling. Stops at min_errors frame errors or max_frames frames.
-    Returns (fer, half_width, frames, errors); a frame errs when any
-    decoded data bit is wrong or the decoder flags failure.
+    Returns (fer, half_width, frames, errors), the half width from
+    fer_half_width; a frame errs when any decoded data bit is wrong or the
+    decoder flags failure.
     """
     cs = build_coded(scheme, rate_bpcu, frame_symbols, "ldpc")
     if max_frames < 1 or min_errors < 1:
@@ -173,11 +172,19 @@ def coded_fer(
             errors += 1
         if errors >= min_errors:
             break
+    return errors / frames, fer_half_width(errors, frames), frames, errors
+
+
+def fer_half_width(errors: int, frames: int) -> float:
+    """Half width hw such that fer +- hw, fer = errors / frames, holds the
+    95% Wilson score interval, which stays honest at 0 or all errors
+    (Brown, Cai & DasGupta, Statistical Science 2001). Wilson centres its
+    interval off fer, so hw is the distance to the farther bound."""
     fer = errors / frames
-    # Wilson score interval: stays honest at 0 or all errors
     zn = 1.96**2 / frames
-    hw = 1.96 * math.sqrt(fer * (1 - fer) / frames + zn / (4 * frames)) / (1 + zn)
-    return fer, hw, frames, errors
+    centre = (fer + zn / 2) / (1 + zn)
+    wilson = 1.96 * math.sqrt(fer * (1 - fer) / frames + zn / (4 * frames)) / (1 + zn)
+    return max(fer - (centre - wilson), centre + wilson - fer)
 
 
 def snr_at_fer(

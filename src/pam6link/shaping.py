@@ -196,7 +196,7 @@ def pas_encode(d, comp: Composition, code) -> np.ndarray:
     k = ccdm_input_length(comp)
     d = as_bits(d, "source")
     if len(d) != k + g:
-        raise ValueError(f"source must provide {k + g} bits (k={k}, g={g}), got {len(d)}")
+        raise ValueError(f"expected {k + g} data bits (k={k}, g={g}), got {len(d)}")
     global _last_match
     a = ccdm_encode(d[:k], comp)
     _last_match = (comp, a, d[:k])

@@ -12,8 +12,6 @@ pieces of work run on two worker processes.
 import functools
 import hashlib
 import math
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 
 import numpy as np
 import pytest
@@ -22,6 +20,7 @@ from pam6link import shaping
 from pam6link.cli import main
 from pam6link.constellation import build_constellation, check_unit_distance_gray
 from pam6link.dsp import make_trellis
+from pam6link.experiment import map_ordered
 from pam6link.fec import ldpc_build, ldpc_decode, ldpc_encode
 from pam6link.link import snr_at_fer
 from pam6link.rates import estimate_mi, matcher_rate_loss, snr_at_rate
@@ -35,7 +34,7 @@ ORDER_SEED = 0  # coded ordering at 27.0 dB: DM 2.0, FC 2.0, C 1.9
 # sha256 of the bundled coded_ordering CSV (seed ORDER_SEED): a change that
 # moves any of its floats must update the digest and say why
 CODED_ORDERING_SHA256 = (
-    "3d7bf8572aa50884066e779821c7a6ddc242cebeb294bf4eeae656c8499caa91")
+    "23db7dd0d0e213d21fa37f2b9051337b28132f99573f606472c92fbdc866eb41")
 N_GAP = 10**6
 LEVELS = np.arange(6) / 5.0
 
@@ -45,23 +44,13 @@ def _report(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _on_two_workers(fn, *arg_lists):
-    """list(map(fn, *arg_lists)), run on two worker processes, forked as
-    the sweep runner's are, so that they inherit the memoized codes."""
-    pool = ProcessPoolExecutor(2, get_context("fork"))
-    try:
-        return list(pool.map(fn, *arg_lists))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 @pytest.fixture(scope="module")
 def snr_crossings():
     keys = [(scheme, metric) for metric in ("symbol_metric", "bit_metric")
             for scheme in ("cross_qam32", "framed_cross_qam32", "dm_pam6")]
-    crossings = _on_two_workers(
+    crossings = list(map_ordered(
         functools.partial(snr_at_rate, target_rate=2.0, num_symbols=N_GAP,
-                          seed=GAP_SEED), *zip(*keys))
+                          seed=GAP_SEED), *zip(*keys), threads=2))
     return dict(zip(keys, crossings))
 
 
@@ -162,8 +151,8 @@ def test_matcher_rate_and_exact_round_trips():
     rate = k / comp.n
     # the same 1e4 words as one pass over the stream, in two halves
     half = 10**4 // 2
-    bad = sum(_on_two_workers(functools.partial(_failed_round_trips, comp, k),
-                              (0, half), (half, half)))
+    bad = sum(map_ordered(functools.partial(_failed_round_trips, comp, k),
+                          (0, half), (half, half), threads=2))
     ok = 1.565 <= rate <= 1.585 and bad == 0
     _report("matcher rate and round trips", ok,
             f"k/n = {rate} (window [1.565, 1.585]), "
@@ -224,10 +213,10 @@ def test_coded_rate_ordering_at_fer_1e2(coded_rates):
 
 
 def test_framed_vs_cross_coded_snr_gap():
-    fc, c = _on_two_workers(
+    fc, c = map_ordered(
         functools.partial(snr_at_fer, rate_bpcu=2.0, fer_target=1e-2,
                           frame_symbols=1000, frames=1000, seed=ORDER_SEED),
-        ("framed_cross_qam32", "cross_qam32"))
+        ("framed_cross_qam32", "cross_qam32"), threads=2)
     gap = c - fc
     ok = 0.15 <= gap <= 0.9
     _report("coded SNR gap framed vs cross at 2.0 bpcu", ok,

@@ -208,7 +208,7 @@ def test_unwritable_output_exits_1_before_the_run(tmp_path, capsys, monkeypatch,
 # update the digest and say why
 BUNDLED_SHA256 = {
     "awgn_gaps": "563076cef9f5fe5dc02773a7186c446d7e805d636db126b80ffaa51245ac5d51",
-    "loopback": "2fcac1a921bf5a29fb7a2eb68d8906417451fbe33cab423dbd64fb5e20048e1b",
+    "loopback": "cae9c36ee7f8e2e6046c491e7840d22727987e40d6bb18a9d1c191a3d5c6f06c",
 }
 
 

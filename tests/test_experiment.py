@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from pam6link import experiment
 from pam6link.cli import BUNDLED_CONFIGS, _resolve_config, main
 from pam6link.experiment import (CSV_HEADER, CodecSpec, ConfigError,
-                                 ExperimentConfig, parse_config, run_experiment)
+                                 ExperimentConfig, map_ordered, parse_config,
+                                 run_experiment)
 from pam6link.link import build_coded, coded_fer
 from pam6link.rates import RateEstimate, estimate_rates
 from pinned_dispatch import at_pinned_dispatch
@@ -423,6 +424,15 @@ def test_a_unit_failing_on_a_worker_fails_the_run_as_on_the_caller(
     assert errs[0] == errs[1] == says + "\n"
 
 
+@pytest.mark.parametrize("threads", [1, 2, 5])
+def test_map_ordered_is_map_on_any_workers(threads):
+    """Several iterables of any kind, the shortest bounding the items, give
+    map's results in input order, and no worker outlives the iterator."""
+    got = map_ordered(pow, iter([2, 3, 4, 5]), (7, 6, 5), threads=threads)
+    assert list(got) == [2**7, 3**6, 4**5]
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("where", ["unit", "progress"])
 def test_an_error_cancels_the_units_not_started(monkeypatch, tmp_path, where):
     """The first of 16 coded units, or the progress call after it, fails
@@ -445,7 +455,9 @@ def test_an_error_cancels_the_units_not_started(monkeypatch, tmp_path, where):
     monkeypatch.setattr(experiment, "_coded_rows", rows)
     cfg = parse_config(MINIMAL.replace("symbol_metric", "fer").replace(
         "[20.0]", str([10.0 + k for k in range(16)])) + "codec: {rate: 2.0}\n")
-    with pytest.raises(ValueError, match="run failed"):
+    # the traceback held here keeps run_experiment's frame alive, so its
+    # workers must be gone without waiting to be collected
+    with pytest.raises(ValueError, match="run failed") as failed:
         run_experiment(cfg, threads=2, progress=progress)
     assert multiprocessing.active_children() == []
     assert len(log.read_text().split()) <= 8

@@ -1,4 +1,5 @@
-"""QC-LDPC rate matching, encode/decode, alist I/O, and the scrambler."""
+"""QC-LDPC rate matching, the pinned Tanner tables, encode/decode, and the
+scrambler."""
 import hashlib
 import re
 
@@ -10,8 +11,7 @@ from hypothesis import strategies as st
 from pam6link.channel import philox
 from pam6link.constellation import build_constellation, map_bits
 from pam6link.fec.ldpc import (ldpc_build, ldpc_decode, ldpc_encode,
-                               ldpc_syndrome, load_basegraph, read_alist,
-                               write_alist)
+                               ldpc_syndrome, load_basegraph)
 from pam6link.fec.scramble import adapt_llrs, scramble
 
 COMMITTED_CODES = [(2500, 2000), (3000, 2426)]  # cross/framed, dm_pam6 at 2.0
@@ -21,11 +21,12 @@ ALL_ROWS_CODE = (2200, 1000)  # all 12 base rows: variable degrees up to 8
 # bits)
 GRID_CODES = ([(2500, k) for k in (1800, 1900, 2000, 2100)]
               + [(3000, k) for k in (2226, 2326, 2426, 2526)])
-# sha256 of write_alist's text: the export must not drift with the layout
-ALIST_SHA256 = {
-    (2500, 2000): "0f8e1deaf8005a9eb0cbf4a93cc48eb65e78200fcf82795d8901e82c44d6b63c",
-    (3000, 2426): "1cec57a60168722a0e52d06cd8f17eee55eab03a7381cfdb43efd3e30f1ffce8",
-    (2200, 1000): "40da264e05555a88dbdb5b8c89a4ae05b59cf18f999b8827085dec78abdfc56d",
+# sha256 of check_vars then var_slots, each as little-endian int32: the
+# lifted Tanner graph must not drift with the layout
+TABLES_SHA256 = {
+    (2500, 2000): "e313f854a535c476a44e2f6fb8dc0826336d05feb4dd1c985a38be277e536f55",
+    (3000, 2426): "695a3c3e73452ac2bc2946afb22312a2c8bda2ec702a79a4c368d3536138b4a7",
+    (2200, 1000): "c49a8032c95edc53f37803fa9f9dadf45c29741881eb2c4d6a316e5db767a79c",
 }
 
 
@@ -375,45 +376,12 @@ def test_parity_tail_removal_keeps_projected_code():
     assert check_idx.max() == code.n_checks - 1
 
 
-def test_alist_round_trip():
-    code = ldpc_build(1250, 1000)
-    text = write_alist(code)
-    nvar, ncheck, ci, vi = read_alist(text)
-    assert nvar == code.n and ncheck == code.n_checks
-    check_idx, var_idx = _edge_list(code)[:2]
-    assert set(zip(ci.tolist(), vi.tolist())) == set(
-        zip(check_idx.tolist(), var_idx.tolist()))
-
-
-def test_read_alist_rejects_inconsistent_rows():
-    code = ldpc_build(400, 300)
-    lines = write_alist(code).splitlines()
-    var0 = 4  # header, widths, variable degrees, check degrees, then rows
-    last_check = var0 + code.n + code.n_checks - 1
-    # a variable row naming a check that does not exist
-    bad = lines.copy()
-    row = bad[var0].split()
-    row[0] = "999"
-    bad[var0] = " ".join(row)
-    with pytest.raises(ValueError, match=r"variable 0: index 999 outside \[1, 100\]"):
-        read_alist("\n".join(bad))
-    # a check row naming a variable whose own row does not list that check
-    bad = lines.copy()
-    row = bad[last_check].split()
-    row[0] = "1"
-    bad[last_check] = " ".join(row)
-    with pytest.raises(ValueError, match=f"check {code.n_checks - 1}: variables"):
-        read_alist("\n".join(bad))
-    # and a check row naming a variable beyond n
-    bad[last_check] = " ".join(["401"] + row[1:])
-    with pytest.raises(ValueError, match=r"check 99: index 401 outside \[1, 400\]"):
-        read_alist("\n".join(bad))
-
-
 @pytest.mark.parametrize("n,k", COMMITTED_CODES + [ALL_ROWS_CODE])
-def test_alist_text_is_pinned(n, k):
-    text = write_alist(ldpc_build(n, k))
-    assert hashlib.sha256(text.encode()).hexdigest() == ALIST_SHA256[(n, k)]
+def test_tanner_tables_are_pinned(n, k):
+    code = ldpc_build(n, k)
+    tables = (code.check_vars.astype("<i4").tobytes()
+              + code.var_slots.astype("<i4").tobytes())
+    assert hashlib.sha256(tables).hexdigest() == TABLES_SHA256[(n, k)]
 
 
 @given(st.integers(min_value=1, max_value=4096),

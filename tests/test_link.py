@@ -1,4 +1,5 @@
 """Coded-frame plumbing: build bookkeeping, round trips, FER extremes."""
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -8,7 +9,7 @@ import pytest
 from pam6link.channel import philox, sigma_for_peak_snr, transmit
 from pam6link.constellation import normalize
 from pam6link.link import (build_coded, coded_fer, decode_frame, encode_frame,
-                           snr_at_fer)
+                           fer_half_width, snr_at_fer)
 from pam6link.shaping import Composition, ccdm_input_length
 
 ALL_SCHEMES = ("cross_qam32", "framed_cross_qam32", "dm_pam6")
@@ -147,9 +148,10 @@ def test_dm_frame_symbol_composition():
     assert sorted(counts.tolist()) == sorted(cs.comp.counts)
 
 
-def test_encode_frame_length_check():
-    cs = build_coded("cross_qam32", 2.0, 200, "ldpc")
-    with pytest.raises(ValueError, match="data bits"):
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_encode_frame_length_check(scheme):
+    cs = build_coded(scheme, 2.0, 200, "ldpc")
+    with pytest.raises(ValueError, match=f"expected {cs.data_bits} data bits"):
         encode_frame(cs, np.zeros(7, dtype=np.uint8))
 
 
@@ -177,15 +179,31 @@ def test_fer_extremes():
 
 @pytest.mark.parametrize("snr_db,errors", [(60.0, 0), (10.0, 5)])
 def test_fer_half_width_is_wilson_at_the_edges(snr_db, errors):
-    # 0 or 5 errors in 5 frames: the Wilson score half width is
-    # 1.96 * sqrt(z^2 / 4n^2) / (1 + z^2 / n) ~ 0.217 at both edges
+    # 0 or 5 errors in 5 frames: fer +- hw reaches the far Wilson bound,
+    # z^2 / (n + z^2) ~ 0.434 from the edge, not just the Wilson score
+    # half width 1.96 * sqrt(z^2 / 4n^2) / (1 + z^2 / n) ~ 0.217
     fer, hw, frames, errs = coded_fer("framed_cross_qam32", 2.0, snr_db,
                                       frame_symbols=200, max_frames=5,
                                       min_errors=6)
     assert frames == 5 and errs == errors and fer == errors / 5
-    zn = 1.96**2 / 5
-    assert hw == pytest.approx(1.96 * np.sqrt(zn / 20) / (1 + zn), rel=1e-12)
-    assert 0.21 < hw < 0.22
+    assert hw == pytest.approx(1.96**2 / (5 + 1.96**2), rel=1e-12)
+    assert 0.43 < hw < 0.44
+
+
+@pytest.mark.parametrize("n", [100, 500, 1000])
+def test_fer_intervals_cover_at_least_94_percent(n):
+    """Exact binomial coverage of fer +- hw, summed over the pmf of the
+    error count k ~ Bin(n, p), is at least 0.94 at every p of a log grid
+    (hw is symmetric in k <-> n - k, so p <= 0.5 covers every p)."""
+    k = np.arange(n + 1)
+    log_choose = np.array([math.lgamma(n + 1) - math.lgamma(i + 1)
+                           - math.lgamma(n - i + 1) for i in k])
+    hw = np.array([fer_half_width(int(i), n) for i in k])
+    for p in np.concatenate([np.geomspace(1e-4, 0.5, 60),
+                             [0.002, 0.005, 0.01, 0.02, 0.1]]):
+        pmf = np.exp(log_choose + k * np.log(p) + (n - k) * np.log1p(-p))
+        coverage = pmf[np.abs(k / n - p) <= hw].sum()
+        assert coverage >= 0.94, (p, coverage)
 
 
 def test_fer_stops_at_min_errors():

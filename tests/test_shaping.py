@@ -419,8 +419,8 @@ def test_pas_decode_flags_invalid_pairs():
 
 
 def test_pas_encode_validates_data_length():
-    comp, code, _ = _small_frame(5)
-    with pytest.raises(ValueError, match="source must provide"):
+    comp, code, d = _small_frame(5)
+    with pytest.raises(ValueError, match=f"expected {d.size} data bits"):
         pas_encode(np.zeros(5, dtype=np.uint8), comp, code)
 
 
