@@ -10,17 +10,19 @@
 # 8-SNR MI/GMI sweep exercises the held draws on every row, the isi_rates
 # benchmark sweep (printed by perfbench/workloads.py) runs BCJR on a
 # worker, and the one-tap sweep stacks a row per distinct scheme, one of
-# them listed twice. Then sha256sum checks the seven digests: every bundled
-# result, the two sweeps' and the crossings that `pam6link gaps` prints. A
-# change that moves a float must update them and say why.
+# them listed twice. Then sha256sum checks the seven digests of
+# tests/pinned.sha256: every bundled result, the two sweeps' and the
+# crossings that `pam6link gaps` prints. A change that moves a float must
+# update them there and say why.
 #
 # The digests rest on numpy's Philox normals, exp, log and log1p, whose
 # last bits differ between numpy's AVX-512 and AVX2 kernels, so the script
-# pins the X86_V3 (AVX2) dispatch level, as tests/pinned_dispatch.py pins
-# it for the tier-1 pins; it needs an x86-64-v3 CPU. It opens with the
-# Python and numpy versions and numpy's dispatched CPU features, so a
-# mismatch after an upgrade or on another host shows its cause. An
-# overflow or invalid value anywhere in these runs stops the script.
+# pins the X86_V3 (AVX2) dispatch level by disabling the features that
+# tests/pinned_dispatch.py disables for the tier-1 pins; it needs an
+# x86-64-v3 CPU. It opens with the Python and numpy versions and numpy's
+# dispatched CPU features, so a mismatch after an upgrade or on another
+# host shows its cause. An overflow or invalid value anywhere in these
+# runs stops the script.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -32,7 +34,8 @@ out=$(cd "$1" && pwd)
 cd "$(dirname "$0")/.."
 
 export PYTHONWARNINGS=error::RuntimeWarning
-export NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"
+features=$(python3 tests/pinned_dispatch.py)
+export NPY_DISABLE_CPU_FEATURES="$features"
 export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
 
 python3 -c 'import sys, numpy; print("python", sys.version.split()[0], "numpy", numpy.__version__)'
@@ -53,13 +56,6 @@ for c in awgn_gaps loopback coded_ordering waterfall "$out/isi.yaml" "$out/tap1.
     cmp "$out/${n}_t1.csv" "$out/${n}_t2.csv"
 done
 python3 -m pam6link.cli gaps --num-symbols 10000 --seed 11 > "$out/gaps.csv"
+manifest="$PWD/tests/pinned.sha256"
 cd "$out"
-sha256sum -c <<'EOF'
-563076cef9f5fe5dc02773a7186c446d7e805d636db126b80ffaa51245ac5d51  awgn_gaps_t1.csv
-cae9c36ee7f8e2e6046c491e7840d22727987e40d6bb18a9d1c191a3d5c6f06c  loopback_t1.csv
-23db7dd0d0e213d21fa37f2b9051337b28132f99573f606472c92fbdc866eb41  coded_ordering_t1.csv
-d400a05424303089d38dfb31c04852c7f9e1639db3219c5ac4f72f42d6c76bcd  waterfall_t1.csv
-08d11b7148c882c63b1879e6c1e4060865064f10be9d2c81a662db7356beb2b9  isi_t1.csv
-ea9909da795c7ba961cd0e31bd121f11845615b50513b710c56309fd04013c03  tap1_t1.csv
-7c737faa4ff5c97e61abfa0bd56254f4bbc44256de5206315f990766572d9036  gaps.csv
-EOF
+sha256sum -c --strict "$manifest"

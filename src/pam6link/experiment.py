@@ -335,11 +335,13 @@ def map_ordered(fn, *iterables, threads: int = 1):
     if threads == 1:  # a one-process run loads no pool
         yield from map(fn, *iterables)
         return
+    columns = [list(items) for items in iterables]
+    workers = min(threads, *map(len, columns))
+    if workers == 0:  # no items: map gives nothing, and no pool starts
+        return
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
-    columns = [list(items) for items in iterables]
-    pool = ProcessPoolExecutor(min(threads, *map(len, columns)),
-                               get_context("fork"))
+    pool = ProcessPoolExecutor(workers, get_context("fork"))
     try:
         yield from pool.map(fn, *columns)
     finally:

@@ -1,16 +1,1 @@
-from .ldpc import (
-    BaseGraph,
-    LdpcCode,
-    ldpc_build,
-    ldpc_decode,
-    ldpc_encode,
-    ldpc_syndrome,
-    load_basegraph,
-)
-from .scramble import adapt_llrs, scramble
-
-__all__ = [
-    "BaseGraph", "LdpcCode", "ldpc_build", "ldpc_decode",
-    "ldpc_encode", "ldpc_syndrome", "load_basegraph", "adapt_llrs",
-    "scramble",
-]
+"""Forward error correction: QC-LDPC codes (fec.ldpc) and the bit scrambler (fec.scramble)."""

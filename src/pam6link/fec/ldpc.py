@@ -29,10 +29,11 @@ the lifted edge list fills:
                                edge, in check order; missing edges point to
                                slot check_vars.size, one past the table
 
-The syndrome is a gather through check_vars (padded edges read an extra
-zero bit) and an XOR down the columns. The encoder takes the syndrome of
-(data, 0) as the partial syndrome and accumulates it down the block rows of
-the parity chain.
+Each check's parity is a gather through check_vars (padded edges read an
+extra zero bit) and an XOR down the columns. The encoder takes the parity
+of (data, 0) as the partial syndrome and accumulates it down the block rows
+of the parity chain; the decoder reads the same parity for its converged
+flag at the iteration cap.
 
 Decoding is normalized min-sum (factor 0.75) with early stop on a zero
 syndrome (Chen & Fossorier, IEEE Trans. Commun. 2002) on the same tables:
@@ -79,14 +80,15 @@ class BaseGraph:
     shifts: np.ndarray  # (mb, kb+mb), -1 marks an absent block
 
 
-def load_basegraph(path=None) -> BaseGraph:
-    """Parse a base-graph file; default is the packaged one, which ldpc_build lifts."""
-    if path is None:
-        ref = importlib.resources.files("pam6link.fec") / "data/basegraph_v1.txt"
-        text = ref.read_text()
-    else:
-        with open(path) as f:
-            text = f.read()
+def load_basegraph() -> BaseGraph:
+    """The packaged base graph, which ldpc_build lifts."""
+    ref = importlib.resources.files("pam6link.fec") / "data/basegraph_v1.txt"
+    return _parse_basegraph(ref.read_text())
+
+
+def _parse_basegraph(text: str) -> BaseGraph:
+    """Parse base-graph text: a `kb mb zmin version` header line, then mb
+    rows of kb + mb shifts. Raises ValueError on a malformed graph."""
     rows = []
     header = None
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -226,15 +228,6 @@ def ldpc_encode(data: np.ndarray, code: LdpcCode) -> np.ndarray:
     # the chain tail beyond n_checks was removed from the graph
     word[code.k:] = parity.ravel()[: code.n_checks]
     return word
-
-
-def ldpc_syndrome(codeword: np.ndarray, code: LdpcCode) -> np.ndarray:
-    """Per-check parity of a codeword; raises ValueError unless it holds
-    code.n entries, each 0 or 1."""
-    cw = as_bits(codeword, "codeword")
-    if cw.size != code.n:
-        raise ValueError(f"expected {code.n} bits, got {cw.size}")
-    return _parity(cw, code)
 
 
 def _parity(word: np.ndarray, code: LdpcCode) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 from . import shaping
 from .channel import philox, sigma_for_peak_snr, transmit
 from .constellation import Constellation, bit_llrs, map_bits, normalize
-from .fec import ldpc_build, ldpc_decode, ldpc_encode
+from .fec.ldpc import ldpc_build, ldpc_decode, ldpc_encode
 from .fec.scramble import adapt_llrs, scramble
 from .rates import bisect, constellation_for
 

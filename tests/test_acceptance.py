@@ -21,20 +21,17 @@ from pam6link.cli import main
 from pam6link.constellation import build_constellation, check_unit_distance_gray
 from pam6link.dsp import make_trellis
 from pam6link.experiment import map_ordered
-from pam6link.fec import ldpc_build, ldpc_decode, ldpc_encode
+from pam6link.fec.ldpc import ldpc_build, ldpc_decode, ldpc_encode
 from pam6link.link import snr_at_fer
 from pam6link.rates import estimate_mi, matcher_rate_loss, snr_at_rate
 from pam6link.selfcheck import (enumerated_app, gathered_app, pointwise_app,
                                 pointwise_rate_samples)
+from pinned_dispatch import pinned_sha256
 
 GAP_SEED = 11  # crossings at N=1e6: C 22.6852/23.1246, FC 22.1883/22.3520,
                # DM 22.1754/22.1833 (symbol/bit metric, each the midpoint
                # of a bracket under 1e-3 dB wide)
 ORDER_SEED = 0  # coded ordering at 27.0 dB: DM 2.0, FC 2.0, C 1.9
-# sha256 of the bundled coded_ordering CSV (seed ORDER_SEED): a change that
-# moves any of its floats must update the digest and say why
-CODED_ORDERING_SHA256 = (
-    "23db7dd0d0e213d21fa37f2b9051337b28132f99573f606472c92fbdc866eb41")
 N_GAP = 10**6
 LEVELS = np.arange(6) / 5.0
 
@@ -191,13 +188,15 @@ def test_label_tables_gray_properties():
 
 @pytest.fixture(scope="module")
 def coded_rates(tmp_path_factory):
-    # the bundled coded_ordering sweep, run once on two worker processes,
-    # which the pinned digest holds to the bytes of one: its achieved rates
-    # are its rate_at_fer rows
+    # the bundled coded_ordering sweep (seed ORDER_SEED), run once on two
+    # worker processes, which the pinned digest holds to the bytes of one:
+    # its achieved rates are its rate_at_fer rows. The CSV is the same at
+    # the native and the pinned dispatch level, so this run checks the pin
     out = tmp_path_factory.mktemp("coded") / "coded_ordering.csv"
     assert main(["run", "--config", "coded_ordering", "--output", str(out),
                  "--threads", "2"]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == CODED_ORDERING_SHA256
+    assert (hashlib.sha256(out.read_bytes()).hexdigest()
+            == pinned_sha256("coded_ordering_t1.csv"))
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     return {scheme: float(rate)
             for scheme, metric, _, rate, *_ in rows if metric == "rate_at_fer"}

@@ -427,9 +427,11 @@ def test_a_unit_failing_on_a_worker_fails_the_run_as_on_the_caller(
 @pytest.mark.parametrize("threads", [1, 2, 5])
 def test_map_ordered_is_map_on_any_workers(threads):
     """Several iterables of any kind, the shortest bounding the items, give
-    map's results in input order, and no worker outlives the iterator."""
+    map's results in input order, none when there are no items, and no
+    worker outlives the iterator."""
     got = map_ordered(pow, iter([2, 3, 4, 5]), (7, 6, 5), threads=threads)
     assert list(got) == [2**7, 3**6, 4**5]
+    assert list(map_ordered(pow, [], [], threads=threads)) == []
     assert multiprocessing.active_children() == []
 
 
